@@ -6,8 +6,9 @@ Subcommands:
   verify               run a named property-verification suite
   sweep                repeat an experiment over values of one config key
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(singularity or divergence), 3 verification-suite failure.
+Exit codes: 0 success, 1 configuration error (a singular controller G
+included), 2 numerical failure (divergence or a non-finite signal), 3
+verification-suite failure.  Errors print one line on stderr.
 """
 
 from __future__ import annotations
@@ -21,17 +22,18 @@ from typing import List, Optional
 import numpy as np
 import yaml
 
+from .fts_core import DomainError
 from .plant_models import DivergenceError, generate_desired_trajectory
 from .sim_harness import (
     SUITE_NAMES,
     ConfigError,
     SimConfig,
     compute_metrics,
+    load_doc,
     metrics_to_text,
     run_closed_loop,
     verify_suite,
 )
-from .tracking_control import SingularMatrixError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -74,45 +76,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_doc(path: str) -> dict:
-    try:
-        with open(path, "r") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration document must be a mapping")
-    return doc
-
-
-def _cmd_simulate(args) -> int:
-    config = SimConfig.from_yaml(args.config)
+def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "") -> int:
+    """Run the closed loop, write its CSV log and metrics file; return the record count."""
     log = run_closed_loop(config)
-    log.to_csv(args.out)
-    metrics_path = args.metrics_out or args.out + ".metrics"
+    log.to_csv(out_csv)
     try:
         metrics = compute_metrics(log, config.settle_time, config.bands)
     except ValueError:
         metrics = {}
     with open(metrics_path, "w") as fh:
-        fh.write(metrics_to_text(metrics))
-    print(f"wrote {len(log)} records to {args.out}")
+        fh.write(preamble + metrics_to_text(metrics))
+    return len(log)
+
+
+def _cmd_simulate(args) -> int:
+    config = SimConfig.from_yaml(args.config)
+    n_records = _run(config, args.out, args.metrics_out or args.out + ".metrics")
+    print(f"wrote {n_records} records to {args.out}")
     return EXIT_OK
 
 
 def _cmd_generate_trajectory(args) -> int:
     config = SimConfig.from_yaml(args.config)
-    init = (
-        config.trajectory_init
-        if config.trajectory_init is not None
-        else config.initial_state
-    )
     samples = generate_desired_trajectory(
-        init, config.T, config.dt, config.plant_params
+        config.trajectory_start, config.T, config.dt, config.plant_params
     )
     with open(args.out, "w", newline="\n") as fh:
         fh.write("t,x_d,theta_d\n")
@@ -142,33 +129,31 @@ def _set_dotted(doc: dict, key: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _parse_value(text: str):
-    return yaml.safe_load(text)
-
-
 def _cmd_sweep(args) -> int:
-    base = _load_doc(args.config)
+    base = load_doc(args.config)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must list at least one value")
     os.makedirs(args.out, exist_ok=True)
     for i, text in enumerate(values):
         doc = copy.deepcopy(base)
-        _set_dotted(doc, args.param, _parse_value(text))
+        try:
+            value = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"--values: cannot parse {text!r}: {exc}") from exc
+        _set_dotted(doc, args.param, value)
         config = SimConfig.from_dict(doc)
-        log = run_closed_loop(config)
         safe = text.replace("/", "_")
         out_csv = os.path.join(args.out, f"run_{i:03d}_{safe}.csv")
-        log.to_csv(out_csv)
-        try:
-            metrics = compute_metrics(log, config.settle_time, config.bands)
-        except ValueError:
-            metrics = {}
-        with open(out_csv + ".metrics", "w") as fh:
-            fh.write(f"# {args.param} = {text}\n")
-            fh.write(metrics_to_text(metrics))
+        _run(config, out_csv, out_csv + ".metrics", f"# {args.param} = {text}\n")
         print(f"{args.param}={text}: wrote {out_csv}")
     return EXIT_OK
+
+
+def _fail(label: str, exc: Exception, code: int) -> int:
+    # one line on stderr, also for the multi-line messages of YAML errors
+    print(f"{label}: {' '.join(str(exc).split())}", file=sys.stderr)
+    return code
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -182,11 +167,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DivergenceError, SingularMatrixError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _fail("config error", exc, EXIT_CONFIG)
+    except (DivergenceError, DomainError, np.linalg.LinAlgError) as exc:
+        return _fail("numerical failure", exc, EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -20,13 +20,6 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -152,42 +145,6 @@ class LyapunovTrace:
         return len(self.values)
 
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _recursion_values(V0: float, eta: float, alpha: float, max_steps: int) -> np.ndarray:
-        # counting pass, then exact-size fill pass (identical arithmetic)
-        V = V0
-        n = 0
-        while V > 0.0 and n < max_steps:
-            Vn = V - eta * V ** alpha
-            if Vn < 0.0:
-                Vn = 0.0
-            V = Vn
-            n += 1
-        out = np.empty(n + 1, dtype=np.float64)
-        V = V0
-        out[0] = V
-        for i in range(1, n + 1):
-            V = V - eta * V ** alpha
-            if V < 0.0:
-                V = 0.0
-            out[i] = V
-        return out
-
-else:  # pragma: no cover
-
-    def _recursion_values(V0: float, eta: float, alpha: float, max_steps: int) -> np.ndarray:
-        vals = [V0]
-        V = V0
-        n = 0
-        while V > 0.0 and n < max_steps:
-            V = max(0.0, V - eta * V ** alpha)
-            vals.append(V)
-            n += 1
-        return np.asarray(vals, dtype=float)
-
-
 def fts_recursion(
     V0: float,
     eta: float,
@@ -208,17 +165,28 @@ def fts_recursion(
         raise DomainError(f"alpha must lie in ]0,1[, got {alpha}")
     if max_steps < 0:
         raise DomainError("max_steps must be non-negative")
-    values = _recursion_values(float(V0), float(eta), float(alpha), int(max_steps))
-    trace = LyapunovTrace(values=values, alpha=float(alpha), eta=float(eta))
+    V, eta, alpha = float(V0), float(eta), float(alpha)
+    vals = [V]
+    n = 0
+    while V > 0.0 and n < max_steps:
+        V = max(0.0, V - eta * V ** alpha)
+        vals.append(V)
+        n += 1
+    values = np.asarray(vals, dtype=float)
+    trace = LyapunovTrace(values=values, alpha=alpha, eta=eta)
     N = len(values) - 1 if values[-1] == 0.0 else None
     return trace, N
 
 
 def _eval_gamma(gamma_fn: Callable, V: np.ndarray) -> np.ndarray:
-    """Evaluate gamma_fn on an array, falling back to per-element calls."""
+    """Evaluate gamma_fn on an array, falling back to per-element calls.
+
+    A scalar result (a constant gamma) is returned as is and broadcasts
+    against V wherever it is used.
+    """
     try:
         g = np.asarray(gamma_fn(V), dtype=float)
-        if g.shape == V.shape:
+        if g.ndim == 0 or g.shape == V.shape:
             return g
     except (TypeError, ValueError):
         pass

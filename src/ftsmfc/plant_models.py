@@ -218,8 +218,6 @@ class PendulumPlant:
     """Stepped interface around the discretized pendulum (relative degree 2)."""
 
     nu = 2
-    n = 2
-    m = 2
 
     def __init__(self, init, dt: float, params: PendulumParams = PendulumParams()):
         init = np.asarray(init, dtype=float)
@@ -236,9 +234,6 @@ class PendulumPlant:
     def output(self) -> np.ndarray:
         """Current output y_k."""
         return self.state.y_prev
-
-    def true_ulm_terms(self) -> Tuple[np.ndarray, np.ndarray]:
-        return pendulum_ulm_terms(self.state, self.dt, self.params)
 
     def step(self, u) -> np.ndarray:
         """Apply u_k; produces y_{k+2} and advances the output clock to k+1."""
@@ -279,7 +274,6 @@ class SyntheticUlmPlant:
         self.n = n
         self.nu = int(nu)
         self.G = np.eye(n) if G is None else np.asarray(G, dtype=float)
-        self.m = self.G.shape[1]
         self.k = 0
         # pending outputs y_k .. y_{k+nu-1}; y_{k+nu} is produced by step()
         if y_init is None:
@@ -335,8 +329,3 @@ class SyntheticUlmPlant:
         self._window.pop(0)
         self.k += 1
         return y_new
-
-
-def synthetic_ulm_plant(kind: str, **spec) -> SyntheticUlmPlant:
-    """Build a synthetic plant of the requested kind (see SyntheticUlmPlant)."""
-    return SyntheticUlmPlant(kind, **spec)

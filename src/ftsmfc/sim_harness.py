@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from .fts_core import (
+    DomainError,
     HolderGainParams,
     decrease_radius,
     fts_recursion,
@@ -32,7 +33,6 @@ from .fts_core import (
 )
 from .output_filter import OutputFilterState, filter_update
 from .plant_models import (
-    DivergenceError,
     NoiseConfig,
     PendulumParams,
     PendulumPlant,
@@ -43,7 +43,6 @@ from .plant_models import (
 from .tracking_control import ControlGains, control_law_basic, control_law_fts
 from .ulm_observer import (
     FirstOrderObserverState,
-    SecondOrderObserverState,
     compute_F,
     first_order_update,
     second_order_observer,
@@ -83,19 +82,70 @@ def _as_vector(value, length: int, what: str) -> np.ndarray:
     return v
 
 
-def _gain_params(section: dict, what: str, default_weight=None) -> HolderGainParams:
+_NOISE_FIELDS = ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases")
+
+# The keys from_dict reads, per section; any other key is a ConfigError.
+_KEYS = {
+    "controller": ("law", "exponent", "scale", "weight", "G", "G_times_dt"),
+    "observer": ("order", "exponent", "scale", "weight"),
+    "filter": ("enabled", "exponent", "scale", "weight"),
+    "noise": ("enabled",) + _NOISE_FIELDS,
+    "trajectory": ("source", "init", "path"),
+    "metrics": ("settle_time", "bands"),
+}
+_ROOT_KEYS = ("dt", "T", "plant", "initial_state", "initial_estimate") + tuple(_KEYS)
+
+
+def _reject_unknown(section: dict, keys: Sequence[str], prefix: str = "") -> None:
+    unknown = [f"{prefix}{k}" for k in section if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
+
+
+def _section(doc: dict, name: str, keys: Sequence[str]) -> dict:
+    """doc[name] as a mapping ({} when absent or empty) holding only the given keys."""
+    section = doc.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: expected a mapping, got {section!r}")
+    _reject_unknown(section, keys, f"{name}.")
+    return section
+
+
+def load_doc(path: str) -> dict:
+    """Read a YAML configuration document; an empty file reads as {}."""
+    try:
+        with open(path, "r") as fh:
+            doc = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
+        raise ConfigError("configuration document must be a mapping")
+    return doc
+
+
+def _gain_params(section: dict, what: str) -> HolderGainParams:
     try:
         exponent = _as_float(section["exponent"], f"{what}.exponent")
         scale = _as_float(section["scale"], f"{what}.scale")
     except KeyError as exc:
         raise ConfigError(f"{what}: missing key {exc}") from exc
-    weight = section.get("weight", default_weight)
+    weight = section.get("weight")
     if weight is not None and np.ndim(weight) == 0:
         weight = _as_float(weight, f"{what}.weight")
     try:
         return HolderGainParams(exponent=exponent, scale=scale, weight=weight)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+
+
+_OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
+_CTRL_PARAMS = HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
 
 
 @dataclass(frozen=True)
@@ -108,16 +158,12 @@ class SimConfig:
     plant_params: PendulumParams = field(default_factory=PendulumParams)
     plant_spec: dict = field(default_factory=dict)
     control_law: str = "fts"
-    control_params: HolderGainParams = field(
-        default_factory=lambda: HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
-    )
+    control_params: HolderGainParams = _CTRL_PARAMS
     G: np.ndarray = field(
         default_factory=lambda: 0.01 * np.array([[0.559, 0.196], [0.196, 0.657]])
     )
     observer_order: str = "first"
-    observer_params: HolderGainParams = field(
-        default_factory=lambda: HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
-    )
+    observer_params: HolderGainParams = _OBS_PARAMS
     filter_params: HolderGainParams = field(
         default_factory=lambda: HolderGainParams(exponent=7.0 / 5.0, scale=2.0, weight=2.1)
     )
@@ -135,6 +181,8 @@ class SimConfig:
     trajectory_path: Optional[str] = None
     settle_time: float = 20.0
     bands: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.05]))
+    # built by __post_init__, which checks the rank of G once for the whole run
+    gains: ControlGains = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
@@ -150,9 +198,14 @@ class SimConfig:
         if self.trajectory_source == "file" and not self.trajectory_path:
             raise ConfigError("trajectory source 'file' requires trajectory.path")
         G = np.asarray(self.G, dtype=float)
-        if G.ndim != 2 or G.shape[1] < G.shape[0]:
-            raise ConfigError("G must be n x m with m >= n")
+        if G.shape != (2, 2):
+            raise ConfigError(f"controller.G must be 2 x 2, got shape {G.shape}")
+        try:
+            gains = ControlGains(params=self.control_params, G=G)
+        except DomainError as exc:
+            raise ConfigError(f"controller.G: {exc}") from exc
         object.__setattr__(self, "G", G)
+        object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=float))
         object.__setattr__(
             self, "initial_estimate", np.asarray(self.initial_estimate, dtype=float)
@@ -163,10 +216,16 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(math.floor(self.T / self.dt))
 
+    @property
+    def trajectory_start(self) -> np.ndarray:
+        """(x, theta, xdot, thetadot) the generated trajectory starts from."""
+        return self.initial_state if self.trajectory_init is None else self.trajectory_init
+
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
         if not isinstance(doc, dict):
             raise ConfigError("configuration document must be a mapping")
+        _reject_unknown(doc, _ROOT_KEYS)
         kwargs: dict = {}
         try:
             kwargs["dt"] = _as_float(doc["dt"], "dt")
@@ -174,8 +233,9 @@ class SimConfig:
         except KeyError as exc:
             raise ConfigError(f"missing required key {exc}") from exc
 
-        plant = doc.get("plant", {})
+        plant = _section(doc, "plant", ("kind", "params", "spec"))
         kind = plant.get("kind", "pendulum")
+        _reject_unknown(plant, ("kind", "params" if kind == "pendulum" else "spec"), "plant.")
         kwargs["plant_kind"] = kind
         if kind == "pendulum":
             pp = plant.get("params", {})
@@ -188,42 +248,36 @@ class SimConfig:
         else:
             kwargs["plant_spec"] = dict(plant.get("spec", {}))
 
-        ctrl = doc.get("controller", {})
-        if ctrl:
-            kwargs["control_law"] = ctrl.get("law", "fts")
-            if "exponent" in ctrl or "scale" in ctrl:
-                kwargs["control_params"] = _gain_params(ctrl, "controller")
-            if "G" in ctrl:
-                G = np.asarray(
-                    [[_as_float(x, "controller.G") for x in row] for row in ctrl["G"]]
-                )
-                if ctrl.get("G_times_dt", False):
-                    G = kwargs["dt"] * G
-                kwargs["G"] = G
+        ctrl = _section(doc, "controller", _KEYS["controller"])
+        kwargs["control_law"] = ctrl.get("law", "fts")
+        if "exponent" in ctrl or "scale" in ctrl:
+            kwargs["control_params"] = _gain_params(ctrl, "controller")
+        if "G" in ctrl:
+            G = np.asarray([_as_vector(row, 2, "controller.G") for row in ctrl["G"]])
+            if ctrl.get("G_times_dt", False):
+                G = kwargs["dt"] * G
+            kwargs["G"] = G
 
-        obs = doc.get("observer", {})
-        if obs:
-            kwargs["observer_order"] = obs.get("order", "first")
-            if "exponent" in obs or "scale" in obs:
-                kwargs["observer_params"] = _gain_params(obs, "observer")
+        obs = _section(doc, "observer", _KEYS["observer"])
+        kwargs["observer_order"] = obs.get("order", "first")
+        if "exponent" in obs or "scale" in obs:
+            kwargs["observer_params"] = _gain_params(obs, "observer")
 
-        filt = doc.get("filter", {})
-        if filt:
-            kwargs["filter_enabled"] = bool(filt.get("enabled", True))
-            if "exponent" in filt or "scale" in filt:
-                kwargs["filter_params"] = _gain_params(filt, "filter")
+        filt = _section(doc, "filter", _KEYS["filter"])
+        kwargs["filter_enabled"] = bool(filt.get("enabled", True))
+        if "exponent" in filt or "scale" in filt:
+            kwargs["filter_params"] = _gain_params(filt, "filter")
 
-        noise = doc.get("noise", {})
-        if noise:
-            kwargs["noise_enabled"] = bool(noise.get("enabled", True))
-            fields = {}
-            for name in ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases"):
-                if name in noise:
-                    fields[name] = _as_vector(noise[name], 2, f"noise.{name}")
-            try:
-                kwargs["noise"] = NoiseConfig(**fields)
-            except ValueError as exc:
-                raise ConfigError(f"noise: {exc}") from exc
+        noise = _section(doc, "noise", _KEYS["noise"])
+        kwargs["noise_enabled"] = bool(noise.get("enabled", True))
+        fields = {}
+        for name in _NOISE_FIELDS:
+            if name in noise:
+                fields[name] = _as_vector(noise[name], 2, f"noise.{name}")
+        try:
+            kwargs["noise"] = NoiseConfig(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"noise: {exc}") from exc
 
         if "initial_state" in doc:
             kwargs["initial_state"] = _as_vector(doc["initial_state"], 4, "initial_state")
@@ -232,15 +286,14 @@ class SimConfig:
                 doc["initial_estimate"], 4, "initial_estimate"
             )
 
-        traj = doc.get("trajectory", {})
-        if traj:
-            kwargs["trajectory_source"] = traj.get("source", "generated")
-            if "init" in traj:
-                kwargs["trajectory_init"] = _as_vector(traj["init"], 4, "trajectory.init")
-            if "path" in traj:
-                kwargs["trajectory_path"] = traj["path"]
+        traj = _section(doc, "trajectory", _KEYS["trajectory"])
+        kwargs["trajectory_source"] = traj.get("source", "generated")
+        if "init" in traj:
+            kwargs["trajectory_init"] = _as_vector(traj["init"], 4, "trajectory.init")
+        if "path" in traj:
+            kwargs["trajectory_path"] = traj["path"]
 
-        metrics = doc.get("metrics", {})
+        metrics = _section(doc, "metrics", _KEYS["metrics"])
         if "settle_time" in metrics:
             kwargs["settle_time"] = _as_float(metrics["settle_time"], "metrics.settle_time")
         if "bands" in metrics:
@@ -250,14 +303,7 @@ class SimConfig:
 
     @staticmethod
     def from_yaml(path: str) -> "SimConfig":
-        try:
-            with open(path, "r") as fh:
-                doc = yaml.safe_load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-        return SimConfig.from_dict(doc if doc is not None else {})
+        return SimConfig.from_dict(load_doc(path))
 
 
 @dataclass(frozen=True)
@@ -288,31 +334,29 @@ class SimLog:
 
     def to_csv(self, path: str) -> None:
         """Write the log with the fixed header and 17-significant-digit floats."""
+        table = np.column_stack(
+            (self.t, self.y, self.y_meas, self.y_hat, self.y_d, self.e_y,
+             self.F, self.F_hat, self.e_F, self.u)
+        )
         with open(path, "w", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for i in range(len(self.t)):
-                row = (
-                    self.t[i],
-                    self.y[i, 0], self.y[i, 1],
-                    self.y_meas[i, 0], self.y_meas[i, 1],
-                    self.y_hat[i, 0], self.y_hat[i, 1],
-                    self.y_d[i, 0], self.y_d[i, 1],
-                    self.e_y[i, 0], self.e_y[i, 1],
-                    self.F[i, 0], self.F[i, 1],
-                    self.F_hat[i, 0], self.F_hat[i, 1],
-                    self.e_F[i, 0], self.e_F[i, 1],
-                    self.u[i, 0], self.u[i, 1],
-                )
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            for row in table:
+                fh.write(",".join(f"{v:.17g}" for v in row.tolist()) + "\n")
 
 
 def _build_plant(config: SimConfig):
     if config.plant_kind == "pendulum":
         return PendulumPlant(config.initial_state, config.dt, config.plant_params)
     try:
-        return SyntheticUlmPlant(config.plant_kind, **config.plant_spec)
+        plant = SyntheticUlmPlant(config.plant_kind, **config.plant_spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"plant: {exc}") from exc
+    if plant.n != 2 or plant.G.shape != (2, 2):
+        raise ConfigError(
+            f"plant: the log holds 2 outputs and 2 inputs, got n={plant.n}"
+            f" and G of shape {plant.G.shape}"
+        )
+    return plant
 
 
 def _desired_trajectory(config: SimConfig, count: int) -> np.ndarray:
@@ -330,24 +374,20 @@ def _desired_trajectory(config: SimConfig, count: int) -> np.ndarray:
                 f"trajectory file has shape {samples.shape}, need at least ({count}, 2)"
             )
         return samples[:count, :2]
-    init = (
-        config.trajectory_init
-        if config.trajectory_init is not None
-        else config.initial_state
-    )
     if config.plant_kind != "pendulum":
         raise ConfigError("generated trajectories require the pendulum plant")
     extra = count - (config.n_steps + 1)
     return generate_desired_trajectory(
-        init, config.T, config.dt, config.plant_params, n_extra=extra
+        config.trajectory_start, config.T, config.dt, config.plant_params, n_extra=extra
     )
 
 
 def run_closed_loop(config: SimConfig) -> SimLog:
     """Run one deterministic closed-loop experiment and return its log.
 
-    Raises DivergenceError or SingularMatrixError (with step diagnostics) on
-    numerical failure and ConfigError on inconsistent configuration.
+    Raises DivergenceError (with the step index) when the plant diverges,
+    DomainError when a signal turns non-finite, and ConfigError on
+    inconsistent configuration.
     """
     plant = _build_plant(config)
     nu = plant.nu
@@ -355,9 +395,7 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     n_records = n_steps + 1
     y_d = _desired_trajectory(config, n_records + nu)
 
-    gains = ControlGains(
-        params=config.control_params, G=config.G, relative_degree=nu
-    )
+    gains = config.gains
     filt = OutputFilterState(
         y_hat=config.initial_estimate[:2], params=config.filter_params
     )
@@ -413,9 +451,6 @@ def run_closed_loop(config: SimConfig) -> SimLog:
         t=t, y=log_y, y_meas=log_meas, y_hat=log_hat, y_d=log_yd, e_y=log_ey,
         F=log_F, F_hat=log_Fhat, e_F=log_eF, u=log_u,
     )
-
-
-_METRIC_CHANNELS = ("ex", "etheta", "eF1", "eF2")
 
 
 def compute_metrics(
@@ -493,10 +528,6 @@ class SuiteReport:
                 line += f" ({r.note})"
             lines.append(line)
         return "\n".join(lines)
-
-
-_OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
-_CTRL_PARAMS = HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
 
 
 def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:

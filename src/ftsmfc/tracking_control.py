@@ -1,15 +1,16 @@
 """Model-free tracking control laws over the control-affine local model.
 
 Both laws pick the input by solving G u = rhs for the designed influence
-matrix G (exact inverse when square, minimum-norm when wide).  The basic law
-cancels the estimated unknown term; the finite-time-stable law additionally
-feeds back the most recent tracking error through the shared sigmoid gain.
+matrix G (exact inverse when square, minimum-norm when wide).  ControlGains
+checks the rank of G once, so the laws solve against it without re-checking
+on every tick.  The basic law cancels the estimated unknown term; the
+finite-time-stable law additionally feeds back the most recent tracking error
+through the shared sigmoid gain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,11 +24,23 @@ class SingularMatrixError(RuntimeError):
     """The influence matrix is (numerically) rank deficient."""
 
 
+def _full_row_rank(G: np.ndarray) -> bool:
+    """Whether the smallest singular value of G exceeds RANK_RTOL times the largest."""
+    sv = np.linalg.svd(G, compute_uv=False)
+    return bool(sv[-1] > RANK_RTOL * sv[0])
+
+
+def _solve(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    n, m = G.shape
+    if m == n:
+        return np.linalg.solve(G, rhs)
+    return G.T @ np.linalg.solve(G @ G.T, rhs)
+
+
 def solve_input(G, rhs) -> np.ndarray:
     """Solve G u = rhs: exact inverse for square G, minimum-norm for wide G.
 
-    Raises SingularMatrixError when the smallest singular value is below
-    RANK_RTOL times the largest.
+    Raises SingularMatrixError when G does not have full row rank.
     """
     G = np.asarray(G, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -38,14 +51,9 @@ def solve_input(G, rhs) -> np.ndarray:
         raise ValueError(f"need at least as many inputs as outputs, got G {G.shape}")
     if rhs.shape != (n,):
         raise ValueError(f"rhs shape {rhs.shape} incompatible with G {G.shape}")
-    sv = np.linalg.svd(G, compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
-        raise SingularMatrixError(
-            f"influence matrix is rank deficient (sv ratio {sv[-1] / sv[0]:.3e})"
-        )
-    if m == n:
-        return np.linalg.solve(G, rhs)
-    return G.T @ np.linalg.solve(G @ G.T, rhs)
+    if not _full_row_rank(G):
+        raise SingularMatrixError(f"influence matrix is rank deficient (rtol {RANK_RTOL:g})")
+    return _solve(G, rhs)
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,7 @@ class ControlGains:
         G = np.asarray(self.G, dtype=float)
         if G.ndim != 2 or G.shape[1] < G.shape[0]:
             raise DomainError("G must be n x m with m >= n")
-        sv = np.linalg.svd(G, compute_uv=False)
-        if sv[-1] <= RANK_RTOL * sv[0]:
+        if not _full_row_rank(G):
             raise DomainError("G must have full row rank")
         if not (isinstance(self.relative_degree, (int, np.integer)) and self.relative_degree >= 1):
             raise DomainError("relative_degree must be an integer >= 1")
@@ -76,7 +83,7 @@ def control_law_basic(y_d_future, F_hat, gains: ControlGains) -> np.ndarray:
     """
     y_d_future = np.asarray(y_d_future, dtype=float)
     F_hat = np.asarray(F_hat, dtype=float)
-    return solve_input(gains.G, y_d_future - F_hat)
+    return _solve(gains.G, y_d_future - F_hat)
 
 
 def control_law_fts(y_d_future, F_hat, e_y_recent, gains: ControlGains) -> np.ndarray:
@@ -90,7 +97,7 @@ def control_law_fts(y_d_future, F_hat, e_y_recent, gains: ControlGains) -> np.nd
     F_hat = np.asarray(F_hat, dtype=float)
     e_y = np.asarray(e_y_recent, dtype=float)
     correction = holder_gain(e_y, gains.params) * e_y
-    return solve_input(gains.G, y_d_future - F_hat + correction)
+    return _solve(gains.G, y_d_future - F_hat + correction)
 
 
 def in_neighborhood_y(e_y, B: float, params: HolderGainParams) -> bool:

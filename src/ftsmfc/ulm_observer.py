@@ -17,20 +17,6 @@ import numpy as np
 from .fts_core import DomainError, HolderGainParams, holder_gain, robustness_radius
 
 
-@dataclass(frozen=True)
-class UlmSample:
-    """One reconstructed unknown-dynamics sample F (output units) at a step index."""
-
-    F: np.ndarray
-    step_index: int
-
-    def __post_init__(self) -> None:
-        F = np.asarray(self.F, dtype=float)
-        if not np.all(np.isfinite(F)):
-            raise DomainError("UlmSample requires finite components")
-        object.__setattr__(self, "F", F)
-
-
 def compute_F(y_k_plus_nu, G_k, u_k) -> np.ndarray:
     """Reconstruct the unknown term: F_k = y_{k+nu} - G_k u_k."""
     y = np.asarray(y_k_plus_nu, dtype=float)
@@ -84,10 +70,9 @@ def first_order_update(
 class SecondOrderObserverState:
     """State of the second-order observer: estimates of F and of its first difference.
 
-    F_history holds the last (up to two) reconstructed samples; e_delta_prev
-    is the most recent difference-estimation error.  Until two samples exist
-    the observer bootstraps with a zero difference estimate and behaves like
-    the first-order observer.
+    F_history holds the last (up to two) reconstructed samples.  Until two
+    samples exist the observer bootstraps with a zero difference estimate and
+    behaves like the first-order observer.
     """
 
     F_hat: np.ndarray
@@ -95,7 +80,6 @@ class SecondOrderObserverState:
     params_F: HolderGainParams
     params_delta: HolderGainParams
     F_history: Tuple[np.ndarray, ...] = ()
-    e_delta_prev: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "F_hat", np.asarray(self.F_hat, dtype=float))
@@ -104,11 +88,6 @@ class SecondOrderObserverState:
         if len(hist) > 2:
             raise DomainError("F_history holds at most two samples")
         object.__setattr__(self, "F_history", hist)
-        if self.e_delta_prev is not None:
-            e = np.asarray(self.e_delta_prev, dtype=float)
-            if not np.all(np.isfinite(e)):
-                raise DomainError("e_delta_prev must be finite")
-            object.__setattr__(self, "e_delta_prev", e)
 
     @property
     def error(self) -> Optional[np.ndarray]:
@@ -153,17 +132,10 @@ def second_order_update(
         e_delta = state.dF_hat - dF_prev
         dF_hat_next = holder_gain(e_delta, state.params_delta) * e_delta + dF_prev
     else:
-        e_delta = np.zeros_like(F_k)
         dF_hat_next = np.zeros_like(F_k)
     F_hat_next = holder_gain(e_F, state.params_F) * e_F + F_k + dF_hat_next
     history = (state.F_history + (F_k,))[-2:]
-    return replace(
-        state,
-        F_hat=F_hat_next,
-        dF_hat=dF_hat_next,
-        F_history=history,
-        e_delta_prev=e_delta,
-    )
+    return replace(state, F_hat=F_hat_next, dF_hat=dF_hat_next, F_history=history)
 
 
 def in_neighborhood_F(e, B_F: float, params: HolderGainParams) -> bool:

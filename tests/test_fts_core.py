@@ -234,6 +234,32 @@ class TestVerifyFtsCondition:
         fn = lambda V: np.full_like(np.asarray(V, dtype=float), 0.5)  # noqa: E731
         assert verify_fts_condition(trace, fn, 0.25)
 
+    def test_scalar_gamma_called_once_per_condition(self):
+        # a constant gamma broadcasts instead of being called per element
+        eta, alpha = 0.03, 0.8
+        trace, _ = fts_recursion(7.0, eta, alpha)
+        eps = eta ** (1.0 / (1.0 - alpha))
+        calls = []
+
+        def gamma(V):
+            calls.append(np.shape(V))
+            return eta
+
+        assert verify_fts_condition(trace, gamma, eps)
+        assert calls == [(len(trace) - 1,), (int(np.count_nonzero(trace.values >= eps)),)]
+
+    def test_scalar_only_gamma_falls_back_per_element(self):
+        trace, _ = fts_recursion(7.0, 0.5, 0.5)
+        calls = []
+
+        def gamma(V):
+            calls.append(V)
+            return 0.5 + 0.0 * math.sqrt(V)  # TypeError on arrays
+
+        assert verify_fts_condition(trace, gamma, 0.25)
+        n_above = int(np.count_nonzero(trace.values >= 0.25))
+        assert len(calls) == 1 + (len(trace) - 1) + 1 + n_above
+
 
 class TestVerifyHolderContinuity:
     def test_all_zero_trace(self):

@@ -20,7 +20,6 @@ from ftsmfc.plant_models import (
     open_loop_input,
     pendulum_step,
     pendulum_ulm_terms,
-    synthetic_ulm_plant,
 )
 
 P = PendulumParams()
@@ -197,24 +196,24 @@ class TestPendulumPlant:
 
 class TestSyntheticPlants:
     def test_constant(self):
-        plant = synthetic_ulm_plant("constant", const=[0.3, -0.2], nu=1)
+        plant = SyntheticUlmPlant("constant", const=[0.3, -0.2], nu=1)
         y = plant.step([0.0, 0.0])
         np.testing.assert_allclose(y, [0.3, -0.2])
         np.testing.assert_allclose(plant.true_F(5), [0.3, -0.2])
 
     def test_ramp(self):
-        plant = synthetic_ulm_plant("ramp", slope=[0.1, -0.2], nu=1)
+        plant = SyntheticUlmPlant("ramp", slope=[0.1, -0.2], nu=1)
         np.testing.assert_allclose(plant.true_F(3), [0.3, -0.6])
 
     def test_sinusoid(self):
-        plant = synthetic_ulm_plant("sinusoid", amplitude=[1.0, 2.0], freq=[0.5, 0.25])
+        plant = SyntheticUlmPlant("sinusoid", amplitude=[1.0, 2.0], freq=[0.5, 0.25])
         np.testing.assert_allclose(
             plant.true_F(2), [math.sin(1.0), 2.0 * math.sin(0.5)], atol=1e-15
         )
 
     def test_random_walk_step_norm_and_reproducibility(self):
-        a = synthetic_ulm_plant("random-walk", bound=0.1, seed=42)
-        b = synthetic_ulm_plant("random-walk", bound=0.1, seed=42)
+        a = SyntheticUlmPlant("random-walk", bound=0.1, seed=42)
+        b = SyntheticUlmPlant("random-walk", bound=0.1, seed=42)
         for k in range(1, 20):
             step = a.true_F(k) - a.true_F(k - 1)
             assert np.linalg.norm(step) == pytest.approx(0.1, rel=1e-12)
@@ -233,8 +232,8 @@ class TestSyntheticPlants:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            synthetic_ulm_plant("chirp")
+            SyntheticUlmPlant("chirp")
 
     def test_random_walk_requires_seed_and_bound(self):
         with pytest.raises(ValueError):
-            synthetic_ulm_plant("random-walk", bound=0.1)
+            SyntheticUlmPlant("random-walk", bound=0.1)

@@ -1,6 +1,7 @@
 """Unit tests for configuration, the closed-loop engine, logging, and metrics."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,46 @@ class TestSimConfig:
         assert make_config().n_steps == 200
 
 
+class TestStrictConfig:
+    @pytest.mark.parametrize(
+        "key", ["controler", "controller.scal", "metrics.setle_time", "plant.params"]
+    )
+    def test_unknown_key_is_named(self, key):
+        # plant.params is not read on a synthetic plant
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            make_config(**{key: 1.0})
+
+    def test_spec_on_pendulum_rejected(self):
+        with pytest.raises(ConfigError, match="'plant.spec'"):
+            make_config(plant={"kind": "pendulum", "spec": {}})
+
+    def test_section_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="controller"):
+            make_config(controller=[1, 2])
+
+    def test_empty_section_keeps_defaults(self):
+        assert make_config(observer=None).observer_order == "first"
+
+    @pytest.mark.parametrize(
+        "G", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.eye(3).tolist(), [[1.0, 0.0]]]
+    )
+    def test_controller_G_must_be_2x2(self, G):
+        with pytest.raises(ConfigError, match="controller.G"):
+            make_config(**{"controller.G": G})
+
+    def test_singular_controller_G_is_config_error(self):
+        with pytest.raises(ConfigError, match="controller.G"):
+            make_config(**{"controller.G": [[1.0, 2.0], [2.0, 4.0]]})
+
+    @pytest.mark.parametrize(
+        "spec", [{"n": 3}, {"G": np.eye(3).tolist()}, {"G": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}]
+    )
+    def test_plant_must_be_2x2(self, spec):
+        config = make_config(**{f"plant.spec.{k}": v for k, v in spec.items()})
+        with pytest.raises(ConfigError, match="plant"):
+            run_closed_loop(config)
+
+
 class TestRunClosedLoop:
     def test_zero_horizon_single_record_no_control(self):
         log = run_closed_loop(make_config(T=0.0))
@@ -132,6 +173,20 @@ class TestRunClosedLoop:
         log = run_closed_loop(make_config())
         # noise and filter off: reconstruction recovers the scripted constant
         np.testing.assert_allclose(log.F[1:], np.tile([0.3, -0.2], (200, 1)), atol=1e-12)
+
+    def test_G_rank_checked_once_at_config_time(self, monkeypatch):
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        config = make_config()
+        assert len(calls) == 1
+        run_closed_loop(config)
+        assert len(calls) == 1
 
     def test_determinism_identical_logs(self):
         config = make_config(**{"noise.enabled": True, "filter.enabled": True})
