@@ -6,9 +6,10 @@ Subcommands:
   verify               run a named property-verification suite
   sweep                repeat an experiment over values of one config key
 
-Exit codes: 0 success, 1 configuration error (a singular controller G
-included), 2 numerical failure (divergence or a non-finite signal), 3
-verification-suite failure.  Errors print one line on stderr.
+Exit codes: 0 success, 1 configuration, usage or output-path error (a
+singular controller G included), 2 numerical failure (divergence or a
+non-finite signal), 3 verification-suite failure.  Errors print one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .fts_core import DomainError
 from .plant_models import DivergenceError, generate_desired_trajectory
 from .sim_harness import (
     SUITE_NAMES,
+    TRAJECTORY_HEADER,
     ConfigError,
     SimConfig,
     compute_metrics,
@@ -33,6 +35,7 @@ from .sim_harness import (
     metrics_to_text,
     run_closed_loop,
     verify_suite,
+    write_csv,
 )
 
 EXIT_OK = 0
@@ -41,8 +44,15 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are a ConfigError (exit 1); argparse would exit with 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ftsmfc",
         description="Finite-time-stable model-free control simulator",
     )
@@ -60,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "generate-trajectory", help="generate the open-loop desired trajectory"
     )
     p.add_argument("--config", required=True, help="YAML experiment configuration")
-    p.add_argument("--out", required=True, help="output CSV path (columns t,x_d,theta_d)")
+    p.add_argument("--out", required=True, help=f"output CSV path ({TRAJECTORY_HEADER})")
 
     p = sub.add_parser("verify", help="run a property-verification suite")
     p.add_argument(
@@ -80,10 +90,7 @@ def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "")
     """Run the closed loop, write its CSV log and metrics file; return the record count."""
     log = run_closed_loop(config)
     log.to_csv(out_csv)
-    try:
-        metrics = compute_metrics(log, config.settle_time, config.bands)
-    except ValueError:
-        metrics = {}
+    metrics = compute_metrics(log, config.settle_time, config.bands)
     with open(metrics_path, "w") as fh:
         fh.write(preamble + metrics_to_text(metrics))
     return len(log)
@@ -101,10 +108,7 @@ def _cmd_generate_trajectory(args) -> int:
     samples = generate_desired_trajectory(
         config.trajectory_start, config.T, config.dt, config.plant_params
     )
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("t,x_d,theta_d\n")
-        for k, row in enumerate(samples):
-            fh.write(f"{k * config.dt:.17g},{row[0]:.17g},{row[1]:.17g}\n")
+    write_csv(args.out, TRAJECTORY_HEADER, (config.dt * np.arange(len(samples)), samples))
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 
@@ -157,7 +161,6 @@ def _fail(label: str, exc: Exception, code: int) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
         "generate-trajectory": _cmd_generate_trajectory,
@@ -165,9 +168,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": _cmd_sweep,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         return _fail("config error", exc, EXIT_CONFIG)
+    except OSError as exc:
+        return _fail("output error", exc, EXIT_CONFIG)
     except (DivergenceError, DomainError, np.linalg.LinAlgError) as exc:
         return _fail("numerical failure", exc, EXIT_NUMERICAL)
 

@@ -8,8 +8,8 @@ gain shape: for an error vector e and parameters (exponent, scale, weight),
 which takes values in [-1, 1) and equals -1 exactly at e = 0.  This module
 provides that gain, the associated Lyapunov decrement function, the clamped
 decrement recursion, verifiers for the finite-time-stability and
-Holder-continuity conditions, and the robustness-radius factor used by the
-ultimate-bound neighborhood predicates.
+Holder-continuity conditions, and the expansion-side and contraction-side
+ultimate-bound radius factors.
 """
 
 from __future__ import annotations

@@ -88,47 +88,28 @@ def bias_vector(
     )
 
 
-@dataclass(frozen=True)
-class LiftedPlantState:
-    """Consecutive output pair (y_k, y_{k+1}) of the forward-difference plant."""
-
-    y_prev: np.ndarray
-    y_curr: np.ndarray
-
-    def __post_init__(self) -> None:
-        yp = np.asarray(self.y_prev, dtype=float)
-        yc = np.asarray(self.y_curr, dtype=float)
-        if not (np.all(np.isfinite(yp)) and np.all(np.isfinite(yc))):
-            raise ValueError("lifted state must be finite")
-        object.__setattr__(self, "y_prev", yp)
-        object.__setattr__(self, "y_curr", yc)
-
-
 def pendulum_ulm_terms(
-    state: LiftedPlantState, dt: float, params: PendulumParams = PendulumParams()
+    y_prev, y_curr, dt: float, params: PendulumParams = PendulumParams()
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """True plant pair (F, G) with y_next = F + G u; exposed for test oracles."""
+    """True plant pair (F, G) at the output arrays (y_k, y_{k+1}): y_{k+2} = F + G u."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    theta = state.y_prev[1]
-    qdot = (state.y_curr - state.y_prev) / dt
+    theta = y_prev[1]
+    qdot = (y_curr - y_prev) / dt
     M = mass_matrix(theta, params)
     Minv = np.linalg.inv(M)
     G = dt * dt * Minv
     D = bias_vector(theta, qdot[0], qdot[1], params)
-    F = 2.0 * state.y_curr - state.y_prev - G @ D
+    F = 2.0 * y_curr - y_prev - G @ D
     return F, G
 
 
 def pendulum_step(
-    state: LiftedPlantState,
-    u,
-    dt: float,
-    params: PendulumParams = PendulumParams(),
+    y_prev, y_curr, u, dt: float, params: PendulumParams = PendulumParams()
 ) -> np.ndarray:
-    """One forward-difference step: y_{k+2} = F_k + G_k u_k."""
+    """One forward-difference step from (y_k, y_{k+1}): y_{k+2} = F_k + G_k u_k."""
     u = np.asarray(u, dtype=float)
-    F, G = pendulum_ulm_terms(state, dt, params)
+    F, G = pendulum_ulm_terms(y_prev, y_curr, dt, params)
     return F + G @ u
 
 
@@ -159,29 +140,21 @@ def generate_desired_trajectory(
     output samples of shape (count, 2); the initial generalized velocity is
     folded into the lifted state via y_1 = y_0 + dt*qdot_0.
     """
-    init = np.asarray(init, dtype=float)
-    if init.shape != (4,):
-        raise ValueError("init must be (x, theta, xdot, thetadot)")
     if not (T >= 0.0 and dt > 0.0):
         raise ValueError("require T >= 0 and dt > 0")
+    plant = PendulumPlant(init, dt, params)
     count = int(math.floor(T / dt)) + 1 + int(n_extra)
-    y0 = init[:2]
-    qdot0 = init[2:]
     samples = np.empty((count, 2))
-    samples[0] = y0
+    samples[0] = plant.y_prev
     if count == 1:
         return samples
-    samples[1] = y0 + dt * qdot0
-    for k in range(count - 2):
-        state = LiftedPlantState(samples[k], samples[k + 1])
-        thetadot = (samples[k + 1][1] - samples[k][1]) / dt
-        u = open_loop_input(samples[k][1], thetadot, params)
-        y_next = pendulum_step(state, u, dt, params)
-        if not np.all(np.isfinite(y_next)) or np.linalg.norm(y_next) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"trajectory generation diverged at step {k + 2}", step_index=k + 2
-            )
-        samples[k + 2] = y_next
+    samples[1] = plant.y_curr
+    try:
+        for k in range(2, count):
+            thetadot = (plant.y_curr[1] - plant.y_prev[1]) / dt
+            samples[k] = plant.step(open_loop_input(plant.y_prev[1], thetadot, params))
+    except DivergenceError:
+        raise DivergenceError(f"trajectory generation diverged at step {k}", step_index=k)
     return samples
 
 
@@ -223,26 +196,34 @@ class PendulumPlant:
         init = np.asarray(init, dtype=float)
         if init.shape != (4,):
             raise ValueError("init must be (x, theta, xdot, thetadot)")
-        y0 = init[:2]
-        y1 = y0 + dt * init[2:]
+        if not np.all(np.isfinite(init)):
+            raise ValueError("init must be finite")
         self.params = params
         self.dt = float(dt)
-        self.state = LiftedPlantState(y0, y1)
+        # the output pair (y_k, y_{k+1}); y_1 = y_0 + dt*qdot_0 folds in the velocity
+        self.y_prev = init[:2]
+        self.y_curr = self.y_prev + dt * init[2:]
         self.k = 0
 
     @property
     def output(self) -> np.ndarray:
         """Current output y_k."""
-        return self.state.y_prev
+        return self.y_prev
 
     def step(self, u) -> np.ndarray:
         """Apply u_k; produces y_{k+2} and advances the output clock to k+1."""
-        y_next = pendulum_step(self.state, u, self.dt, self.params)
+        y_next = pendulum_step(self.y_prev, self.y_curr, u, self.dt, self.params)
         if not np.all(np.isfinite(y_next)) or np.linalg.norm(y_next) > DIVERGENCE_LIMIT:
             raise DivergenceError(f"plant diverged at step {self.k}", step_index=self.k)
-        self.state = LiftedPlantState(self.state.y_curr, y_next)
+        self.y_prev, self.y_curr = self.y_curr, y_next
         self.k += 1
         return y_next
+
+
+def _required(value, kind: str, name: str):
+    if value is None:
+        raise ValueError(f"{kind} requires {name}")
+    return value
 
 
 class SyntheticUlmPlant:
@@ -286,17 +267,15 @@ class SyntheticUlmPlant:
         self._window = window
 
         if kind == "constant":
-            self._const = np.asarray(const, dtype=float)
+            self._const = np.asarray(_required(const, kind, "const"), dtype=float)
         elif kind == "ramp":
-            self._slope = np.asarray(slope, dtype=float)
+            self._slope = np.asarray(_required(slope, kind, "slope"), dtype=float)
         elif kind == "sinusoid":
-            self._amp = np.asarray(amplitude, dtype=float)
-            self._freq = np.asarray(freq, dtype=float)
+            self._amp = np.asarray(_required(amplitude, kind, "amplitude"), dtype=float)
+            self._freq = np.asarray(_required(freq, kind, "freq"), dtype=float)
         elif kind == "random-walk":
-            if bound is None or seed is None:
-                raise ValueError("random-walk requires bound and seed")
-            self._bound = float(bound)
-            rng = np.random.default_rng(seed)
+            self._bound = float(_required(bound, kind, "bound"))
+            rng = np.random.default_rng(_required(seed, kind, "seed"))
             self._rng = rng
             self._walk = [rng.standard_normal(n)]
         else:

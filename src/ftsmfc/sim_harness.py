@@ -11,6 +11,7 @@ time-stamped later than its computation instant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,18 +59,30 @@ CSV_HEADER = (
     "t,x,theta,x_meas,theta_meas,x_hat,theta_hat,x_d,theta_d,"
     "ex,etheta,F1,F2,Fhat1,Fhat2,eF1,eF2,u1,u2"
 )
+# What generate-trajectory writes and trajectory source 'file' reads.
+TRAJECTORY_HEADER = "t,x_d,theta_d"
+
+
+def write_csv(path: str, header: str, columns) -> None:
+    """Write the columns side by side under header, floats to 17 significant digits."""
+    table = np.column_stack(columns)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in table:
+            fh.write(",".join(f"{v:.17g}" for v in row.tolist()) + "\n")
 
 
 def _as_float(value, what: str) -> float:
-    """Accept a number or a fraction string like '9/7'."""
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{what}: cannot parse {value!r} as a number") from exc
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"{what}: expected a number, got {value!r}")
+    """Accept a finite number or a fraction string like '9/7'."""
+    if not isinstance(value, (str, int, float)):
+        raise ConfigError(f"{what}: expected a number, got {value!r}")
+    try:
+        number = float(Fraction(value) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {value!r} is not a finite number") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{what}: {value!r} is not a finite number")
+    return number
 
 
 def _as_vector(value, length: int, what: str) -> np.ndarray:
@@ -102,14 +115,17 @@ def _reject_unknown(section: dict, keys: Sequence[str], prefix: str = "") -> Non
         raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
 
 
-def _section(doc: dict, name: str, keys: Sequence[str]) -> dict:
-    """doc[name] as a mapping ({} when absent or empty) holding only the given keys."""
+def _section(
+    doc: dict, name: str, keys: Optional[Sequence[str]] = None, prefix: str = ""
+) -> dict:
+    """doc[name] as a mapping ({} when absent or empty), holding only keys if given."""
     section = doc.get(name)
     if section is None:
         return {}
     if not isinstance(section, dict):
-        raise ConfigError(f"{name}: expected a mapping, got {section!r}")
-    _reject_unknown(section, keys, f"{name}.")
+        raise ConfigError(f"{prefix}{name}: expected a mapping, got {section!r}")
+    if keys is not None:
+        _reject_unknown(section, keys, f"{prefix}{name}.")
     return section
 
 
@@ -154,14 +170,12 @@ class SimConfig:
 
     dt: float
     T: float
+    G: np.ndarray
     plant_kind: str = "pendulum"
     plant_params: PendulumParams = field(default_factory=PendulumParams)
     plant_spec: dict = field(default_factory=dict)
     control_law: str = "fts"
     control_params: HolderGainParams = _CTRL_PARAMS
-    G: np.ndarray = field(
-        default_factory=lambda: 0.01 * np.array([[0.559, 0.196], [0.196, 0.657]])
-    )
     observer_order: str = "first"
     observer_params: HolderGainParams = _OBS_PARAMS
     filter_params: HolderGainParams = field(
@@ -238,7 +252,7 @@ class SimConfig:
         _reject_unknown(plant, ("kind", "params" if kind == "pendulum" else "spec"), "plant.")
         kwargs["plant_kind"] = kind
         if kind == "pendulum":
-            pp = plant.get("params", {})
+            pp = _section(plant, "params", prefix="plant.")
             try:
                 kwargs["plant_params"] = PendulumParams(
                     **{k: _as_float(v, f"plant.params.{k}") for k, v in pp.items()}
@@ -246,17 +260,16 @@ class SimConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"plant.params: {exc}") from exc
         else:
-            kwargs["plant_spec"] = dict(plant.get("spec", {}))
+            kwargs["plant_spec"] = dict(_section(plant, "spec", prefix="plant."))
 
         ctrl = _section(doc, "controller", _KEYS["controller"])
         kwargs["control_law"] = ctrl.get("law", "fts")
         if "exponent" in ctrl or "scale" in ctrl:
             kwargs["control_params"] = _gain_params(ctrl, "controller")
-        if "G" in ctrl:
-            G = np.asarray([_as_vector(row, 2, "controller.G") for row in ctrl["G"]])
-            if ctrl.get("G_times_dt", False):
-                G = kwargs["dt"] * G
-            kwargs["G"] = G
+        if "G" not in ctrl:
+            raise ConfigError("missing required key 'controller.G'")
+        G = np.asarray([_as_vector(row, 2, "controller.G") for row in ctrl["G"]])
+        kwargs["G"] = kwargs["dt"] * G if ctrl.get("G_times_dt", False) else G
 
         obs = _section(doc, "observer", _KEYS["observer"])
         kwargs["observer_order"] = obs.get("order", "first")
@@ -334,14 +347,8 @@ class SimLog:
 
     def to_csv(self, path: str) -> None:
         """Write the log with the fixed header and 17-significant-digit floats."""
-        table = np.column_stack(
-            (self.t, self.y, self.y_meas, self.y_hat, self.y_d, self.e_y,
-             self.F, self.F_hat, self.e_F, self.u)
-        )
-        with open(path, "w", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in table:
-                fh.write(",".join(f"{v:.17g}" for v in row.tolist()) + "\n")
+        write_csv(path, CSV_HEADER, (self.t, self.y, self.y_meas, self.y_hat, self.y_d,
+                                     self.e_y, self.F, self.F_hat, self.e_F, self.u))
 
 
 def _build_plant(config: SimConfig):
@@ -363,17 +370,21 @@ def _desired_trajectory(config: SimConfig, count: int) -> np.ndarray:
     if config.trajectory_source == "zero":
         return np.zeros((count, 2))
     if config.trajectory_source == "file":
+        # the x_d,theta_d columns of the first count rows generate-trajectory wrote
         try:
-            samples = np.loadtxt(config.trajectory_path, delimiter=",", ndmin=2)
+            with open(config.trajectory_path, "r") as fh:
+                header = fh.readline().rstrip("\n")
+                rows = [row.split(",") for row in itertools.islice(fh, count)]
+                table = np.array(rows, dtype=float)
         except OSError as exc:
             raise ConfigError(f"cannot read trajectory file: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"cannot parse trajectory file: {exc}") from exc
-        if samples.shape[0] < count or samples.shape[1] < 2:
-            raise ConfigError(
-                f"trajectory file has shape {samples.shape}, need at least ({count}, 2)"
-            )
-        return samples[:count, :2]
+        if header != TRAJECTORY_HEADER:
+            raise ConfigError(f"trajectory file header {header!r} is not {TRAJECTORY_HEADER!r}")
+        if table.shape != (count, 3) or not np.all(np.isfinite(table)):
+            raise ConfigError(f"trajectory file needs {count} rows of 3 finite numbers")
+        return table[:, 1:]
     if config.plant_kind != "pendulum":
         raise ConfigError("generated trajectories require the pendulum plant")
     extra = count - (config.n_steps + 1)
@@ -393,7 +404,8 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     nu = plant.nu
     n_steps = config.n_steps
     n_records = n_steps + 1
-    y_d = _desired_trajectory(config, n_records + nu)
+    # u_k reads y_d[k + nu] up to k = n_steps - 1
+    y_d = _desired_trajectory(config, n_steps + nu)
 
     gains = config.gains
     filt = OutputFilterState(
@@ -464,7 +476,7 @@ def compute_metrics(
     """
     mask = log.t > settle_time
     if not np.any(mask):
-        raise ValueError(
+        raise ConfigError(
             f"no samples after settle_time={settle_time} (horizon {log.t[-1]})"
         )
     channels = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fts_core import DomainError, HolderGainParams, holder_gain, robustness_radius
+from .fts_core import DomainError, HolderGainParams, holder_gain
 
 # Rank tolerance: smallest singular value relative to the largest.
 RANK_RTOL = 1e-12
@@ -58,11 +58,10 @@ def solve_input(G, rhs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlGains:
-    """Tracking-law gains: sigmoid params (exponent, scale), influence matrix, relative degree."""
+    """Tracking-law gains: sigmoid params (exponent, scale) and influence matrix."""
 
     params: HolderGainParams
     G: np.ndarray
-    relative_degree: int = 1
 
     def __post_init__(self) -> None:
         G = np.asarray(self.G, dtype=float)
@@ -70,8 +69,6 @@ class ControlGains:
             raise DomainError("G must be n x m with m >= n")
         if not _full_row_rank(G):
             raise DomainError("G must have full row rank")
-        if not (isinstance(self.relative_degree, (int, np.integer)) and self.relative_degree >= 1):
-            raise DomainError("relative_degree must be an integer >= 1")
         object.__setattr__(self, "G", G)
 
 
@@ -99,11 +96,3 @@ def control_law_fts(y_d_future, F_hat, e_y_recent, gains: ControlGains) -> np.nd
     correction = holder_gain(e_y, gains.params) * e_y
     return _solve(gains.G, y_d_future - F_hat + correction)
 
-
-def in_neighborhood_y(e_y, B: float, params: HolderGainParams) -> bool:
-    """Tracking-error ultimate-bound membership: radius(gain(e_y)) * ||e_y|| <= B."""
-    if not B > 0.0:
-        raise DomainError("B must be positive")
-    e_y = np.asarray(e_y, dtype=float)
-    sigma = robustness_radius(holder_gain(e_y, params))
-    return bool(sigma * np.linalg.norm(e_y) <= B)

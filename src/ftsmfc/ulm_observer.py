@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .fts_core import DomainError, HolderGainParams, holder_gain, robustness_radius
+from .fts_core import DomainError, HolderGainParams, holder_gain
 
 
 def compute_F(y_k_plus_nu, G_k, u_k) -> np.ndarray:
@@ -137,11 +137,3 @@ def second_order_update(
     history = (state.F_history + (F_k,))[-2:]
     return replace(state, F_hat=F_hat_next, dF_hat=dF_hat_next, F_history=history)
 
-
-def in_neighborhood_F(e, B_F: float, params: HolderGainParams) -> bool:
-    """Ultimate-bound membership: robustness_radius(gain(e)) * ||e|| <= B_F."""
-    if not B_F > 0.0:
-        raise DomainError("B_F must be positive")
-    e = np.asarray(e, dtype=float)
-    rho = robustness_radius(holder_gain(e, params))
-    return bool(rho * np.linalg.norm(e) <= B_F)

@@ -128,6 +128,74 @@ class TestSimulate:
         assert rc == cli.EXIT_NUMERICAL
         assert "non-finite" in _one_line(err, "numerical failure:")
 
+    def test_non_finite_initial_state_is_config_error(self, tmp_path, capsys):
+        doc = _doc("paper_experiment.yaml", T=1.0, initial_state=[math.nan, 0.0, 0.0, 0.0])
+        rc, _, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, doc),
+            "--out", str(tmp_path / "run.csv"),
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert "initial_state" in _one_line(err, "config error:")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [(None, "constant requires const"), ([0.3, -0.2], "plant.spec: expected a mapping"),
+         ({"G": [[1.0, 0.0], [0.0, 1.0]]}, "constant requires const")],
+        ids=["null", "list", "no-const"],
+    )
+    def test_bad_plant_spec_is_config_error(self, tmp_path, capsys, spec, message):
+        doc = _short_constant()
+        doc["plant"]["spec"] = spec
+        rc, _, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, doc),
+            "--out", str(tmp_path / "run.csv"),
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert message in _one_line(err, "config error:")
+
+    def test_null_pendulum_params_keep_defaults(self, tmp_path, capsys):
+        doc = _doc("paper_experiment.yaml", T=1.0)
+        paths = []
+        for name, params in (("given", doc["plant"]["params"]), ("null", None)):
+            doc["plant"]["params"] = params
+            paths.append(tmp_path / f"{name}.csv")
+            rc, _, err = _main(
+                capsys, "generate-trajectory", "--config", _write(tmp_path, doc),
+                "--out", str(paths[-1]),
+            )
+            assert (rc, err) == (cli.EXIT_OK, "")
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_missing_controller_G_is_config_error(self, tmp_path, capsys):
+        doc = _short_constant()
+        del doc["controller"]["G"]
+        rc, _, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, doc),
+            "--out", str(tmp_path / "run.csv"),
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert "'controller.G'" in _one_line(err, "config error:")
+
+    def test_horizon_within_settle_time_is_config_error(self, tmp_path, capsys):
+        doc = _short_constant()
+        doc["metrics"]["settle_time"] = doc["T"]
+        out_csv = tmp_path / "run.csv"
+        rc, _, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, doc), "--out", str(out_csv)
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert "settle_time" in _one_line(err, "config error:")
+        assert len(out_csv.read_text().splitlines()) == 52  # the CSV is still written
+        assert not os.path.exists(str(out_csv) + ".metrics")
+
+    def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
+        rc, _, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, _short_constant()),
+            "--out", str(tmp_path / "absent" / "run.csv"),
+        )
+        assert rc == cli.EXIT_CONFIG
+        _one_line(err, "output error:")
+
     def test_entry_point_prints_no_traceback(self, tmp_path):
         doc = _short_constant()
         doc["controler"] = doc.pop("controller")
@@ -150,6 +218,38 @@ class TestGenerateTrajectory:
         assert (rc, err) == (cli.EXIT_OK, "")
         assert out.strip() == f"wrote 101 samples to {out_csv}"
         assert out_csv.read_text().splitlines()[0] == "t,x_d,theta_d"
+
+    def test_file_source_reads_generated_file(self, tmp_path, capsys):
+        # the file a slightly longer generate-trajectory run writes drives the
+        # loop exactly as the generated trajectory does
+        doc = _doc("paper_experiment.yaml", T=1.05)
+        traj_csv = str(tmp_path / "traj.csv")
+        rc, _, err = _main(
+            capsys, "generate-trajectory", "--config", _write(tmp_path, doc, "long.yaml"),
+            "--out", traj_csv,
+        )
+        assert (rc, err) == (cli.EXIT_OK, "")
+        doc["T"] = 1.0
+        doc["metrics"]["settle_time"] = 0.5
+        payloads = []
+        for source in ({"source": "generated"}, {"source": "file", "path": traj_csv}):
+            doc["trajectory"] = {**doc["trajectory"], **source}
+            out_csv = tmp_path / f"{source['source']}.csv"
+            rc, _, err = _main(
+                capsys, "simulate", "--config", _write(tmp_path, doc), "--out", str(out_csv)
+            )
+            assert (rc, err) == (cli.EXIT_OK, "")
+            payloads.append(out_csv.read_bytes())
+        assert payloads[0] == payloads[1]
+
+    def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
+        rc, _, err = _main(
+            capsys, "generate-trajectory",
+            "--config", _write(tmp_path, _doc("paper_experiment.yaml", T=1.0)),
+            "--out", str(tmp_path / "absent" / "traj.csv"),
+        )
+        assert rc == cli.EXIT_CONFIG
+        _one_line(err, "output error:")
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         doc = _doc("paper_experiment.yaml", T=1.0)
@@ -216,6 +316,16 @@ class TestSweep:
         assert rc == cli.EXIT_CONFIG
         _one_line(err, "config error: --values")
 
+    def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, _, err = _main(
+            capsys, "sweep", "--config", _write(tmp_path, _short_constant()),
+            "--param", "controller.scale", "--values", "0.2", "--out", str(blocker / "sweep"),
+        )
+        assert rc == cli.EXIT_CONFIG
+        _one_line(err, "output error:")
+
     def test_divergence_is_numerical_failure(self, tmp_path, capsys):
         rc, _, err = _main(
             capsys, "sweep", "--config", str(CONFIGS / "paper_experiment.yaml"),
@@ -223,3 +333,16 @@ class TestSweep:
         )
         assert rc == cli.EXIT_NUMERICAL
         _one_line(err, "numerical failure:")
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["simulate", "--out", "x.csv"], ["verify", "--suite", "nonexistent"],
+         ["simulate", "--config", "c.yaml", "--out", "x.csv", "--bogus"], ["frobnicate"]],
+        ids=["no-command", "missing-argument", "bad-choice", "unknown-option", "bad-command"],
+    )
+    def test_usage_error_is_exit_1(self, capsys, argv):
+        rc, out, err = _main(capsys, *argv)
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        _one_line(err, "config error:")

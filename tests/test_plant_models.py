@@ -8,7 +8,6 @@ import pytest
 from ftsmfc.plant_models import (
     DIVERGENCE_LIMIT,
     DivergenceError,
-    LiftedPlantState,
     NoiseConfig,
     PendulumParams,
     PendulumPlant,
@@ -65,34 +64,31 @@ class TestPendulumUlmTerms:
     def test_step_matches_F_plus_Gu(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            state = LiftedPlantState(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+            y_prev, y_curr = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
             u = rng.uniform(-5, 5, 2)
-            F, G = pendulum_ulm_terms(state, 0.01, P)
+            F, G = pendulum_ulm_terms(y_prev, y_curr, 0.01, P)
             np.testing.assert_allclose(
-                pendulum_step(state, u, 0.01, P), F + G @ u, atol=1e-14
+                pendulum_step(y_prev, y_curr, u, 0.01, P), F + G @ u, atol=1e-14
             )
 
     def test_G_is_dt_squared_times_inverse_mass(self):
-        state = LiftedPlantState([0.0, 0.2], [0.01, 0.21])
-        _, G = pendulum_ulm_terms(state, 0.01, P)
+        _, G = pendulum_ulm_terms(np.array([0.0, 0.2]), np.array([0.01, 0.21]), 0.01, P)
         np.testing.assert_allclose(
             G, 1e-4 * np.linalg.inv(mass_matrix(0.2, P)), atol=1e-16
         )
 
     def test_zero_input_free_dynamics(self):
         # equilibrium at rest, theta = 0: output stays put
-        state = LiftedPlantState([0.3, 0.0], [0.3, 0.0])
-        y2 = pendulum_step(state, np.zeros(2), 0.01, P)
+        y_rest = np.array([0.3, 0.0])
+        y2 = pendulum_step(y_rest, y_rest, np.zeros(2), 0.01, P)
         np.testing.assert_allclose(y2, [0.3, 0.0], atol=1e-15)
 
     def test_upright_instability(self):
         # a small angle grows without input
-        state = LiftedPlantState([0.0, 0.01], [0.0, 0.01])
-        y = state
+        y_prev, y_curr = np.array([0.0, 0.01]), np.array([0.0, 0.01])
         for _ in range(200):
-            y_next = pendulum_step(y, np.zeros(2), 0.01, P)
-            y = LiftedPlantState(y.y_curr, y_next)
-        assert abs(y.y_curr[1]) > 0.02
+            y_prev, y_curr = y_curr, pendulum_step(y_prev, y_curr, np.zeros(2), 0.01, P)
+        assert abs(y_curr[1]) > 0.02
 
 
 class TestOpenLoopInput:
@@ -141,6 +137,17 @@ class TestDesiredTrajectory:
     def test_bad_init_shape(self):
         with pytest.raises(ValueError):
             generate_desired_trajectory([0.0, 0.0], 1.0, 0.01, P)
+
+    def test_non_finite_init(self):
+        with pytest.raises(ValueError, match="finite"):
+            generate_desired_trajectory([0.0, math.nan, 0.0, 0.0], 1.0, 0.01, P)
+
+    def test_divergence_names_the_sample_index(self):
+        # x_k = k * dt * xdot_0 = k * 4e5 first exceeds the limit at sample 3
+        init = [0.0, 0.0, 4.0e7, 0.0]
+        with pytest.raises(DivergenceError, match=r"generation diverged at step 3$") as info:
+            generate_desired_trajectory(init, 1.0, 0.01, P)
+        assert info.value.step_index == 3
 
 
 class TestNoise:

@@ -43,6 +43,12 @@ BASE_DOC = {
 }
 
 
+def _save_trajectory(path, samples, dt=0.01) -> None:
+    """Write samples in the generate-trajectory format: header t,x_d,theta_d."""
+    table = np.column_stack([dt * np.arange(len(samples)), samples])
+    np.savetxt(path, table, delimiter=",", header="t,x_d,theta_d", comments="")
+
+
 def make_config(**overrides) -> SimConfig:
     doc = copy.deepcopy(BASE_DOC)
     for key, value in overrides.items():
@@ -86,6 +92,11 @@ class TestSimConfig:
     def test_file_trajectory_requires_path(self):
         with pytest.raises(ConfigError):
             make_config(**{"trajectory.source": "file"})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1e400", 10**400])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(ConfigError, match="initial_state: .* is not a finite number"):
+            make_config(initial_state=[value, 0.0, 0.0, 0.0])
 
     def test_G_times_dt_scaling(self):
         config = make_config(**{"controller.G_times_dt": True})
@@ -205,7 +216,7 @@ class TestRunClosedLoop:
         paths = []
         for i, traj in enumerate((base, perturbed)):
             path = tmp_path / f"traj{i}.csv"
-            np.savetxt(path, traj, delimiter=",")
+            _save_trajectory(path, traj)
             paths.append(str(path))
         logs = [
             run_closed_loop(
@@ -225,6 +236,33 @@ class TestRunClosedLoop:
             logs[0].u[:first_affected], logs[1].u[:first_affected]
         )
         assert not np.array_equal(logs[0].u[first_affected], logs[1].u[first_affected])
+
+    def test_file_trajectory_needs_exactly_the_rows_read(self, tmp_path):
+        # T = 1.0, nu = 1: the loop reads y_d[0 .. 100], T/dt + 1 rows
+        traj = np.column_stack([np.linspace(0, 1, 101), np.linspace(0, -1, 101)])
+        path = tmp_path / "traj.csv"
+        _save_trajectory(path, traj)
+        config = make_config(T=1.0, trajectory={"source": "file", "path": str(path)})
+        np.testing.assert_array_equal(run_closed_loop(config).y_d, traj)
+        _save_trajectory(path, traj[:100])
+        with pytest.raises(ConfigError, match="needs 101 rows"):
+            run_closed_loop(config)
+
+    def test_file_trajectory_header_checked(self, tmp_path):
+        # a headerless file would otherwise be read as (t, x_d)
+        path = tmp_path / "traj.csv"
+        np.savetxt(path, np.zeros((300, 3)), delimiter=",")
+        config = make_config(T=1.0, trajectory={"source": "file", "path": str(path)})
+        with pytest.raises(ConfigError, match="header"):
+            run_closed_loop(config)
+
+    @pytest.mark.parametrize("row", ["0,1", "0,1,nan", "0,1,x"])
+    def test_file_trajectory_rows_checked(self, tmp_path, row):
+        path = tmp_path / "traj.csv"
+        path.write_text("t,x_d,theta_d\n" + f"{row}\n" * 300)
+        config = make_config(T=1.0, trajectory={"source": "file", "path": str(path)})
+        with pytest.raises(ConfigError, match="trajectory file"):
+            run_closed_loop(config)
 
     def test_pendulum_diverges_with_step_diagnostic(self):
         from pathlib import Path

@@ -10,7 +10,6 @@ from ftsmfc.tracking_control import (
     SingularMatrixError,
     control_law_basic,
     control_law_fts,
-    in_neighborhood_y,
     solve_input,
 )
 
@@ -69,15 +68,12 @@ class TestSolveInput:
 
 class TestControlGains:
     def test_valid(self):
-        ControlGains(params=CTRL, G=A, relative_degree=2)
+        ControlGains(params=CTRL, G=A)
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(DomainError):
             ControlGains(params=CTRL, G=np.array([[1.0, 2.0], [2.0, 4.0]]))
 
-    def test_bad_relative_degree(self):
-        with pytest.raises(DomainError):
-            ControlGains(params=CTRL, G=A, relative_degree=0)
 
 
 class TestBasicLaw:
@@ -141,15 +137,3 @@ class TestFtsLaw:
             if np.linalg.norm(e_y) < 1e-9:
                 break
         assert np.linalg.norm(e_y) < 1e-9
-
-
-class TestNeighborhoodY:
-    def test_zero_inside(self):
-        assert in_neighborhood_y(np.zeros(2), 1e-12, CTRL)
-
-    def test_norm_at_bound_outside(self):
-        assert not in_neighborhood_y(np.array([0.01, 0.0]), 0.01, CTRL)
-
-    def test_bound_positive(self):
-        with pytest.raises(DomainError):
-            in_neighborhood_y(np.zeros(2), -1.0, CTRL)

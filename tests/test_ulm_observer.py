@@ -8,7 +8,6 @@ from ftsmfc.ulm_observer import (
     FirstOrderObserverState,
     compute_F,
     first_order_update,
-    in_neighborhood_F,
     second_order_observer,
     second_order_update,
 )
@@ -168,24 +167,3 @@ class TestSecondOrderObserver:
     def test_error_before_samples_is_none(self):
         state = second_order_observer(np.zeros(2), OBS)
         assert state.error is None
-
-
-class TestNeighborhoodF:
-    def test_zero_error_always_inside(self):
-        assert in_neighborhood_F(np.zeros(2), 1e-9, OBS)
-
-    def test_gain_zero_boundary(self):
-        # at gain 0 the radius factor is 1 so membership is ||e|| <= B
-        norm = OBS.scale ** (1.0 / (2 * OBS.holder_power))
-        e = np.array([norm, 0.0])
-        assert abs(holder_gain(e, OBS)) < 1e-12
-        assert in_neighborhood_F(e, norm * (1 + 1e-9), OBS)
-        assert not in_neighborhood_F(e, norm * (1 - 1e-6), OBS)
-
-    def test_norm_equal_bound_outside_for_nonzero_gain(self):
-        e = np.array([0.01, 0.0])
-        assert not in_neighborhood_F(e, 0.01, OBS)
-
-    def test_bound_must_be_positive(self):
-        with pytest.raises(DomainError):
-            in_neighborhood_F(np.zeros(2), 0.0, OBS)
