@@ -15,7 +15,7 @@ from .fts_core import (
     verify_fts_condition,
     verify_holder_continuity,
 )
-from .output_filter import OutputFilterState, filter_update
+from .output_filter import filter_update
 from .plant_models import (
     DivergenceError,
     NoiseConfig,
@@ -49,11 +49,8 @@ from .tracking_control import (
     solve_input,
 )
 from .ulm_observer import (
-    FirstOrderObserverState,
-    SecondOrderObserverState,
     compute_F,
     first_order_update,
-    second_order_observer,
     second_order_update,
 )
 
@@ -65,14 +62,11 @@ __all__ = [
     "ControlGains",
     "DivergenceError",
     "DomainError",
-    "FirstOrderObserverState",
     "HolderGainParams",
     "LyapunovTrace",
     "NoiseConfig",
-    "OutputFilterState",
     "PendulumParams",
     "PendulumPlant",
-    "SecondOrderObserverState",
     "SimConfig",
     "SimLog",
     "SingularMatrixError",
@@ -99,7 +93,6 @@ __all__ = [
     "pendulum_ulm_terms",
     "robustness_radius",
     "run_closed_loop",
-    "second_order_observer",
     "second_order_update",
     "solve_input",
     "verify_fts_condition",

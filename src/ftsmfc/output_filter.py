@@ -13,47 +13,22 @@ decaying correction from its configured initial estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
-
 import numpy as np
 
 from .fts_core import DomainError, HolderGainParams, holder_gain
 
 
-@dataclass(frozen=True)
-class OutputFilterState:
-    """Current output estimate, gain parameters, and the last seen measurement."""
+def filter_update(
+    y_hat: np.ndarray, y_meas_prev: np.ndarray, y_meas, params: HolderGainParams
+) -> np.ndarray:
+    """Next output estimate from the current one, its measurement and the new one.
 
-    y_hat: np.ndarray
-    params: HolderGainParams
-    last_meas: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y_hat", np.asarray(self.y_hat, dtype=float))
-        if self.last_meas is not None:
-            object.__setattr__(self, "last_meas", np.asarray(self.last_meas, dtype=float))
-
-    @property
-    def innovation(self) -> Optional[np.ndarray]:
-        """Estimate-minus-measurement error at the current step, if a measurement was seen."""
-        if self.last_meas is None:
-            return None
-        return self.y_hat - self.last_meas
-
-
-def filter_update(state: OutputFilterState, y_meas_next) -> OutputFilterState:
-    """Advance the filter by one measurement.
-
-    The first call only absorbs the measurement and keeps the configured
-    initial estimate; subsequent calls apply the sigmoid-gained innovation
-    correction to the new measurement.
+    The caller holds the state: the estimate y_hat_k and the measurement y^m_k
+    it was made against.  At k = 0 there is no innovation yet, so the caller
+    keeps its initial estimate and does not call the filter.
     """
-    y = np.asarray(y_meas_next, dtype=float)
+    y = np.asarray(y_meas, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DomainError("filter_update: measurement has non-finite components")
-    if state.last_meas is None:
-        return replace(state, last_meas=y)
-    e = state.y_hat - state.last_meas
-    y_hat_next = y + holder_gain(e, state.params) * e
-    return OutputFilterState(y_hat=y_hat_next, params=state.params, last_meas=y)
+    e = y_hat - y_meas_prev
+    return y + holder_gain(e, params) * e

@@ -32,7 +32,7 @@ from .fts_core import (
     verify_fts_condition,
     verify_holder_continuity,
 )
-from .output_filter import OutputFilterState, filter_update
+from .output_filter import filter_update
 from .plant_models import (
     NoiseConfig,
     PendulumParams,
@@ -42,13 +42,7 @@ from .plant_models import (
     noise_sample,
 )
 from .tracking_control import ControlGains, control_law_basic, control_law_fts
-from .ulm_observer import (
-    FirstOrderObserverState,
-    compute_F,
-    first_order_update,
-    second_order_observer,
-    second_order_update,
-)
+from .ulm_observer import compute_F, first_order_update, second_order_update
 
 
 class ConfigError(ValueError):
@@ -93,6 +87,21 @@ def _as_vector(value, length: int, what: str) -> np.ndarray:
     if v.shape != (length,):
         raise ConfigError(f"{what}: expected {length} entries, got shape {v.shape}")
     return v
+
+
+def _as_matrix(value, what: str) -> np.ndarray:
+    """Rows of finite numbers, each as long as the first; callers check the shape."""
+    try:
+        width = len(value[0])
+        return np.asarray([_as_vector(row, width, what) for row in value])
+    except (TypeError, IndexError, KeyError) as exc:
+        raise ConfigError(f"{what}: expected rows of numbers, got {value!r}") from exc
+
+
+def _as_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what}: expected true or false, got {value!r}")
+    return value
 
 
 _NOISE_FIELDS = ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases")
@@ -260,7 +269,19 @@ class SimConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"plant.params: {exc}") from exc
         else:
-            kwargs["plant_spec"] = dict(_section(plant, "spec", prefix="plant."))
+            section = _section(plant, "spec", prefix="plant.")
+            spec = dict(section)  # _build_plant checks the shape of G
+            for key, value in section.items():
+                what = f"plant.spec.{key}"
+                if key in ("const", "slope", "amplitude", "freq"):
+                    spec[key] = _as_vector(value, 2, what)
+                elif key == "G":
+                    spec[key] = _as_matrix(value, what)
+                elif key == "bound":
+                    spec[key] = _as_float(value, what)
+                elif key in ("n", "nu", "seed") and type(value) is not int:
+                    raise ConfigError(f"{what}: expected an integer, got {value!r}")
+            kwargs["plant_spec"] = spec
 
         ctrl = _section(doc, "controller", _KEYS["controller"])
         kwargs["control_law"] = ctrl.get("law", "fts")
@@ -268,8 +289,9 @@ class SimConfig:
             kwargs["control_params"] = _gain_params(ctrl, "controller")
         if "G" not in ctrl:
             raise ConfigError("missing required key 'controller.G'")
-        G = np.asarray([_as_vector(row, 2, "controller.G") for row in ctrl["G"]])
-        kwargs["G"] = kwargs["dt"] * G if ctrl.get("G_times_dt", False) else G
+        G = _as_matrix(ctrl["G"], "controller.G")
+        G_times_dt = _as_bool(ctrl.get("G_times_dt", False), "controller.G_times_dt")
+        kwargs["G"] = kwargs["dt"] * G if G_times_dt else G
 
         obs = _section(doc, "observer", _KEYS["observer"])
         kwargs["observer_order"] = obs.get("order", "first")
@@ -277,12 +299,12 @@ class SimConfig:
             kwargs["observer_params"] = _gain_params(obs, "observer")
 
         filt = _section(doc, "filter", _KEYS["filter"])
-        kwargs["filter_enabled"] = bool(filt.get("enabled", True))
+        kwargs["filter_enabled"] = _as_bool(filt.get("enabled", True), "filter.enabled")
         if "exponent" in filt or "scale" in filt:
             kwargs["filter_params"] = _gain_params(filt, "filter")
 
         noise = _section(doc, "noise", _KEYS["noise"])
-        kwargs["noise_enabled"] = bool(noise.get("enabled", True))
+        kwargs["noise_enabled"] = _as_bool(noise.get("enabled", True), "noise.enabled")
         fields = {}
         for name in _NOISE_FIELDS:
             if name in noise:
@@ -304,6 +326,9 @@ class SimConfig:
         if "init" in traj:
             kwargs["trajectory_init"] = _as_vector(traj["init"], 4, "trajectory.init")
         if "path" in traj:
+            if not isinstance(traj["path"], str):
+                # open() would take an integer as a file descriptor
+                raise ConfigError(f"trajectory.path: expected a string, got {traj['path']!r}")
             kwargs["trajectory_path"] = traj["path"]
 
         metrics = _section(doc, "metrics", _KEYS["metrics"])
@@ -408,60 +433,54 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     y_d = _desired_trajectory(config, n_steps + nu)
 
     gains = config.gains
-    filt = OutputFilterState(
-        y_hat=config.initial_estimate[:2], params=config.filter_params
-    )
-    if config.observer_order == "first":
-        obs = FirstOrderObserverState(F_hat=np.zeros(2), params=config.observer_params)
-    else:
-        obs = second_order_observer(np.zeros(2), config.observer_params)
+    # loop state: the filtered output, the observer's estimates of F and of its
+    # first difference, and the previous reconstructed sample (None before one)
+    y_hat = config.initial_estimate[:2]
+    F_hat, dF_hat, F_prev = np.zeros(2), np.zeros(2), None
 
     t = config.dt * np.arange(n_records)
     cols = lambda: np.zeros((n_records, 2))  # noqa: E731
-    log_y, log_meas, log_hat = cols(), cols(), cols()
-    log_yd, log_ey, log_F, log_Fhat, log_eF, log_u = (
+    log_y, log_meas, log_hat, log_F, log_Fhat, log_u = (
         cols(), cols(), cols(), cols(), cols(), cols(),
     )
-    u_hist: List[np.ndarray] = []
 
     for k in range(n_records):
         y_true = plant.output
         eta = noise_sample(t[k], config.noise) if config.noise_enabled else np.zeros(2)
         y_meas = y_true + eta
-        if config.filter_enabled:
-            filt = filter_update(filt, y_meas)
-            y_hat = filt.y_hat
-        else:
+        if not config.filter_enabled:
             y_hat = y_meas
+        elif k > 0:
+            # tick 0 keeps the initial estimate: there is no innovation yet
+            y_hat = filter_update(y_hat, log_meas[k - 1], y_meas, config.filter_params)
 
         if k >= nu:
-            F_rec = compute_F(y_hat, config.G, u_hist[k - nu])
-            F_hat_pre = obs.F_hat
+            F_rec = compute_F(y_hat, config.G, log_u[k - nu])
+            log_F[k], log_Fhat[k] = F_rec, F_hat
             if config.observer_order == "first":
-                obs = first_order_update(obs, F_rec)
+                F_hat = first_order_update(F_hat, F_rec, config.observer_params)
             else:
-                obs = second_order_update(obs, F_rec)
-            log_F[k], log_Fhat[k] = F_rec, F_hat_pre
-            log_eF[k] = F_hat_pre - F_rec
+                F_hat, dF_hat = second_order_update(
+                    F_hat, dF_hat, F_prev, F_rec, config.observer_params
+                )
+                F_prev = F_rec
 
-        log_y[k], log_meas[k], log_hat[k], log_yd[k] = y_true, y_meas, y_hat, y_d[k]
-        log_ey[k] = y_true - y_d[k]
+        log_y[k], log_meas[k], log_hat[k] = y_true, y_meas, y_hat
 
         if k < n_steps:
             e_y_hat = y_hat - y_d[k]
             if config.control_law == "fts":
-                u = control_law_fts(y_d[k + nu], obs.F_hat, e_y_hat, gains)
+                u = control_law_fts(y_d[k + nu], F_hat, e_y_hat, gains)
             else:
-                u = control_law_basic(y_d[k + nu], obs.F_hat, gains)
+                u = control_law_basic(y_d[k + nu], F_hat, gains)
             plant.step(u)
-        else:
-            u = np.zeros(gains.G.shape[1])
-        u_hist.append(u)
-        log_u[k] = u
+            log_u[k] = u
 
+    # the errors are differences of logged rows, the same bits as per tick
+    y_d = y_d[:n_records]
     return SimLog(
-        t=t, y=log_y, y_meas=log_meas, y_hat=log_hat, y_d=log_yd, e_y=log_ey,
-        F=log_F, F_hat=log_Fhat, e_F=log_eF, u=log_u,
+        t=t, y=log_y, y_meas=log_meas, y_hat=log_hat, y_d=y_d, e_y=log_y - y_d,
+        F=log_F, F_hat=log_Fhat, e_F=log_Fhat - log_F, u=log_u,
     )
 
 
@@ -649,20 +668,17 @@ def _suite_observer1(rng: np.random.Generator, n: int = 50) -> List[PropertyResu
     worst_ident = 0.0
     for _ in range(n):
         F_const = rng.uniform(-5, 5, 2)
-        state = FirstOrderObserverState(
-            F_hat=F_const + rng.uniform(-10, 10, 2), params=_OBS_PARAMS
-        )
-        e_pred = state.F_hat - F_const
+        F_hat = F_const + rng.uniform(-10, 10, 2)
+        e_pred = F_hat - F_const
         for _ in range(_CONVERGENCE_BUDGET):
             # error recursion evaluated independently of the state update
             e_pred = holder_gain(e_pred, _OBS_PARAMS) * e_pred
-            state = first_order_update(state, F_const)
-            worst_ident = max(
-                worst_ident, float(np.max(np.abs(state.error - e_pred)))
-            )
-            if np.linalg.norm(state.error) < _CONVERGENCE_TOL:
+            F_hat = first_order_update(F_hat, F_const, _OBS_PARAMS)
+            e = F_hat - F_const
+            worst_ident = max(worst_ident, float(np.max(np.abs(e - e_pred))))
+            if np.linalg.norm(e) < _CONVERGENCE_TOL:
                 break
-        worst_err = max(worst_err, float(np.linalg.norm(state.error)))
+        worst_err = max(worst_err, float(np.linalg.norm(e)))
     return [
         PropertyResult(
             "constant-disturbance rejection below 1e-9", n, worst_err,
@@ -684,13 +700,15 @@ def _suite_observer2(rng: np.random.Generator, n: int = 20) -> List[PropertyResu
     level_tol = 1e-7
     for _ in range(n):
         d = rng.uniform(-0.05, 0.05, 2)
-        state = second_order_observer(rng.uniform(-5, 5, 2), _OBS_PARAMS)
+        F_hat, dF_hat, F_prev = rng.uniform(-5, 5, 2), np.zeros(2), None
         eF = eD = math.inf
         for k in range(budget):
-            state = second_order_update(state, float(k) * d)
-            # after absorbing sample k the state predicts sample k+1
-            eF = float(np.linalg.norm(state.F_hat - float(k + 1) * d))
-            eD = float(np.linalg.norm(state.dF_hat - d))
+            F_k = float(k) * d
+            F_hat, dF_hat = second_order_update(F_hat, dF_hat, F_prev, F_k, _OBS_PARAMS)
+            F_prev = F_k
+            # after absorbing sample k the estimate predicts sample k+1
+            eF = float(np.linalg.norm(F_hat - float(k + 1) * d))
+            eD = float(np.linalg.norm(dF_hat - d))
             if eF < level_tol and eD < _CONVERGENCE_TOL:
                 break
         worst_eF = max(worst_eF, eF)
@@ -751,17 +769,14 @@ def _suite_robustness(rng: np.random.Generator) -> List[PropertyResult]:
         worst = 0.0
         for _ in range(n_runs):
             F = rng.standard_normal(2)
-            state = FirstOrderObserverState(
-                F_hat=F + rng.uniform(-3, 3, 2), params=_OBS_PARAMS
-            )
+            F_hat = F + rng.uniform(-3, 3, 2)
+            norm = math.inf
             for k in range(n_steps):
-                prev_norm = (
-                    np.linalg.norm(state.error) if state.error is not None else math.inf
-                )
+                prev_norm = norm
                 step = rng.standard_normal(2)
                 F = F + step * (B / np.linalg.norm(step))
-                state = first_order_update(state, F)
-                e = state.error
+                F_hat = first_order_update(F_hat, F, _OBS_PARAMS)
+                e = F_hat - F
                 norm = float(np.linalg.norm(e))
                 gain = holder_gain(e, _OBS_PARAMS)
                 margin = decrease_radius(gain) * norm

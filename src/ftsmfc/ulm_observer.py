@@ -9,7 +9,6 @@ ramp (affine-in-step) disturbance terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,30 +28,7 @@ def compute_F(y_k_plus_nu, G_k, u_k) -> np.ndarray:
     return y - G @ u
 
 
-@dataclass(frozen=True)
-class FirstOrderObserverState:
-    """State of the first-order observer: estimate, last sample, gain params."""
-
-    F_hat: np.ndarray
-    params: HolderGainParams
-    last_F: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "F_hat", np.asarray(self.F_hat, dtype=float))
-        if self.last_F is not None:
-            object.__setattr__(self, "last_F", np.asarray(self.last_F, dtype=float))
-
-    @property
-    def error(self) -> Optional[np.ndarray]:
-        """Estimation error F_hat - F against the most recent sample, if any."""
-        if self.last_F is None:
-            return None
-        return self.F_hat - self.last_F
-
-
-def first_order_update(
-    state: FirstOrderObserverState, F_k
-) -> FirstOrderObserverState:
+def first_order_update(F_hat: np.ndarray, F_k, params: HolderGainParams) -> np.ndarray:
     """Advance the first-order observer one step on a reconstructed sample.
 
     New estimate: F_hat' = gain(e)*e + F_k with e = F_hat - F_k.  The error
@@ -61,61 +37,19 @@ def first_order_update(
     F_k = np.asarray(F_k, dtype=float)
     if not np.all(np.isfinite(F_k)):
         raise DomainError("first_order_update: sample has non-finite components")
-    e = state.F_hat - F_k
-    F_hat_next = holder_gain(e, state.params) * e + F_k
-    return FirstOrderObserverState(F_hat=F_hat_next, params=state.params, last_F=F_k)
-
-
-@dataclass(frozen=True)
-class SecondOrderObserverState:
-    """State of the second-order observer: estimates of F and of its first difference.
-
-    F_history holds the last (up to two) reconstructed samples.  Until two
-    samples exist the observer bootstraps with a zero difference estimate and
-    behaves like the first-order observer.
-    """
-
-    F_hat: np.ndarray
-    dF_hat: np.ndarray
-    params_F: HolderGainParams
-    params_delta: HolderGainParams
-    F_history: Tuple[np.ndarray, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "F_hat", np.asarray(self.F_hat, dtype=float))
-        object.__setattr__(self, "dF_hat", np.asarray(self.dF_hat, dtype=float))
-        hist = tuple(np.asarray(F, dtype=float) for F in self.F_history)
-        if len(hist) > 2:
-            raise DomainError("F_history holds at most two samples")
-        object.__setattr__(self, "F_history", hist)
-
-    @property
-    def error(self) -> Optional[np.ndarray]:
-        if not self.F_history:
-            return None
-        return self.F_hat - self.F_history[-1]
-
-
-def second_order_observer(
-    F_hat0, params_F: HolderGainParams, params_delta: Optional[HolderGainParams] = None
-) -> SecondOrderObserverState:
-    """Fresh second-order observer state with zero difference estimate."""
-    F_hat0 = np.asarray(F_hat0, dtype=float)
-    return SecondOrderObserverState(
-        F_hat=F_hat0,
-        dF_hat=np.zeros_like(F_hat0),
-        params_F=params_F,
-        params_delta=params_delta if params_delta is not None else params_F,
-    )
+    e = F_hat - F_k
+    return holder_gain(e, params) * e + F_k
 
 
 def second_order_update(
-    state: SecondOrderObserverState, F_k
-) -> SecondOrderObserverState:
-    """Advance the second-order observer one step on a reconstructed sample.
+    F_hat: np.ndarray, dF_hat: np.ndarray, F_prev: Optional[np.ndarray], F_k,
+    params: HolderGainParams,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Advance the second-order observer one step; returns (F_hat', dF_hat').
 
-    With e = F_hat - F_k and, once two samples exist, dF = F_k - F_prev and
-    e_delta = dF_hat - dF:
+    F_prev is the previous reconstructed sample; it is None on the first
+    sample, where dF_hat' is zero and the update is first-order.  Otherwise,
+    with e = F_hat - F_k, dF = F_k - F_prev and e_delta = dF_hat - dF:
 
         dF_hat' = gain(e_delta)*e_delta + dF
         F_hat'  = gain(e)*e + F_k + dF_hat'
@@ -126,14 +60,12 @@ def second_order_update(
     F_k = np.asarray(F_k, dtype=float)
     if not np.all(np.isfinite(F_k)):
         raise DomainError("second_order_update: sample has non-finite components")
-    e_F = state.F_hat - F_k
-    if state.F_history:
-        dF_prev = F_k - state.F_history[-1]
-        e_delta = state.dF_hat - dF_prev
-        dF_hat_next = holder_gain(e_delta, state.params_delta) * e_delta + dF_prev
+    e_F = F_hat - F_k
+    if F_prev is not None:
+        dF_prev = F_k - F_prev
+        e_delta = dF_hat - dF_prev
+        dF_hat_next = holder_gain(e_delta, params) * e_delta + dF_prev
     else:
         dF_hat_next = np.zeros_like(F_k)
-    F_hat_next = holder_gain(e_F, state.params_F) * e_F + F_k + dF_hat_next
-    history = (state.F_history + (F_k,))[-2:]
-    return replace(state, F_hat=F_hat_next, dF_hat=dF_hat_next, F_history=history)
-
+    F_hat_next = holder_gain(e_F, params) * e_F + F_k + dF_hat_next
+    return F_hat_next, dF_hat_next

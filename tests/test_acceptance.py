@@ -25,7 +25,7 @@ from ftsmfc.fts_core import (
 from ftsmfc.plant_models import DivergenceError, SyntheticUlmPlant
 from ftsmfc.sim_harness import SimConfig, compute_metrics, run_closed_loop
 from ftsmfc.tracking_control import ControlGains, control_law_basic, control_law_fts
-from ftsmfc.ulm_observer import FirstOrderObserverState, first_order_update, second_order_observer, second_order_update
+from ftsmfc.ulm_observer import first_order_update, second_order_update
 
 REPO = Path(__file__).resolve().parents[1]
 OBS = HolderGainParams(exponent=9 / 7, scale=1.5)
@@ -137,13 +137,15 @@ class TestCriterion3:
     )
     def test_ramp_rejection_within_1000_steps(self, capsys):
         c, d = np.array([0.4, -0.7]), np.array([0.01, -0.02])
-        state = second_order_observer(np.array([3.0, -2.0]), OBS)
+        F_hat, dF_hat, F_prev = np.array([3.0, -2.0]), np.zeros(2), None
         budget = 120_000
         step_delta = step_F = None
         for k in range(budget):
-            state = second_order_update(state, c + float(k) * d)
-            eD = np.linalg.norm(state.dF_hat - d)
-            eF = np.linalg.norm(state.F_hat - (c + float(k + 1) * d))
+            F_k = c + float(k) * d
+            F_hat, dF_hat = second_order_update(F_hat, dF_hat, F_prev, F_k, OBS)
+            F_prev = F_k
+            eD = np.linalg.norm(dF_hat - d)
+            eF = np.linalg.norm(F_hat - (c + float(k + 1) * d))
             if step_delta is None and eD < 1e-9:
                 step_delta = k
             if step_delta is not None and step_F is None and eF < 1e-9:
@@ -193,13 +195,13 @@ class TestCriterion4:
             per_B.append(f"B={B}: {violations}/{n_runs * horizon}")
             total_violations += violations
         # spot-check the batched update against the public observer
-        state = FirstOrderObserverState(F_hat=np.array([1.2, -0.4]), params=OBS)
+        F_hat = np.array([1.2, -0.4])
         batch = np.array([[1.2, -0.4]])
         sample = np.array([0.3, 0.1])
         for _ in range(20):
-            state = first_order_update(state, sample)
+            F_hat = first_order_update(F_hat, sample, OBS)
             batch, _, _ = _vector_observer_step(batch, sample[None, :], OBS)
-            np.testing.assert_allclose(batch[0], state.F_hat, atol=1e-12)
+            np.testing.assert_allclose(batch[0], F_hat, atol=1e-12)
         ok = total_violations == 0
         _emit(
             capsys,

@@ -1,5 +1,6 @@
 """Contract tests for the command line: exit codes 0/1/2/3 and one-line errors."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import yaml
 
 import ftsmfc
-from ftsmfc import cli, sim_harness
+from ftsmfc import cli, plant_models, sim_harness
 from ftsmfc.sim_harness import PropertyResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -116,17 +117,42 @@ class TestSimulate:
         assert rc == cli.EXIT_NUMERICAL
         assert _one_line(err, "numerical failure:").endswith("diverged at step 113")
 
-    def test_non_finite_signal_is_numerical_failure(self, tmp_path, capsys):
-        # the scripted disturbance is NaN, so the first per-tick update that
-        # sees it raises DomainError
-        doc = _short_constant()
-        doc["plant"]["spec"]["const"] = [math.nan, 0.0]
+    def test_non_finite_signal_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # a NaN in the config is a config error, so the plant's scripted
+        # disturbance turns NaN here; the first per-tick update that sees it
+        # raises DomainError
+        monkeypatch.setattr(
+            plant_models.SyntheticUlmPlant, "true_F", lambda self, k: [math.nan, 0.0]
+        )
         rc, _, err = _main(
-            capsys, "simulate", "--config", _write(tmp_path, doc),
+            capsys, "simulate", "--config", _write(tmp_path, _short_constant()),
             "--out", str(tmp_path / "run.csv"),
         )
         assert rc == cli.EXIT_NUMERICAL
         assert "non-finite" in _one_line(err, "numerical failure:")
+
+    @pytest.mark.parametrize(
+        "kind, key, value, message",
+        [("constant", "const", [math.nan, 0.0], "not a finite number"),
+         ("constant", "const", ["1e400", 0.0], "not a finite number"),
+         ("constant", "G", [[math.inf, 0.0], [0.0, 1.0]], "not a finite number"),
+         ("constant", "nu", 2.5, "expected an integer"),
+         ("random-walk", "bound", math.inf, "not a finite number")],
+        ids=["const-nan", "const-overflow", "G-inf", "nu-float", "bound-inf"],
+    )
+    def test_bad_plant_spec_number_is_config_error(
+        self, tmp_path, capsys, kind, key, value, message
+    ):
+        doc = _short_constant()
+        doc["plant"]["kind"] = kind
+        doc["plant"]["spec"].update({"seed": 1, key: value})
+        rc, _, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, doc),
+            "--out", str(tmp_path / "run.csv"),
+        )
+        assert rc == cli.EXIT_CONFIG
+        line = _one_line(err, "config error:")
+        assert f"plant.spec.{key}" in line and message in line
 
     def test_non_finite_initial_state_is_config_error(self, tmp_path, capsys):
         doc = _doc("paper_experiment.yaml", T=1.0, initial_state=[math.nan, 0.0, 0.0, 0.0])
@@ -270,6 +296,55 @@ class TestGenerateTrajectory:
         )
         assert rc == cli.EXIT_NUMERICAL
         assert "diverged" in _one_line(err, "numerical failure:")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestRegressionAnchors:
+    """SHA-256 of outputs that refactors of the loop must leave byte-identical."""
+
+    def test_synthetic_constant_csv(self, tmp_path, capsys):
+        out_csv = tmp_path / "run.csv"
+        rc, _, err = _main(
+            capsys, "simulate", "--config", str(CONFIGS / "synthetic_constant.yaml"),
+            "--out", str(out_csv),
+        )
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert _sha256(out_csv) == (
+            "eb740ed559f21800646f504765fa1d0b857857e54b51354302e5450c650ac624"
+        )
+
+    def test_paper_trajectory_csv(self, tmp_path, capsys):
+        out_csv = tmp_path / "traj.csv"
+        rc, _, err = _main(
+            capsys, "generate-trajectory", "--config", str(CONFIGS / "paper_experiment.yaml"),
+            "--out", str(out_csv),
+        )
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert _sha256(out_csv) == (
+            "a643794d3c5504464a68f8e1197d44dac8b664e22c6fc494e23a4d5b207de9d5"
+        )
+
+    def test_second_order_ramp_csv(self, tmp_path, capsys):
+        # the second-order observer and the basic law, with filter and noise off
+        doc = _doc("synthetic_constant.yaml")
+        doc["plant"] = {"kind": "ramp", "spec": {
+            "slope": [0.0013, -0.0007], "G": doc["plant"]["spec"]["G"], "nu": 2,
+        }}
+        doc["controller"]["law"] = "basic"
+        doc["observer"]["order"] = "second"
+        doc["filter"]["enabled"] = False
+        doc["noise"]["enabled"] = False
+        out_csv = tmp_path / "run.csv"
+        rc, _, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, doc), "--out", str(out_csv)
+        )
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert _sha256(out_csv) == (
+            "825803c0c0bb91db032441d7c2375cd20d6a01709ac8110957e8cee7392a549c"
+        )
 
 
 class TestVerify:

@@ -98,6 +98,17 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="initial_state: .* is not a finite number"):
             make_config(initial_state=[value, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("key", ["filter.enabled", "noise.enabled", "controller.G_times_dt"])
+    def test_switch_must_be_boolean(self, key):
+        # a quoted "false" is a non-empty string, which bool() reads as true
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            make_config(**{key: "false"})
+
+    def test_trajectory_path_must_be_string(self):
+        # an integer path would be opened as a file descriptor
+        with pytest.raises(ConfigError, match="trajectory.path"):
+            make_config(trajectory={"source": "file", "path": 3})
+
     def test_G_times_dt_scaling(self):
         config = make_config(**{"controller.G_times_dt": True})
         np.testing.assert_allclose(
@@ -133,7 +144,7 @@ class TestStrictConfig:
         assert make_config(observer=None).observer_order == "first"
 
     @pytest.mark.parametrize(
-        "G", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.eye(3).tolist(), [[1.0, 0.0]]]
+        "G", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.eye(3).tolist(), [[1.0, 0.0]], 3]
     )
     def test_controller_G_must_be_2x2(self, G):
         with pytest.raises(ConfigError, match="controller.G"):
@@ -273,7 +284,7 @@ class TestRunClosedLoop:
         config = SimConfig.from_yaml(str(config_path))
         with pytest.raises(DivergenceError) as info:
             run_closed_loop(config)
-        assert info.value.step_index is not None
+        assert info.value.step_index == 113
 
 
 class TestCsvOutput:
