@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,8 +62,7 @@ def write_csv(path: str, header: str, columns) -> None:
     table = np.column_stack(columns)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in table:
-            fh.write(",".join(f"{v:.17g}" for v in row.tolist()) + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
 
 
 def _as_float(value, what: str) -> float:
@@ -90,10 +89,11 @@ def _as_vector(value, length: int, what: str) -> np.ndarray:
 
 
 def _as_matrix(value, what: str) -> np.ndarray:
-    """Rows of finite numbers, each as long as the first; callers check the shape."""
+    """Rows of finite numbers, each as long as the first, or one flat row; callers check shapes."""
     try:
-        width = len(value[0])
-        return np.asarray([_as_vector(row, width, what) for row in value])
+        rows = [value] if isinstance(value[0], (str, int, float)) else value
+        width = len(rows[0])
+        return np.asarray([_as_vector(row, width, what) for row in rows])
     except (TypeError, IndexError, KeyError) as exc:
         raise ConfigError(f"{what}: expected rows of numbers, got {value!r}") from exc
 
@@ -124,17 +124,15 @@ def _reject_unknown(section: dict, keys: Sequence[str], prefix: str = "") -> Non
         raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
 
 
-def _section(
-    doc: dict, name: str, keys: Optional[Sequence[str]] = None, prefix: str = ""
-) -> dict:
-    """doc[name] as a mapping ({} when absent or empty), holding only keys if given."""
+def _section(doc: dict, name: str, prefix: str = "") -> dict:
+    """doc[name] as a mapping ({} when absent or empty), holding only _KEYS[name] if listed."""
     section = doc.get(name)
     if section is None:
         return {}
     if not isinstance(section, dict):
         raise ConfigError(f"{prefix}{name}: expected a mapping, got {section!r}")
-    if keys is not None:
-        _reject_unknown(section, keys, f"{prefix}{name}.")
+    if name in _KEYS:
+        _reject_unknown(section, _KEYS[name], f"{prefix}{name}.")
     return section
 
 
@@ -154,15 +152,36 @@ def load_doc(path: str) -> dict:
     return doc
 
 
-def _gain_params(section: dict, what: str) -> HolderGainParams:
+def _as_2x2(value, what: str) -> np.ndarray:
+    """A 2 x 2 matrix of finite numbers: the log has two output and two input channels."""
+    matrix = _as_matrix(value, what)
+    if matrix.shape != (2, 2):
+        raise ConfigError(f"{what} must be 2 x 2, got shape {matrix.shape}")
+    return matrix
+
+
+def _choice(section: dict, key: str, choices: Tuple[str, ...], what: str) -> str:
+    """section[key], one of choices; the first choice is the default."""
+    value = section.get(key, choices[0])
+    if value not in choices:
+        raise ConfigError(f"{what}: unknown value {value!r}; choose from {', '.join(choices)}")
+    return value
+
+
+def _gain_params(section: dict, what: str, default: HolderGainParams) -> HolderGainParams:
+    """The gain group (exponent, scale, optional weight), given whole or not at all."""
+    if not any(key in section for key in ("exponent", "scale", "weight")):
+        return default
     try:
         exponent = _as_float(section["exponent"], f"{what}.exponent")
         scale = _as_float(section["scale"], f"{what}.scale")
     except KeyError as exc:
         raise ConfigError(f"{what}: missing key {exc}") from exc
     weight = section.get("weight")
-    if weight is not None and np.ndim(weight) == 0:
+    if isinstance(weight, (str, int, float)):
         weight = _as_float(weight, f"{what}.weight")
+    elif weight is not None:
+        weight = _as_2x2(weight, f"{what}.weight")
     try:
         return HolderGainParams(exponent=exponent, scale=scale, weight=weight)
     except ValueError as exc:
@@ -171,139 +190,105 @@ def _gain_params(section: dict, what: str) -> HolderGainParams:
 
 _OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
 _CTRL_PARAMS = HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
+_FILTER_PARAMS = HolderGainParams(exponent=7.0 / 5.0, scale=2.0, weight=2.1)
+
+# The longest horizon accepted, in ticks: at about 300 log bytes a tick, 3 GB.
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one closed-loop experiment."""
+    """Full description of one closed-loop experiment, as from_dict reads it."""
 
     dt: float
     T: float
-    G: np.ndarray
-    plant_kind: str = "pendulum"
-    plant_params: PendulumParams = field(default_factory=PendulumParams)
-    plant_spec: dict = field(default_factory=dict)
-    control_law: str = "fts"
-    control_params: HolderGainParams = _CTRL_PARAMS
-    observer_order: str = "first"
-    observer_params: HolderGainParams = _OBS_PARAMS
-    filter_params: HolderGainParams = field(
-        default_factory=lambda: HolderGainParams(exponent=7.0 / 5.0, scale=2.0, weight=2.1)
-    )
-    filter_enabled: bool = True
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    noise_enabled: bool = True
-    initial_state: np.ndarray = field(
-        default_factory=lambda: np.array([0.45, -0.14, -0.3, 0.05])
-    )
-    initial_estimate: np.ndarray = field(
-        default_factory=lambda: np.array([0.0, 0.102, 0.0, 0.0])
-    )
-    trajectory_source: str = "generated"
-    trajectory_init: Optional[np.ndarray] = None
-    trajectory_path: Optional[str] = None
-    settle_time: float = 20.0
-    bands: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.05]))
-    # built by __post_init__, which checks the rank of G once for the whole run
-    gains: ControlGains = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not self.T >= 0.0:
-            raise ConfigError(f"T must be non-negative, got {self.T}")
-        if self.control_law not in ("basic", "fts"):
-            raise ConfigError(f"unknown control law {self.control_law!r}")
-        if self.observer_order not in ("first", "second"):
-            raise ConfigError(f"unknown observer order {self.observer_order!r}")
-        if self.trajectory_source not in ("generated", "file", "zero"):
-            raise ConfigError(f"unknown trajectory source {self.trajectory_source!r}")
-        if self.trajectory_source == "file" and not self.trajectory_path:
-            raise ConfigError("trajectory source 'file' requires trajectory.path")
-        G = np.asarray(self.G, dtype=float)
-        if G.shape != (2, 2):
-            raise ConfigError(f"controller.G must be 2 x 2, got shape {G.shape}")
-        try:
-            gains = ControlGains(params=self.control_params, G=G)
-        except DomainError as exc:
-            raise ConfigError(f"controller.G: {exc}") from exc
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=float))
-        object.__setattr__(
-            self, "initial_estimate", np.asarray(self.initial_estimate, dtype=float)
-        )
-        object.__setattr__(self, "bands", np.asarray(self.bands, dtype=float))
+    plant_kind: str
+    plant_params: PendulumParams
+    plant_spec: dict
+    control_law: str
+    gains: ControlGains  # the tracking law's gain and G, whose rank is checked once
+    observer_order: str
+    observer_params: HolderGainParams
+    filter_enabled: bool
+    filter_params: HolderGainParams
+    noise_enabled: bool
+    noise: NoiseConfig
+    initial_state: np.ndarray
+    initial_estimate: np.ndarray
+    trajectory_source: str
+    trajectory_start: np.ndarray  # (x, theta, xdot, thetadot) where a generated one starts
+    trajectory_path: Optional[str]
+    settle_time: float
+    bands: np.ndarray
 
     @property
     def n_steps(self) -> int:
         return int(math.floor(self.T / self.dt))
 
-    @property
-    def trajectory_start(self) -> np.ndarray:
-        """(x, theta, xdot, thetadot) the generated trajectory starts from."""
-        return self.initial_state if self.trajectory_init is None else self.trajectory_init
-
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
+        """Read and check a configuration document; every default is written here."""
         if not isinstance(doc, dict):
             raise ConfigError("configuration document must be a mapping")
         _reject_unknown(doc, _ROOT_KEYS)
         kwargs: dict = {}
         try:
-            kwargs["dt"] = _as_float(doc["dt"], "dt")
-            kwargs["T"] = _as_float(doc["T"], "T")
+            dt = kwargs["dt"] = _as_float(doc["dt"], "dt")
+            T = kwargs["T"] = _as_float(doc["T"], "T")
         except KeyError as exc:
             raise ConfigError(f"missing required key {exc}") from exc
+        if not dt > 0.0:
+            raise ConfigError(f"dt must be positive, got {dt}")
+        if not T >= 0.0:
+            raise ConfigError(f"T must be non-negative, got {T}")
+        if not T / dt < MAX_STEPS + 1:
+            raise ConfigError(f"T: T/dt = {T / dt:g} ticks, more than the {MAX_STEPS} allowed")
 
-        plant = _section(doc, "plant", ("kind", "params", "spec"))
-        kind = plant.get("kind", "pendulum")
+        plant = _section(doc, "plant")
+        kind = kwargs["plant_kind"] = plant.get("kind", "pendulum")
         _reject_unknown(plant, ("kind", "params" if kind == "pendulum" else "spec"), "plant.")
-        kwargs["plant_kind"] = kind
-        if kind == "pendulum":
-            pp = _section(plant, "params", prefix="plant.")
-            try:
-                kwargs["plant_params"] = PendulumParams(
-                    **{k: _as_float(v, f"plant.params.{k}") for k, v in pp.items()}
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"plant.params: {exc}") from exc
-        else:
-            section = _section(plant, "spec", prefix="plant.")
-            spec = dict(section)  # _build_plant checks the shape of G
-            for key, value in section.items():
-                what = f"plant.spec.{key}"
-                if key in ("const", "slope", "amplitude", "freq"):
-                    spec[key] = _as_vector(value, 2, what)
-                elif key == "G":
-                    spec[key] = _as_matrix(value, what)
-                elif key == "bound":
-                    spec[key] = _as_float(value, what)
-                elif key in ("n", "nu", "seed") and type(value) is not int:
-                    raise ConfigError(f"{what}: expected an integer, got {value!r}")
-            kwargs["plant_spec"] = spec
+        params = _section(plant, "params", prefix="plant.")
+        try:
+            kwargs["plant_params"] = PendulumParams(
+                **{k: _as_float(v, f"plant.params.{k}") for k, v in params.items()}
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"plant.params: {exc}") from exc
+        section = _section(plant, "spec", prefix="plant.")
+        spec = kwargs["plant_spec"] = dict(section)  # _build_plant checks the shapes
+        for key, value in section.items():
+            what = f"plant.spec.{key}"
+            if key in ("const", "slope", "amplitude", "freq"):
+                spec[key] = _as_vector(value, 2, what)
+            elif key in ("G", "y_init"):
+                spec[key] = _as_matrix(value, what)
+            elif key == "bound":
+                spec[key] = _as_float(value, what)
+            elif key in ("n", "nu", "seed") and type(value) is not int:
+                raise ConfigError(f"{what}: expected an integer, got {value!r}")
 
-        ctrl = _section(doc, "controller", _KEYS["controller"])
-        kwargs["control_law"] = ctrl.get("law", "fts")
-        if "exponent" in ctrl or "scale" in ctrl:
-            kwargs["control_params"] = _gain_params(ctrl, "controller")
+        ctrl = _section(doc, "controller")
+        kwargs["control_law"] = _choice(ctrl, "law", ("fts", "basic"), "controller.law")
         if "G" not in ctrl:
             raise ConfigError("missing required key 'controller.G'")
-        G = _as_matrix(ctrl["G"], "controller.G")
-        G_times_dt = _as_bool(ctrl.get("G_times_dt", False), "controller.G_times_dt")
-        kwargs["G"] = kwargs["dt"] * G if G_times_dt else G
+        G = _as_2x2(ctrl["G"], "controller.G")
+        if _as_bool(ctrl.get("G_times_dt", False), "controller.G_times_dt"):
+            G = dt * G
+        control_params = _gain_params(ctrl, "controller", _CTRL_PARAMS)
+        try:
+            kwargs["gains"] = ControlGains(params=control_params, G=G)
+        except DomainError as exc:
+            raise ConfigError(f"controller.G: {exc}") from exc
 
-        obs = _section(doc, "observer", _KEYS["observer"])
-        kwargs["observer_order"] = obs.get("order", "first")
-        if "exponent" in obs or "scale" in obs:
-            kwargs["observer_params"] = _gain_params(obs, "observer")
+        obs = _section(doc, "observer")
+        kwargs["observer_order"] = _choice(obs, "order", ("first", "second"), "observer.order")
+        kwargs["observer_params"] = _gain_params(obs, "observer", _OBS_PARAMS)
 
-        filt = _section(doc, "filter", _KEYS["filter"])
+        filt = _section(doc, "filter")
         kwargs["filter_enabled"] = _as_bool(filt.get("enabled", True), "filter.enabled")
-        if "exponent" in filt or "scale" in filt:
-            kwargs["filter_params"] = _gain_params(filt, "filter")
+        kwargs["filter_params"] = _gain_params(filt, "filter", _FILTER_PARAMS)
 
-        noise = _section(doc, "noise", _KEYS["noise"])
+        noise = _section(doc, "noise")
         kwargs["noise_enabled"] = _as_bool(noise.get("enabled", True), "noise.enabled")
         fields = {}
         for name in _NOISE_FIELDS:
@@ -314,29 +299,31 @@ class SimConfig:
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from exc
 
-        if "initial_state" in doc:
-            kwargs["initial_state"] = _as_vector(doc["initial_state"], 4, "initial_state")
-        if "initial_estimate" in doc:
-            kwargs["initial_estimate"] = _as_vector(
-                doc["initial_estimate"], 4, "initial_estimate"
-            )
+        initial_state = kwargs["initial_state"] = _as_vector(
+            doc.get("initial_state", [0.45, -0.14, -0.3, 0.05]), 4, "initial_state"
+        )
+        kwargs["initial_estimate"] = _as_vector(
+            doc.get("initial_estimate", [0.0, 0.102, 0.0, 0.0]), 4, "initial_estimate"
+        )
 
-        traj = _section(doc, "trajectory", _KEYS["trajectory"])
-        kwargs["trajectory_source"] = traj.get("source", "generated")
-        if "init" in traj:
-            kwargs["trajectory_init"] = _as_vector(traj["init"], 4, "trajectory.init")
-        if "path" in traj:
-            if not isinstance(traj["path"], str):
-                # open() would take an integer as a file descriptor
-                raise ConfigError(f"trajectory.path: expected a string, got {traj['path']!r}")
-            kwargs["trajectory_path"] = traj["path"]
+        traj = _section(doc, "trajectory")
+        source = _choice(traj, "source", ("generated", "file", "zero"), "trajectory.source")
+        if source == "generated" and kind != "pendulum":
+            raise ConfigError("trajectory.source: generated trajectories need the pendulum plant")
+        kwargs["trajectory_source"] = source
+        kwargs["trajectory_start"] = _as_vector(
+            traj.get("init", initial_state), 4, "trajectory.init"
+        )
+        path = kwargs["trajectory_path"] = traj.get("path")
+        if "path" in traj and not isinstance(path, str):
+            # open() would take an integer as a file descriptor
+            raise ConfigError(f"trajectory.path: expected a string, got {path!r}")
+        if source == "file" and not path:
+            raise ConfigError("trajectory source 'file' requires trajectory.path")
 
-        metrics = _section(doc, "metrics", _KEYS["metrics"])
-        if "settle_time" in metrics:
-            kwargs["settle_time"] = _as_float(metrics["settle_time"], "metrics.settle_time")
-        if "bands" in metrics:
-            kwargs["bands"] = _as_vector(metrics["bands"], 2, "metrics.bands")
-
+        metrics = _section(doc, "metrics")
+        kwargs["settle_time"] = _as_float(metrics.get("settle_time", 20.0), "metrics.settle_time")
+        kwargs["bands"] = _as_vector(metrics.get("bands", [0.5, 0.05]), 2, "metrics.bands")
         return SimConfig(**kwargs)
 
     @staticmethod
@@ -410,8 +397,6 @@ def _desired_trajectory(config: SimConfig, count: int) -> np.ndarray:
         if table.shape != (count, 3) or not np.all(np.isfinite(table)):
             raise ConfigError(f"trajectory file needs {count} rows of 3 finite numbers")
         return table[:, 1:]
-    if config.plant_kind != "pendulum":
-        raise ConfigError("generated trajectories require the pendulum plant")
     extra = count - (config.n_steps + 1)
     return generate_desired_trajectory(
         config.trajectory_start, config.T, config.dt, config.plant_params, n_extra=extra
@@ -455,7 +440,7 @@ def run_closed_loop(config: SimConfig) -> SimLog:
             y_hat = filter_update(y_hat, log_meas[k - 1], y_meas, config.filter_params)
 
         if k >= nu:
-            F_rec = compute_F(y_hat, config.G, log_u[k - nu])
+            F_rec = compute_F(y_hat, gains.G, log_u[k - nu])
             log_F[k], log_Fhat[k] = F_rec, F_hat
             if config.observer_order == "first":
                 F_hat = first_order_update(F_hat, F_rec, config.observer_params)
@@ -484,9 +469,7 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     )
 
 
-def compute_metrics(
-    log: SimLog, settle_time: float = 20.0, bands: Sequence[float] = (0.5, 0.05)
-) -> Dict[str, float]:
+def compute_metrics(log: SimLog, settle_time: float, bands: Sequence[float]) -> Dict[str, float]:
     """Steady-state metrics of a run.
 
     Returns max |.| and RMS of each tracking-error and estimation-error

@@ -137,8 +137,9 @@ class TestSimulate:
          ("constant", "const", ["1e400", 0.0], "not a finite number"),
          ("constant", "G", [[math.inf, 0.0], [0.0, 1.0]], "not a finite number"),
          ("constant", "nu", 2.5, "expected an integer"),
-         ("random-walk", "bound", math.inf, "not a finite number")],
-        ids=["const-nan", "const-overflow", "G-inf", "nu-float", "bound-inf"],
+         ("random-walk", "bound", math.inf, "not a finite number"),
+         ("constant", "y_init", [[math.nan, 0.0]], "not a finite number")],
+        ids=["const-nan", "const-overflow", "G-inf", "nu-float", "bound-inf", "y_init-nan"],
     )
     def test_bad_plant_spec_number_is_config_error(
         self, tmp_path, capsys, kind, key, value, message
@@ -347,7 +348,41 @@ class TestRegressionAnchors:
         )
 
 
+# `ftsmfc verify --suite S` stdout for the suites that take about a second in all
+FAST_SUITES_STDOUT = (
+    "suite control: PASS\n"
+    "  [pass] basic-law identity e_y = -e_F: samples=20 worst_margin=4.44089e-16\n"
+    "  [pass] feedback-law error dynamics: samples=20 worst_margin=8.88178e-16\n"
+    "  [pass] perfect-estimate convergence below 1e-9: samples=20 worst_margin=9.99854e-10\n"
+    "suite gamma: PASS\n"
+    "  [pass] gamma identity vs (1-D^2)V^a: samples=1000000 worst_margin=3.26524e-13\n"
+    "  [pass] public-function cross-check: samples=100 worst_margin=2.77556e-16\n"
+    "  [pass] gamma boundary equals scale: samples=1000 worst_margin=7.52642e-16\n"
+    "suite holder: PASS\n"
+    "  [pass] recursion traces are Holder-continuous: samples=200 worst_margin=0\n"
+    "suite lemma1: PASS\n"
+    "  [pass] recursion reaches exactly 0: samples=300 worst_margin=302789"
+    " (margin is the largest step count)\n"
+    "  [pass] traces satisfy the decrement/gain conditions: samples=300 worst_margin=0\n"
+    "suite rho: PASS\n"
+    "  [pass] stable vs quotient form: samples=1000000 worst_margin=7.74936e-14\n"
+    "  [pass] range [1,2]: samples=1000000 worst_margin=0\n"
+    "  [pass] rho at gain 0 equals 1: samples=1 worst_margin=0\n"
+)
+
+
 class TestVerify:
+    def test_fast_suites_pinned(self, capsys):
+        out = ""
+        for suite in ("control", "gamma", "holder", "lemma1", "rho"):
+            rc, stdout, err = _main(capsys, "verify", "--suite", suite)
+            assert (rc, err) == (cli.EXIT_OK, "")
+            out += stdout
+        assert out == FAST_SUITES_STDOUT
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4f16c18184ef630e513d9dc8836079383a6c5108c84639755ae13f18667ec9bc"
+        )
+
     def test_passing_suite(self, capsys):
         rc, out, err = _main(capsys, "verify", "--suite", "rho")
         assert (rc, err) == (cli.EXIT_OK, "")

@@ -8,6 +8,7 @@ import pytest
 
 from ftsmfc.sim_harness import (
     CSV_HEADER,
+    MAX_STEPS,
     ConfigError,
     SimConfig,
     SimLog,
@@ -63,7 +64,7 @@ def make_config(**overrides) -> SimConfig:
 class TestSimConfig:
     def test_fraction_exponents_parsed(self):
         config = make_config()
-        assert config.control_params.exponent == pytest.approx(11 / 9, abs=1e-15)
+        assert config.gains.params.exponent == pytest.approx(11 / 9, abs=1e-15)
         assert config.observer_params.exponent == pytest.approx(9 / 7, abs=1e-15)
 
     def test_missing_dt_rejected(self):
@@ -83,6 +84,26 @@ class TestSimConfig:
     def test_unknown_law_rejected(self):
         with pytest.raises(ConfigError):
             make_config(**{"controller.law": "pid"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("controller.law", "pid"), ("observer.order", "third"), ("trajectory.source", "spline")],
+    )
+    def test_unknown_name_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: unknown value {value!r}")):
+            make_config(**{key: value})
+
+    def test_generated_trajectory_needs_pendulum_at_config_time(self):
+        # raised when the config is read, before any run
+        with pytest.raises(ConfigError, match="trajectory.source: generated"):
+            make_config(**{"trajectory.source": "generated"})
+
+    @pytest.mark.parametrize("dt, T", [(1e-300, 1e10), (1.0, MAX_STEPS + 1.0)])
+    def test_horizon_bounded(self, dt, T):
+        # built only, never run: such a log would not fit in memory
+        assert make_config(dt=1.0, T=MAX_STEPS + 0.5).n_steps == MAX_STEPS
+        with pytest.raises(ConfigError, match=re.escape("T: T/dt")):
+            make_config(dt=dt, T=T)
 
     def test_unknown_plant_kind_rejected(self):
         config = make_config(**{"plant.kind": "chirp"})
@@ -112,7 +133,7 @@ class TestSimConfig:
     def test_G_times_dt_scaling(self):
         config = make_config(**{"controller.G_times_dt": True})
         np.testing.assert_allclose(
-            config.G, 0.01 * np.array([[0.559, 0.196], [0.196, 0.657]])
+            config.gains.G, 0.01 * np.array([[0.559, 0.196], [0.196, 0.657]])
         )
 
     def test_from_yaml_missing_file(self):
@@ -149,6 +170,28 @@ class TestStrictConfig:
     def test_controller_G_must_be_2x2(self, G):
         with pytest.raises(ConfigError, match="controller.G"):
             make_config(**{"controller.G": G})
+
+    @pytest.mark.parametrize("section", ["controller", "observer", "filter"])
+    def test_gain_group_given_whole(self, section):
+        # a lone weight must not be dropped in favour of the default gains
+        doc = copy.deepcopy(BASE_DOC)
+        del doc[section]["exponent"], doc[section]["scale"]
+        doc[section]["weight"] = 1.0
+        with pytest.raises(ConfigError, match=f"{section}: missing key 'exponent'"):
+            SimConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["controller", "observer", "filter"])
+    def test_weight_matrix_must_be_2x2(self, section):
+        # the gain weighs the two output channels, so a 3 x 3 weight cannot apply
+        make_config(**{f"{section}.weight": [[2.0, 0.0], [0.0, 1.0]]})
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.weight must be 2 x 2")):
+            make_config(**{f"{section}.weight": np.eye(3).tolist()})
+
+    def test_flat_y_init_is_one_row(self):
+        # nu = 1 takes y_init as one flat row; the reader checks its numbers
+        config = make_config(**{"plant.spec.y_init": [0.1, 0.2]})
+        np.testing.assert_array_equal(config.plant_spec["y_init"], [[0.1, 0.2]])
+        np.testing.assert_array_equal(run_closed_loop(config).y[0], [0.1, 0.2])
 
     def test_singular_controller_G_is_config_error(self):
         with pytest.raises(ConfigError, match="controller.G"):
@@ -360,7 +403,7 @@ class TestComputeMetrics:
     def test_empty_window_rejected(self):
         log = self._log_from_errors(np.zeros((5, 2)))
         with pytest.raises(ValueError):
-            compute_metrics(log, settle_time=10.0)
+            compute_metrics(log, settle_time=10.0, bands=(0.5, 0.05))
 
     def test_rms(self):
         e = np.zeros((10, 2))
