@@ -43,7 +43,6 @@ from .sim_harness import (
 )
 from .tracking_control import (
     ControlGains,
-    SingularMatrixError,
     control_law_basic,
     control_law_fts,
     solve_input,
@@ -69,7 +68,6 @@ __all__ = [
     "PendulumPlant",
     "SimConfig",
     "SimLog",
-    "SingularMatrixError",
     "SuiteReport",
     "SyntheticUlmPlant",
     "bias_vector",

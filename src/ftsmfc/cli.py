@@ -2,7 +2,7 @@
 
 Subcommands:
   simulate             run a closed-loop experiment, write a CSV log and metrics
-  generate-trajectory  propagate the open-loop trajectory generator to CSV
+  generate-trajectory  propagate the pendulum's open-loop trajectory to CSV
   verify               run a named property-verification suite
   sweep                repeat an experiment over values of one config key
 
@@ -105,6 +105,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_generate_trajectory(args) -> int:
     config = SimConfig.from_yaml(args.config)
+    if config.plant_kind != "pendulum":
+        raise ConfigError(
+            f"plant.kind: generate-trajectory needs the pendulum, got {config.plant_kind!r}"
+        )
     samples = generate_desired_trajectory(
         config.trajectory_start, config.T, config.dt, config.plant_params
     )

@@ -82,12 +82,13 @@ def holder_gain(e: Sequence[float], params: HolderGainParams) -> float:
 
     Returns a value in [-1, 1); equals -1 exactly iff e = 0.  The power is
     evaluated as exp(a*log(q)) with an explicit zero branch so the origin is
-    exact rather than a 0/0 limit.
+    exact rather than a 0/0 limit.  Raises DomainError when e^T W e is not
+    finite: e has a non-finite component, or a finite e overflows the form.
     """
     e = np.asarray(e, dtype=float)
-    if not np.all(np.isfinite(e)):
-        raise DomainError("holder_gain: input vector has non-finite components")
     q = params.quad_form(e)
+    if not math.isfinite(q):
+        raise DomainError(f"holder_gain: non-finite quadratic form e^T W e = {q}")
     x = 0.0 if q == 0.0 else math.exp(params.holder_power * math.log(q))
     return (x - params.scale) / (x + params.scale)
 

@@ -53,7 +53,7 @@ class PendulumParams:
                 raise ValueError(f"PendulumParams.{name} must be positive")
 
 
-def mass_matrix(theta: float, params: PendulumParams = PendulumParams()) -> np.ndarray:
+def mass_matrix(theta: float, params: PendulumParams) -> np.ndarray:
     """Configuration-dependent mass matrix; symmetric positive definite."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
@@ -71,7 +71,7 @@ def bias_vector(
     theta: float,
     xdot: float,
     thetadot: float,
-    params: PendulumParams = PendulumParams(),
+    params: PendulumParams,
 ) -> np.ndarray:
     """Velocity/gravity bias term, including tanh-saturated friction.
 
@@ -89,7 +89,7 @@ def bias_vector(
 
 
 def pendulum_ulm_terms(
-    y_prev, y_curr, dt: float, params: PendulumParams = PendulumParams()
+    y_prev, y_curr, dt: float, params: PendulumParams
 ) -> Tuple[np.ndarray, np.ndarray]:
     """True plant pair (F, G) at the output arrays (y_k, y_{k+1}): y_{k+2} = F + G u."""
     if not dt > 0.0:
@@ -105,7 +105,7 @@ def pendulum_ulm_terms(
 
 
 def pendulum_step(
-    y_prev, y_curr, u, dt: float, params: PendulumParams = PendulumParams()
+    y_prev, y_curr, u, dt: float, params: PendulumParams
 ) -> np.ndarray:
     """One forward-difference step from (y_k, y_{k+1}): y_{k+2} = F_k + G_k u_k."""
     u = np.asarray(u, dtype=float)
@@ -114,7 +114,7 @@ def pendulum_step(
 
 
 def open_loop_input(
-    theta: float, thetadot: float, params: PendulumParams = PendulumParams()
+    theta: float, thetadot: float, params: PendulumParams
 ) -> np.ndarray:
     """Model-based (force, torque) pair used only for trajectory generation."""
     if not (math.isfinite(theta) and math.isfinite(thetadot)):
@@ -131,7 +131,7 @@ def generate_desired_trajectory(
     init,
     T: float,
     dt: float,
-    params: PendulumParams = PendulumParams(),
+    params: PendulumParams,
     n_extra: int = 0,
 ) -> np.ndarray:
     """Propagate the pendulum under the open-loop inputs sampled every dt.
@@ -192,7 +192,7 @@ class PendulumPlant:
 
     nu = 2
 
-    def __init__(self, init, dt: float, params: PendulumParams = PendulumParams()):
+    def __init__(self, init, dt: float, params: PendulumParams):
         init = np.asarray(init, dtype=float)
         if init.shape != (4,):
             raise ValueError("init must be (x, theta, xdot, thetadot)")
@@ -227,7 +227,8 @@ def _required(value, kind: str, name: str):
 
 
 class SyntheticUlmPlant:
-    """Test plant emitting y_{k+nu} = F_k + G u_k with a scripted unknown term.
+    """Two-output test plant emitting y_{k+nu} = F_k + G u_k, G 2 x 2, with a
+    scripted unknown term.
 
     Kinds: "constant" (F = const), "ramp" (F_k = k*slope), "sinusoid"
     (F_k,i = amplitude_i*sin(freq_i*k)), "random-walk" (steps of norm exactly
@@ -238,8 +239,7 @@ class SyntheticUlmPlant:
         self,
         kind: str,
         *,
-        G=None,
-        n: int = 2,
+        G,
         nu: int = 1,
         const=None,
         slope=None,
@@ -252,17 +252,16 @@ class SyntheticUlmPlant:
         if nu < 1:
             raise ValueError("nu must be >= 1")
         self.kind = kind
-        self.n = n
         self.nu = int(nu)
-        self.G = np.eye(n) if G is None else np.asarray(G, dtype=float)
+        self.G = np.asarray(G, dtype=float)
         self.k = 0
         # pending outputs y_k .. y_{k+nu-1}; y_{k+nu} is produced by step()
         if y_init is None:
-            window = [np.zeros(n) for _ in range(self.nu)]
+            window = [np.zeros(2) for _ in range(self.nu)]
         else:
             y_init = np.atleast_2d(np.asarray(y_init, dtype=float))
-            if y_init.shape != (self.nu, n):
-                raise ValueError(f"y_init must have shape ({self.nu}, {n})")
+            if y_init.shape != (self.nu, 2):
+                raise ValueError(f"y_init must have shape ({self.nu}, 2)")
             window = [y_init[i].copy() for i in range(self.nu)]
         self._window = window
 
@@ -277,7 +276,7 @@ class SyntheticUlmPlant:
             self._bound = float(_required(bound, kind, "bound"))
             rng = np.random.default_rng(_required(seed, kind, "seed"))
             self._rng = rng
-            self._walk = [rng.standard_normal(n)]
+            self._walk = [rng.standard_normal(2)]
         else:
             raise ValueError(f"unknown synthetic plant kind: {kind!r}")
 
@@ -290,7 +289,7 @@ class SyntheticUlmPlant:
         if self.kind == "sinusoid":
             return self._amp * np.sin(self._freq * float(k))
         while len(self._walk) <= k:
-            step = self._rng.standard_normal(self.n)
+            step = self._rng.standard_normal(2)
             step *= self._bound / np.linalg.norm(step)
             self._walk.append(self._walk[-1] + step)
         return self._walk[k].copy()

@@ -255,16 +255,20 @@ class SimConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"plant.params: {exc}") from exc
         section = _section(plant, "spec", prefix="plant.")
-        spec = kwargs["plant_spec"] = dict(section)  # _build_plant checks the shapes
+        if kind != "pendulum" and "G" not in section:
+            raise ConfigError("missing required key 'plant.spec.G'")
+        spec = kwargs["plant_spec"] = dict(section)  # the plant checks y_init against nu
         for key, value in section.items():
             what = f"plant.spec.{key}"
             if key in ("const", "slope", "amplitude", "freq"):
                 spec[key] = _as_vector(value, 2, what)
-            elif key in ("G", "y_init"):
+            elif key == "G":
+                spec[key] = _as_2x2(value, what)
+            elif key == "y_init":
                 spec[key] = _as_matrix(value, what)
             elif key == "bound":
                 spec[key] = _as_float(value, what)
-            elif key in ("n", "nu", "seed") and type(value) is not int:
+            elif key in ("nu", "seed") and type(value) is not int:
                 raise ConfigError(f"{what}: expected an integer, got {value!r}")
 
         ctrl = _section(doc, "controller")
@@ -367,15 +371,9 @@ def _build_plant(config: SimConfig):
     if config.plant_kind == "pendulum":
         return PendulumPlant(config.initial_state, config.dt, config.plant_params)
     try:
-        plant = SyntheticUlmPlant(config.plant_kind, **config.plant_spec)
+        return SyntheticUlmPlant(config.plant_kind, **config.plant_spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"plant: {exc}") from exc
-    if plant.n != 2 or plant.G.shape != (2, 2):
-        raise ConfigError(
-            f"plant: the log holds 2 outputs and 2 inputs, got n={plant.n}"
-            f" and G of shape {plant.G.shape}"
-        )
-    return plant
 
 
 def _desired_trajectory(config: SimConfig, count: int) -> np.ndarray:

@@ -16,16 +16,9 @@ import numpy as np
 from .fts_core import DomainError, HolderGainParams, holder_gain
 
 
-def compute_F(y_k_plus_nu, G_k, u_k) -> np.ndarray:
+def compute_F(y_k_plus_nu: np.ndarray, G_k: np.ndarray, u_k: np.ndarray) -> np.ndarray:
     """Reconstruct the unknown term: F_k = y_{k+nu} - G_k u_k."""
-    y = np.asarray(y_k_plus_nu, dtype=float)
-    G = np.asarray(G_k, dtype=float)
-    u = np.asarray(u_k, dtype=float)
-    if G.ndim != 2 or y.shape != (G.shape[0],) or u.shape != (G.shape[1],):
-        raise ValueError(
-            f"dimension mismatch: y {y.shape}, G {G.shape}, u {u.shape}"
-        )
-    return y - G @ u
+    return y_k_plus_nu - G_k @ u_k
 
 
 def first_order_update(F_hat: np.ndarray, F_k, params: HolderGainParams) -> np.ndarray:

@@ -166,7 +166,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "spec, message",
-        [(None, "constant requires const"), ([0.3, -0.2], "plant.spec: expected a mapping"),
+        [(None, "missing required key 'plant.spec.G'"),
+         ([0.3, -0.2], "plant.spec: expected a mapping"),
          ({"G": [[1.0, 0.0], [0.0, 1.0]]}, "constant requires const")],
         ids=["null", "list", "no-const"],
     )
@@ -287,6 +288,17 @@ class TestGenerateTrajectory:
         )
         assert rc == cli.EXIT_CONFIG
         assert "'trajectory.int'" in _one_line(err, "config error:")
+
+    def test_synthetic_plant_is_config_error(self, tmp_path, capsys):
+        # the trajectory generator propagates the pendulum, so it needs one
+        out_csv = tmp_path / "traj.csv"
+        rc, _, err = _main(
+            capsys, "generate-trajectory",
+            "--config", str(CONFIGS / "synthetic_constant.yaml"), "--out", str(out_csv),
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert "plant.kind" in _one_line(err, "config error:")
+        assert not out_csv.exists()
 
     def test_divergence_is_numerical_failure(self, tmp_path, capsys):
         doc = _doc("paper_experiment.yaml", T=1.0)

@@ -98,6 +98,9 @@ class TestHolderGain:
             holder_gain([np.nan, 0.0], OBS)
         with pytest.raises(DomainError):
             holder_gain([np.inf, 1.0], OBS)
+        # a finite e whose e^T W e overflows has no finite gain either
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            holder_gain([1e200, 0.0], OBS)
 
 
 class TestGammaOfV:

@@ -201,9 +201,9 @@ class TestStrictConfig:
         "spec", [{"n": 3}, {"G": np.eye(3).tolist()}, {"G": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}]
     )
     def test_plant_must_be_2x2(self, spec):
-        config = make_config(**{f"plant.spec.{k}": v for k, v in spec.items()})
+        # a 3 x 3 or wide G fails in from_dict, the unknown key n in the plant
         with pytest.raises(ConfigError, match="plant"):
-            run_closed_loop(config)
+            run_closed_loop(make_config(**{f"plant.spec.{k}": v for k, v in spec.items()}))
 
 
 class TestRunClosedLoop:

@@ -7,7 +7,6 @@ from ftsmfc.fts_core import DomainError, HolderGainParams, holder_gain
 from ftsmfc.plant_models import SyntheticUlmPlant
 from ftsmfc.tracking_control import (
     ControlGains,
-    SingularMatrixError,
     control_law_basic,
     control_law_fts,
     solve_input,
@@ -31,20 +30,6 @@ class TestSolveInput:
         np.testing.assert_allclose(u, [8.0584, 28.0373], atol=5e-4)
         assert abs(np.linalg.det(A) - 0.328847) < 1e-6
 
-    def test_minimum_norm_wide(self):
-        G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        u = solve_input(G, [1.0, 1.0])
-        np.testing.assert_allclose(u, [1.0, 1.0, 0.0], atol=1e-14)
-
-    def test_minimum_norm_property(self):
-        rng = np.random.default_rng(11)
-        G = rng.standard_normal((2, 4))
-        rhs = rng.standard_normal(2)
-        u = solve_input(G, rhs)
-        assert np.linalg.norm(G @ u - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
-        u_lstsq = np.linalg.lstsq(G, rhs, rcond=None)[0]
-        np.testing.assert_allclose(u, u_lstsq, atol=1e-10)
-
     def test_residual_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -52,10 +37,6 @@ class TestSolveInput:
             rhs = rng.standard_normal(3)
             u = solve_input(G, rhs)
             assert np.linalg.norm(G @ u - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            solve_input(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
 
     def test_tall_rejected(self):
         with pytest.raises(ValueError):
@@ -71,9 +52,10 @@ class TestControlGains:
         ControlGains(params=CTRL, G=A)
 
     def test_rank_deficient_rejected(self):
-        with pytest.raises(DomainError):
-            ControlGains(params=CTRL, G=np.array([[1.0, 2.0], [2.0, 4.0]]))
-
+        # two outputs, two inputs: G must be a full-rank 2 x 2 matrix
+        for G in ([[1.0, 2.0], [2.0, 4.0]], np.eye(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+            with pytest.raises(DomainError):
+                ControlGains(params=CTRL, G=G)
 
 
 class TestBasicLaw:
