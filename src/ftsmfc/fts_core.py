@@ -15,8 +15,8 @@ ultimate-bound radius factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,6 +26,8 @@ class DomainError(ValueError):
 
 
 WeightLike = Union[float, np.ndarray, None]
+# A two-channel signal: the package's kernel passes every vector as a pair of floats.
+Pair = Tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -33,63 +35,61 @@ class HolderGainParams:
     """Parameters of the sigmoid gain: exponent in ]1,2[, scale > 0, SPD weight.
 
     The weight may be None (identity), a positive scalar (scalar times
-    identity) or an SPD matrix.  The derived Holder power 1 - 1/exponent lies
-    in ]0, 1/2[.
+    identity) or a 2 x 2 SPD matrix.  The derived Holder power 1 - 1/exponent
+    lies in ]0, 1/2[; it and the weight entries w00, w01, w11 are computed once
+    here, so the gain reads them without touching the weight.
     """
 
     exponent: float
     scale: float
     weight: WeightLike = None
+    holder_power: float = field(init=False, repr=False, compare=False)
+    w00: float = field(init=False, repr=False, compare=False)
+    w01: float = field(init=False, repr=False, compare=False)
+    w11: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.exponent) and 1.0 < self.exponent < 2.0):
             raise DomainError(f"exponent must lie strictly in ]1,2[, got {self.exponent}")
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise DomainError(f"scale must be positive, got {self.scale}")
+        w00, w01, w11 = 1.0, 0.0, 1.0
         if self.weight is not None:
             w = self.weight
             if np.ndim(w) == 0:
                 w = float(w)
                 if not (math.isfinite(w) and w > 0.0):
                     raise DomainError(f"scalar weight must be positive, got {w}")
-                object.__setattr__(self, "weight", w)
+                w00 = w11 = w
             else:
-                W = np.asarray(w, dtype=float)
-                if W.ndim != 2 or W.shape[0] != W.shape[1]:
-                    raise DomainError("weight matrix must be square")
-                if not np.allclose(W, W.T, rtol=1e-12, atol=1e-12):
+                w = np.asarray(w, dtype=float)
+                if w.shape != (2, 2):
+                    raise DomainError(f"weight matrix must be 2 x 2, got shape {w.shape}")
+                if not np.allclose(w, w.T, rtol=1e-12, atol=1e-12):
                     raise DomainError("weight matrix must be symmetric")
-                if np.linalg.eigvalsh(W).min() <= 0.0:
+                if np.linalg.eigvalsh(w).min() <= 0.0:
                     raise DomainError("weight matrix must be positive definite")
-                object.__setattr__(self, "weight", W)
-
-    @property
-    def holder_power(self) -> float:
-        """The exponent a = 1 - 1/exponent applied to the quadratic form."""
-        return 1.0 - 1.0 / self.exponent
-
-    def quad_form(self, e: np.ndarray) -> float:
-        """Weighted squared norm e^T W e."""
-        if self.weight is None:
-            return float(e @ e)
-        if np.ndim(self.weight) == 0:
-            return float(self.weight) * float(e @ e)
-        return float(e @ (self.weight @ e))
+                (w00, w01), (_, w11) = w.tolist()
+            object.__setattr__(self, "weight", w)
+        for name, value in (("holder_power", 1.0 - 1.0 / self.exponent),
+                            ("w00", w00), ("w01", w01), ("w11", w11)):
+            object.__setattr__(self, name, value)
 
 
-def holder_gain(e: Sequence[float], params: HolderGainParams) -> float:
+def holder_gain(e: Pair, params: HolderGainParams) -> float:
     """Sigmoid feedback gain (x - scale)/(x + scale), x = (e^T W e)^holder_power.
 
+    e is a pair (e0, e1) and e^T W e = w00*e0^2 + 2*w01*e0*e1 + w11*e1^2.
     Returns a value in [-1, 1); equals -1 exactly iff e = 0.  The power is
     evaluated as exp(a*log(q)) with an explicit zero branch so the origin is
     exact rather than a 0/0 limit.  Raises DomainError when e^T W e is not
     finite: e has a non-finite component, or a finite e overflows the form.
     """
-    e = np.asarray(e, dtype=float)
-    q = params.quad_form(e)
+    e0, e1 = e
+    q = params.w00 * e0 * e0 + 2.0 * params.w01 * e0 * e1 + params.w11 * e1 * e1
     if not math.isfinite(q):
         raise DomainError(f"holder_gain: non-finite quadratic form e^T W e = {q}")
-    x = 0.0 if q == 0.0 else math.exp(params.holder_power * math.log(q))
+    x = math.exp(params.holder_power * math.log(q)) if q > 0.0 else 0.0
     return (x - params.scale) / (x + params.scale)
 
 

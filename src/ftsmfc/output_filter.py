@@ -13,22 +13,21 @@ decaying correction from its configured initial estimate.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .fts_core import DomainError, HolderGainParams, holder_gain
+from .fts_core import DomainError, HolderGainParams, Pair, holder_gain
 
 
-def filter_update(
-    y_hat: np.ndarray, y_meas_prev: np.ndarray, y_meas, params: HolderGainParams
-) -> np.ndarray:
+def filter_update(y_hat: Pair, y_meas_prev: Pair, y_meas: Pair, params: HolderGainParams) -> Pair:
     """Next output estimate from the current one, its measurement and the new one.
 
     The caller holds the state: the estimate y_hat_k and the measurement y^m_k
     it was made against.  At k = 0 there is no innovation yet, so the caller
     keeps its initial estimate and does not call the filter.
     """
-    y = np.asarray(y_meas, dtype=float)
-    if not np.all(np.isfinite(y)):
+    y0, y1 = y_meas
+    if not (math.isfinite(y0) and math.isfinite(y1)):
         raise DomainError("filter_update: measurement has non-finite components")
-    e = y_hat - y_meas_prev
-    return y + holder_gain(e, params) * e
+    e = (y_hat[0] - y_meas_prev[0], y_hat[1] - y_meas_prev[1])
+    g = holder_gain(e, params)
+    return (y0 + g * e[0], y1 + g * e[1])

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
+
+from .fts_core import Pair
 
 
 class DivergenceError(RuntimeError):
@@ -53,26 +55,16 @@ class PendulumParams:
                 raise ValueError(f"PendulumParams.{name} must be positive")
 
 
-def mass_matrix(theta: float, params: PendulumParams) -> np.ndarray:
-    """Configuration-dependent mass matrix; symmetric positive definite."""
+def mass_matrix(theta: float, params: PendulumParams):
+    """Configuration-dependent mass matrix as rows ((a, b), (b, d)); symmetric positive definite."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     ml = params.m_pend * params.l_half
-    c = math.cos(theta)
-    return np.array(
-        [
-            [params.M_cart + params.m_pend, -ml * c],
-            [-ml * c, params.I_pend + ml * params.l_half],
-        ]
-    )
+    b = -ml * math.cos(theta)
+    return (params.M_cart + params.m_pend, b), (b, params.I_pend + ml * params.l_half)
 
 
-def bias_vector(
-    theta: float,
-    xdot: float,
-    thetadot: float,
-    params: PendulumParams,
-) -> np.ndarray:
+def bias_vector(theta: float, xdot: float, thetadot: float, params: PendulumParams) -> Pair:
     """Velocity/gravity bias term, including tanh-saturated friction.
 
     Component 1: m*l*thetadot^2*sin(theta) + c_x*tanh(xdot);
@@ -80,42 +72,38 @@ def bias_vector(
     """
     ml = params.m_pend * params.l_half
     s = math.sin(theta)
-    return np.array(
-        [
-            ml * thetadot * thetadot * s + params.c_x * math.tanh(xdot),
-            params.c_theta * math.tanh(thetadot) - params.m_pend * params.g * params.l_half * s,
-        ]
+    return (
+        ml * thetadot * thetadot * s + params.c_x * math.tanh(xdot),
+        params.c_theta * math.tanh(thetadot) - params.m_pend * params.g * params.l_half * s,
     )
 
 
-def pendulum_ulm_terms(
-    y_prev, y_curr, dt: float, params: PendulumParams
-) -> Tuple[np.ndarray, np.ndarray]:
-    """True plant pair (F, G) at the output arrays (y_k, y_{k+1}): y_{k+2} = F + G u."""
+def pendulum_ulm_terms(y_prev: Pair, y_curr: Pair, dt: float, params: PendulumParams):
+    """True plant pair (F, G) at the outputs (y_k, y_{k+1}): y_{k+2} = F + G u.
+
+    G = dt^2 M^-1 through the closed-form inverse of the 2 x 2 mass matrix,
+    returned as rows ((a, b), (c, d)).
+    """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    theta = y_prev[1]
-    qdot = (y_curr - y_prev) / dt
-    M = mass_matrix(theta, params)
-    Minv = np.linalg.inv(M)
-    G = dt * dt * Minv
-    D = bias_vector(theta, qdot[0], qdot[1], params)
-    F = 2.0 * y_curr - y_prev - G @ D
+    (x0, theta), (x1, theta1) = y_prev, y_curr
+    (m00, m01), (_, m11) = mass_matrix(theta, params)
+    h = dt * dt / (m00 * m11 - m01 * m01)
+    G = (h * m11, -h * m01), (-h * m01, h * m00)
+    D0, D1 = bias_vector(theta, (x1 - x0) / dt, (theta1 - theta) / dt, params)
+    F = (2.0 * x1 - x0 - (G[0][0] * D0 + G[0][1] * D1),
+         2.0 * theta1 - theta - (G[1][0] * D0 + G[1][1] * D1))
     return F, G
 
 
-def pendulum_step(
-    y_prev, y_curr, u, dt: float, params: PendulumParams
-) -> np.ndarray:
+def pendulum_step(y_prev: Pair, y_curr: Pair, u: Pair, dt: float, params: PendulumParams) -> Pair:
     """One forward-difference step from (y_k, y_{k+1}): y_{k+2} = F_k + G_k u_k."""
-    u = np.asarray(u, dtype=float)
-    F, G = pendulum_ulm_terms(y_prev, y_curr, dt, params)
-    return F + G @ u
+    (F0, F1), ((a, b), (c, d)) = pendulum_ulm_terms(y_prev, y_curr, dt, params)
+    u0, u1 = u
+    return (F0 + (a * u0 + b * u1), F1 + (c * u0 + d * u1))
 
 
-def open_loop_input(
-    theta: float, thetadot: float, params: PendulumParams
-) -> np.ndarray:
+def open_loop_input(theta: float, thetadot: float, params: PendulumParams) -> Pair:
     """Model-based (force, torque) pair used only for trajectory generation."""
     if not (math.isfinite(theta) and math.isfinite(thetadot)):
         raise ValueError("inputs must be finite")
@@ -124,7 +112,7 @@ def open_loop_input(
     s = math.sin(theta)
     force = m * l * thetadot * thetadot * s - 2.0 * (M + m * s * s) * g * s - (M + m) * g * s
     torque = -m * g * l * s
-    return np.array([force, torque])
+    return (force, torque)
 
 
 def generate_desired_trajectory(
@@ -171,20 +159,26 @@ class NoiseConfig:
     fm_depth: np.ndarray = field(default_factory=lambda: np.array([5.0, 5.0]))
     fm_freqs: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.7]))
     phases: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0]))
+    channels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases"):
+        names = ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases")
+        for name in names:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if np.any(self.amplitudes < 0.0):
             raise ValueError("noise amplitudes must be non-negative")
+        # per channel, (amplitude, base_freq, fm_depth, fm_freq, phase) as floats
+        channels = tuple(zip(*(getattr(self, name).tolist() for name in names)))
+        object.__setattr__(self, "channels", channels)
 
 
-def noise_sample(t: float, cfg: NoiseConfig) -> np.ndarray:
-    """Noise vector at time t; bounded componentwise by the amplitudes."""
+def noise_sample(t: float, cfg: NoiseConfig) -> Pair:
+    """Noise pair at time t; bounded componentwise by the amplitudes."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    phase = cfg.base_freqs * t + cfg.fm_depth * np.sin(cfg.fm_freqs * t) + cfg.phases
-    return cfg.amplitudes * np.sin(phase)
+    (a0, w0, d0, f0, p0), (a1, w1, d1, f1, p1) = cfg.channels
+    return (a0 * math.sin(w0 * t + d0 * math.sin(f0 * t) + p0),
+            a1 * math.sin(w1 * t + d1 * math.sin(f1 * t) + p1))
 
 
 class PendulumPlant:
@@ -201,19 +195,21 @@ class PendulumPlant:
         self.params = params
         self.dt = float(dt)
         # the output pair (y_k, y_{k+1}); y_1 = y_0 + dt*qdot_0 folds in the velocity
-        self.y_prev = init[:2]
-        self.y_curr = self.y_prev + dt * init[2:]
+        x, theta, xdot, thetadot = init.tolist()
+        self.y_prev = (x, theta)
+        self.y_curr = (x + self.dt * xdot, theta + self.dt * thetadot)
         self.k = 0
 
     @property
-    def output(self) -> np.ndarray:
+    def output(self) -> Pair:
         """Current output y_k."""
         return self.y_prev
 
-    def step(self, u) -> np.ndarray:
+    def step(self, u: Pair) -> Pair:
         """Apply u_k; produces y_{k+2} and advances the output clock to k+1."""
         y_next = pendulum_step(self.y_prev, self.y_curr, u, self.dt, self.params)
-        if not np.all(np.isfinite(y_next)) or np.linalg.norm(y_next) > DIVERGENCE_LIMIT:
+        # hypot is NaN or inf when a component is
+        if not math.hypot(*y_next) <= DIVERGENCE_LIMIT:
             raise DivergenceError(f"plant diverged at step {self.k}", step_index=self.k)
         self.y_prev, self.y_curr = self.y_curr, y_next
         self.k += 1
@@ -224,6 +220,11 @@ def _required(value, kind: str, name: str):
     if value is None:
         raise ValueError(f"{kind} requires {name}")
     return value
+
+
+def _pair(value, kind: str, name: str) -> Pair:
+    v0, v1 = np.asarray(_required(value, kind, name), dtype=float).tolist()
+    return v0, v1
 
 
 class SyntheticUlmPlant:
@@ -253,56 +254,60 @@ class SyntheticUlmPlant:
             raise ValueError("nu must be >= 1")
         self.kind = kind
         self.nu = int(nu)
-        self.G = np.asarray(G, dtype=float)
+        self.G = tuple(map(tuple, np.asarray(G, dtype=float).tolist()))  # rows of floats
         self.k = 0
         # pending outputs y_k .. y_{k+nu-1}; y_{k+nu} is produced by step()
         if y_init is None:
-            window = [np.zeros(2) for _ in range(self.nu)]
+            window = [(0.0, 0.0)] * self.nu
         else:
             y_init = np.atleast_2d(np.asarray(y_init, dtype=float))
             if y_init.shape != (self.nu, 2):
                 raise ValueError(f"y_init must have shape ({self.nu}, 2)")
-            window = [y_init[i].copy() for i in range(self.nu)]
+            window = list(map(tuple, y_init.tolist()))
         self._window = window
 
         if kind == "constant":
-            self._const = np.asarray(_required(const, kind, "const"), dtype=float)
+            self._const = _pair(const, kind, "const")
         elif kind == "ramp":
-            self._slope = np.asarray(_required(slope, kind, "slope"), dtype=float)
+            self._slope = _pair(slope, kind, "slope")
         elif kind == "sinusoid":
-            self._amp = np.asarray(_required(amplitude, kind, "amplitude"), dtype=float)
-            self._freq = np.asarray(_required(freq, kind, "freq"), dtype=float)
+            self._amp = _pair(amplitude, kind, "amplitude")
+            self._freq = _pair(freq, kind, "freq")
         elif kind == "random-walk":
             self._bound = float(_required(bound, kind, "bound"))
             rng = np.random.default_rng(_required(seed, kind, "seed"))
             self._rng = rng
-            self._walk = [rng.standard_normal(2)]
+            self._walk = [tuple(rng.standard_normal(2).tolist())]
         else:
             raise ValueError(f"unknown synthetic plant kind: {kind!r}")
 
-    def true_F(self, k: int) -> np.ndarray:
+    def true_F(self, k: int) -> Pair:
         """The scripted unknown term at step k."""
         if self.kind == "constant":
-            return self._const.copy()
+            return self._const
         if self.kind == "ramp":
-            return float(k) * self._slope
+            return (k * self._slope[0], k * self._slope[1])
         if self.kind == "sinusoid":
-            return self._amp * np.sin(self._freq * float(k))
+            (a0, a1), (f0, f1) = self._amp, self._freq
+            return (a0 * math.sin(f0 * k), a1 * math.sin(f1 * k))
         while len(self._walk) <= k:
-            step = self._rng.standard_normal(2)
-            step *= self._bound / np.linalg.norm(step)
-            self._walk.append(self._walk[-1] + step)
-        return self._walk[k].copy()
+            s0, s1 = self._rng.standard_normal(2).tolist()
+            r = self._bound / math.hypot(s0, s1)
+            w0, w1 = self._walk[-1]
+            self._walk.append((w0 + s0 * r, w1 + s1 * r))
+        return self._walk[k]
 
     @property
-    def output(self) -> np.ndarray:
+    def output(self) -> Pair:
         """Current output y_k."""
         return self._window[0]
 
-    def step(self, u) -> np.ndarray:
+    def step(self, u: Pair) -> Pair:
         """Apply u_k; produces y_{k+nu} and advances the output clock to k+1."""
-        u = np.asarray(u, dtype=float)
-        y_new = self.true_F(self.k) + self.G @ u
+        F0, F1 = self.true_F(self.k)
+        (a, b), (c, d) = self.G
+        u0, u1 = u
+        y_new = (F0 + (a * u0 + b * u1), F1 + (c * u0 + d * u1))
         self._window.append(y_new)
         self._window.pop(0)
         self.k += 1

@@ -23,6 +23,7 @@ import yaml
 from .fts_core import (
     DomainError,
     HolderGainParams,
+    Pair,
     decrease_radius,
     fts_recursion,
     gamma_of_V,
@@ -116,6 +117,10 @@ _KEYS = {
     "metrics": ("settle_time", "bands"),
 }
 _ROOT_KEYS = ("dt", "T", "plant", "initial_state", "initial_estimate") + tuple(_KEYS)
+# The plant.spec keys of each synthetic plant kind, besides G, nu and y_init.
+_SPEC_KEYS = {"constant": ("const",), "ramp": ("slope",), "sinusoid": ("amplitude", "freq"),
+              "random-walk": ("bound", "seed")}
+_PLANT_KINDS = ("pendulum",) + tuple(_SPEC_KEYS)
 
 
 def _reject_unknown(section: dict, keys: Sequence[str], prefix: str = "") -> None:
@@ -245,7 +250,7 @@ class SimConfig:
             raise ConfigError(f"T: T/dt = {T / dt:g} ticks, more than the {MAX_STEPS} allowed")
 
         plant = _section(doc, "plant")
-        kind = kwargs["plant_kind"] = plant.get("kind", "pendulum")
+        kind = kwargs["plant_kind"] = _choice(plant, "kind", _PLANT_KINDS, "plant.kind")
         _reject_unknown(plant, ("kind", "params" if kind == "pendulum" else "spec"), "plant.")
         params = _section(plant, "params", prefix="plant.")
         try:
@@ -255,6 +260,7 @@ class SimConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"plant.params: {exc}") from exc
         section = _section(plant, "spec", prefix="plant.")
+        _reject_unknown(section, ("G", "nu", "y_init") + _SPEC_KEYS.get(kind, ()), "plant.spec.")
         if kind != "pendulum" and "G" not in section:
             raise ConfigError("missing required key 'plant.spec.G'")
         spec = kwargs["plant_spec"] = dict(section)  # the plant checks y_init against nu
@@ -404,9 +410,9 @@ def _desired_trajectory(config: SimConfig, count: int) -> np.ndarray:
 def run_closed_loop(config: SimConfig) -> SimLog:
     """Run one deterministic closed-loop experiment and return its log.
 
-    Raises DivergenceError (with the step index) when the plant diverges,
-    DomainError when a signal turns non-finite, and ConfigError on
-    inconsistent configuration.
+    Every signal in the loop is a pair of floats.  Raises DivergenceError
+    (with the step index) when the plant diverges, DomainError when a signal
+    turns non-finite, and ConfigError on inconsistent configuration.
     """
     plant = _build_plant(config)
     nu = plant.nu
@@ -414,32 +420,33 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     n_records = n_steps + 1
     # u_k reads y_d[k + nu] up to k = n_steps - 1
     y_d = _desired_trajectory(config, n_steps + nu)
+    # y_d_at[k, i] reads one sample as a float without converting the whole trajectory
+    y_d_at = memoryview(np.ascontiguousarray(y_d))
 
-    gains = config.gains
-    # loop state: the filtered output, the observer's estimates of F and of its
-    # first difference, and the previous reconstructed sample (None before one)
-    y_hat = config.initial_estimate[:2]
-    F_hat, dF_hat, F_prev = np.zeros(2), np.zeros(2), None
+    dt, gains, zero = config.dt, config.gains, (0.0, 0.0)
+    # loop state: the filtered output and the measurement it was made against,
+    # the observer's estimates of F and of its first difference, the previous
+    # reconstructed sample (None before one), and the last nu inputs by k % nu
+    y_hat, y_meas_prev = tuple(map(float, config.initial_estimate[:2])), None
+    F_hat, dF_hat, F_prev = zero, zero, None
+    u_sent = [zero] * nu
 
-    t = config.dt * np.arange(n_records)
-    cols = lambda: np.zeros((n_records, 2))  # noqa: E731
-    log_y, log_meas, log_hat, log_F, log_Fhat, log_u = (
-        cols(), cols(), cols(), cols(), cols(), cols(),
-    )
-
+    # one row a tick: y, y_meas, y_hat, F, F_hat (before the update), u
+    log = np.empty((n_records, 12))
     for k in range(n_records):
-        y_true = plant.output
-        eta = noise_sample(t[k], config.noise) if config.noise_enabled else np.zeros(2)
-        y_meas = y_true + eta
+        y = plant.output
+        eta = noise_sample(dt * k, config.noise) if config.noise_enabled else zero
+        y_meas = (y[0] + eta[0], y[1] + eta[1])
         if not config.filter_enabled:
             y_hat = y_meas
         elif k > 0:
             # tick 0 keeps the initial estimate: there is no innovation yet
-            y_hat = filter_update(y_hat, log_meas[k - 1], y_meas, config.filter_params)
+            y_hat = filter_update(y_hat, y_meas_prev, y_meas, config.filter_params)
+        y_meas_prev = y_meas
 
+        F_rec = F_seen = zero
         if k >= nu:
-            F_rec = compute_F(y_hat, gains.G, log_u[k - nu])
-            log_F[k], log_Fhat[k] = F_rec, F_hat
+            F_rec, F_seen = compute_F(y_hat, gains.G, u_sent[k % nu]), F_hat
             if config.observer_order == "first":
                 F_hat = first_order_update(F_hat, F_rec, config.observer_params)
             else:
@@ -448,22 +455,24 @@ def run_closed_loop(config: SimConfig) -> SimLog:
                 )
                 F_prev = F_rec
 
-        log_y[k], log_meas[k], log_hat[k] = y_true, y_meas, y_hat
-
+        u = zero
         if k < n_steps:
-            e_y_hat = y_hat - y_d[k]
+            y_d_future = (y_d_at[k + nu, 0], y_d_at[k + nu, 1])
             if config.control_law == "fts":
-                u = control_law_fts(y_d[k + nu], F_hat, e_y_hat, gains)
+                e_y_hat = (y_hat[0] - y_d_at[k, 0], y_hat[1] - y_d_at[k, 1])
+                u = control_law_fts(y_d_future, F_hat, e_y_hat, gains)
             else:
-                u = control_law_basic(y_d[k + nu], F_hat, gains)
+                u = control_law_basic(y_d_future, F_hat, gains)
             plant.step(u)
-            log_u[k] = u
+            u_sent[k % nu] = u
+        log[k] = (*y, *y_meas, *y_hat, *F_rec, *F_seen, *u)
 
-    # the errors are differences of logged rows, the same bits as per tick
+    # the errors are differences of logged columns
     y_d = y_d[:n_records]
+    y, F, F_hat = log[:, 0:2], log[:, 6:8], log[:, 8:10]
     return SimLog(
-        t=t, y=log_y, y_meas=log_meas, y_hat=log_hat, y_d=y_d, e_y=log_y - y_d,
-        F=log_F, F_hat=log_Fhat, e_F=log_Fhat - log_F, u=log_u,
+        t=dt * np.arange(n_records), y=y, y_meas=log[:, 2:4], y_hat=log[:, 4:6], y_d=y_d,
+        e_y=y - y_d, F=F, F_hat=F_hat, e_F=F_hat - F, u=log[:, 10:12],
     )
 
 
@@ -561,9 +570,8 @@ def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
     worst = 0.0
     for i in range(0, n, n // 100):
         p = HolderGainParams(exponent=float(r[i]), scale=float(lam[i]))
-        e = np.array([math.sqrt(V[i]), 0.0])
         g = gamma_of_V(V[i], p)
-        d = holder_gain(e, p)
+        d = holder_gain((math.sqrt(V[i]), 0.0), p)
         worst = max(worst, abs(g - gamma[i]) / max(1.0, g), abs(d - D[i]))
     results.append(
         PropertyResult("public-function cross-check", 100, worst, worst <= 1e-12)
@@ -644,22 +652,30 @@ _CONVERGENCE_BUDGET = 25_000
 _CONVERGENCE_TOL = 1e-9
 
 
+def _uniform_pair(rng: np.random.Generator, low: float, high: float) -> Pair:
+    """Two uniform draws as a pair of floats."""
+    v0, v1 = rng.uniform(low, high, 2).tolist()
+    return v0, v1
+
+
 def _suite_observer1(rng: np.random.Generator, n: int = 50) -> List[PropertyResult]:
     worst_err = 0.0
     worst_ident = 0.0
     for _ in range(n):
-        F_const = rng.uniform(-5, 5, 2)
-        F_hat = F_const + rng.uniform(-10, 10, 2)
-        e_pred = F_hat - F_const
+        c0, c1 = F_const = _uniform_pair(rng, -5, 5)
+        d0, d1 = _uniform_pair(rng, -10, 10)
+        F_hat = (c0 + d0, c1 + d1)
+        e_pred = (F_hat[0] - c0, F_hat[1] - c1)
         for _ in range(_CONVERGENCE_BUDGET):
             # error recursion evaluated independently of the state update
-            e_pred = holder_gain(e_pred, _OBS_PARAMS) * e_pred
+            g = holder_gain(e_pred, _OBS_PARAMS)
+            e_pred = (g * e_pred[0], g * e_pred[1])
             F_hat = first_order_update(F_hat, F_const, _OBS_PARAMS)
-            e = F_hat - F_const
-            worst_ident = max(worst_ident, float(np.max(np.abs(e - e_pred))))
-            if np.linalg.norm(e) < _CONVERGENCE_TOL:
+            e0, e1 = F_hat[0] - c0, F_hat[1] - c1
+            worst_ident = max(worst_ident, abs(e0 - e_pred[0]), abs(e1 - e_pred[1]))
+            if math.hypot(e0, e1) < _CONVERGENCE_TOL:
                 break
-        worst_err = max(worst_err, float(np.linalg.norm(e)))
+        worst_err = max(worst_err, math.hypot(e0, e1))
     return [
         PropertyResult(
             "constant-disturbance rejection below 1e-9", n, worst_err,
@@ -680,16 +696,16 @@ def _suite_observer2(rng: np.random.Generator, n: int = 20) -> List[PropertyResu
     budget = 4 * _CONVERGENCE_BUDGET
     level_tol = 1e-7
     for _ in range(n):
-        d = rng.uniform(-0.05, 0.05, 2)
-        F_hat, dF_hat, F_prev = rng.uniform(-5, 5, 2), np.zeros(2), None
+        d0, d1 = _uniform_pair(rng, -0.05, 0.05)
+        F_hat, dF_hat, F_prev = _uniform_pair(rng, -5, 5), (0.0, 0.0), None
         eF = eD = math.inf
         for k in range(budget):
-            F_k = float(k) * d
+            F_k = (k * d0, k * d1)
             F_hat, dF_hat = second_order_update(F_hat, dF_hat, F_prev, F_k, _OBS_PARAMS)
             F_prev = F_k
             # after absorbing sample k the estimate predicts sample k+1
-            eF = float(np.linalg.norm(F_hat - float(k + 1) * d))
-            eD = float(np.linalg.norm(dF_hat - d))
+            eF = math.hypot(F_hat[0] - (k + 1) * d0, F_hat[1] - (k + 1) * d1)
+            eD = math.hypot(dF_hat[0] - d0, dF_hat[1] - d1)
             if eF < level_tol and eD < _CONVERGENCE_TOL:
                 break
         worst_eF = max(worst_eF, eF)
@@ -713,25 +729,26 @@ def _suite_control(rng: np.random.Generator, n: int = 20) -> List[PropertyResult
             "sinusoid", G=G, amplitude=rng.uniform(0.1, 2.0, 2),
             freq=rng.uniform(0.01, 0.5, 2), y_init=rng.uniform(-1, 1, (1, 2)),
         )
-        F_hat = rng.uniform(-1, 1, 2)  # frozen imperfect estimate
-        y_d = rng.uniform(-1, 1, 2)
-        e_F = F_hat - plant.true_F(plant.k)
+        F_hat = _uniform_pair(rng, -1, 1)  # frozen imperfect estimate
+        y_d = _uniform_pair(rng, -1, 1)
+        e_F = np.subtract(F_hat, plant.true_F(plant.k))
         y_next = plant.step(control_law_basic(y_d, F_hat, gains))
-        worst_basic = max(worst_basic, float(np.max(np.abs((y_next - y_d) + e_F))))
+        worst_basic = max(worst_basic, float(np.max(np.abs(np.subtract(y_next, y_d) + e_F))))
 
-        e_y = plant.output - y_d
-        e_F = F_hat - plant.true_F(plant.k)
+        e_y = (plant.output[0] - y_d[0], plant.output[1] - y_d[1])
+        e_F = np.subtract(F_hat, plant.true_F(plant.k))
         y_next = plant.step(control_law_fts(y_d, F_hat, e_y, gains))
-        predicted = holder_gain(e_y, _CTRL_PARAMS) * e_y - e_F
-        worst_fts = max(worst_fts, float(np.max(np.abs((y_next - y_d) - predicted))))
+        predicted = holder_gain(e_y, _CTRL_PARAMS) * np.array(e_y) - e_F
+        worst_fts = max(worst_fts, float(np.max(np.abs(np.subtract(y_next, y_d) - predicted))))
 
         # perfect estimation: tracking error contracts to below tolerance
-        e_y = rng.uniform(-5, 5, 2)
+        e_y = _uniform_pair(rng, -5, 5)
         for _ in range(_CONVERGENCE_BUDGET):
-            e_y = holder_gain(e_y, _CTRL_PARAMS) * e_y
-            if np.linalg.norm(e_y) < _CONVERGENCE_TOL:
+            g = holder_gain(e_y, _CTRL_PARAMS)
+            e_y = (g * e_y[0], g * e_y[1])
+            if math.hypot(*e_y) < _CONVERGENCE_TOL:
                 break
-        worst_conv = max(worst_conv, float(np.linalg.norm(e_y)))
+        worst_conv = max(worst_conv, math.hypot(*e_y))
     return [
         PropertyResult("basic-law identity e_y = -e_F", n, worst_basic,
                        worst_basic <= 1e-10),
@@ -749,16 +766,18 @@ def _suite_robustness(rng: np.random.Generator) -> List[PropertyResult]:
         decrease_bad = 0
         worst = 0.0
         for _ in range(n_runs):
-            F = rng.standard_normal(2)
-            F_hat = F + rng.uniform(-3, 3, 2)
+            F = tuple(rng.standard_normal(2).tolist())
+            d0, d1 = _uniform_pair(rng, -3, 3)
+            F_hat = (F[0] + d0, F[1] + d1)
             norm = math.inf
-            for k in range(n_steps):
+            # the same stream as one (2,) draw a step
+            for k, (s0, s1) in enumerate(rng.standard_normal((n_steps, 2)).tolist()):
                 prev_norm = norm
-                step = rng.standard_normal(2)
-                F = F + step * (B / np.linalg.norm(step))
+                r = B / math.hypot(s0, s1)
+                F = (F[0] + s0 * r, F[1] + s1 * r)
                 F_hat = first_order_update(F_hat, F, _OBS_PARAMS)
-                e = F_hat - F
-                norm = float(np.linalg.norm(e))
+                e = (F_hat[0] - F[0], F_hat[1] - F[1])
+                norm = math.hypot(*e)
                 gain = holder_gain(e, _OBS_PARAMS)
                 margin = decrease_radius(gain) * norm
                 if margin > B and norm > prev_norm + 1e-12:

@@ -13,23 +13,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fts_core import DomainError, HolderGainParams, holder_gain
+from .fts_core import DomainError, HolderGainParams, Pair, holder_gain
 
 # Rank tolerance: smallest singular value relative to the largest.
 RANK_RTOL = 1e-12
 
 
-def solve_input(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve G u = rhs for the 2 x 2 influence matrix G that ControlGains checked."""
-    return np.linalg.solve(G, rhs)
+def solve_input(G, rhs: Pair) -> Pair:
+    """Solve G u = rhs by Cramer's rule; G is the 2 x 2 rows ((a, b), (c, d)) that
+    ControlGains checked, so the determinant is not re-checked here."""
+    (a, b), (c, d) = G
+    r0, r1 = rhs
+    det = a * d - b * c
+    return ((d * r0 - b * r1) / det, (a * r1 - c * r0) / det)
 
 
 @dataclass(frozen=True)
 class ControlGains:
-    """Tracking-law gains: sigmoid params (exponent, scale) and influence matrix."""
+    """Tracking-law gains: sigmoid params (exponent, scale) and influence matrix.
+
+    G is checked once for shape and rank and kept as rows of floats.
+    """
 
     params: HolderGainParams
-    G: np.ndarray
+    G: tuple
 
     def __post_init__(self) -> None:
         G = np.asarray(self.G, dtype=float)
@@ -38,29 +45,27 @@ class ControlGains:
         sv = np.linalg.svd(G, compute_uv=False)
         if not sv[-1] > RANK_RTOL * sv[0]:
             raise DomainError("G must have full rank")
-        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "G", tuple(map(tuple, G.tolist())))
 
 
-def control_law_basic(y_d_future, F_hat, gains: ControlGains) -> np.ndarray:
+def control_law_basic(y_d_future: Pair, F_hat: Pair, gains: ControlGains) -> Pair:
     """Input solving G u = y^d_{k+nu} - F_hat.
 
     With a perfect estimate the output lands exactly on the desired sample;
     in general the tracking error at k+nu equals minus the estimation error.
     """
-    y_d_future = np.asarray(y_d_future, dtype=float)
-    F_hat = np.asarray(F_hat, dtype=float)
-    return solve_input(gains.G, y_d_future - F_hat)
+    return solve_input(gains.G, (y_d_future[0] - F_hat[0], y_d_future[1] - F_hat[1]))
 
 
-def control_law_fts(y_d_future, F_hat, e_y_recent, gains: ControlGains) -> np.ndarray:
+def control_law_fts(y_d_future: Pair, F_hat: Pair, e_y_recent: Pair,
+                    gains: ControlGains) -> Pair:
     """Input solving G u = y^d_{k+nu} - F_hat + gain(e_y)*e_y.
 
     e_y_recent is the newest available (possibly filtered) tracking error.
     The closed loop then satisfies
     e^y_{k+nu} + e^F_k = gain(e^y_recent) * e^y_recent.
     """
-    y_d_future = np.asarray(y_d_future, dtype=float)
-    F_hat = np.asarray(F_hat, dtype=float)
-    e_y = np.asarray(e_y_recent, dtype=float)
-    correction = holder_gain(e_y, gains.params) * e_y
-    return solve_input(gains.G, y_d_future - F_hat + correction)
+    e0, e1 = e_y_recent
+    g = holder_gain(e_y_recent, gains.params)
+    return solve_input(gains.G, (y_d_future[0] - F_hat[0] + g * e0,
+                                 y_d_future[1] - F_hat[1] + g * e1))

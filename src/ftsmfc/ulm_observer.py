@@ -9,35 +9,37 @@ ramp (affine-in-step) disturbance terms.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
-import numpy as np
-
-from .fts_core import DomainError, HolderGainParams, holder_gain
+from .fts_core import DomainError, HolderGainParams, Pair, holder_gain
 
 
-def compute_F(y_k_plus_nu: np.ndarray, G_k: np.ndarray, u_k: np.ndarray) -> np.ndarray:
-    """Reconstruct the unknown term: F_k = y_{k+nu} - G_k u_k."""
-    return y_k_plus_nu - G_k @ u_k
+def compute_F(y_k_plus_nu: Pair, G_k, u_k: Pair) -> Pair:
+    """Reconstruct the unknown term: F_k = y_{k+nu} - G_k u_k, G_k as rows ((a, b), (c, d))."""
+    (a, b), (c, d) = G_k
+    u0, u1 = u_k
+    y0, y1 = y_k_plus_nu
+    return (y0 - (a * u0 + b * u1), y1 - (c * u0 + d * u1))
 
 
-def first_order_update(F_hat: np.ndarray, F_k, params: HolderGainParams) -> np.ndarray:
+def first_order_update(F_hat: Pair, F_k: Pair, params: HolderGainParams) -> Pair:
     """Advance the first-order observer one step on a reconstructed sample.
 
     New estimate: F_hat' = gain(e)*e + F_k with e = F_hat - F_k.  The error
     then evolves as e' = gain(e)*e - (F_{k+1} - F_k).
     """
-    F_k = np.asarray(F_k, dtype=float)
-    if not np.all(np.isfinite(F_k)):
+    f0, f1 = F_k
+    if not (math.isfinite(f0) and math.isfinite(f1)):
         raise DomainError("first_order_update: sample has non-finite components")
-    e = F_hat - F_k
-    return holder_gain(e, params) * e + F_k
+    e = (F_hat[0] - f0, F_hat[1] - f1)
+    g = holder_gain(e, params)
+    return (g * e[0] + f0, g * e[1] + f1)
 
 
 def second_order_update(
-    F_hat: np.ndarray, dF_hat: np.ndarray, F_prev: Optional[np.ndarray], F_k,
-    params: HolderGainParams,
-) -> Tuple[np.ndarray, np.ndarray]:
+    F_hat: Pair, dF_hat: Pair, F_prev: Optional[Pair], F_k: Pair, params: HolderGainParams,
+) -> Tuple[Pair, Pair]:
     """Advance the second-order observer one step; returns (F_hat', dF_hat').
 
     F_prev is the previous reconstructed sample; it is None on the first
@@ -50,15 +52,16 @@ def second_order_update(
     so the estimation error evolves as
     e' = gain(e)*e + gain(e_delta)*e_delta - (second difference of F).
     """
-    F_k = np.asarray(F_k, dtype=float)
-    if not np.all(np.isfinite(F_k)):
+    f0, f1 = F_k
+    if not (math.isfinite(f0) and math.isfinite(f1)):
         raise DomainError("second_order_update: sample has non-finite components")
-    e_F = F_hat - F_k
+    e = (F_hat[0] - f0, F_hat[1] - f1)
     if F_prev is not None:
-        dF_prev = F_k - F_prev
-        e_delta = dF_hat - dF_prev
-        dF_hat_next = holder_gain(e_delta, params) * e_delta + dF_prev
+        d0, d1 = f0 - F_prev[0], f1 - F_prev[1]
+        e_delta = (dF_hat[0] - d0, dF_hat[1] - d1)
+        g = holder_gain(e_delta, params)
+        dF_next = (g * e_delta[0] + d0, g * e_delta[1] + d1)
     else:
-        dF_hat_next = np.zeros_like(F_k)
-    F_hat_next = holder_gain(e_F, params) * e_F + F_k + dF_hat_next
-    return F_hat_next, dF_hat_next
+        dF_next = (0.0, 0.0)
+    g = holder_gain(e, params)
+    return (g * e[0] + f0 + dF_next[0], g * e[1] + f1 + dF_next[1]), dF_next

@@ -136,16 +136,16 @@ class TestCriterion3:
         "1e-9 needs ~1e6 steps, not 1000; see README, Acceptance status",
     )
     def test_ramp_rejection_within_1000_steps(self, capsys):
-        c, d = np.array([0.4, -0.7]), np.array([0.01, -0.02])
-        F_hat, dF_hat, F_prev = np.array([3.0, -2.0]), np.zeros(2), None
+        (c0, c1), (d0, d1) = (0.4, -0.7), (0.01, -0.02)
+        F_hat, dF_hat, F_prev = (3.0, -2.0), (0.0, 0.0), None
         budget = 120_000
         step_delta = step_F = None
         for k in range(budget):
-            F_k = c + float(k) * d
+            F_k = (c0 + k * d0, c1 + k * d1)
             F_hat, dF_hat = second_order_update(F_hat, dF_hat, F_prev, F_k, OBS)
             F_prev = F_k
-            eD = np.linalg.norm(dF_hat - d)
-            eF = np.linalg.norm(F_hat - (c + float(k + 1) * d))
+            eD = math.hypot(dF_hat[0] - d0, dF_hat[1] - d1)
+            eF = math.hypot(F_hat[0] - (c0 + (k + 1) * d0), F_hat[1] - (c1 + (k + 1) * d1))
             if step_delta is None and eD < 1e-9:
                 step_delta = k
             if step_delta is not None and step_F is None and eF < 1e-9:
@@ -195,12 +195,12 @@ class TestCriterion4:
             per_B.append(f"B={B}: {violations}/{n_runs * horizon}")
             total_violations += violations
         # spot-check the batched update against the public observer
-        F_hat = np.array([1.2, -0.4])
+        F_hat = (1.2, -0.4)
         batch = np.array([[1.2, -0.4]])
-        sample = np.array([0.3, 0.1])
+        sample = (0.3, 0.1)
         for _ in range(20):
             F_hat = first_order_update(F_hat, sample, OBS)
-            batch, _, _ = _vector_observer_step(batch, sample[None, :], OBS)
+            batch, _, _ = _vector_observer_step(batch, np.array([sample]), OBS)
             np.testing.assert_allclose(batch[0], F_hat, atol=1e-12)
         ok = total_violations == 0
         _emit(
@@ -323,7 +323,7 @@ class TestCriterion7:
 
         # all three gains are exactly -1 at the origin
         exact = all(
-            holder_gain(np.zeros(2), p) == -1.0 for p in (OBS, CTRL, FILT)
+            holder_gain((0.0, 0.0), p) == -1.0 for p in (OBS, CTRL, FILT)
         )
         checks.append(("gains at origin = -1", 0.0 if exact else 1.0, exact))
 

@@ -26,7 +26,7 @@ class TestHolderGainParams:
     def test_valid_ranges(self):
         HolderGainParams(exponent=1.5, scale=0.1)
         HolderGainParams(exponent=1.01, scale=1e-6, weight=2.1)
-        HolderGainParams(exponent=1.99, scale=1e6, weight=np.eye(3))
+        HolderGainParams(exponent=1.99, scale=1e6, weight=np.eye(2))
 
     @pytest.mark.parametrize("exponent", [1.0, 2.0, 0.5, 3.0, float("nan")])
     def test_exponent_out_of_range(self, exponent):
@@ -47,6 +47,9 @@ class TestHolderGainParams:
             HolderGainParams(
                 exponent=1.5, scale=1.0, weight=np.array([[1.0, 0.0], [0.0, -1.0]])
             )
+        # two channels: the weight is 2 x 2
+        with pytest.raises(DomainError, match="2 x 2"):
+            HolderGainParams(exponent=1.5, scale=1.0, weight=np.eye(3))
 
     def test_holder_power(self):
         assert HolderGainParams(exponent=9 / 7, scale=1.5).holder_power == pytest.approx(
@@ -56,8 +59,11 @@ class TestHolderGainParams:
 
 class TestHolderGain:
     def test_zero_vector_is_exactly_minus_one(self):
-        for dim in (1, 2, 5):
-            assert holder_gain(np.zeros(dim), OBS) == -1.0
+        assert holder_gain((0.0, 0.0), OBS) == -1.0
+        # the gain takes a pair; other lengths are rejected
+        for dim in (1, 5):
+            with pytest.raises(ValueError):
+                holder_gain(np.zeros(dim), OBS)
 
     def test_unit_vector_oracle(self):
         # x = 1 so gain = (1 - 1.5)/(1 + 1.5)

@@ -33,7 +33,7 @@ class TestPendulumPhysics:
 
     def test_mass_matrix_spd_everywhere(self):
         for theta in np.linspace(-math.pi, math.pi, 50):
-            M = mass_matrix(float(theta), P)
+            M = np.array(mass_matrix(float(theta), P))
             np.testing.assert_allclose(M, M.T)
             assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -224,7 +224,7 @@ class TestSyntheticPlants:
         a = SyntheticUlmPlant("random-walk", G=np.eye(2), bound=0.1, seed=42)
         b = SyntheticUlmPlant("random-walk", G=np.eye(2), bound=0.1, seed=42)
         for k in range(1, 20):
-            step = a.true_F(k) - a.true_F(k - 1)
+            step = np.subtract(a.true_F(k), a.true_F(k - 1))
             assert np.linalg.norm(step) == pytest.approx(0.1, rel=1e-12)
             np.testing.assert_array_equal(a.true_F(k), b.true_F(k))
 

@@ -106,9 +106,19 @@ class TestSimConfig:
             make_config(dt=dt, T=T)
 
     def test_unknown_plant_kind_rejected(self):
-        config = make_config(**{"plant.kind": "chirp"})
-        with pytest.raises(ConfigError):
-            run_closed_loop(config)
+        with pytest.raises(ConfigError, match="plant.kind: unknown value 'chirp'"):
+            run_closed_loop(make_config(**{"plant.kind": "chirp"}))
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [({"plant.spec.n": 3}, "plant.spec.n"),
+         ({"plant.spec.slope": [0.1, 0.0]}, "plant.spec.slope"),
+         ({"plant.kind": "random-walk", "plant.spec.bound": 0.1}, "plant.spec.const")],
+        ids=["n", "constant-with-slope", "random-walk-with-const"],
+    )
+    def test_plant_spec_keys_checked_per_kind(self, overrides, key):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{key}'")):
+            make_config(**overrides)
 
     def test_file_trajectory_requires_path(self):
         with pytest.raises(ConfigError):
