@@ -168,15 +168,15 @@ def fts_recursion(
         raise DomainError("max_steps must be non-negative")
     V, eta, alpha = float(V0), float(eta), float(alpha)
     vals = [V]
-    n = 0
-    while V > 0.0 and n < max_steps:
-        V = max(0.0, V - eta * V ** alpha)
-        vals.append(V)
-        n += 1
-    values = np.asarray(vals, dtype=float)
-    trace = LyapunovTrace(values=values, alpha=alpha, eta=eta)
-    N = len(values) - 1 if values[-1] == 0.0 else None
-    return trace, N
+    append = vals.append
+    for _ in range(max_steps if V > 0.0 else 0):
+        V = V - eta * V ** alpha
+        if not V > 0.0:  # max(0.0, V) for negatives, -0.0 and nan alike
+            append(0.0)
+            break
+        append(V)
+    trace = LyapunovTrace(values=np.asarray(vals, dtype=float), alpha=alpha, eta=eta)
+    return trace, (len(vals) - 1 if vals[-1] == 0.0 else None)
 
 
 def _eval_gamma(gamma_fn: Callable, V: np.ndarray) -> np.ndarray:

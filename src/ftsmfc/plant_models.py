@@ -275,9 +275,8 @@ class SyntheticUlmPlant:
             self._freq = _pair(freq, kind, "freq")
         elif kind == "random-walk":
             self._bound = float(_required(bound, kind, "bound"))
-            rng = np.random.default_rng(_required(seed, kind, "seed"))
-            self._rng = rng
-            self._walk = [tuple(rng.standard_normal(2).tolist())]
+            self._seed, self._walk_k = _required(seed, kind, "seed"), math.inf
+            self.true_F(0)  # starts the walk, so a bad seed fails here
         else:
             raise ValueError(f"unknown synthetic plant kind: {kind!r}")
 
@@ -290,12 +289,15 @@ class SyntheticUlmPlant:
         if self.kind == "sinusoid":
             (a0, a1), (f0, f1) = self._amp, self._freq
             return (a0 * math.sin(f0 * k), a1 * math.sin(f1 * k))
-        while len(self._walk) <= k:
+        if k < self._walk_k:  # only the current position is kept: replay from the seed
+            self._rng = np.random.default_rng(self._seed)
+            self._walk_k, self._walk_F = 0, tuple(self._rng.standard_normal(2).tolist())
+        while self._walk_k < k:
             s0, s1 = self._rng.standard_normal(2).tolist()
             r = self._bound / math.hypot(s0, s1)
-            w0, w1 = self._walk[-1]
-            self._walk.append((w0 + s0 * r, w1 + s1 * r))
-        return self._walk[k]
+            w0, w1 = self._walk_F
+            self._walk_k, self._walk_F = self._walk_k + 1, (w0 + s0 * r, w1 + s1 * r)
+        return self._walk_F
 
     @property
     def output(self) -> Pair:

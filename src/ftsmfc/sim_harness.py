@@ -56,14 +56,17 @@ CSV_HEADER = (
 )
 # What generate-trajectory writes and trajectory source 'file' reads.
 TRAJECTORY_HEADER = "t,x_d,theta_d"
+CSV_BLOCK_ROWS = 256  # rows per `%` in write_csv: fast, and memory stays flat
 
 
 def write_csv(path: str, header: str, columns) -> None:
-    """Write the columns side by side under header, floats to 17 significant digits."""
+    """Write the columns side by side under header, each float as `%.17g`, a block at a time."""
     table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+        for block in np.split(table, range(CSV_BLOCK_ROWS, len(table), CSV_BLOCK_ROWS)):
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _as_float(value, what: str) -> float:

@@ -194,14 +194,6 @@ class TestCriterion4:
                     violations += int(np.count_nonzero(rho * norms > B))
             per_B.append(f"B={B}: {violations}/{n_runs * horizon}")
             total_violations += violations
-        # spot-check the batched update against the public observer
-        F_hat = (1.2, -0.4)
-        batch = np.array([[1.2, -0.4]])
-        sample = (0.3, 0.1)
-        for _ in range(20):
-            F_hat = first_order_update(F_hat, sample, OBS)
-            batch, _, _ = _vector_observer_step(batch, np.array([sample]), OBS)
-            np.testing.assert_allclose(batch[0], F_hat, atol=1e-12)
         ok = total_violations == 0
         _emit(
             capsys,
@@ -210,6 +202,26 @@ class TestCriterion4:
             f"violations {'; '.join(per_B)}",
         )
         assert ok
+
+    def test_batched_observer_matches_first_order_update(self):
+        # _vector_observer_step has no weight: it stands for the observer
+        # only while OBS is unweighted
+        assert OBS.weight is None
+        rng = np.random.default_rng(20240816)
+        n_runs = 24
+        F = rng.standard_normal((n_runs, 2))
+        batch = F + rng.uniform(-3, 3, (n_runs, 2))
+        batch[0] = F[0]  # an exact-zero error, kept by a still sample
+        F_hat = [tuple(row) for row in batch.tolist()]
+        for _ in range(20):
+            samples = [tuple(row) for row in F.tolist()]
+            F_hat = [first_order_update(f, s, OBS) for f, s in zip(F_hat, samples)]
+            batch, _, _ = _vector_observer_step(batch, F, OBS)
+            np.testing.assert_allclose(batch, F_hat, rtol=0.0, atol=1e-12)
+            step = 0.1 * rng.standard_normal((n_runs, 2))
+            step[0] = 0.0
+            F = F + step
+        assert batch[0].tolist() == list(F_hat[0]) == F[0].tolist()
 
 
 class TestCriterion5:

@@ -1,6 +1,7 @@
 """Unit tests for the truth models, trajectory generator, and noise waveform."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,30 @@ class TestSyntheticPlants:
             step = np.subtract(a.true_F(k), a.true_F(k - 1))
             assert np.linalg.norm(step) == pytest.approx(0.1, rel=1e-12)
             np.testing.assert_array_equal(a.true_F(k), b.true_F(k))
+
+    def test_random_walk_same_values_as_stored_walk(self):
+        # the whole walk kept in a list, as the plant once stored it
+        rng = np.random.default_rng(7)
+        walk = [tuple(rng.standard_normal(2).tolist())]
+        for _ in range(1999):
+            s0, s1 = rng.standard_normal(2).tolist()
+            r = 0.05 / math.hypot(s0, s1)
+            walk.append((walk[-1][0] + s0 * r, walk[-1][1] + s1 * r))
+        plant = SyntheticUlmPlant("random-walk", G=np.eye(2), bound=0.05, seed=7)
+        assert [plant.true_F(k) for k in range(2000)] == walk
+        # an earlier step replays the walk from the seed
+        for k in (1999, 3, 1000, 0, 1998):
+            assert plant.true_F(k) == walk[k]
+
+    def test_random_walk_keeps_only_the_current_step(self):
+        plant = SyntheticUlmPlant("random-walk", G=np.eye(2), bound=0.1, seed=42)
+        tracemalloc.start()
+        try:
+            plant.true_F(10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_step_semantics(self):
         G = np.array([[2.0, 0.0], [0.0, 3.0]])

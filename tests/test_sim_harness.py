@@ -2,6 +2,7 @@
 
 import copy
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ftsmfc.sim_harness import (
     compute_metrics,
     run_closed_loop,
     verify_suite,
+    write_csv,
 )
 
 BASE_DOC = {
@@ -366,6 +368,63 @@ class TestCsvOutput:
             run_closed_loop(config).to_csv(str(path))
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
+
+
+# Values whose `%.17g` text is easy to get wrong: the sign of zero, the
+# smallest subnormal, the switch to exponent notation, and extremes.
+_SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 1e17, 0.1, -1e-5, 1e300]
+
+
+def _random_magnitudes(n, seed=8):
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320.0, 308.0, n)
+
+
+def _oracle_csv(header, table) -> bytes:
+    """The writer's contract, one value at a time: each float as `%.17g`."""
+    lines = [header] + [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestWriteCsv:
+    # one block is 256 rows: one row, one short of a block, one block, one
+    # past it, and two blocks and one row
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("n_cols", [19, 3])
+    def test_bytes_match_per_value_format(self, tmp_path, n_rows, n_cols):
+        values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000)])
+        table = np.resize(values, (n_rows, n_cols))
+        path = tmp_path / "out.csv"
+        write_csv(str(path), "h", (table[:, :1], table[:, 1:]))
+        assert path.read_bytes() == _oracle_csv("h", table)
+
+    def test_every_random_magnitude_matches(self, tmp_path):
+        values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000, seed=9)])
+        table = np.resize(values, (-(-len(values) // 19), 19))
+        path = tmp_path / "out.csv"
+        write_csv(str(path), CSV_HEADER, (table,))
+        assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
+
+    def test_log_matches_per_value_format(self, tmp_path):
+        log = run_closed_loop(make_config(**{"noise.enabled": True, "filter.enabled": True}))
+        path = tmp_path / "out.csv"
+        log.to_csv(str(path))
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
+
+    def test_streams_in_blocks(self, tmp_path):
+        # the writer's own copy of the table plus one block's strings; a
+        # single `%` over the whole table needs about 6 MB more
+        table = _random_magnitudes(5000 * 19).reshape(5000, 19)
+        path = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            write_csv(str(path), CSV_HEADER, (table,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + 2**20
+        assert path.read_bytes().count(b"\n") == 5001
 
 
 class TestComputeMetrics:
