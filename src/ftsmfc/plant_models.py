@@ -17,9 +17,10 @@ relative degree is 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -115,35 +116,36 @@ def open_loop_input(theta: float, thetadot: float, params: PendulumParams) -> Pa
     return (force, torque)
 
 
-def generate_desired_trajectory(
-    init,
-    T: float,
-    dt: float,
-    params: PendulumParams,
-    n_extra: int = 0,
-) -> np.ndarray:
-    """Propagate the pendulum under the open-loop inputs sampled every dt.
+def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
+    """Yield the desired outputs y_0, y_1, ... of the pendulum under the open-loop inputs.
 
-    init is (x, theta, xdot, thetadot).  Returns floor(T/dt) + 1 + n_extra
-    output samples of shape (count, 2); the initial generalized velocity is
-    folded into the lifted state via y_1 = y_0 + dt*qdot_0.
+    init is (x, theta, xdot, thetadot) and dt > 0; the initial generalized
+    velocity is folded into the lifted state via y_1 = y_0 + dt*qdot_0.  Each
+    sample past y_1 costs one plant step, taken only when it is requested.
+    A bad init raises ValueError at the first request; sample k leaving the
+    admissible region raises DivergenceError with step_index k.
     """
+    plant = PendulumPlant(init, dt, params)
+    yield plant.y_prev
+    yield plant.y_curr
+    for k in itertools.count(2):
+        thetadot = (plant.y_curr[1] - plant.y_prev[1]) / dt
+        try:
+            y = plant.step(open_loop_input(plant.y_prev[1], thetadot, params))
+        except DivergenceError:
+            raise DivergenceError(f"trajectory generation diverged at step {k}", step_index=k)
+        yield y
+
+
+def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams) -> np.ndarray:
+    """The first floor(T/dt) + 1 samples of desired_samples, of shape (count, 2)."""
     if not (T >= 0.0 and dt > 0.0):
         raise ValueError("require T >= 0 and dt > 0")
-    plant = PendulumPlant(init, dt, params)
-    count = int(math.floor(T / dt)) + 1 + int(n_extra)
-    samples = np.empty((count, 2))
-    samples[0] = plant.y_prev
-    if count == 1:
-        return samples
-    samples[1] = plant.y_curr
-    try:
-        for k in range(2, count):
-            thetadot = (plant.y_curr[1] - plant.y_prev[1]) / dt
-            samples[k] = plant.step(open_loop_input(plant.y_prev[1], thetadot, params))
-    except DivergenceError:
-        raise DivergenceError(f"trajectory generation diverged at step {k}", step_index=k)
-    return samples
+    count = int(math.floor(T / dt)) + 1
+    samples = itertools.chain.from_iterable(
+        itertools.islice(desired_samples(init, dt, params), count)
+    )
+    return np.fromiter(samples, dtype=float, count=2 * count).reshape(count, 2)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ time-stamped later than its computation instant.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -39,7 +40,7 @@ from .plant_models import (
     PendulumParams,
     PendulumPlant,
     SyntheticUlmPlant,
-    generate_desired_trajectory,
+    desired_samples,
     noise_sample,
 )
 from .tracking_control import ControlGains, control_law_basic, control_law_fts
@@ -70,8 +71,8 @@ def write_csv(path: str, header: str, columns) -> None:
 
 
 def _as_float(value, what: str) -> float:
-    """Accept a finite number or a fraction string like '9/7'."""
-    if not isinstance(value, (str, int, float)):
+    """Accept a finite number or a fraction string like '9/7'; a YAML true/false is no number."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigError(f"{what}: expected a number, got {value!r}")
     try:
         number = float(Fraction(value) if isinstance(value, str) else value)
@@ -256,11 +257,11 @@ class SimConfig:
         kind = kwargs["plant_kind"] = _choice(plant, "kind", _PLANT_KINDS, "plant.kind")
         _reject_unknown(plant, ("kind", "params" if kind == "pendulum" else "spec"), "plant.")
         params = _section(plant, "params", prefix="plant.")
+        _reject_unknown(params, [f.name for f in fields(PendulumParams)], "plant.params.")
+        params = {k: _as_float(v, f"plant.params.{k}") for k, v in params.items()}
         try:
-            kwargs["plant_params"] = PendulumParams(
-                **{k: _as_float(v, f"plant.params.{k}") for k, v in params.items()}
-            )
-        except (TypeError, ValueError) as exc:
+            kwargs["plant_params"] = PendulumParams(**params)
+        except ValueError as exc:
             raise ConfigError(f"plant.params: {exc}") from exc
         section = _section(plant, "spec", prefix="plant.")
         _reject_unknown(section, ("G", "nu", "y_init") + _SPEC_KEYS.get(kind, ()), "plant.spec.")
@@ -303,12 +304,12 @@ class SimConfig:
 
         noise = _section(doc, "noise")
         kwargs["noise_enabled"] = _as_bool(noise.get("enabled", True), "noise.enabled")
-        fields = {}
+        noise_fields = {}
         for name in _NOISE_FIELDS:
             if name in noise:
-                fields[name] = _as_vector(noise[name], 2, f"noise.{name}")
+                noise_fields[name] = _as_vector(noise[name], 2, f"noise.{name}")
         try:
-            kwargs["noise"] = NoiseConfig(**fields)
+            kwargs["noise"] = NoiseConfig(**noise_fields)
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from exc
 
@@ -385,46 +386,46 @@ def _build_plant(config: SimConfig):
         raise ConfigError(f"plant: {exc}") from exc
 
 
-def _desired_trajectory(config: SimConfig, count: int) -> np.ndarray:
+def _desired_trajectory(config: SimConfig, count: int) -> Iterator[Pair]:
+    """The desired outputs y_d[0], y_d[1], ...; a file is read and checked for count rows here."""
     if config.trajectory_source == "zero":
-        return np.zeros((count, 2))
-    if config.trajectory_source == "file":
-        # the x_d,theta_d columns of the first count rows generate-trajectory wrote
-        try:
-            with open(config.trajectory_path, "r") as fh:
-                header = fh.readline().rstrip("\n")
-                rows = [row.split(",") for row in itertools.islice(fh, count)]
-                table = np.array(rows, dtype=float)
-        except OSError as exc:
-            raise ConfigError(f"cannot read trajectory file: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse trajectory file: {exc}") from exc
-        if header != TRAJECTORY_HEADER:
-            raise ConfigError(f"trajectory file header {header!r} is not {TRAJECTORY_HEADER!r}")
-        if table.shape != (count, 3) or not np.all(np.isfinite(table)):
-            raise ConfigError(f"trajectory file needs {count} rows of 3 finite numbers")
-        return table[:, 1:]
-    extra = count - (config.n_steps + 1)
-    return generate_desired_trajectory(
-        config.trajectory_start, config.T, config.dt, config.plant_params, n_extra=extra
-    )
+        return itertools.repeat((0.0, 0.0))
+    if config.trajectory_source == "generated":
+        return desired_samples(config.trajectory_start, config.dt, config.plant_params)
+    # the x_d,theta_d columns of the first count rows generate-trajectory wrote
+    try:
+        with open(config.trajectory_path, "r") as fh:
+            header = fh.readline().rstrip("\n")
+            rows = [row.split(",") for row in itertools.islice(fh, count)]
+            table = np.array(rows, dtype=float)
+    except OSError as exc:
+        raise ConfigError(f"cannot read trajectory file: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse trajectory file: {exc}") from exc
+    if header != TRAJECTORY_HEADER:
+        raise ConfigError(f"trajectory file header {header!r} is not {TRAJECTORY_HEADER!r}")
+    if table.shape != (count, 3) or not np.all(np.isfinite(table)):
+        raise ConfigError(f"trajectory file needs {count} rows of 3 finite numbers")
+    # row by row, so the run holds the table and not a list of it
+    return map(tuple, map(np.ndarray.tolist, table[:, 1:]))
 
 
 def run_closed_loop(config: SimConfig) -> SimLog:
     """Run one deterministic closed-loop experiment and return its log.
 
     Every signal in the loop is a pair of floats.  Raises DivergenceError
-    (with the step index) when the plant diverges, DomainError when a signal
-    turns non-finite, and ConfigError on inconsistent configuration.
+    (with the step index) when the plant or a generated desired trajectory
+    diverges, DomainError when a signal turns non-finite, and ConfigError on
+    inconsistent configuration.
     """
     plant = _build_plant(config)
     nu = plant.nu
     n_steps = config.n_steps
     n_records = n_steps + 1
-    # u_k reads y_d[k + nu] up to k = n_steps - 1
-    y_d = _desired_trajectory(config, n_steps + nu)
-    # y_d_at[k, i] reads one sample as a float without converting the whole trajectory
-    y_d_at = memoryview(np.ascontiguousarray(y_d))
+    # u_k reads y_d[k + nu] up to k = n_steps - 1; each sample is taken when first read,
+    # so a run that diverges at tick k asks for no desired sample past k + nu
+    desired = _desired_trajectory(config, n_steps + nu)
+    y_d_ahead = collections.deque(itertools.islice(desired, nu))  # y_d[k .. k + nu - 1]
 
     dt, gains, zero = config.dt, config.gains, (0.0, 0.0)
     # loop state: the filtered output and the measurement it was made against,
@@ -434,8 +435,8 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     F_hat, dF_hat, F_prev = zero, zero, None
     u_sent = [zero] * nu
 
-    # one row a tick: y, y_meas, y_hat, F, F_hat (before the update), u
-    log = np.empty((n_records, 12))
+    # one row a tick: y, y_meas, y_hat, y_d, F, F_hat (before the update), u
+    log = np.empty((n_records, 14))
     for k in range(n_records):
         y = plant.output
         eta = noise_sample(dt * k, config.noise) if config.noise_enabled else zero
@@ -458,24 +459,25 @@ def run_closed_loop(config: SimConfig) -> SimLog:
                 )
                 F_prev = F_rec
 
+        y_d = y_d_ahead.popleft()
         u = zero
         if k < n_steps:
-            y_d_future = (y_d_at[k + nu, 0], y_d_at[k + nu, 1])
+            y_d_future = next(desired)
+            y_d_ahead.append(y_d_future)
             if config.control_law == "fts":
-                e_y_hat = (y_hat[0] - y_d_at[k, 0], y_hat[1] - y_d_at[k, 1])
+                e_y_hat = (y_hat[0] - y_d[0], y_hat[1] - y_d[1])
                 u = control_law_fts(y_d_future, F_hat, e_y_hat, gains)
             else:
                 u = control_law_basic(y_d_future, F_hat, gains)
             plant.step(u)
             u_sent[k % nu] = u
-        log[k] = (*y, *y_meas, *y_hat, *F_rec, *F_seen, *u)
+        log[k] = (*y, *y_meas, *y_hat, *y_d, *F_rec, *F_seen, *u)
 
     # the errors are differences of logged columns
-    y_d = y_d[:n_records]
-    y, F, F_hat = log[:, 0:2], log[:, 6:8], log[:, 8:10]
+    y, y_d, F, F_hat = log[:, 0:2], log[:, 6:8], log[:, 8:10], log[:, 10:12]
     return SimLog(
         t=dt * np.arange(n_records), y=y, y_meas=log[:, 2:4], y_hat=log[:, 4:6], y_d=y_d,
-        e_y=y - y_d, F=F, F_hat=F_hat, e_F=F_hat - F, u=log[:, 10:12],
+        e_y=y - y_d, F=F, F_hat=F_hat, e_F=F_hat - F, u=log[:, 12:14],
     )
 
 

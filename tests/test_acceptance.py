@@ -39,12 +39,22 @@ def _emit(capsys, text: str) -> None:
         print(text)
 
 
+def _batched_gain(e, params):
+    """holder_gain of each row of e, for a batch of independent runs.
+
+    The weighted form e^T W e is spelt as in holder_gain; the power is
+    np.power, which may differ from holder_gain in the last bits.
+    """
+    e0, e1 = e[:, 0], e[:, 1]
+    q = params.w00 * e0 * e0 + 2.0 * params.w01 * e0 * e1 + params.w11 * e1 * e1
+    x = np.power(q, params.holder_power, out=np.zeros_like(q), where=q > 0.0)
+    return (x - params.scale) / (x + params.scale)
+
+
 def _vector_observer_step(F_hat, F, params):
     """Row-wise first-order observer update for a batch of independent runs."""
     e = F_hat - F
-    q = np.einsum("ij,ij->i", e, e)
-    x = np.power(q, params.holder_power, out=np.zeros_like(q), where=q > 0.0)
-    D = (x - params.scale) / (x + params.scale)
+    D = _batched_gain(e, params)
     return D[:, None] * e + F, D, e
 
 
@@ -164,6 +174,25 @@ class TestCriterion3:
         assert ok
 
 
+class TestBatchedGain:
+    @pytest.mark.parametrize(
+        "params",
+        [OBS, CTRL, FILT,
+         HolderGainParams(exponent=1.5, scale=0.7, weight=[[2.0, 0.3], [0.3, 1.0]])],
+        ids=["OBS", "CTRL", "FILT", "matrix-weight"],
+    )
+    def test_matches_holder_gain(self, params):
+        # criteria 4 and 5 read every gain from _batched_gain, so a change to
+        # holder_gain or its parameters must reach them through this test
+        rng = np.random.default_rng(20240817)
+        e = rng.standard_normal((500, 2)) * 10.0 ** rng.uniform(-8, 3, (500, 1))
+        e[0] = 0.0
+        want = [holder_gain(row, params) for row in map(tuple, e.tolist())]
+        got = _batched_gain(e, params)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert got[0] == want[0] == -1.0
+
+
 class TestCriterion4:
     @pytest.mark.xfail(
         strict=True,
@@ -187,10 +216,7 @@ class TestCriterion4:
                 if k >= burn_in:
                     e = F_hat - F
                     norms = np.linalg.norm(e, axis=1)
-                    q = np.einsum("ij,ij->i", e, e)
-                    x = np.power(q, OBS.holder_power)
-                    D_now = (x - OBS.scale) / (x + OBS.scale)
-                    rho = 1.0 + np.abs(D_now)
+                    rho = 1.0 + np.abs(_batched_gain(e, OBS))
                     violations += int(np.count_nonzero(rho * norms > B))
             per_B.append(f"B={B}: {violations}/{n_runs * horizon}")
             total_violations += violations
@@ -204,9 +230,6 @@ class TestCriterion4:
         assert ok
 
     def test_batched_observer_matches_first_order_update(self):
-        # _vector_observer_step has no weight: it stands for the observer
-        # only while OBS is unweighted
-        assert OBS.weight is None
         rng = np.random.default_rng(20240816)
         n_runs = 24
         F = rng.standard_normal((n_runs, 2))
@@ -242,9 +265,7 @@ class TestCriterion5:
             entered = np.full(n_trials, -1)
             violations = np.zeros(n_trials, dtype=int)
             for k in range(horizon):
-                q = np.einsum("ij,ij->i", e, e)
-                x = np.power(q, CTRL.holder_power, out=np.zeros_like(q), where=q > 0.0)
-                C = (x - CTRL.scale) / (x + CTRL.scale)
+                C = _batched_gain(e, CTRL)
                 sigma = 1.0 + np.abs(C)
                 inside = sigma * np.linalg.norm(e, axis=1) <= B
                 newly = inside & (entered < 0)

@@ -135,6 +135,53 @@ class TestSimulate:
         assert rc == cli.EXIT_NUMERICAL
         assert _one_line(err, "numerical failure:").endswith("diverged at step 113")
 
+    def test_diverging_run_generates_only_the_samples_it_reads(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the plant diverges at tick 113, whose input reads y_d[113 + nu]; the
+        # generator takes one step for each of y_2 .. y_{113 + nu}
+        steps = []
+        open_loop_input = plant_models.open_loop_input
+
+        def counted(*args):
+            steps.append(1)
+            return open_loop_input(*args)
+
+        monkeypatch.setattr(plant_models, "open_loop_input", counted)
+        rc, _, err = _main(
+            capsys, "simulate", "--config", str(CONFIGS / "paper_experiment.yaml"),
+            "--out", str(tmp_path / "run.csv"),
+        )
+        assert rc == cli.EXIT_NUMERICAL
+        assert _one_line(err, "numerical failure:").endswith("plant diverged at step 113")
+        assert len(steps) == 113 + plant_models.PendulumPlant.nu - 1
+
+    def test_generated_trajectory_divergence_is_numerical_failure(self, tmp_path, capsys):
+        # y_d[k] = (k * 4e5, 0) leaves the admissible region at sample 3, which
+        # tick 1 reads before the plant has gone that far
+        doc = _doc("paper_experiment.yaml", T=1.0)
+        doc["trajectory"]["init"] = [0.0, 0.0, 4.0e7, 0.0]
+        rc, _, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, doc),
+            "--out", str(tmp_path / "run.csv"),
+        )
+        assert rc == cli.EXIT_NUMERICAL
+        assert _one_line(err, "numerical failure:").endswith(
+            "trajectory generation diverged at step 3"
+        )
+
+    def test_boolean_number_is_config_error(self, tmp_path, capsys):
+        # YAML reads `yes` as true, and a bool is no horizon
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(_short_constant(), sort_keys=False).replace(
+            "\nT: 0.5\n", "\nT: yes\n"
+        ))
+        rc, _, err = _main(
+            capsys, "simulate", "--config", str(config), "--out", str(tmp_path / "run.csv")
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert _one_line(err, "config error:") == "config error: T: expected a number, got True"
+
     def test_non_finite_signal_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         # a NaN in the config is a config error, so the plant's scripted
         # disturbance turns NaN here; the first per-tick update that sees it

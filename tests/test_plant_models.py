@@ -1,5 +1,6 @@
 """Unit tests for the truth models, trajectory generator, and noise waveform."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from ftsmfc.plant_models import (
     PendulumPlant,
     SyntheticUlmPlant,
     bias_vector,
+    desired_samples,
     generate_desired_trajectory,
     mass_matrix,
     noise_sample,
@@ -118,9 +120,13 @@ class TestDesiredTrajectory:
         np.testing.assert_array_equal(traj[0], [0.45, -0.14])
         np.testing.assert_allclose(traj[1], [0.45 - 0.003, -0.14 + 0.0005], atol=1e-15)
 
-    def test_n_extra(self):
-        traj = generate_desired_trajectory(self.INIT, 1.0, 0.01, P, n_extra=2)
-        assert traj.shape == (103, 2)
+    def test_rows_are_the_generator_prefix(self):
+        traj = generate_desired_trajectory(self.INIT, 5.0, 0.01, P)
+        samples = desired_samples(self.INIT, 0.01, P)
+        prefix = np.array(list(itertools.islice(samples, 501)))
+        assert prefix.tobytes() == traj.tobytes()
+        # and the generator goes on past the horizon
+        assert np.all(np.isfinite(next(samples)))
 
     def test_zero_horizon(self):
         traj = generate_desired_trajectory(self.INIT, 0.0, 0.01, P)
@@ -148,6 +154,11 @@ class TestDesiredTrajectory:
         init = [0.0, 0.0, 4.0e7, 0.0]
         with pytest.raises(DivergenceError, match=r"generation diverged at step 3$") as info:
             generate_desired_trajectory(init, 1.0, 0.01, P)
+        assert info.value.step_index == 3
+        samples = desired_samples(init, 0.01, P)
+        assert len(list(itertools.islice(samples, 3))) == 3
+        with pytest.raises(DivergenceError, match=r"generation diverged at step 3$") as info:
+            next(samples)
         assert info.value.step_index == 3
 
 

@@ -122,6 +122,19 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{key}'")):
             make_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [({"T": True}, "T"),
+         ({"controller.scale": True}, "controller.scale"),
+         ({"plant.spec.const": [True, False]}, "plant.spec.const"),
+         ({"plant": {"kind": "pendulum", "params": {"M_cart": True}}}, "plant.params.M_cart")],
+        ids=["T", "controller.scale", "plant.spec.const", "plant.params.M_cart"],
+    )
+    def test_boolean_is_not_a_number(self, overrides, key):
+        # YAML reads yes/true as a bool, which Python counts as the integer 1
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: expected a number, got True")):
+            make_config(**overrides)
+
     def test_file_trajectory_requires_path(self):
         with pytest.raises(ConfigError):
             make_config(**{"trajectory.source": "file"})
@@ -164,6 +177,10 @@ class TestStrictConfig:
         # plant.params is not read on a synthetic plant
         with pytest.raises(ConfigError, match=re.escape(repr(key))):
             make_config(**{key: 1.0})
+
+    def test_unknown_pendulum_param_is_named(self):
+        with pytest.raises(ConfigError, match=r"^unknown config key 'plant.params.mass'$"):
+            make_config(plant={"kind": "pendulum", "params": {"mass": 1.0}})
 
     def test_spec_on_pendulum_rejected(self):
         with pytest.raises(ConfigError, match="'plant.spec'"):
