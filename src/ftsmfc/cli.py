@@ -131,7 +131,9 @@ def _set_dotted(doc: dict, key: str, value) -> None:
     parts = key.split(".")
     node = doc
     for part in parts[:-1]:
-        node = node.setdefault(part, {})
+        if node.get(part) is None:  # a null section reads as empty
+            node[part] = {}
+        node = node[part]
         if not isinstance(node, dict):
             raise ConfigError(f"config key {key!r}: {part!r} is not a mapping")
     node[parts[-1]] = value
@@ -178,7 +180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fail("config error", exc, EXIT_CONFIG)
     except OSError as exc:
         return _fail("output error", exc, EXIT_CONFIG)
-    except (DivergenceError, DomainError, np.linalg.LinAlgError) as exc:
+    except (DivergenceError, DomainError) as exc:
         return _fail("numerical failure", exc, EXIT_NUMERICAL)
 
 

@@ -36,6 +36,7 @@ from .fts_core import (
 )
 from .output_filter import filter_update
 from .plant_models import (
+    DivergenceError,
     NoiseConfig,
     PendulumParams,
     PendulumPlant,
@@ -145,11 +146,27 @@ def _section(doc: dict, name: str, prefix: str = "") -> dict:
     return section
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a key repeated in one mapping, where the last would win."""
+
+    def construct_mapping(self, node, deep=False):
+        # the keys as written; a key may override one merged in by '<<'
+        written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node in written:
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise ConfigError(f"repeated key {key!r} at line {key_node.start_mark.line + 1}")
+            seen.add(key)
+        return mapping
+
+
 def load_doc(path: str) -> dict:
     """Read a YAML configuration document; an empty file reads as {}."""
     try:
         with open(path, "r") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -265,9 +282,10 @@ class SimConfig:
             raise ConfigError(f"plant.params: {exc}") from exc
         section = _section(plant, "spec", prefix="plant.")
         _reject_unknown(section, ("G", "nu", "y_init") + _SPEC_KEYS.get(kind, ()), "plant.spec.")
-        if kind != "pendulum" and "G" not in section:
-            raise ConfigError("missing required key 'plant.spec.G'")
-        spec = kwargs["plant_spec"] = dict(section)  # the plant checks y_init against nu
+        for key in (("G",) + _SPEC_KEYS[kind]) if kind != "pendulum" else ():
+            if key not in section:
+                raise ConfigError(f"missing required key 'plant.spec.{key}'")
+        spec = kwargs["plant_spec"] = dict(section)
         for key, value in section.items():
             what = f"plant.spec.{key}"
             if key in ("const", "slope", "amplitude", "freq"):
@@ -280,6 +298,15 @@ class SimConfig:
                 spec[key] = _as_float(value, what)
             elif key in ("nu", "seed") and type(value) is not int:
                 raise ConfigError(f"{what}: expected an integer, got {value!r}")
+        nu = spec.get("nu", 1)
+        if not 1 <= nu <= MAX_STEPS:
+            raise ConfigError(f"plant.spec.nu: expected 1 to {MAX_STEPS}, got {nu}")
+        if spec.get("seed", 0) < 0:
+            raise ConfigError(f"plant.spec.seed: expected a non-negative integer, "
+                              f"got {spec['seed']}")
+        if "y_init" in spec and spec["y_init"].shape != (nu, 2):
+            raise ConfigError(f"plant.spec.y_init: expected shape ({nu}, 2), "
+                              f"got {spec['y_init'].shape}")
 
         ctrl = _section(doc, "controller")
         kwargs["control_law"] = _choice(ctrl, "law", ("fts", "basic"), "controller.law")
@@ -380,10 +407,7 @@ class SimLog:
 def _build_plant(config: SimConfig):
     if config.plant_kind == "pendulum":
         return PendulumPlant(config.initial_state, config.dt, config.plant_params)
-    try:
-        return SyntheticUlmPlant(config.plant_kind, **config.plant_spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"plant: {exc}") from exc
+    return SyntheticUlmPlant(config.plant_kind, **config.plant_spec)  # from_dict checked the spec
 
 
 def _desired_trajectory(config: SimConfig, count: int) -> Iterator[Pair]:
@@ -414,9 +438,9 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     """Run one deterministic closed-loop experiment and return its log.
 
     Every signal in the loop is a pair of floats.  Raises DivergenceError
-    (with the step index) when the plant or a generated desired trajectory
-    diverges, DomainError when a signal turns non-finite, and ConfigError on
-    inconsistent configuration.
+    when the plant or a generated desired trajectory diverges, with the
+    failing tick as its step_index, DomainError when a signal turns
+    non-finite, and ConfigError on inconsistent configuration.
     """
     plant = _build_plant(config)
     nu = plant.nu
@@ -462,7 +486,11 @@ def run_closed_loop(config: SimConfig) -> SimLog:
         y_d = y_d_ahead.popleft()
         u = zero
         if k < n_steps:
-            y_d_future = next(desired)
+            try:
+                y_d_future = next(desired)
+            except DivergenceError as exc:
+                # the generator counts samples; the loop reports its tick, as the plant does
+                raise DivergenceError(str(exc), step_index=k) from exc
             y_d_ahead.append(y_d_future)
             if config.control_law == "fts":
                 e_y_hat = (y_hat[0] - y_d[0], y_hat[1] - y_d[1])

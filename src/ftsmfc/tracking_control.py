@@ -15,7 +15,8 @@ import numpy as np
 
 from .fts_core import DomainError, HolderGainParams, Pair, holder_gain
 
-# Rank tolerance: smallest singular value relative to the largest.
+# Rank tolerance on |det G| / |G|_F^2, which for a 2 x 2 G is sigma_min / sigma_max up to
+# O(RANK_RTOL^2): sigma_max * sigma_min = |det G| and sigma_max^2 + sigma_min^2 = |G|_F^2.
 RANK_RTOL = 1e-12
 
 
@@ -42,10 +43,11 @@ class ControlGains:
         G = np.asarray(self.G, dtype=float)
         if G.shape != (2, 2):
             raise DomainError(f"G must be 2 x 2, got shape {G.shape}")
-        sv = np.linalg.svd(G, compute_uv=False)
-        if not sv[-1] > RANK_RTOL * sv[0]:
+        (a, b), (c, d) = rows = G.tolist()
+        # the determinant solve_input divides by, so one that underflows or overflows fails
+        if not abs(a * d - b * c) > RANK_RTOL * (a * a + b * b + c * c + d * d):
             raise DomainError("G must have full rank")
-        object.__setattr__(self, "G", tuple(map(tuple, G.tolist())))
+        object.__setattr__(self, "G", tuple(map(tuple, rows)))
 
 
 def control_law_basic(y_d_future: Pair, F_hat: Pair, gains: ControlGains) -> Pair:

@@ -72,8 +72,12 @@ class TestSimulate:
         assert "'controler'" in _one_line(err, "config error:")
 
     @pytest.mark.parametrize(
-        "G", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
-        ids=["singular", "wide"],
+        "G",
+        [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+         # determinants that underflow to 0 (a division by zero in the solve)
+         # and overflow to inf (every input 0)
+         [[1e-300, 0.0], [0.0, 1e-300]], [[1e300, 0.0], [0.0, 1e300]]],
+        ids=["singular", "wide", "det-underflow", "det-overflow"],
     )
     def test_bad_controller_G_is_config_error(self, tmp_path, capsys, G):
         doc = _short_constant()
@@ -203,8 +207,11 @@ class TestSimulate:
          ("constant", "G", [[math.inf, 0.0], [0.0, 1.0]], "not a finite number"),
          ("constant", "nu", 2.5, "expected an integer"),
          ("random-walk", "bound", math.inf, "not a finite number"),
-         ("constant", "y_init", [[math.nan, 0.0]], "not a finite number")],
-        ids=["const-nan", "const-overflow", "G-inf", "nu-float", "bound-inf", "y_init-nan"],
+         ("constant", "y_init", [[math.nan, 0.0]], "not a finite number"),
+         # a window this long cannot be allocated: checked before the plant is built
+         ("constant", "nu", 10**12, "expected 1 to 10000000")],
+        ids=["const-nan", "const-overflow", "G-inf", "nu-float", "bound-inf", "y_init-nan",
+             "nu-huge"],
     )
     def test_bad_plant_spec_number_is_config_error(
         self, tmp_path, capsys, kind, key, value, message
@@ -225,6 +232,26 @@ class TestSimulate:
         line = _one_line(err, "config error:")
         assert f"plant.spec.{key}" in line and message in line
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("\nT: 0.5\n", "\nT: 0.5\nT: 0.6\n", "repeated key 'T'"),
+         ("\n  scale: 0.35\n", "\n  scale: 0.35\n  scale: 0.5\n", "repeated key 'scale'")],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_key_is_config_error(self, tmp_path, capsys, old, new, message):
+        # YAML would let the second value win
+        text = yaml.safe_dump(_short_constant(), sort_keys=False)
+        assert old in text
+        text = text.replace(old, new)
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        rc, _, err = _main(
+            capsys, "simulate", "--config", str(config), "--out", str(tmp_path / "run.csv")
+        )
+        assert rc == cli.EXIT_CONFIG
+        line = text.splitlines().index(new.strip("\n").splitlines()[1]) + 1
+        assert _one_line(err, "config error:") == f"config error: {message} at line {line}"
+
     def test_non_finite_initial_state_is_config_error(self, tmp_path, capsys):
         doc = _doc("paper_experiment.yaml", T=1.0, initial_state=[math.nan, 0.0, 0.0, 0.0])
         rc, _, err = _main(
@@ -238,7 +265,7 @@ class TestSimulate:
         "spec, message",
         [(None, "missing required key 'plant.spec.G'"),
          ([0.3, -0.2], "plant.spec: expected a mapping"),
-         ({"G": [[1.0, 0.0], [0.0, 1.0]]}, "constant requires const")],
+         ({"G": [[1.0, 0.0], [0.0, 1.0]]}, "missing required key 'plant.spec.const'")],
         ids=["null", "list", "no-const"],
     )
     def test_bad_plant_spec_is_config_error(self, tmp_path, capsys, spec, message):
@@ -495,6 +522,15 @@ class TestSweep:
         assert len(out.splitlines()) == 2
         metrics = (out_dir / "run_001_0.5.csv.metrics").read_text()
         assert metrics.startswith("# controller.scale = 0.5\n")
+
+    def test_null_section_takes_a_key(self, tmp_path, capsys):
+        # a section written as null reads as empty, so the sweep can set a key in it
+        doc = _short_constant(observer=None)
+        rc, _, err = _main(
+            capsys, "sweep", "--config", _write(tmp_path, doc),
+            "--param", "observer.order", "--values", "second", "--out", str(tmp_path / "sweep"),
+        )
+        assert (rc, err) == (cli.EXIT_OK, "")
 
     def test_misspelt_param_is_config_error(self, tmp_path, capsys):
         rc, _, err = _main(

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ftsmfc.plant_models import DivergenceError
 from ftsmfc.sim_harness import (
     CSV_HEADER,
     MAX_STEPS,
@@ -14,10 +15,12 @@ from ftsmfc.sim_harness import (
     SimConfig,
     SimLog,
     compute_metrics,
+    load_doc,
     run_closed_loop,
     verify_suite,
     write_csv,
 )
+from ftsmfc.tracking_control import ControlGains
 
 BASE_DOC = {
     "dt": 0.01,
@@ -135,6 +138,28 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{key}: expected a number, got True")):
             make_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"plant.spec.nu": 0}, "plant.spec.nu: expected 1 to 10000000, got 0"),
+         ({"plant.spec.nu": 10**12}, "plant.spec.nu: expected 1 to 10000000"),
+         ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
+                                                        "bound": 0.1}},
+          "missing required key 'plant.spec.seed'"),
+         ({"plant.spec.nu": 2, "plant.spec.y_init": [[0.1, 0.2]]},
+          "plant.spec.y_init: expected shape (2, 2), got (1, 2)"),
+         ({"plant.spec.y_init": [[0.1, 0.2, 0.3]]},
+          "plant.spec.y_init: expected shape (1, 2), got (1, 3)"),
+         ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
+                                                        "bound": 0.1, "seed": -1}},
+          "plant.spec.seed: expected a non-negative integer, got -1")],
+        ids=["nu-zero", "nu-huge", "missing-seed", "y_init-rows", "y_init-columns",
+             "negative-seed"],
+    )
+    def test_plant_spec_checked_when_read(self, overrides, message):
+        # from_dict builds no plant, so a huge nu allocates nothing here
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            make_config(**overrides)
+
     def test_file_trajectory_requires_path(self):
         with pytest.raises(ConfigError):
             make_config(**{"trajectory.source": "file"})
@@ -160,6 +185,12 @@ class TestSimConfig:
         np.testing.assert_allclose(
             config.gains.G, 0.01 * np.array([[0.559, 0.196], [0.196, 0.657]])
         )
+
+    def test_merge_key_may_be_overridden(self, tmp_path):
+        # only a key written twice is repeated; one merged in by '<<' may be overridden
+        path = tmp_path / "doc.yaml"
+        path.write_text("base: &b {x: 1, y: 2}\nother:\n  <<: *b\n  x: 3\n")
+        assert load_doc(str(path))["other"] == {"x": 3, "y": 2}
 
     def test_from_yaml_missing_file(self):
         with pytest.raises(ConfigError):
@@ -269,14 +300,15 @@ class TestRunClosedLoop:
         np.testing.assert_allclose(log.F[1:], np.tile([0.3, -0.2], (200, 1)), atol=1e-12)
 
     def test_G_rank_checked_once_at_config_time(self, monkeypatch):
-        svd = np.linalg.svd
+        check = ControlGains.__post_init__
         calls = []
 
-        def counted(*args, **kwargs):
+        def counted(self):
             calls.append(1)
-            return svd(*args, **kwargs)
+            return check(self)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(ControlGains, "__post_init__", counted)
+        monkeypatch.setattr(np.linalg, "svd", None)  # the 2 x 2 check needs no SVD
         config = make_config()
         assert len(calls) == 1
         run_closed_loop(config)
@@ -357,6 +389,17 @@ class TestRunClosedLoop:
         with pytest.raises(DivergenceError) as info:
             run_closed_loop(config)
         assert info.value.step_index == 113
+
+    def test_trajectory_divergence_reports_the_tick(self):
+        # sample 3 leaves the admissible region; tick 3 - nu = 1 is the first to read it
+        config = SimConfig.from_dict({
+            "dt": 0.01, "T": 1.0, "controller": {"G": [[1.0, 0.0], [0.0, 1.0]]},
+            "trajectory": {"init": [0.0, 0.0, 4.0e7, 0.0]},
+        })
+        with pytest.raises(DivergenceError, match="^trajectory generation diverged at step 3$") \
+                as info:
+            run_closed_loop(config)
+        assert info.value.step_index == 1
 
 
 class TestCsvOutput:

@@ -19,3 +19,10 @@ _spec.loader.exec_module(spans)
 def test_traced_label_resolves_to_a_callable(label):
     _, _, fn, _ = spans._resolve(label)
     assert callable(fn)
+
+
+def test_package_root_binds_the_timed_setup():
+    # perfbench/run.py times `import ftsmfc; ftsmfc.SimConfig.from_yaml(...)` as setup_s
+    import ftsmfc
+
+    assert callable(ftsmfc.SimConfig.from_yaml)

@@ -53,7 +53,10 @@ class TestControlGains:
 
     def test_rank_deficient_rejected(self):
         # two outputs, two inputs: G must be a full-rank 2 x 2 matrix
-        for G in ([[1.0, 2.0], [2.0, 4.0]], np.eye(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+        # 1e-300 I and 1e300 I are well conditioned, but their determinant, which
+        # solve_input divides by, underflows to 0 and overflows to inf
+        for G in ([[1.0, 2.0], [2.0, 4.0]], np.eye(3), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                  1e-300 * np.eye(2), 1e300 * np.eye(2)):
             with pytest.raises(DomainError):
                 ControlGains(params=CTRL, G=G)
 
