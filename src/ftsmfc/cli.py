@@ -21,7 +21,6 @@ import sys
 from typing import List, Optional
 
 import numpy as np
-import yaml
 
 from .fts_core import DomainError
 from .plant_models import DivergenceError, generate_desired_trajectory
@@ -33,6 +32,7 @@ from .sim_harness import (
     compute_metrics,
     load_doc,
     metrics_to_text,
+    parse_yaml,
     run_closed_loop,
     verify_suite,
     write_csv,
@@ -147,11 +147,7 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i, text in enumerate(values):
         doc = copy.deepcopy(base)
-        try:
-            value = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"--values: cannot parse {text!r}: {exc}") from exc
-        _set_dotted(doc, args.param, value)
+        _set_dotted(doc, args.param, parse_yaml(text, f"--values: cannot parse {text!r}"))
         config = SimConfig.from_dict(doc)
         safe = text.replace("/", "_")
         out_csv = os.path.join(args.out, f"run_{i:03d}_{safe}.csv")

@@ -15,8 +15,9 @@ ultimate-bound radius factors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,9 +26,18 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-WeightLike = Union[float, np.ndarray, None]
+WeightLike = Union[float, Sequence[Sequence[float]], None]
 # A two-channel signal: the package's kernel passes every vector as a pair of floats.
 Pair = Tuple[float, float]
+
+
+def float_rows(m, what: str) -> Tuple[Pair, Pair]:
+    """A 2 x 2 matrix, given as any two-level sequence, as two rows of floats."""
+    try:
+        (a, b), (c, d) = m
+        return (float(a), float(b)), (float(c), float(d))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be 2 x 2") from exc
 
 
 @dataclass(frozen=True)
@@ -54,23 +64,21 @@ class HolderGainParams:
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise DomainError(f"scale must be positive, got {self.scale}")
         w00, w01, w11 = 1.0, 0.0, 1.0
-        if self.weight is not None:
-            w = self.weight
-            if np.ndim(w) == 0:
-                w = float(w)
-                if not (math.isfinite(w) and w > 0.0):
-                    raise DomainError(f"scalar weight must be positive, got {w}")
-                w00 = w11 = w
-            else:
-                w = np.asarray(w, dtype=float)
-                if w.shape != (2, 2):
-                    raise DomainError(f"weight matrix must be 2 x 2, got shape {w.shape}")
-                if not np.allclose(w, w.T, rtol=1e-12, atol=1e-12):
-                    raise DomainError("weight matrix must be symmetric")
-                if np.linalg.eigvalsh(w).min() <= 0.0:
-                    raise DomainError("weight matrix must be positive definite")
-                (w00, w01), (_, w11) = w.tolist()
-            object.__setattr__(self, "weight", w)
+        w = self.weight
+        if isinstance(w, numbers.Real):
+            w00 = w11 = w = float(w)
+            if not (math.isfinite(w) and w > 0.0):
+                raise DomainError(f"scalar weight must be positive, got {w}")
+        elif w is not None:
+            w = (w00, w01), (w10, w11) = float_rows(w, "weight matrix")
+            # the tolerance of allclose(w, w.T, rtol=1e-12, atol=1e-12), taken both ways
+            if not (abs(w01 - w10) <= 1e-12 + 1e-12 * min(abs(w01), abs(w10))):
+                raise DomainError("weight matrix must be symmetric")
+            # Sylvester's criterion, scaled against under- and overflow; non-finite entries fail it
+            s = max(abs(w00), abs(w11))
+            if not (w00 > 0.0 and (w00 / s) * (w11 / s) - (w01 / s) * (w10 / s) > 0.0):
+                raise DomainError("weight matrix must be positive definite")
+        object.__setattr__(self, "weight", w)
         for name, value in (("holder_power", 1.0 - 1.0 / self.exponent),
                             ("w00", w00), ("w01", w01), ("w11", w11)):
             object.__setattr__(self, name, value)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .fts_core import Pair
+from .fts_core import Pair, float_rows
 
 
 class DivergenceError(RuntimeError):
@@ -156,29 +156,26 @@ class NoiseConfig:
                                   + fm_depth_i*sin(fm_freqs_i*t) + phases_i).
     """
 
-    amplitudes: np.ndarray = field(default_factory=lambda: np.array([0.001, 0.001]))
-    base_freqs: np.ndarray = field(default_factory=lambda: np.array([120.0, 150.0]))
-    fm_depth: np.ndarray = field(default_factory=lambda: np.array([5.0, 5.0]))
-    fm_freqs: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.7]))
-    phases: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0]))
-    channels: tuple = field(init=False, repr=False, compare=False)
+    amplitudes: Pair = (0.001, 0.001)
+    base_freqs: Pair = (120.0, 150.0)
+    fm_depth: Pair = (5.0, 5.0)
+    fm_freqs: Pair = (0.5, 0.7)
+    phases: Pair = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        names = ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases")
-        for name in names:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.any(self.amplitudes < 0.0):
+        for f in fields(self):
+            v0, v1 = getattr(self, f.name)
+            object.__setattr__(self, f.name, (float(v0), float(v1)))
+        if self.amplitudes[0] < 0.0 or self.amplitudes[1] < 0.0:
             raise ValueError("noise amplitudes must be non-negative")
-        # per channel, (amplitude, base_freq, fm_depth, fm_freq, phase) as floats
-        channels = tuple(zip(*(getattr(self, name).tolist() for name in names)))
-        object.__setattr__(self, "channels", channels)
 
 
 def noise_sample(t: float, cfg: NoiseConfig) -> Pair:
     """Noise pair at time t; bounded componentwise by the amplitudes."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    (a0, w0, d0, f0, p0), (a1, w1, d1, f1, p1) = cfg.channels
+    (a0, a1), (w0, w1), (d0, d1) = cfg.amplitudes, cfg.base_freqs, cfg.fm_depth
+    (f0, f1), (p0, p1) = cfg.fm_freqs, cfg.phases
     return (a0 * math.sin(w0 * t + d0 * math.sin(f0 * t) + p0),
             a1 * math.sin(w1 * t + d1 * math.sin(f1 * t) + p1))
 
@@ -189,15 +186,15 @@ class PendulumPlant:
     nu = 2
 
     def __init__(self, init, dt: float, params: PendulumParams):
-        init = np.asarray(init, dtype=float)
-        if init.shape != (4,):
-            raise ValueError("init must be (x, theta, xdot, thetadot)")
-        if not np.all(np.isfinite(init)):
+        try:
+            x, theta, xdot, thetadot = state = tuple(map(float, init))
+        except (TypeError, ValueError) as exc:
+            raise ValueError("init must be (x, theta, xdot, thetadot)") from exc
+        if not all(map(math.isfinite, state)):
             raise ValueError("init must be finite")
         self.params = params
         self.dt = float(dt)
         # the output pair (y_k, y_{k+1}); y_1 = y_0 + dt*qdot_0 folds in the velocity
-        x, theta, xdot, thetadot = init.tolist()
         self.y_prev = (x, theta)
         self.y_curr = (x + self.dt * xdot, theta + self.dt * thetadot)
         self.k = 0
@@ -225,7 +222,7 @@ def _required(value, kind: str, name: str):
 
 
 def _pair(value, kind: str, name: str) -> Pair:
-    v0, v1 = np.asarray(_required(value, kind, name), dtype=float).tolist()
+    v0, v1 = map(float, _required(value, kind, name))
     return v0, v1
 
 
@@ -256,17 +253,14 @@ class SyntheticUlmPlant:
             raise ValueError("nu must be >= 1")
         self.kind = kind
         self.nu = int(nu)
-        self.G = tuple(map(tuple, np.asarray(G, dtype=float).tolist()))  # rows of floats
+        self.G = float_rows(G, "G")
         self.k = 0
         # pending outputs y_k .. y_{k+nu-1}; y_{k+nu} is produced by step()
-        if y_init is None:
-            window = [(0.0, 0.0)] * self.nu
-        else:
-            y_init = np.atleast_2d(np.asarray(y_init, dtype=float))
-            if y_init.shape != (self.nu, 2):
+        self._window = [(0.0, 0.0)] * self.nu  # one shared tuple, however long the window
+        if y_init is not None:
+            self._window = [tuple(map(float, row)) for row in y_init]
+            if len(self._window) != self.nu or any(len(y) != 2 for y in self._window):
                 raise ValueError(f"y_init must have shape ({self.nu}, 2)")
-            window = list(map(tuple, y_init.tolist()))
-        self._window = window
 
         if kind == "constant":
             self._const = _pair(const, kind, "const")

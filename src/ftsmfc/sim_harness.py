@@ -84,22 +84,22 @@ def _as_float(value, what: str) -> float:
     return number
 
 
-def _as_vector(value, length: int, what: str) -> np.ndarray:
+def _as_vector(value, length: int, what: str) -> Tuple[float, ...]:
     try:
-        v = np.asarray([_as_float(x, what) for x in value], dtype=float)
+        v = tuple(_as_float(x, what) for x in value)
     except TypeError as exc:
         raise ConfigError(f"{what}: expected a sequence of {length} numbers") from exc
-    if v.shape != (length,):
-        raise ConfigError(f"{what}: expected {length} entries, got shape {v.shape}")
+    if len(v) != length:
+        raise ConfigError(f"{what}: expected {length} entries, got {len(v)}")
     return v
 
 
-def _as_matrix(value, what: str) -> np.ndarray:
+def _as_matrix(value, what: str) -> Tuple[Tuple[float, ...], ...]:
     """Rows of finite numbers, each as long as the first, or one flat row; callers check shapes."""
     try:
         rows = [value] if isinstance(value[0], (str, int, float)) else value
         width = len(rows[0])
-        return np.asarray([_as_vector(row, width, what) for row in rows])
+        return tuple(_as_vector(row, width, what) for row in rows)
     except (TypeError, IndexError, KeyError) as exc:
         raise ConfigError(f"{what}: expected rows of numbers, got {value!r}") from exc
 
@@ -110,14 +110,12 @@ def _as_bool(value, what: str) -> bool:
     return value
 
 
-_NOISE_FIELDS = ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases")
-
 # The keys from_dict reads, per section; any other key is a ConfigError.
 _KEYS = {
     "controller": ("law", "exponent", "scale", "weight", "G", "G_times_dt"),
     "observer": ("order", "exponent", "scale", "weight"),
     "filter": ("enabled", "exponent", "scale", "weight"),
-    "noise": ("enabled",) + _NOISE_FIELDS,
+    "noise": ("enabled",) + tuple(f.name for f in fields(NoiseConfig)),
     "trajectory": ("source", "init", "path"),
     "metrics": ("settle_time", "bands"),
 }
@@ -162,15 +160,21 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return mapping
 
 
+def parse_yaml(stream, what: str):
+    """One YAML document read by _UniqueKeyLoader; a YAML error is a ConfigError led by what."""
+    try:
+        return yaml.load(stream, Loader=_UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def load_doc(path: str) -> dict:
     """Read a YAML configuration document; an empty file reads as {}."""
     try:
         with open(path, "r") as fh:
-            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
+            doc = parse_yaml(fh, f"cannot parse config file {path}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if doc is None:
         return {}
     if not isinstance(doc, dict):
@@ -178,11 +182,11 @@ def load_doc(path: str) -> dict:
     return doc
 
 
-def _as_2x2(value, what: str) -> np.ndarray:
+def _as_2x2(value, what: str) -> Tuple[Pair, Pair]:
     """A 2 x 2 matrix of finite numbers: the log has two output and two input channels."""
     matrix = _as_matrix(value, what)
-    if matrix.shape != (2, 2):
-        raise ConfigError(f"{what} must be 2 x 2, got shape {matrix.shape}")
+    if len(matrix) != 2 or len(matrix[0]) != 2:
+        raise ConfigError(f"{what} must be 2 x 2, got {len(matrix)} x {len(matrix[0])}")
     return matrix
 
 
@@ -239,13 +243,13 @@ class SimConfig:
     filter_params: HolderGainParams
     noise_enabled: bool
     noise: NoiseConfig
-    initial_state: np.ndarray
-    initial_estimate: np.ndarray
+    initial_state: Optional[Tuple[float, ...]]  # the pendulum's (x, theta, xdot, thetadot)
+    initial_estimate: Pair
     trajectory_source: str
-    trajectory_start: np.ndarray  # (x, theta, xdot, thetadot) where a generated one starts
+    trajectory_start: Optional[Tuple[float, ...]]  # where a generated trajectory starts
     trajectory_path: Optional[str]
     settle_time: float
-    bands: np.ndarray
+    bands: Pair
 
     @property
     def n_steps(self) -> int:
@@ -301,12 +305,14 @@ class SimConfig:
         nu = spec.get("nu", 1)
         if not 1 <= nu <= MAX_STEPS:
             raise ConfigError(f"plant.spec.nu: expected 1 to {MAX_STEPS}, got {nu}")
-        if spec.get("seed", 0) < 0:
-            raise ConfigError(f"plant.spec.seed: expected a non-negative integer, "
-                              f"got {spec['seed']}")
-        if "y_init" in spec and spec["y_init"].shape != (nu, 2):
+        for key, noun in (("seed", "integer"), ("bound", "number")):
+            if spec.get(key, 0) < 0:  # a negative bound would step against the drawn direction
+                raise ConfigError(f"plant.spec.{key}: expected a non-negative {noun}, "
+                                  f"got {spec[key]}")
+        y_init = spec.get("y_init")
+        if y_init and (len(y_init), len(y_init[0])) != (nu, 2):
             raise ConfigError(f"plant.spec.y_init: expected shape ({nu}, 2), "
-                              f"got {spec['y_init'].shape}")
+                              f"got ({len(y_init)}, {len(y_init[0])})")
 
         ctrl = _section(doc, "controller")
         kwargs["control_law"] = _choice(ctrl, "law", ("fts", "basic"), "controller.law")
@@ -314,7 +320,7 @@ class SimConfig:
             raise ConfigError("missing required key 'controller.G'")
         G = _as_2x2(ctrl["G"], "controller.G")
         if _as_bool(ctrl.get("G_times_dt", False), "controller.G_times_dt"):
-            G = dt * G
+            G = tuple(tuple(dt * g for g in row) for row in G)
         control_params = _gain_params(ctrl, "controller", _CTRL_PARAMS)
         try:
             kwargs["gains"] = ControlGains(params=control_params, G=G)
@@ -331,20 +337,20 @@ class SimConfig:
 
         noise = _section(doc, "noise")
         kwargs["noise_enabled"] = _as_bool(noise.get("enabled", True), "noise.enabled")
-        noise_fields = {}
-        for name in _NOISE_FIELDS:
-            if name in noise:
-                noise_fields[name] = _as_vector(noise[name], 2, f"noise.{name}")
+        noise_fields = {key: _as_vector(value, 2, f"noise.{key}")
+                        for key, value in noise.items() if key != "enabled"}
         try:
             kwargs["noise"] = NoiseConfig(**noise_fields)
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from exc
 
+        if kind != "pendulum" and "initial_state" in doc:
+            raise ConfigError("initial_state: a synthetic plant starts from plant.spec.y_init")
         initial_state = kwargs["initial_state"] = _as_vector(
             doc.get("initial_state", [0.45, -0.14, -0.3, 0.05]), 4, "initial_state"
-        )
+        ) if kind == "pendulum" else None
         kwargs["initial_estimate"] = _as_vector(
-            doc.get("initial_estimate", [0.0, 0.102, 0.0, 0.0]), 4, "initial_estimate"
+            doc.get("initial_estimate", [0.0, 0.102]), 2, "initial_estimate"
         )
 
         traj = _section(doc, "trajectory")
@@ -352,8 +358,8 @@ class SimConfig:
         if source == "generated" and kind != "pendulum":
             raise ConfigError("trajectory.source: generated trajectories need the pendulum plant")
         kwargs["trajectory_source"] = source
-        kwargs["trajectory_start"] = _as_vector(
-            traj.get("init", initial_state), 4, "trajectory.init"
+        kwargs["trajectory_start"] = (
+            _as_vector(traj["init"], 4, "trajectory.init") if "init" in traj else initial_state
         )
         path = kwargs["trajectory_path"] = traj.get("path")
         if "path" in traj and not isinstance(path, str):
@@ -455,7 +461,7 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     # loop state: the filtered output and the measurement it was made against,
     # the observer's estimates of F and of its first difference, the previous
     # reconstructed sample (None before one), and the last nu inputs by k % nu
-    y_hat, y_meas_prev = tuple(map(float, config.initial_estimate[:2])), None
+    y_hat, y_meas_prev = config.initial_estimate, None
     F_hat, dF_hat, F_prev = zero, zero, None
     u_sent = [zero] * nu
 

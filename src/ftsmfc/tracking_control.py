@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fts_core import DomainError, HolderGainParams, Pair, holder_gain
+from .fts_core import DomainError, HolderGainParams, Pair, float_rows, holder_gain
 
 # Rank tolerance on |det G| / |G|_F^2, which for a 2 x 2 G is sigma_min / sigma_max up to
 # O(RANK_RTOL^2): sigma_max * sigma_min = |det G| and sigma_max^2 + sigma_min^2 = |G|_F^2.
@@ -40,14 +38,11 @@ class ControlGains:
     G: tuple
 
     def __post_init__(self) -> None:
-        G = np.asarray(self.G, dtype=float)
-        if G.shape != (2, 2):
-            raise DomainError(f"G must be 2 x 2, got shape {G.shape}")
-        (a, b), (c, d) = rows = G.tolist()
+        (a, b), (c, d) = rows = float_rows(self.G, "G")
         # the determinant solve_input divides by, so one that underflows or overflows fails
         if not abs(a * d - b * c) > RANK_RTOL * (a * a + b * b + c * c + d * d):
             raise DomainError("G must have full rank")
-        object.__setattr__(self, "G", tuple(map(tuple, rows)))
+        object.__setattr__(self, "G", rows)
 
 
 def control_law_basic(y_d_future: Pair, F_hat: Pair, gains: ControlGains) -> Pair:

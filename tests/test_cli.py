@@ -207,11 +207,13 @@ class TestSimulate:
          ("constant", "G", [[math.inf, 0.0], [0.0, 1.0]], "not a finite number"),
          ("constant", "nu", 2.5, "expected an integer"),
          ("random-walk", "bound", math.inf, "not a finite number"),
+         # a negative bound would step against the drawn direction
+         ("random-walk", "bound", -0.1, "expected a non-negative number"),
          ("constant", "y_init", [[math.nan, 0.0]], "not a finite number"),
          # a window this long cannot be allocated: checked before the plant is built
          ("constant", "nu", 10**12, "expected 1 to 10000000")],
-        ids=["const-nan", "const-overflow", "G-inf", "nu-float", "bound-inf", "y_init-nan",
-             "nu-huge"],
+        ids=["const-nan", "const-overflow", "G-inf", "nu-float", "bound-inf", "bound-negative",
+             "y_init-nan", "nu-huge"],
     )
     def test_bad_plant_spec_number_is_config_error(
         self, tmp_path, capsys, kind, key, value, message
@@ -547,6 +549,11 @@ class TestSweep:
         )
         assert rc == cli.EXIT_CONFIG
         _one_line(err, "config error: --values")
+
+    def test_values_read_by_the_config_loader(self):
+        # one YAML loader: sweep values go through sim_harness, and cli binds no yaml
+        assert not hasattr(cli, "yaml")
+        assert sim_harness.parse_yaml("[0.1, 2]", "unused") == [0.1, 2]
 
     def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"

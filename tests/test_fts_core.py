@@ -1,10 +1,12 @@
 """Unit tests for the sigmoid-gain primitives and Lyapunov verifiers."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+from ftsmfc import output_filter, tracking_control, ulm_observer
 from ftsmfc.fts_core import (
     DomainError,
     HolderGainParams,
@@ -55,6 +57,116 @@ class TestHolderGainParams:
         assert HolderGainParams(exponent=9 / 7, scale=1.5).holder_power == pytest.approx(
             2 / 9, abs=1e-15
         )
+
+    @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    def test_matrix_weight_stored_as_float_rows(self, form):
+        rows = [[2.0, 0.3], [0.3, 1.0]]
+        p = HolderGainParams(exponent=1.4, scale=2.0, weight=form([form(r) for r in rows]))
+        assert p.weight == ((2.0, 0.3), (0.3, 1.0))
+        assert all(type(v) is float for row in p.weight for v in row)
+        assert (p.w00, p.w01, p.w11) == (2.0, 0.3, 1.0)
+
+    def test_scalar_weight_stored_as_float(self):
+        p = HolderGainParams(exponent=1.4, scale=2.0, weight=np.float32(2.5))
+        assert type(p.weight) is float and p.weight == 2.5
+
+    def test_matrix_weight_hashable_and_equal_to_its_twin(self):
+        a = HolderGainParams(exponent=1.4, scale=2.0, weight=[[2.0, 0.3], [0.3, 1.0]])
+        b = HolderGainParams(exponent=1.4, scale=2.0, weight=np.array([[2.0, 0.3], [0.3, 1.0]]))
+        assert a == b and hash(a) == hash(b)
+        assert a != HolderGainParams(exponent=1.4, scale=2.0, weight=[[2.0, 0.3], [0.3, 1.5]])
+
+
+def _accepted(weight) -> bool:
+    """Whether HolderGainParams takes weight; a non-SPD weight is its only DomainError here."""
+    try:
+        HolderGainParams(exponent=1.5, scale=1.0, weight=weight)
+    except DomainError as exc:
+        assert "positive definite" in str(exc)
+        return False
+    return True
+
+
+# Where the closed-form check and eigvalsh may disagree: a smallest eigenvalue
+# within this fraction of the largest absolute eigenvalue of zero, where both
+# round the sign of a near-zero determinant.  About 4.5 ulps; the largest
+# disagreement seen on 20 000 near-singular matrices was 7e-17.
+SPD_REL_MARGIN = 1e-15
+
+
+class TestWeightSpdCheck:
+    def _agrees(self, w) -> bool:
+        eig = np.linalg.eigvalsh(w)
+        return _accepted(w) == (eig.min() > 0.0) or (
+            abs(eig.min()) <= SPD_REL_MARGIN * np.abs(eig).max()
+        )
+
+    def test_agrees_with_eigvalsh_on_random_symmetric(self):
+        rng = np.random.default_rng(11)
+        n = 10_000
+        scale = 10.0 ** rng.uniform(-6, 6, n)
+        a, c = rng.uniform(-0.2, 1.0, (2, n)) * scale
+        b = rng.uniform(-1.0, 1.0, n) * scale
+        accepted = 0
+        for i in range(n):
+            w = np.array([[a[i], b[i]], [b[i], c[i]]])
+            assert self._agrees(w), w
+            accepted += _accepted(w)
+        # both verdicts are exercised
+        assert 0.2 * n < accepted < 0.8 * n
+
+    def test_agrees_with_eigvalsh_near_singular(self):
+        # b^2 = a*c (1 + delta): singular for delta = 0, indefinite above it
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            a, c = 10.0 ** rng.uniform(-3, 3, 2)
+            delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17, -1)
+            b = rng.choice([-1.0, 1.0]) * math.sqrt(a * c * (1.0 + delta))
+            w = np.array([[a, b], [b, c]])
+            assert self._agrees(w), w
+
+    @pytest.mark.parametrize(
+        "w, spd",
+        [([[1.0, 2.0], [2.0, 1.0]], False), ([[0.0, 0.0], [0.0, 1.0]], False),
+         ([[1.0, 0.0], [0.0, 0.0]], False), ([[-1.0, 0.0], [0.0, -1.0]], False),
+         ([[0.0, 1.0], [1.0, 0.0]], False), ([[-1.0, 0.0], [0.0, 2.0]], False),
+         ([[2.0, 0.0], [0.0, -1e-300]], False), ([[1.0, 1e200], [1e200, 1.0]], False),
+         ([[1.0, 1.0], [1.0, 1.0]], False), ([[1e-300, 0.0], [0.0, 1e-300]], True),
+         ([[1e300, 0.0], [0.0, 1e300]], True), ([[1.0, 0.999], [0.999, 1.0]], True)],
+    )
+    def test_edge_cases(self, w, spd):
+        # indefinite, semi-definite, and tiny or huge but definite weights
+        assert _accepted(w) == spd
+        assert (np.linalg.eigvalsh(np.array(w)).min() > 0.0) == spd
+
+    @pytest.mark.parametrize("w", [[[math.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.nan]]])
+    def test_non_finite_diagonal_rejected(self, w):
+        assert not _accepted(w)
+
+    @pytest.mark.parametrize("base", [0.0, 0.3, -0.7, 5.0, 1e6])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3], ids=["inside", "outside"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_symmetry_tolerance_is_allclose(self, base, factor, sign):
+        # |w01 - w10| just inside and just outside atol + rtol*|w|, w01 above and below w10
+        w10 = base + sign * factor * (1e-12 + 1e-12 * abs(base))
+        for w in (np.array([[1e7, base], [w10, 1e7]]), np.array([[1e7, w10], [base, 1e7]])):
+            expected = bool(np.allclose(w, w.T, rtol=1e-12, atol=1e-12))
+            assert expected == (factor < 1.0)
+            try:
+                HolderGainParams(exponent=1.5, scale=1.0, weight=w)
+                symmetric = True
+            except DomainError as exc:
+                assert "symmetric" in str(exc)
+                symmetric = False
+            assert symmetric == expected
+
+
+def test_kernel_modules_bind_no_numpy():
+    # the filter, the observers and the control laws run on floats only
+    for module in (output_filter, ulm_observer, tracking_control):
+        bound = [name for name, value in vars(module).items()
+                 if isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "numpy"]
+        assert bound == [], (module.__name__, bound)
 
 
 class TestHolderGain:

@@ -21,7 +21,7 @@ class TestFilterUpdate:
         # estimate there, and filters from tick 1 on
         config = SimConfig.from_yaml(str(CONFIGS / "synthetic_constant.yaml"))
         assert config.filter_enabled
-        config = replace(config, T=0.05, initial_estimate=[0.2, -0.1, 0.0, 0.0])
+        config = replace(config, T=0.05, initial_estimate=(0.2, -0.1))
         log = run_closed_loop(config)
         np.testing.assert_array_equal(log.y_hat[0], [0.2, -0.1])
         assert not np.array_equal(log.y_hat[0], log.y_meas[0])
@@ -78,7 +78,7 @@ class TestFilterUpdate:
             y_prev = y_meas
             if k > 2000:
                 dev.append(np.abs(y_hat - truth).max())
-        assert max(dev) < 5 * cfg.amplitudes.max()
+        assert max(dev) < 5 * np.asarray(cfg.amplitudes).max()
 
     def test_nonfinite_measurement_rejected(self):
         with pytest.raises(DomainError):

@@ -167,9 +167,9 @@ class TestNoise:
         cfg = NoiseConfig()
         t = np.linspace(0.0, 70.0, 20001)
         samples = np.array([noise_sample(float(tt), cfg) for tt in t])
-        assert np.all(np.abs(samples) <= cfg.amplitudes + 1e-15)
+        assert np.all(np.abs(samples) <= np.asarray(cfg.amplitudes) + 1e-15)
         # and the bound is nearly attained (the waveform is not degenerate)
-        assert np.abs(samples).max() > 0.9 * cfg.amplitudes.max()
+        assert np.abs(samples).max() > 0.9 * np.asarray(cfg.amplitudes).max()
 
     def test_deterministic(self):
         cfg = NoiseConfig()
@@ -178,10 +178,21 @@ class TestNoise:
     def test_waveform_formula(self):
         cfg = NoiseConfig()
         t = 0.37
-        expected = cfg.amplitudes * np.sin(
-            cfg.base_freqs * t + cfg.fm_depth * np.sin(cfg.fm_freqs * t) + cfg.phases
+        expected = np.asarray(cfg.amplitudes) * np.sin(
+            np.asarray(cfg.base_freqs) * t
+            + np.asarray(cfg.fm_depth) * np.sin(np.asarray(cfg.fm_freqs) * t)
+            + np.asarray(cfg.phases)
         )
         np.testing.assert_allclose(noise_sample(t, cfg), expected, atol=1e-15)
+
+    @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    def test_fields_stored_as_float_pairs(self, form):
+        cfg = NoiseConfig(amplitudes=form([0.002, 0.003]), phases=form([1, 2]))
+        assert (cfg.amplitudes, cfg.phases) == ((0.002, 0.003), (1.0, 2.0))
+        for name in ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases"):
+            pair = getattr(cfg, name)
+            assert type(pair) is tuple and [type(v) for v in pair] == [float, float]
+        assert cfg == NoiseConfig(amplitudes=(0.002, 0.003), phases=(1.0, 2.0))
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
@@ -193,6 +204,17 @@ class TestNoise:
 
 
 class TestPendulumPlant:
+    @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    def test_init_stored_as_floats(self, form):
+        plant = PendulumPlant(form([1, 2, 10, 20]), 0.5, P)
+        assert (plant.y_prev, plant.y_curr) == ((1.0, 2.0), (6.0, 12.0))
+        assert all(type(v) is float for v in (*plant.y_prev, *plant.y_curr, plant.dt))
+
+    @pytest.mark.parametrize("init", [[0.0, 0.0, 0.0], np.zeros((2, 2)), 3.0])
+    def test_init_shape_checked(self, init):
+        with pytest.raises(ValueError, match="init must be"):
+            PendulumPlant(init, 0.01, P)
+
     def test_relative_degree_two_latency(self):
         # the input affects the output exactly two output-clock ticks later
         init = [0.0, 0.05, 0.0, 0.0]
@@ -274,6 +296,23 @@ class TestSyntheticPlants:
         np.testing.assert_array_equal(plant.output, [0.0, 0.0])
         plant.step([0.0, 0.0])
         np.testing.assert_allclose(plant.output, y2)
+
+    @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    def test_inputs_stored_as_floats(self, form):
+        plant = SyntheticUlmPlant(
+            "sinusoid", G=form([form([2, 0]), form([0, 3])]), amplitude=form([1, 2]),
+            freq=form([0.5, 0.25]), nu=2, y_init=form([form([1, 2]), form([3, 4])]),
+        )
+        assert plant.G == ((2.0, 0.0), (0.0, 3.0))
+        assert (plant._amp, plant._freq) == ((1.0, 2.0), (0.5, 0.25))
+        assert plant.output == (1.0, 2.0)
+        stored = [*plant.G[0], *plant.G[1], *plant._amp, *plant._freq, *plant.output]
+        assert all(type(v) is float for v in stored)
+
+    def test_y_init_shape_checked(self):
+        for y_init in ([[0.1, 0.2]], [[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError, match=r"y_init must have shape \(2, 2\)"):
+                SyntheticUlmPlant("constant", G=np.eye(2), const=[0.0, 0.0], nu=2, y_init=y_init)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,15 @@
 """Unit tests for configuration, the closed-loop engine, logging, and metrics."""
 
 import copy
+import dataclasses
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ftsmfc.plant_models import DivergenceError
+from ftsmfc.plant_models import DivergenceError, SyntheticUlmPlant
 from ftsmfc.sim_harness import (
     CSV_HEADER,
     MAX_STEPS,
@@ -22,6 +24,7 @@ from ftsmfc.sim_harness import (
 )
 from ftsmfc.tracking_control import ControlGains
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BASE_DOC = {
     "dt": 0.01,
     "T": 2.0,
@@ -42,8 +45,7 @@ BASE_DOC = {
     "observer": {"order": "first", "exponent": "9/7", "scale": 1.5},
     "filter": {"enabled": False, "exponent": "7/5", "scale": 2.0, "weight": 2.1},
     "noise": {"enabled": False},
-    "initial_state": [0.0, 0.0, 0.0, 0.0],
-    "initial_estimate": [0.0, 0.0, 0.0, 0.0],
+    "initial_estimate": [0.0, 0.0],
     "trajectory": {"source": "zero"},
     "metrics": {"settle_time": 1.0, "bands": [0.5, 0.05]},
 }
@@ -151,9 +153,12 @@ class TestSimConfig:
           "plant.spec.y_init: expected shape (1, 2), got (1, 3)"),
          ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
                                                         "bound": 0.1, "seed": -1}},
-          "plant.spec.seed: expected a non-negative integer, got -1")],
+          "plant.spec.seed: expected a non-negative integer, got -1"),
+         ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
+                                                        "bound": -0.1, "seed": 1}},
+          "plant.spec.bound: expected a non-negative number, got -0.1")],
         ids=["nu-zero", "nu-huge", "missing-seed", "y_init-rows", "y_init-columns",
-             "negative-seed"],
+             "negative-seed", "negative-bound"],
     )
     def test_plant_spec_checked_when_read(self, overrides, message):
         # from_dict builds no plant, so a huge nu allocates nothing here
@@ -167,7 +172,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1e400", 10**400])
     def test_non_finite_number_rejected(self, value):
         with pytest.raises(ConfigError, match="initial_state: .* is not a finite number"):
-            make_config(initial_state=[value, 0.0, 0.0, 0.0])
+            make_config(plant={"kind": "pendulum"}, initial_state=[value, 0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("key", ["filter.enabled", "noise.enabled", "controller.G_times_dt"])
     def test_switch_must_be_boolean(self, key):
@@ -198,6 +203,53 @@ class TestSimConfig:
 
     def test_n_steps(self):
         assert make_config().n_steps == 200
+
+    @pytest.mark.parametrize("name", ["synthetic_constant.yaml", "paper_experiment.yaml"])
+    def test_two_reads_compare_equal(self, name):
+        doc = load_doc(str(CONFIGS / name))
+        assert SimConfig.from_dict(doc) == SimConfig.from_dict(copy.deepcopy(doc))
+
+    @pytest.mark.parametrize("name", ["synthetic_constant.yaml", "paper_experiment.yaml"])
+    def test_config_holds_no_array(self, name):
+        # the reader hands the kernel floats and tuples; walk every field, nested ones too
+        def walk(value):
+            if dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    yield from walk(getattr(value, f.name))
+            elif isinstance(value, dict):
+                for v in value.values():
+                    yield from walk(v)
+            elif isinstance(value, (list, tuple)):
+                for v in value:
+                    yield from walk(v)
+            else:
+                yield value
+
+        leaves = list(walk(SimConfig.from_yaml(str(CONFIGS / name))))
+        assert not [v for v in leaves if isinstance(v, (np.ndarray, np.generic))]
+        assert {type(v) for v in leaves} <= {float, int, str, bool, type(None)}
+
+    def test_initial_estimate_is_two_numbers(self):
+        assert make_config(initial_estimate=[0.2, -0.1]).initial_estimate == (0.2, -0.1)
+        doc = copy.deepcopy(BASE_DOC)
+        del doc["initial_estimate"]
+        assert SimConfig.from_dict(doc).initial_estimate == (0.0, 0.102)
+        with pytest.raises(ConfigError, match="initial_estimate: expected 2 entries, got 4"):
+            make_config(initial_estimate=[0.0, 0.0, 5.0, -7.0])
+
+    def test_initial_state_on_synthetic_plant_rejected(self):
+        # a synthetic plant's outputs start from plant.spec.y_init
+        with pytest.raises(ConfigError, match=r"^initial_state: .*plant\.spec\.y_init"):
+            make_config(initial_state=[0.0, 0.0, 0.0, 0.0])
+        config = make_config(plant={"kind": "pendulum"}, initial_state=[0.1, 0.2, 0.0, 0.0])
+        assert config.initial_state == config.trajectory_start == (0.1, 0.2, 0.0, 0.0)
+
+    def test_zero_random_walk_bound_stands_still(self):
+        spec = {"G": BASE_DOC["plant"]["spec"]["G"], "bound": 0, "seed": 1}
+        config = make_config(T=0.1, plant={"kind": "random-walk", "spec": spec})
+        assert len(run_closed_loop(config)) == 11
+        plant = SyntheticUlmPlant(config.plant_kind, **config.plant_spec)
+        assert {plant.true_F(k) for k in range(50)} == {plant.true_F(0)}
 
 
 class TestStrictConfig:

@@ -60,6 +60,12 @@ class TestControlGains:
             with pytest.raises(DomainError):
                 ControlGains(params=CTRL, G=G)
 
+    @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
+    def test_G_stored_as_float_rows(self, form):
+        gains = ControlGains(params=CTRL, G=form([form(row) for row in A.tolist()]))
+        assert gains.G == ((0.559, 0.196), (0.196, 0.657))
+        assert all(type(v) is float for row in gains.G for v in row)
+
 
 class TestBasicLaw:
     def test_identity_G_subtraction(self):
