@@ -2,6 +2,6 @@
 sigmoid-gain observers, controllers and output filtering, plus a closed-loop
 simulation harness and CLI."""
 
-from .sim_harness import SimConfig
+from .config import SimConfig
 
 __version__ = "0.1.0"

@@ -22,17 +22,14 @@ from typing import List, Optional
 
 import numpy as np
 
+from .config import ConfigError, SimConfig, load_doc, parse_yaml
 from .fts_core import DomainError
 from .plant_models import DivergenceError, generate_desired_trajectory
 from .sim_harness import (
     SUITE_NAMES,
     TRAJECTORY_HEADER,
-    ConfigError,
-    SimConfig,
     compute_metrics,
-    load_doc,
     metrics_to_text,
-    parse_yaml,
     run_closed_loop,
     verify_suite,
     write_csv,

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import ftsmfc
-from ftsmfc import cli, plant_models, sim_harness
+from ftsmfc import cli, config, plant_models, sim_harness
 from ftsmfc.sim_harness import PropertyResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -551,9 +551,9 @@ class TestSweep:
         _one_line(err, "config error: --values")
 
     def test_values_read_by_the_config_loader(self):
-        # one YAML loader: sweep values go through sim_harness, and cli binds no yaml
+        # one YAML loader: sweep values go through config, and cli binds no yaml
         assert not hasattr(cli, "yaml")
-        assert sim_harness.parse_yaml("[0.1, 2]", "unused") == [0.1, 2]
+        assert config.parse_yaml("[0.1, 2]", "unused") == [0.1, 2]
 
     def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"

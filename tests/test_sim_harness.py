@@ -9,15 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ftsmfc.config import MAX_STEPS, load_doc
 from ftsmfc.plant_models import DivergenceError, SyntheticUlmPlant
 from ftsmfc.sim_harness import (
     CSV_HEADER,
-    MAX_STEPS,
     ConfigError,
     SimConfig,
     SimLog,
     compute_metrics,
-    load_doc,
     run_closed_loop,
     verify_suite,
     write_csv,
