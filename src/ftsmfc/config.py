@@ -2,8 +2,7 @@
 a config document.
 
 SimConfig.from_dict converts and checks every value once (strict keys, shapes,
-ranges, defaults) and hands the kernel Python floats and tuples.  Importing
-this module, and so `import ftsmfc`, and reading a config import no NumPy.
+ranges, defaults) and hands the kernel Python floats and tuples.
 """
 
 from __future__ import annotations
@@ -175,8 +174,8 @@ def _gain_params(section: dict, what: str, default: HolderGainParams) -> HolderG
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-_OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
-_CTRL_PARAMS = HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
+OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
+CTRL_PARAMS = HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
 _FILTER_PARAMS = HolderGainParams(exponent=7.0 / 5.0, scale=2.0, weight=2.1)
 
 # The longest horizon accepted, in ticks: at about 300 log bytes a tick, 3 GB.
@@ -278,7 +277,7 @@ class SimConfig:
         G = _as_2x2(ctrl["G"], "controller.G")
         if _as_bool(ctrl.get("G_times_dt", False), "controller.G_times_dt"):
             G = tuple(tuple(dt * g for g in row) for row in G)
-        control_params = _gain_params(ctrl, "controller", _CTRL_PARAMS)
+        control_params = _gain_params(ctrl, "controller", CTRL_PARAMS)
         try:
             kwargs["gains"] = ControlGains(params=control_params, G=G)
         except DomainError as exc:
@@ -286,7 +285,7 @@ class SimConfig:
 
         obs = _section(doc, "observer")
         kwargs["observer_order"] = _choice(obs, "order", ("first", "second"), "observer.order")
-        kwargs["observer_params"] = _gain_params(obs, "observer", _OBS_PARAMS)
+        kwargs["observer_params"] = _gain_params(obs, "observer", OBS_PARAMS)
 
         filt = _section(doc, "filter")
         kwargs["filter_enabled"] = _as_bool(filt.get("enabled", True), "filter.enabled")

@@ -19,6 +19,8 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -106,7 +108,6 @@ def gamma_of_V(V, params: HolderGainParams):
     (1 - holder_gain^2) * V^a when e is any vector with e^T W e = V.
     Accepts scalars or arrays.
     """
-    import numpy as np  # here, not at module level, so reading a config imports no NumPy
     V = np.asarray(V, dtype=float)
     if np.any(V < 0.0) or not np.all(np.isfinite(V)):
         raise DomainError("gamma_of_V: V must be finite and non-negative")
@@ -135,7 +136,6 @@ class LyapunovTrace:
     eta: float
 
     def __post_init__(self) -> None:
-        import numpy as np
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise DomainError("trace values must be a non-empty 1-d sequence")
@@ -166,7 +166,6 @@ def fts_recursion(
     negative forces the Lyapunov value to 0).  Returns the trace and the first
     index N with V_N = 0, or None if 0 was not reached within max_steps.
     """
-    import numpy as np
     if not (math.isfinite(V0) and V0 >= 0.0):
         raise DomainError(f"V0 must be finite and non-negative, got {V0}")
     if not (math.isfinite(eta) and eta > 0.0):
@@ -194,7 +193,6 @@ def _eval_gamma(gamma_fn: Callable, V: np.ndarray) -> np.ndarray:
     A scalar result (a constant gamma) is returned as is and broadcasts
     against V wherever it is used.
     """
-    import numpy as np
     try:
         g = np.asarray(gamma_fn(V), dtype=float)
         if g.ndim == 0 or g.shape == V.shape:
@@ -223,7 +221,6 @@ def verify_fts_condition(
          every consecutive pair (the clamped form admits traces that hit 0);
       2. gain: gamma_fn(V) >= epsilon^(1-alpha) whenever V >= epsilon.
     """
-    import numpy as np
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     V = trace.values
@@ -259,7 +256,6 @@ def verify_holder_continuity(trace: LyapunovTrace, epsilon: float) -> bool:
     observed one-step change) already meets the bound are skipped, so the
     check is O(n) on traces produced by fts_recursion.
     """
-    import numpy as np
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     V = trace.values

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .fts_core import Pair, float_rows
 
 
@@ -137,7 +139,6 @@ def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
 
 def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams) -> np.ndarray:
     """The first floor(T/dt) + 1 samples of desired_samples, of shape (count, 2)."""
-    import numpy as np  # here, not at module level, so reading a config imports no NumPy
     if not (T >= 0.0 and dt > 0.0):
         raise ValueError("require T >= 0 and dt > 0")
     count = int(math.floor(T / dt)) + 1
@@ -285,7 +286,6 @@ class SyntheticUlmPlant:
             (a0, a1), (f0, f1) = self._amp, self._freq
             return (a0 * math.sin(f0 * k), a1 * math.sin(f1 * k))
         if k < self._walk_k:  # only the current position is kept: replay from the seed
-            import numpy as np
             self._rng = np.random.default_rng(self._seed)
             self._walk_k, self._walk_F = 0, tuple(self._rng.standard_normal(2).tolist())
         while self._walk_k < k:

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .config import _CTRL_PARAMS, _OBS_PARAMS, ConfigError, SimConfig
+from .config import CTRL_PARAMS, OBS_PARAMS, ConfigError, SimConfig
 from .fts_core import (
     HolderGainParams,
     Pair,
@@ -392,9 +392,9 @@ def _suite_observer1(rng: np.random.Generator, n: int = 50) -> List[PropertyResu
         e_pred = (F_hat[0] - c0, F_hat[1] - c1)
         for _ in range(_CONVERGENCE_BUDGET):
             # error recursion evaluated independently of the state update
-            g = holder_gain(e_pred, _OBS_PARAMS)
+            g = holder_gain(e_pred, OBS_PARAMS)
             e_pred = (g * e_pred[0], g * e_pred[1])
-            F_hat = first_order_update(F_hat, F_const, _OBS_PARAMS)
+            F_hat = first_order_update(F_hat, F_const, OBS_PARAMS)
             e0, e1 = F_hat[0] - c0, F_hat[1] - c1
             worst_ident = max(worst_ident, abs(e0 - e_pred[0]), abs(e1 - e_pred[1]))
             if math.hypot(e0, e1) < _CONVERGENCE_TOL:
@@ -425,7 +425,7 @@ def _suite_observer2(rng: np.random.Generator, n: int = 20) -> List[PropertyResu
         eF = eD = math.inf
         for k in range(budget):
             F_k = (k * d0, k * d1)
-            F_hat, dF_hat = second_order_update(F_hat, dF_hat, F_prev, F_k, _OBS_PARAMS)
+            F_hat, dF_hat = second_order_update(F_hat, dF_hat, F_prev, F_k, OBS_PARAMS)
             F_prev = F_k
             # after absorbing sample k the estimate predicts sample k+1
             eF = math.hypot(F_hat[0] - (k + 1) * d0, F_hat[1] - (k + 1) * d1)
@@ -447,7 +447,7 @@ def _suite_control(rng: np.random.Generator, n: int = 20) -> List[PropertyResult
     worst_fts = 0.0
     worst_conv = 0.0
     G = np.array([[0.559, 0.196], [0.196, 0.657]])
-    gains = ControlGains(params=_CTRL_PARAMS, G=G)
+    gains = ControlGains(params=CTRL_PARAMS, G=G)
     for _ in range(n):
         plant = SyntheticUlmPlant(
             "sinusoid", G=G, amplitude=rng.uniform(0.1, 2.0, 2),
@@ -462,13 +462,13 @@ def _suite_control(rng: np.random.Generator, n: int = 20) -> List[PropertyResult
         e_y = (plant.output[0] - y_d[0], plant.output[1] - y_d[1])
         e_F = np.subtract(F_hat, plant.true_F(plant.k))
         y_next = plant.step(control_law_fts(y_d, F_hat, e_y, gains))
-        predicted = holder_gain(e_y, _CTRL_PARAMS) * np.array(e_y) - e_F
+        predicted = holder_gain(e_y, CTRL_PARAMS) * np.array(e_y) - e_F
         worst_fts = max(worst_fts, float(np.max(np.abs(np.subtract(y_next, y_d) - predicted))))
 
         # perfect estimation: tracking error contracts to below tolerance
         e_y = _uniform_pair(rng, -5, 5)
         for _ in range(_CONVERGENCE_BUDGET):
-            g = holder_gain(e_y, _CTRL_PARAMS)
+            g = holder_gain(e_y, CTRL_PARAMS)
             e_y = (g * e_y[0], g * e_y[1])
             if math.hypot(*e_y) < _CONVERGENCE_TOL:
                 break
@@ -499,10 +499,10 @@ def _suite_robustness(rng: np.random.Generator) -> List[PropertyResult]:
                 prev_norm = norm
                 r = B / math.hypot(s0, s1)
                 F = (F[0] + s0 * r, F[1] + s1 * r)
-                F_hat = first_order_update(F_hat, F, _OBS_PARAMS)
+                F_hat = first_order_update(F_hat, F, OBS_PARAMS)
                 e = (F_hat[0] - F[0], F_hat[1] - F[1])
                 norm = math.hypot(*e)
-                gain = holder_gain(e, _OBS_PARAMS)
+                gain = holder_gain(e, OBS_PARAMS)
                 margin = decrease_radius(gain) * norm
                 if margin > B and norm > prev_norm + 1e-12:
                     decrease_bad += 1

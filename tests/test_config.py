@@ -1,23 +1,13 @@
-"""The config reader on its own: strings and mappings where lists belong, and
-reading a config without importing NumPy."""
+"""The config reader on its own: strings and mappings where lists belong."""
 
 import copy
-import json
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 import yaml
 
-import ftsmfc
 from ftsmfc import cli, config
-from ftsmfc.fts_core import HolderGainParams, fts_recursion, gamma_of_V
-from ftsmfc.plant_models import PendulumParams, SyntheticUlmPlant, generate_desired_trajectory
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 G = [[0.559, 0.196], [0.196, 0.657]]
 BASE_DOC = {
     "dt": 0.01,
@@ -27,12 +17,6 @@ BASE_DOC = {
     "noise": {"enabled": False},
     "trajectory": {"source": "zero"},
     "metrics": {"settle_time": 0.2},
-}
-SPECS = {
-    "constant": {"const": [0.3, -0.2]},
-    "ramp": {"slope": ["1/100", 0.0], "nu": 2},
-    "sinusoid": {"amplitude": [0.5, 0.2], "freq": [0.1, "1/7"]},
-    "random-walk": {"bound": 0.1, "seed": 3},
 }
 
 
@@ -46,14 +30,6 @@ def _doc(**overrides) -> dict:
             node = node.setdefault(part, {})
         node[last] = value
     return doc
-
-
-def _plant_docs() -> list:
-    """A doc for every plant kind, and one that reads its trajectory from a file."""
-    docs = [_doc(plant={"kind": kind, "spec": {"G": G, **spec}}) for kind, spec in SPECS.items()]
-    docs.append(_doc(plant={"kind": "pendulum"}, trajectory={"source": "generated"}))
-    docs.append(_doc(trajectory={"source": "file", "path": "trajectory.csv"}))
-    return docs
 
 
 # A string where a list belongs must not be read one character at a time, nor a
@@ -93,47 +69,3 @@ def test_fraction_string_is_one_number():
                                              "metrics.settle_time": "1/5"}))
     assert (cfg.bands, cfg.settle_time) == ((0.5, 0.05), 0.2)
 
-
-# Run in a fresh interpreter, since this one has NumPy loaded already: read the
-# configs and note whether that loaded NumPy, then call the tools that import it
-# when first called, through _compute below.
-CHILD = """
-import json, sys
-import ftsmfc
-from ftsmfc import config
-tests, paths, docs = json.load(sys.stdin)
-for path in paths:
-    ftsmfc.SimConfig.from_yaml(path)
-for doc in docs:
-    config.SimConfig.from_dict(doc)
-numpy_loaded = "numpy" in sys.modules
-sys.path.insert(0, tests)
-from test_config import _compute
-print(json.dumps({"numpy_loaded": numpy_loaded, "computed": _compute()}))
-"""
-
-
-def _compute() -> dict:
-    trace, n = fts_recursion(2.0, 0.5, 0.5)
-    params = HolderGainParams(exponent=9 / 7, scale=1.5)
-    walk = SyntheticUlmPlant("random-walk", G=G, bound=0.1, seed=3)
-    return {
-        "fts_recursion": [trace.values.tolist(), n],
-        "gamma_of_V": [gamma_of_V(0.3, params), gamma_of_V([0.0, 2.0], params).tolist()],
-        "trajectory": generate_desired_trajectory(
-            [0.45, -0.14, -0.3, 0.05], 0.05, 0.01, PendulumParams()).tolist(),
-        # tick 1 after tick 4 replays the walk from its seed
-        "true_F": [list(walk.true_F(k)) for k in (4, 1)],
-    }
-
-
-def test_reading_a_config_imports_no_numpy():
-    paths = [str(CONFIGS / "synthetic_constant.yaml"), str(CONFIGS / "paper_experiment.yaml")]
-    stdin = json.dumps([str(Path(__file__).parent), paths, _plant_docs()])
-    src = str(Path(ftsmfc.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", CHILD], input=stdin, capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    child = json.loads(proc.stdout)
-    assert child["numpy_loaded"] is False
-    assert child["computed"] == json.loads(json.dumps(_compute()))

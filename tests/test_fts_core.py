@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from ftsmfc import config, fts_core, output_filter, plant_models, tracking_control, ulm_observer
+from ftsmfc import config, output_filter, tracking_control, ulm_observer
 from ftsmfc.fts_core import (
     DomainError,
     HolderGainParams,
@@ -162,10 +162,8 @@ class TestWeightSpdCheck:
 
 
 def test_kernel_modules_bind_no_numpy():
-    # the filter, the observers and the control laws run on floats only; the config
-    # reader and the modules it imports import NumPy only inside the tools that use it
-    for module in (output_filter, ulm_observer, tracking_control, config, fts_core,
-                   plant_models):
+    # the filter, the observers, the control laws and the config reader run on floats only
+    for module in (output_filter, ulm_observer, tracking_control, config):
         bound = [name for name, value in vars(module).items()
                  if isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "numpy"]
         assert bound == [], (module.__name__, bound)
