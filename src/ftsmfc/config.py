@@ -36,9 +36,14 @@ def _as_float(value, what: str) -> float:
     return number
 
 
+# Iterables that are not lists of numbers: '57' would read as (5, 7), b'57' (YAML !!binary)
+# as (53, 55), and {5: 0, 7: 0} as (5, 7)
+_NOT_A_LIST = (str, bytes, bytearray, dict)
+
+
 def _as_vector(value, length: int, what: str) -> Tuple[float, ...]:
     try:
-        if isinstance(value, (str, dict)):  # '57' would read as (5, 7), {5: 0, 7: 0} as well
+        if isinstance(value, _NOT_A_LIST):
             raise TypeError(value)
         v = tuple(_as_float(x, what) for x in value)
     except TypeError as exc:
@@ -50,7 +55,7 @@ def _as_vector(value, length: int, what: str) -> Tuple[float, ...]:
 
 def _as_matrix(value, what: str) -> Tuple[Tuple[float, ...], ...]:
     """Rows of finite numbers, each as long as the first, or one flat row; callers check shapes."""
-    if isinstance(value, (str, dict)):
+    if isinstance(value, _NOT_A_LIST):
         raise ConfigError(f"{what}: expected rows of numbers, got {value!r}")
     try:
         rows = [value] if isinstance(value[0], (str, int, float)) else value
@@ -178,7 +183,7 @@ OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
 CTRL_PARAMS = HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
 _FILTER_PARAMS = HolderGainParams(exponent=7.0 / 5.0, scale=2.0, weight=2.1)
 
-# The longest horizon accepted, in ticks: at about 300 log bytes a tick, 3 GB.
+# The longest horizon accepted, in ticks: at 112 log bytes a tick, 1.1 GB.
 MAX_STEPS = 10_000_000
 
 

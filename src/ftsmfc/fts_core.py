@@ -6,10 +6,12 @@ gain shape: for an error vector e and parameters (exponent, scale, weight),
     gain(e) = (x - scale) / (x + scale),   x = (e^T W e)^(1 - 1/exponent),
 
 which takes values in [-1, 1) and equals -1 exactly at e = 0.  This module
-provides that gain, the associated Lyapunov decrement function, the clamped
-decrement recursion, verifiers for the finite-time-stability and
-Holder-continuity conditions, and the expansion-side and contraction-side
-ultimate-bound radius factors.
+provides that gain on pairs of floats and the expansion-side and
+contraction-side ultimate-bound radius factors.  The Lyapunov tools that work
+on arrays (the decrement function gamma_of_V, LyapunovTrace, the clamped
+decrement recursion fts_recursion and the verifiers of the finite-time-stability
+and Holder-continuity conditions) live in ftsmfc.verify, which imports NumPy;
+they resolve here on first use.
 """
 
 from __future__ import annotations
@@ -17,13 +19,25 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Sequence, Tuple, Union
 
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+# Defined in ftsmfc.verify, the module that imports NumPy; bound here on first use.
+_IN_VERIFY = ("gamma_of_V", "LyapunovTrace", "fts_recursion",
+              "verify_fts_condition", "verify_holder_continuity")
+
+
+def __getattr__(name: str):
+    """PEP 562: load ftsmfc.verify when one of its Lyapunov tools is first looked up here."""
+    if name not in _IN_VERIFY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+    value = globals()[name] = getattr(verify, name)
+    return value
 
 
 WeightLike = Union[float, Sequence[Sequence[float]], None]
@@ -101,182 +115,9 @@ def holder_gain(e: Pair, params: HolderGainParams) -> float:
     return (x - params.scale) / (x + params.scale)
 
 
-def gamma_of_V(V, params: HolderGainParams):
-    """Lyapunov decrement rate 4*scale*V^(2a) / (V^a + scale)^2 with a = holder_power.
-
-    Class-K in V: zero at zero, strictly increasing.  Identical to
-    (1 - holder_gain^2) * V^a when e is any vector with e^T W e = V.
-    Accepts scalars or arrays.
-    """
-    V = np.asarray(V, dtype=float)
-    if np.any(V < 0.0) or not np.all(np.isfinite(V)):
-        raise DomainError("gamma_of_V: V must be finite and non-negative")
-    a = params.holder_power
-    x = np.power(V, a)
-    out = 4.0 * params.scale * np.power(V, 2.0 * a) / np.square(x + params.scale)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def gamma_zero_crossing(params: HolderGainParams) -> float:
     """The V at which gamma_of_V(V) == scale, i.e. scale^(1/holder_power)."""
     return params.scale ** (1.0 / params.holder_power)
-
-
-@dataclass(frozen=True)
-class LyapunovTrace:
-    """A non-negative Lyapunov sequence with its decrement parameters.
-
-    Once a value reaches 0 all subsequent values must be 0.
-    """
-
-    values: np.ndarray
-    alpha: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise DomainError("trace values must be a non-empty 1-d sequence")
-        if np.any(v < 0.0) or not np.all(np.isfinite(v)):
-            raise DomainError("trace values must be finite and non-negative")
-        zero_idx = np.flatnonzero(v == 0.0)
-        if zero_idx.size and np.any(v[zero_idx[0]:] != 0.0):
-            raise DomainError("trace must stay at 0 after first reaching 0")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in ]0,1[, got {self.alpha}")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise DomainError(f"eta must be positive, got {self.eta}")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def fts_recursion(
-    V0: float,
-    eta: float,
-    alpha: float,
-    max_steps: int = 1_000_000,
-) -> Tuple[LyapunovTrace, Optional[int]]:
-    """Iterate V_{j+1} = max(0, V_j - eta*V_j^alpha) until 0 or max_steps.
-
-    Negative intermediate values are clamped to 0 (the decrement bound going
-    negative forces the Lyapunov value to 0).  Returns the trace and the first
-    index N with V_N = 0, or None if 0 was not reached within max_steps.
-    """
-    if not (math.isfinite(V0) and V0 >= 0.0):
-        raise DomainError(f"V0 must be finite and non-negative, got {V0}")
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise DomainError(f"eta must be positive, got {eta}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in ]0,1[, got {alpha}")
-    if max_steps < 0:
-        raise DomainError("max_steps must be non-negative")
-    V, eta, alpha = float(V0), float(eta), float(alpha)
-    vals = [V]
-    append = vals.append
-    for _ in range(max_steps if V > 0.0 else 0):
-        V = V - eta * V ** alpha
-        if not V > 0.0:  # max(0.0, V) for negatives, -0.0 and nan alike
-            append(0.0)
-            break
-        append(V)
-    trace = LyapunovTrace(values=np.asarray(vals, dtype=float), alpha=alpha, eta=eta)
-    return trace, (len(vals) - 1 if vals[-1] == 0.0 else None)
-
-
-def _eval_gamma(gamma_fn: Callable, V: np.ndarray) -> np.ndarray:
-    """Evaluate gamma_fn on an array, falling back to per-element calls.
-
-    A scalar result (a constant gamma) is returned as is and broadcasts
-    against V wherever it is used.
-    """
-    try:
-        g = np.asarray(gamma_fn(V), dtype=float)
-        if g.ndim == 0 or g.shape == V.shape:
-            return g
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([gamma_fn(float(v)) for v in V], dtype=float)
-
-
-# Relative floating-point headroom used by the verifiers.  The recursion,
-# its verifier and any external producer of a trace may round the same
-# expression differently in the last ulp; equality cases in the spec'd
-# conditions must still verify.
-_VERIFY_RTOL = 1e-12
-
-
-def verify_fts_condition(
-    trace: LyapunovTrace,
-    gamma_fn: Callable,
-    epsilon: float,
-) -> bool:
-    """Check the finite-time-stability conditions on a Lyapunov trace.
-
-    Two conditions, both with a 1e-12 relative floating-point headroom:
-      1. decrement: V_{k+1} <= max(0, V_k - gamma_fn(V_k) * V_k^alpha) for
-         every consecutive pair (the clamped form admits traces that hit 0);
-      2. gain: gamma_fn(V) >= epsilon^(1-alpha) whenever V >= epsilon.
-    """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
-    V = trace.values
-    a = trace.alpha
-    if len(V) >= 2:
-        prev = V[:-1]
-        g = _eval_gamma(gamma_fn, prev)
-        bound = np.maximum(0.0, prev - g * np.power(prev, a))
-        tol = _VERIFY_RTOL * np.maximum(1.0, prev)
-        if not np.all(V[1:] <= bound + tol):
-            return False
-    mask = V >= epsilon
-    if np.any(mask):
-        g = _eval_gamma(gamma_fn, V[mask])
-        eta = epsilon ** (1.0 - a)
-        if not np.all(g >= eta - _VERIFY_RTOL * max(1.0, eta)):
-            return False
-    return True
-
-
-def verify_holder_continuity(trace: LyapunovTrace, epsilon: float) -> bool:
-    """Check the discrete Holder-continuity bound on a Lyapunov trace.
-
-    For every index pair at lag d the check requires
-
-        |V_i - V_j| <= epsilon * d^(1/(1-alpha)) + slack_rate * d
-
-    where slack_rate = eta * max(V)^alpha is the largest admissible one-step
-    decrement of the trace.  The linear term is the documented bound on the
-    remainder of the Holder inequality, whose second-and-higher-order terms
-    are controlled by the per-step decrement rate; a trace whose jumps exceed
-    that rate fails.  Lags whose worst possible change (d times the largest
-    observed one-step change) already meets the bound are skipped, so the
-    check is O(n) on traces produced by fts_recursion.
-    """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
-    V = trace.values
-    n = len(V)
-    if n < 2:
-        return True
-    a = trace.alpha
-    h = 1.0 / (1.0 - a)
-    vmax = float(np.max(V))
-    slack_rate = trace.eta * vmax ** a
-    adj = np.abs(np.diff(V))
-    max_step = float(adj.max())
-    d = np.arange(1, n, dtype=float)
-    bound = epsilon * np.power(d, h) + slack_rate * d + _VERIFY_RTOL * max(1.0, vmax)
-    risky = np.flatnonzero(d * max_step > bound)
-    for idx in risky:
-        lag = int(d[idx])
-        worst = float(np.max(np.abs(V[lag:] - V[:-lag])))
-        if worst > bound[idx]:
-            return False
-    return True
 
 
 def robustness_radius(gain_value: float) -> float:

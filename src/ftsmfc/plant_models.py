@@ -20,9 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Iterator, List, Optional
 
 from .fts_core import Pair, float_rows
 
@@ -137,15 +135,12 @@ def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
         yield y
 
 
-def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams) -> np.ndarray:
-    """The first floor(T/dt) + 1 samples of desired_samples, of shape (count, 2)."""
+def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams) -> List[Pair]:
+    """The first floor(T/dt) + 1 samples of desired_samples, as a list of float pairs."""
     if not (T >= 0.0 and dt > 0.0):
         raise ValueError("require T >= 0 and dt > 0")
     count = int(math.floor(T / dt)) + 1
-    samples = itertools.chain.from_iterable(
-        itertools.islice(desired_samples(init, dt, params), count)
-    )
-    return np.fromiter(samples, dtype=float, count=2 * count).reshape(count, 2)
+    return list(itertools.islice(desired_samples(init, dt, params), count))
 
 
 @dataclass(frozen=True)
@@ -270,8 +265,11 @@ class SyntheticUlmPlant:
             self._amp = _pair(amplitude, kind, "amplitude")
             self._freq = _pair(freq, kind, "freq")
         elif kind == "random-walk":
+            import numpy as np  # the walk is NumPy's seeded PCG64 stream; no other plant loads it
+
             self._bound = float(_required(bound, kind, "bound"))
             self._seed, self._walk_k = _required(seed, kind, "seed"), math.inf
+            self._default_rng = np.random.default_rng
             self.true_F(0)  # starts the walk, so a bad seed fails here
         else:
             raise ValueError(f"unknown synthetic plant kind: {kind!r}")
@@ -286,7 +284,7 @@ class SyntheticUlmPlant:
             (a0, a1), (f0, f1) = self._amp, self._freq
             return (a0 * math.sin(f0 * k), a1 * math.sin(f1 * k))
         if k < self._walk_k:  # only the current position is kept: replay from the seed
-            self._rng = np.random.default_rng(self._seed)
+            self._rng = self._default_rng(self._seed)
             self._walk_k, self._walk_F = 0, tuple(self._rng.standard_normal(2).tolist())
         while self._walk_k < k:
             s0, s1 = self._rng.standard_normal(2).tolist()

@@ -1,0 +1,502 @@
+"""The seeded property-verification suites and the Lyapunov tools they check, on
+NumPy arrays: the one module that imports NumPy when it is imported.  fts_core
+and sim_harness bind its public names on first use (PEP 562), so `simulate`,
+`generate-trajectory` and `sweep` never load it.  The suites call package
+functions through their modules (`fts_core.holder_gain`, ...), so a wrapper put
+on a module attribute sees every call.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from . import fts_core, plant_models, tracking_control, ulm_observer
+from .config import CTRL_PARAMS, OBS_PARAMS, ConfigError
+from .fts_core import (DomainError, HolderGainParams, Pair, decrease_radius,
+                       gamma_zero_crossing, robustness_radius)
+
+
+def gamma_of_V(V, params: HolderGainParams):
+    """Lyapunov decrement rate 4*scale*V^(2a) / (V^a + scale)^2 with a = holder_power.
+
+    Class-K in V: zero at zero, strictly increasing.  Identical to
+    (1 - holder_gain^2) * V^a when e is any vector with e^T W e = V.
+    Accepts scalars or arrays.
+    """
+    V = np.asarray(V, dtype=float)
+    if np.any(V < 0.0) or not np.all(np.isfinite(V)):
+        raise DomainError("gamma_of_V: V must be finite and non-negative")
+    a = params.holder_power
+    x = np.power(V, a)
+    out = 4.0 * params.scale * np.power(V, 2.0 * a) / np.square(x + params.scale)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+@dataclass(frozen=True)
+class LyapunovTrace:
+    """A non-negative Lyapunov sequence with its decrement parameters.
+
+    Once a value reaches 0 all subsequent values must be 0.
+    """
+
+    values: np.ndarray
+    alpha: float
+    eta: float
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 1 or v.size == 0:
+            raise DomainError("trace values must be a non-empty 1-d sequence")
+        if np.any(v < 0.0) or not np.all(np.isfinite(v)):
+            raise DomainError("trace values must be finite and non-negative")
+        zero_idx = np.flatnonzero(v == 0.0)
+        if zero_idx.size and np.any(v[zero_idx[0]:] != 0.0):
+            raise DomainError("trace must stay at 0 after first reaching 0")
+        if not (0.0 < self.alpha < 1.0):
+            raise DomainError(f"alpha must lie in ]0,1[, got {self.alpha}")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise DomainError(f"eta must be positive, got {self.eta}")
+        object.__setattr__(self, "values", v)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def fts_recursion(
+    V0: float,
+    eta: float,
+    alpha: float,
+    max_steps: int = 1_000_000,
+) -> Tuple[LyapunovTrace, Optional[int]]:
+    """Iterate V_{j+1} = max(0, V_j - eta*V_j^alpha) until 0 or max_steps.
+
+    Negative intermediate values are clamped to 0 (the decrement bound going
+    negative forces the Lyapunov value to 0).  Returns the trace and the first
+    index N with V_N = 0, or None if 0 was not reached within max_steps.
+    """
+    if not (math.isfinite(V0) and V0 >= 0.0):
+        raise DomainError(f"V0 must be finite and non-negative, got {V0}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise DomainError(f"eta must be positive, got {eta}")
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in ]0,1[, got {alpha}")
+    if max_steps < 0:
+        raise DomainError("max_steps must be non-negative")
+    V, eta, alpha = float(V0), float(eta), float(alpha)
+    vals = [V]
+    append = vals.append
+    for _ in range(max_steps if V > 0.0 else 0):
+        V = V - eta * V ** alpha
+        if not V > 0.0:  # max(0.0, V) for negatives, -0.0 and nan alike
+            append(0.0)
+            break
+        append(V)
+    trace = LyapunovTrace(values=np.asarray(vals, dtype=float), alpha=alpha, eta=eta)
+    return trace, (len(vals) - 1 if vals[-1] == 0.0 else None)
+
+
+def _eval_gamma(gamma_fn: Callable, V: np.ndarray) -> np.ndarray:
+    """Evaluate gamma_fn on an array, falling back to per-element calls.
+
+    A scalar result (a constant gamma) is returned as is and broadcasts
+    against V wherever it is used.
+    """
+    try:
+        g = np.asarray(gamma_fn(V), dtype=float)
+        if g.ndim == 0 or g.shape == V.shape:
+            return g
+    except (TypeError, ValueError):
+        pass
+    return np.asarray([gamma_fn(float(v)) for v in V], dtype=float)
+
+
+# Relative floating-point headroom used by the verifiers.  The recursion,
+# its verifier and any external producer of a trace may round the same
+# expression differently in the last ulp; equality cases in the spec'd
+# conditions must still verify.
+_VERIFY_RTOL = 1e-12
+
+
+def verify_fts_condition(
+    trace: LyapunovTrace,
+    gamma_fn: Callable,
+    epsilon: float,
+) -> bool:
+    """Check the finite-time-stability conditions on a Lyapunov trace.
+
+    Two conditions, both with a 1e-12 relative floating-point headroom:
+      1. decrement: V_{k+1} <= max(0, V_k - gamma_fn(V_k) * V_k^alpha) for
+         every consecutive pair (the clamped form admits traces that hit 0);
+      2. gain: gamma_fn(V) >= epsilon^(1-alpha) whenever V >= epsilon.
+    """
+    if epsilon <= 0.0:
+        raise DomainError("epsilon must be positive")
+    V = trace.values
+    a = trace.alpha
+    if len(V) >= 2:
+        prev = V[:-1]
+        g = _eval_gamma(gamma_fn, prev)
+        bound = np.maximum(0.0, prev - g * np.power(prev, a))
+        tol = _VERIFY_RTOL * np.maximum(1.0, prev)
+        if not np.all(V[1:] <= bound + tol):
+            return False
+    mask = V >= epsilon
+    if np.any(mask):
+        g = _eval_gamma(gamma_fn, V[mask])
+        eta = epsilon ** (1.0 - a)
+        if not np.all(g >= eta - _VERIFY_RTOL * max(1.0, eta)):
+            return False
+    return True
+
+
+def verify_holder_continuity(trace: LyapunovTrace, epsilon: float) -> bool:
+    """Check the discrete Holder-continuity bound on a Lyapunov trace.
+
+    For every index pair at lag d the check requires
+
+        |V_i - V_j| <= epsilon * d^(1/(1-alpha)) + slack_rate * d
+
+    where slack_rate = eta * max(V)^alpha is the largest admissible one-step
+    decrement of the trace.  The linear term is the documented bound on the
+    remainder of the Holder inequality, whose second-and-higher-order terms
+    are controlled by the per-step decrement rate; a trace whose jumps exceed
+    that rate fails.  Lags whose worst possible change (d times the largest
+    observed one-step change) already meets the bound are skipped, so the
+    check is O(n) on traces produced by fts_recursion.
+    """
+    if epsilon <= 0.0:
+        raise DomainError("epsilon must be positive")
+    V = trace.values
+    n = len(V)
+    if n < 2:
+        return True
+    a = trace.alpha
+    h = 1.0 / (1.0 - a)
+    vmax = float(np.max(V))
+    slack_rate = trace.eta * vmax ** a
+    adj = np.abs(np.diff(V))
+    max_step = float(adj.max())
+    d = np.arange(1, n, dtype=float)
+    bound = epsilon * np.power(d, h) + slack_rate * d + _VERIFY_RTOL * max(1.0, vmax)
+    risky = np.flatnonzero(d * max_step > bound)
+    for idx in risky:
+        lag = int(d[idx])
+        worst = float(np.max(np.abs(V[lag:] - V[:-lag])))
+        if worst > bound[idx]:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class PropertyResult:
+    """One verified property: sample count, worst-case margin, verdict."""
+
+    name: str
+    samples: int
+    worst_margin: float
+    passed: bool
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class SuiteReport:
+    suite: str
+    results: Tuple[PropertyResult, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.results)
+
+    def format(self) -> str:
+        lines = [f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}"]
+        for r in self.results:
+            status = "pass" if r.passed else "FAIL"
+            line = (
+                f"  [{status}] {r.name}: samples={r.samples}"
+                f" worst_margin={r.worst_margin:.6g}"
+            )
+            if r.note:
+                line += f" ({r.note})"
+            lines.append(line)
+        return "\n".join(lines)
+
+
+def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
+    n = 1_000_000
+    r = rng.uniform(1.01, 1.99, n)
+    lam = 10.0 ** rng.uniform(-3, 3, n)
+    V = 10.0 ** rng.uniform(-6, 6, n)
+    a = 1.0 - 1.0 / r
+    x = np.power(V, a)
+    gamma = 4.0 * lam * np.power(V, 2 * a) / np.square(x + lam)
+    D = (x - lam) / (x + lam)
+    diff = np.abs(gamma - (1.0 - D * D) * x) / np.maximum(1.0, gamma)
+    results = [
+        PropertyResult(
+            "gamma identity vs (1-D^2)V^a", n, float(diff.max()), bool(diff.max() <= 1e-12)
+        )
+    ]
+    # spot-check the vectorized oracle against the public functions
+    worst = 0.0
+    for i in range(0, n, n // 100):
+        p = HolderGainParams(exponent=float(r[i]), scale=float(lam[i]))
+        g = fts_core.gamma_of_V(V[i], p)
+        d = fts_core.holder_gain((math.sqrt(V[i]), 0.0), p)
+        worst = max(worst, abs(g - gamma[i]) / max(1.0, g), abs(d - D[i]))
+    results.append(
+        PropertyResult("public-function cross-check", 100, worst, worst <= 1e-12)
+    )
+    m = 1000
+    worst = 0.0
+    for i in range(m):
+        p = HolderGainParams(
+            exponent=float(rng.uniform(1.01, 1.99)), scale=float(10.0 ** rng.uniform(-2, 2))
+        )
+        Vb = gamma_zero_crossing(p)
+        worst = max(worst, abs(fts_core.gamma_of_V(Vb, p) - p.scale) / p.scale)
+    results.append(
+        PropertyResult("gamma boundary equals scale", m, worst, worst <= 1e-12)
+    )
+    return results
+
+
+def _suite_rho(rng: np.random.Generator) -> List[PropertyResult]:
+    n = 1_000_000
+    zeta = 10.0 ** rng.uniform(-6, 0, n)
+    stable = 1.0 + np.sqrt(1.0 - zeta)
+    # the quotient form loses ~6 digits to cancellation near zeta = 1e-6 in
+    # double precision; evaluate it in extended precision for the comparison
+    zl = zeta.astype(np.longdouble)
+    quotient = (zl / (1.0 - np.sqrt(1.0 - zl))).astype(float)
+    diff = np.abs(stable - quotient) / stable
+    in_range = bool(np.all((stable >= 1.0) & (stable <= 2.0)))
+    return [
+        PropertyResult(
+            "stable vs quotient form", n, float(diff.max()), bool(diff.max() <= 1e-12)
+        ),
+        PropertyResult("range [1,2]", n, 0.0, in_range),
+        PropertyResult(
+            "rho at gain 0 equals 1", 1, abs(robustness_radius(0.0) - 1.0),
+            robustness_radius(0.0) == 1.0,
+        ),
+    ]
+
+
+def _suite_lemma1(rng: np.random.Generator, n: int = 300) -> List[PropertyResult]:
+    worst_N = 0
+    all_finite = True
+    all_verified = True
+    for _ in range(n):
+        V0 = 10.0 ** rng.uniform(-6, 6)
+        eta = rng.uniform(1e-3, 10.0)
+        alpha = rng.uniform(0.05, 0.95)
+        trace, N = fts_core.fts_recursion(V0, eta, alpha, max_steps=20_000_000)
+        if N is None:
+            all_finite = False
+            continue
+        worst_N = max(worst_N, N)
+        eps = eta ** (1.0 / (1.0 - alpha))
+        if not fts_core.verify_fts_condition(trace, lambda V: eta, eps):
+            all_verified = False
+    return [
+        PropertyResult("recursion reaches exactly 0", n, float(worst_N), all_finite,
+                       note="margin is the largest step count"),
+        PropertyResult("traces satisfy the decrement/gain conditions", n, 0.0, all_verified),
+    ]
+
+
+def _suite_holder(rng: np.random.Generator, n: int = 200) -> List[PropertyResult]:
+    ok = True
+    for _ in range(n):
+        V0 = 10.0 ** rng.uniform(-6, 6)
+        eta = rng.uniform(1e-3, 10.0)
+        alpha = rng.uniform(0.05, 0.95)
+        trace, _ = fts_core.fts_recursion(V0, eta, alpha, max_steps=20_000_000)
+        eps = eta ** (1.0 / (1.0 - alpha))
+        if not fts_core.verify_holder_continuity(trace, eps):
+            ok = False
+    return [PropertyResult("recursion traces are Holder-continuous", n, 0.0, ok)]
+
+
+_CONVERGENCE_BUDGET = 25_000
+_CONVERGENCE_TOL = 1e-9
+
+
+def _uniform_pair(rng: np.random.Generator, low: float, high: float) -> Pair:
+    """Two uniform draws as a pair of floats."""
+    v0, v1 = rng.uniform(low, high, 2).tolist()
+    return v0, v1
+
+
+def _suite_observer1(rng: np.random.Generator, n: int = 50) -> List[PropertyResult]:
+    worst_err = 0.0
+    worst_ident = 0.0
+    for _ in range(n):
+        c0, c1 = F_const = _uniform_pair(rng, -5, 5)
+        d0, d1 = _uniform_pair(rng, -10, 10)
+        F_hat = (c0 + d0, c1 + d1)
+        e_pred = (F_hat[0] - c0, F_hat[1] - c1)
+        for _ in range(_CONVERGENCE_BUDGET):
+            # error recursion evaluated independently of the state update
+            g = fts_core.holder_gain(e_pred, OBS_PARAMS)
+            e_pred = (g * e_pred[0], g * e_pred[1])
+            F_hat = ulm_observer.first_order_update(F_hat, F_const, OBS_PARAMS)
+            e0, e1 = F_hat[0] - c0, F_hat[1] - c1
+            worst_ident = max(worst_ident, abs(e0 - e_pred[0]), abs(e1 - e_pred[1]))
+            if math.hypot(e0, e1) < _CONVERGENCE_TOL:
+                break
+        worst_err = max(worst_err, math.hypot(e0, e1))
+    return [
+        PropertyResult(
+            "constant-disturbance rejection below 1e-9", n, worst_err,
+            worst_err < _CONVERGENCE_TOL,
+        ),
+        PropertyResult(
+            "error-recursion identity", n, worst_ident, worst_ident <= 1e-12
+        ),
+    ]
+
+
+def _suite_observer2(rng: np.random.Generator, n: int = 20) -> List[PropertyResult]:
+    worst_eF = 0.0
+    worst_eD = 0.0
+    # the level error is driven by the difference error's slow tail
+    # (quasi-static balance ||e_F|| ~ (scale*||e_delta||/2)^(9/13) for these
+    # gains), so it gets a larger budget and a looser threshold
+    budget = 4 * _CONVERGENCE_BUDGET
+    level_tol = 1e-7
+    for _ in range(n):
+        d0, d1 = _uniform_pair(rng, -0.05, 0.05)
+        F_hat, dF_hat, F_prev = _uniform_pair(rng, -5, 5), (0.0, 0.0), None
+        eF = eD = math.inf
+        for k in range(budget):
+            F_k = (k * d0, k * d1)
+            F_hat, dF_hat = ulm_observer.second_order_update(
+                F_hat, dF_hat, F_prev, F_k, OBS_PARAMS
+            )
+            F_prev = F_k
+            # after absorbing sample k the estimate predicts sample k+1
+            eF = math.hypot(F_hat[0] - (k + 1) * d0, F_hat[1] - (k + 1) * d1)
+            eD = math.hypot(dF_hat[0] - d0, dF_hat[1] - d1)
+            if eF < level_tol and eD < _CONVERGENCE_TOL:
+                break
+        worst_eF = max(worst_eF, eF)
+        worst_eD = max(worst_eD, eD)
+    return [
+        PropertyResult("ramp rejection: difference error", n, worst_eD,
+                       worst_eD < _CONVERGENCE_TOL),
+        PropertyResult("ramp rejection: estimation error", n, worst_eF,
+                       worst_eF < level_tol),
+    ]
+
+
+def _suite_control(rng: np.random.Generator, n: int = 20) -> List[PropertyResult]:
+    worst_basic = 0.0
+    worst_fts = 0.0
+    worst_conv = 0.0
+    G = np.array([[0.559, 0.196], [0.196, 0.657]])
+    gains = tracking_control.ControlGains(params=CTRL_PARAMS, G=G)
+    for _ in range(n):
+        plant = plant_models.SyntheticUlmPlant(
+            "sinusoid", G=G, amplitude=rng.uniform(0.1, 2.0, 2),
+            freq=rng.uniform(0.01, 0.5, 2), y_init=rng.uniform(-1, 1, (1, 2)),
+        )
+        F_hat = _uniform_pair(rng, -1, 1)  # frozen imperfect estimate
+        y_d = _uniform_pair(rng, -1, 1)
+        e_F = np.subtract(F_hat, plant.true_F(plant.k))
+        y_next = plant.step(tracking_control.control_law_basic(y_d, F_hat, gains))
+        worst_basic = max(worst_basic, float(np.max(np.abs(np.subtract(y_next, y_d) + e_F))))
+
+        e_y = (plant.output[0] - y_d[0], plant.output[1] - y_d[1])
+        e_F = np.subtract(F_hat, plant.true_F(plant.k))
+        y_next = plant.step(tracking_control.control_law_fts(y_d, F_hat, e_y, gains))
+        predicted = fts_core.holder_gain(e_y, CTRL_PARAMS) * np.array(e_y) - e_F
+        worst_fts = max(worst_fts, float(np.max(np.abs(np.subtract(y_next, y_d) - predicted))))
+
+        # perfect estimation: tracking error contracts to below tolerance
+        e_y = _uniform_pair(rng, -5, 5)
+        for _ in range(_CONVERGENCE_BUDGET):
+            g = fts_core.holder_gain(e_y, CTRL_PARAMS)
+            e_y = (g * e_y[0], g * e_y[1])
+            if math.hypot(*e_y) < _CONVERGENCE_TOL:
+                break
+        worst_conv = max(worst_conv, math.hypot(*e_y))
+    return [
+        PropertyResult("basic-law identity e_y = -e_F", n, worst_basic,
+                       worst_basic <= 1e-10),
+        PropertyResult("feedback-law error dynamics", n, worst_fts, worst_fts <= 1e-10),
+        PropertyResult("perfect-estimate convergence below 1e-9", n, worst_conv,
+                       worst_conv < _CONVERGENCE_TOL),
+    ]
+
+
+def _suite_robustness(rng: np.random.Generator) -> List[PropertyResult]:
+    results = []
+    for B in (0.01, 0.1):
+        n_runs, n_steps, n_settle = 20, 3000, 1500
+        violations = 0
+        decrease_bad = 0
+        worst = 0.0
+        for _ in range(n_runs):
+            F = tuple(rng.standard_normal(2).tolist())
+            d0, d1 = _uniform_pair(rng, -3, 3)
+            F_hat = (F[0] + d0, F[1] + d1)
+            norm = math.inf
+            # the same stream as one (2,) draw a step
+            for k, (s0, s1) in enumerate(rng.standard_normal((n_steps, 2)).tolist()):
+                prev_norm = norm
+                r = B / math.hypot(s0, s1)
+                F = (F[0] + s0 * r, F[1] + s1 * r)
+                F_hat = ulm_observer.first_order_update(F_hat, F, OBS_PARAMS)
+                e = (F_hat[0] - F[0], F_hat[1] - F[1])
+                norm = math.hypot(*e)
+                gain = fts_core.holder_gain(e, OBS_PARAMS)
+                margin = decrease_radius(gain) * norm
+                if margin > B and norm > prev_norm + 1e-12:
+                    decrease_bad += 1
+                if k >= n_settle:
+                    worst = max(worst, margin)
+                    if margin > B:
+                        violations += 1
+        results.append(
+            PropertyResult(
+                f"decrease outside neighborhood (drift {B})", n_runs * n_steps,
+                float(decrease_bad), decrease_bad == 0,
+            )
+        )
+        results.append(
+            PropertyResult(
+                f"ultimate-bound membership (drift {B})",
+                n_runs * (n_steps - n_settle), worst / B, violations == 0,
+                note="margin is worst (1-|gain|)*||e||/B after settling",
+            )
+        )
+    return results
+
+
+_SUITES: Dict[str, Callable[[np.random.Generator], List[PropertyResult]]] = {
+    "gamma": _suite_gamma,
+    "rho": _suite_rho,
+    "lemma1": _suite_lemma1,
+    "holder": _suite_holder,
+    "observer1": _suite_observer1,
+    "observer2": _suite_observer2,
+    "control": _suite_control,
+    "robustness": _suite_robustness,
+}
+
+
+def verify_suite(selector: str, seed: int = 20240811) -> SuiteReport:
+    """Run one named property suite with a fixed seed and report margins."""
+    if selector not in _SUITES:
+        raise ConfigError(
+            f"unknown suite {selector!r}; choose from {', '.join(sorted(_SUITES))}"
+        )
+    rng = np.random.default_rng(seed)
+    return SuiteReport(suite=selector, results=tuple(_SUITES[selector](rng)))

@@ -32,8 +32,8 @@ def _doc(**overrides) -> dict:
     return doc
 
 
-# A string where a list belongs must not be read one character at a time, nor a
-# mapping as its keys.
+# A string where a list belongs must not be read one character at a time, nor
+# bytes (YAML's !!binary) one byte at a time, nor a mapping as its keys.
 NOT_A_LIST = [
     ("metrics.bands", "57"),
     ("initial_estimate", "12"),
@@ -42,6 +42,8 @@ NOT_A_LIST = [
     ("plant.spec.y_init", "12"),
     ("metrics.bands", {5: 0, 7: 0}),
     ("plant.spec.y_init", {0: [1, 2]}),
+    ("metrics.bands", b"57"),
+    ("plant.spec.y_init", b"12"),
 ]
 IDS = [f"{key}-{type(value).__name__}" for key, value in NOT_A_LIST]
 
@@ -62,6 +64,15 @@ def test_string_or_mapping_for_a_list_exits_1(tmp_path, capsys, key, value):
     assert rc == cli.EXIT_CONFIG
     assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["metrics.bands", "initial_estimate", "plant.spec.y_init"])
+def test_bytearray_for_a_list_is_config_error(key):
+    # YAML gives bytes, never a bytearray, but from_dict takes either from Python
+    value = bytearray(b"57")
+    message = f"^{key}: expected .*, got {re.escape(repr(value))}$"
+    with pytest.raises(config.ConfigError, match=message):
+        config.SimConfig.from_dict(_doc(**{key: value}))
 
 
 def test_fraction_string_is_one_number():

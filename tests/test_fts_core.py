@@ -6,7 +6,16 @@ import types
 import numpy as np
 import pytest
 
-from ftsmfc import config, output_filter, tracking_control, ulm_observer
+from ftsmfc import (
+    cli,
+    config,
+    fts_core,
+    output_filter,
+    plant_models,
+    sim_harness,
+    tracking_control,
+    ulm_observer,
+)
 from ftsmfc.fts_core import (
     DomainError,
     HolderGainParams,
@@ -162,8 +171,10 @@ class TestWeightSpdCheck:
 
 
 def test_kernel_modules_bind_no_numpy():
-    # the filter, the observers, the control laws and the config reader run on floats only
-    for module in (output_filter, ulm_observer, tracking_control, config):
+    # the kernel, the config reader, the plants, the loop and the CLI run on floats only;
+    # NumPy is bound in ftsmfc.verify
+    for module in (fts_core, output_filter, ulm_observer, tracking_control, config,
+                   plant_models, sim_harness, cli):
         bound = [name for name, value in vars(module).items()
                  if isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "numpy"]
         assert bound == [], (module.__name__, bound)

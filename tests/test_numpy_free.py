@@ -1,0 +1,92 @@
+"""`simulate`, `generate-trajectory` and `sweep` run without importing NumPy.
+
+pytest has imported NumPy already, so the run path is driven in a fresh
+interpreter, which reports after each step whether `numpy` is in
+`sys.modules`.  Only `verify`, the SimLog arrays and the random-walk plant load it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import yaml
+
+import ftsmfc
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = str(Path(ftsmfc.__file__).resolve().parents[1])
+
+# argv: the config to read, the JSON list of [step, cli argv] to run, the JSON out path
+_CHILD = """
+import json, sys
+config, steps, out = sys.argv[1:]
+import ftsmfc
+ftsmfc.SimConfig.from_yaml(config)
+report = [["from_yaml", None, "numpy" in sys.modules]]
+from ftsmfc import cli
+for step, argv in json.loads(steps):
+    report.append([step, cli.main(argv), "numpy" in sys.modules])
+with open(out, "w") as fh:
+    json.dump(report, fh)
+"""
+
+
+def _config(path, name: str, **changes) -> str:
+    """configs/<name> with top-level keys replaced, written to path."""
+    with open(CONFIGS / name) as fh:
+        doc = yaml.safe_load(fh)
+    doc.update(changes)
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def test_run_path_imports_no_numpy(tmp_path):
+    G = [[0.559, 0.196], [0.196, 0.657]]
+    short = {"T": 1.0, "metrics": {"settle_time": 0.5}}
+    constant = _config(tmp_path / "constant.yaml", "synthetic_constant.yaml", **short)
+    ramp = _config(tmp_path / "ramp.yaml", "synthetic_constant.yaml", **short,
+                   plant={"kind": "ramp", "spec": {"slope": [0.001, -0.002], "G": G, "nu": 2}},
+                   observer={"order": "second"})
+    sinusoid = _config(tmp_path / "sinusoid.yaml", "synthetic_constant.yaml", **short, plant={
+        "kind": "sinusoid", "spec": {"amplitude": [0.3, 0.2], "freq": [0.1, 0.2], "G": G}})
+    walk = _config(tmp_path / "walk.yaml", "synthetic_constant.yaml", **short, plant={
+        "kind": "random-walk", "spec": {"bound": 0.01, "seed": 3, "G": G}})
+    pendulum = str(CONFIGS / "paper_experiment.yaml")  # diverges at tick 113: exit 2
+    trajectory = _config(tmp_path / "pendulum.yaml", "paper_experiment.yaml", T=1.0)
+    out = str(tmp_path / "out")
+
+    def simulate(config):
+        return ["simulate", "--config", config, "--out", out + ".csv"]
+
+    steps = [
+        ["simulate constant", simulate(constant)],
+        ["simulate ramp", simulate(ramp)],
+        ["simulate sinusoid", simulate(sinusoid)],
+        ["simulate pendulum", simulate(pendulum)],
+        ["generate-trajectory", ["generate-trajectory", "--config", trajectory,
+                                 "--out", out + "_traj.csv"]],
+        ["sweep", ["sweep", "--config", constant, "--param", "controller.scale",
+                   "--values", "0.2,0.5", "--out", out + "_sweep"]],
+        # the random walk is NumPy's seeded stream, so this plant loads it
+        ["simulate random-walk", simulate(walk)],
+    ]
+    report_path = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, constant, json.dumps(steps), str(report_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = [tuple(step) for step in json.loads(report_path.read_text())]
+    assert report == [
+        ("from_yaml", None, False),
+        ("simulate constant", 0, False),
+        ("simulate ramp", 0, False),
+        ("simulate sinusoid", 0, False),
+        ("simulate pendulum", 2, False),
+        ("generate-trajectory", 0, False),
+        ("sweep", 0, False),
+        ("simulate random-walk", 0, True),
+    ], proc.stderr
+    assert "plant diverged at step 113" in proc.stderr

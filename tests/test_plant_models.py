@@ -115,13 +115,13 @@ class TestDesiredTrajectory:
     INIT = np.array([0.45, -0.14, -0.3, 0.05])
 
     def test_sample_count_and_seed_rows(self):
-        traj = generate_desired_trajectory(self.INIT, 1.0, 0.01, P)
+        traj = np.asarray(generate_desired_trajectory(self.INIT, 1.0, 0.01, P))
         assert traj.shape == (101, 2)
         np.testing.assert_array_equal(traj[0], [0.45, -0.14])
         np.testing.assert_allclose(traj[1], [0.45 - 0.003, -0.14 + 0.0005], atol=1e-15)
 
     def test_rows_are_the_generator_prefix(self):
-        traj = generate_desired_trajectory(self.INIT, 5.0, 0.01, P)
+        traj = np.asarray(generate_desired_trajectory(self.INIT, 5.0, 0.01, P))
         samples = desired_samples(self.INIT, 0.01, P)
         prefix = np.array(list(itertools.islice(samples, 501)))
         assert prefix.tobytes() == traj.tobytes()
@@ -129,11 +129,11 @@ class TestDesiredTrajectory:
         assert np.all(np.isfinite(next(samples)))
 
     def test_zero_horizon(self):
-        traj = generate_desired_trajectory(self.INIT, 0.0, 0.01, P)
+        traj = np.asarray(generate_desired_trajectory(self.INIT, 0.0, 0.01, P))
         assert traj.shape == (1, 2)
 
     def test_full_horizon_bounded_with_known_envelope(self):
-        traj = generate_desired_trajectory(self.INIT, 70.0, 0.01, P)
+        traj = np.asarray(generate_desired_trajectory(self.INIT, 70.0, 0.01, P))
         assert traj.shape == (7001, 2)
         assert np.all(np.isfinite(traj))
         assert np.all(np.abs(traj) < DIVERGENCE_LIMIT)

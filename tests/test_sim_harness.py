@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import math
 import re
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -506,14 +508,14 @@ class TestWriteCsv:
         values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000)])
         table = np.resize(values, (n_rows, n_cols))
         path = tmp_path / "out.csv"
-        write_csv(str(path), "h", (table[:, :1], table[:, 1:]))
+        write_csv(str(path), "h", table.tolist())
         assert path.read_bytes() == _oracle_csv("h", table)
 
     def test_every_random_magnitude_matches(self, tmp_path):
         values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000, seed=9)])
         table = np.resize(values, (-(-len(values) // 19), 19))
         path = tmp_path / "out.csv"
-        write_csv(str(path), CSV_HEADER, (table,))
+        write_csv(str(path), CSV_HEADER, table.tolist())
         assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
 
     def test_log_matches_per_value_format(self, tmp_path):
@@ -524,13 +526,13 @@ class TestWriteCsv:
         assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
 
     def test_streams_in_blocks(self, tmp_path):
-        # the writer's own copy of the table plus one block's strings; a
-        # single `%` over the whole table needs about 6 MB more
+        # one block's rows and strings; a writer that took every row at once
+        # would hold about 3 MB of floats, and a single `%` over them 6 MB more
         table = _random_magnitudes(5000 * 19).reshape(5000, 19)
         path = tmp_path / "out.csv"
         tracemalloc.start()
         try:
-            write_csv(str(path), CSV_HEADER, (table,))
+            write_csv(str(path), CSV_HEADER, (row.tolist() for row in table))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -545,10 +547,9 @@ class TestComputeMetrics:
         n = len(e_y)
         z = np.zeros((n, 2))
         e_F = z if e_F is None else np.asarray(e_F, dtype=float)
-        return SimLog(
-            t=dt * np.arange(n), y=e_y.copy(), y_meas=e_y.copy(), y_hat=e_y.copy(),
-            y_d=z, e_y=e_y, F=z, F_hat=e_F.copy(), e_F=e_F, u=z,
-        )
+        # y = y_meas = y_hat = e_y against y_d = 0, and F_hat = e_F against F = 0
+        table = np.hstack([e_y, e_y, e_y, z, z, e_F, z])
+        return SimLog(array("d", table.tobytes()), dt)
 
     def test_all_zero_errors_give_zero_metrics(self):
         log = self._log_from_errors(np.zeros((10, 2)))
@@ -590,6 +591,68 @@ class TestComputeMetrics:
         e[5:, 1] = 2.0
         m = compute_metrics(self._log_from_errors(e), settle_time=4.0, bands=(0.5, 0.05))
         assert m["rms_etheta"] == pytest.approx(2.0)
+
+
+def _numpy_metrics(log, settle_time, bands):
+    """compute_metrics as NumPy formulas: the results the plain-float version
+    must reproduce bit for bit."""
+    mask = log.t > settle_time
+    channels = {"ex": log.e_y[:, 0], "etheta": log.e_y[:, 1],
+                "eF1": log.e_F[:, 0], "eF2": log.e_F[:, 1]}
+    out = {}
+    for name, sig in channels.items():
+        post = sig[mask]
+        out[f"max_abs_{name}"] = float(np.max(np.abs(post)))
+        out[f"rms_{name}"] = float(np.sqrt(np.mean(post * post)))
+    for name, band in zip(("ex", "etheta"), bands):
+        inside = np.abs(channels[name]) <= band
+        stay = np.flatnonzero(~inside[::-1])
+        if stay.size == 0:
+            out[f"settle_{name}"] = float(log.t[0])
+        elif stay[0] == 0:
+            out[f"settle_{name}"] = float("nan")
+        else:
+            out[f"settle_{name}"] = float(log.t[len(inside) - stay[0]])
+    return out
+
+
+def _hex(metrics):
+    return {key: float.hex(value) for key, value in metrics.items()}
+
+
+class TestComputeMetricsMatchesNumpy:
+    """The RMS is a pairwise sum in np.mean's order (blocks of 128 with eight
+    accumulators), so the lengths around 8, 128 and 256 change its shape."""
+
+    @pytest.mark.parametrize("post_len", [*range(1, 10), 127, 128, 129, 255, 256, 257,
+                                          1000, 7001, 12_345, 20_000])
+    def test_random_log_bit_identical(self, post_len):
+        rng = np.random.default_rng(post_len)
+        n, dt = post_len + int(rng.integers(0, 50)), 0.01
+        # errors that decay over the run, so that the bands are crossed on the way
+        scale = 10.0 ** rng.uniform(-3, 3) * np.exp(-np.arange(n) / (0.3 * n))[:, None]
+        table = rng.standard_normal((n, 14)) * scale
+        log = SimLog(array("d", table.tobytes()), dt)
+        settle_time = dt * (n - post_len - 0.5)
+        bands = tuple(10.0 ** rng.uniform(-3, 3, 2))
+        got = compute_metrics(log, settle_time, bands)
+        assert _hex(got) == _hex(_numpy_metrics(log, settle_time, bands))
+
+    @pytest.mark.parametrize("ex, settle", [
+        ([0.1, 0.2, 0.0, 0.3], 0.0),           # always inside the band: t[0]
+        ([1.0, 2.0, 3.0, 4.0], math.nan),      # never inside
+        ([0.1, 0.2, 0.3, 4.0], math.nan),      # leaves the band at the last tick
+        ([1.0, 2.0, 3.0, 0.4], 3.0),           # enters it at the last tick
+        ([1.0, 0.1, 2.0, 0.1], 3.0),           # re-enters for good at the last tick
+        ([0.5, -0.5, 0.5, -0.5], 0.0),         # on the band's edge counts as inside
+    ])
+    def test_settle_edge_cases(self, ex, settle):
+        e = np.zeros((len(ex), 2))
+        e[:, 0] = ex
+        log = TestComputeMetrics._log_from_errors(e)
+        got = compute_metrics(log, settle_time=0.5, bands=(0.5, 0.05))
+        assert float.hex(got["settle_ex"]) == float.hex(settle)
+        assert _hex(got) == _hex(_numpy_metrics(log, 0.5, (0.5, 0.05)))
 
 
 class TestVerifySuites:
