@@ -18,6 +18,7 @@ import argparse
 import copy
 import os
 import sys
+from array import array
 from typing import List, Optional
 
 from . import sim_harness
@@ -25,6 +26,7 @@ from .config import ConfigError, SimConfig, load_doc, parse_yaml
 from .fts_core import DomainError
 from .plant_models import DivergenceError, generate_desired_trajectory
 from .sim_harness import (
+    CSV_BLOCK_ROWS,
     SUITE_NAMES,
     TRAJECTORY_HEADER,
     compute_metrics,
@@ -107,9 +109,11 @@ def _cmd_generate_trajectory(args) -> int:
     samples = generate_desired_trajectory(
         config.trajectory_start, config.T, config.dt, config.plant_params
     )
-    dt = config.dt
-    write_csv(args.out, TRAJECTORY_HEADER,
-              ((dt * k, x, theta) for k, (x, theta) in enumerate(samples)))
+    flat, dt, n = samples.obj, config.dt, len(samples)  # flat: x_d, theta_d, x_d, ...
+    write_csv(args.out, TRAJECTORY_HEADER, (
+        (array("d", map(dt.__mul__, range(k, min(k + CSV_BLOCK_ROWS, n)))),
+         flat[2 * k:2 * (k + CSV_BLOCK_ROWS):2], flat[2 * k + 1:2 * (k + CSV_BLOCK_ROWS):2])
+        for k in range(0, n, CSV_BLOCK_ROWS)))
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 

@@ -105,13 +105,15 @@ def _section(doc: dict, name: str, prefix: str = "") -> dict:
     return section
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """yaml.SafeLoader that rejects a key repeated in one mapping, where the last would win."""
+class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, on libyaml's parser when PyYAML has it, that rejects a key
+    repeated in one mapping, where the last would win."""
 
     def construct_mapping(self, node, deep=False):
         # the keys as written; a key may override one merged in by '<<'
         written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-        mapping = super().construct_mapping(node, deep)
+        # named, not super(): the check runs the same on either parser
+        mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
         seen = set()
         for key_node in written:
             key = self.construct_object(key_node)

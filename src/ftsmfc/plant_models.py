@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, fields
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from .fts_core import Pair, float_rows
 
@@ -135,12 +136,15 @@ def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
         yield y
 
 
-def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams) -> List[Pair]:
-    """The first floor(T/dt) + 1 samples of desired_samples, as a list of float pairs."""
+def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams) -> memoryview:
+    """The first n = floor(T/dt) + 1 samples of desired_samples, as an (n, 2) view of
+    one flat array('d') (its .obj), 16 bytes a sample."""
     if not (T >= 0.0 and dt > 0.0):
         raise ValueError("require T >= 0 and dt > 0")
     count = int(math.floor(T / dt)) + 1
-    return list(itertools.islice(desired_samples(init, dt, params), count))
+    flat = array("d", itertools.chain.from_iterable(
+        itertools.islice(desired_samples(init, dt, params), count)))
+    return memoryview(flat).cast("B").cast("d", (count, 2))
 
 
 @dataclass(frozen=True)

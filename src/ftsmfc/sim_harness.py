@@ -59,17 +59,32 @@ CSV_HEADER = (
 )
 # What generate-trajectory writes and trajectory source 'file' reads.
 TRAJECTORY_HEADER = "t,x_d,theta_d"
-CSV_BLOCK_ROWS = 256  # rows per `%` in write_csv: fast, and memory stays flat
+CSV_BLOCK_ROWS = 256  # rows a block in write_csv: fast, and memory stays flat
 
 
-def write_csv(path: str, header: str, rows: Iterable[Sequence[float]]) -> None:
-    """Write the rows of floats under header, each float as `%.17g`, a block at a time."""
-    rows = iter(rows)
+def write_csv(path: str, header: str, blocks: Iterable[Sequence[array]]) -> None:
+    """Write header, then each block's rows, every float as `%.17g`.
+
+    A block is a sequence of equal-length array('d') columns, at most
+    CSV_BLOCK_ROWS rows; only one block's text is held at a time.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for block in iter(lambda: list(itertools.islice(rows, CSV_BLOCK_ROWS)), []):
-            row = ",".join(["%.17g"] * len(block[0])) + "\n"
-            fh.write(row * len(block) % tuple(itertools.chain.from_iterable(block)))
+        fh.writelines(map(_block_text, blocks))
+
+
+def _block_text(columns: Sequence[array]) -> str:
+    """The rows of one block: one `%` if its columns are distinct, else each
+    distinct column formatted once and its text shared."""
+    n = len(columns[0])
+    # keyed by bytes, not ==, so a 0.0 column and a -0.0 column keep their own text
+    keys = [col.tobytes() for col in columns]
+    distinct = dict(zip(keys, columns))
+    if len(distinct) == len(keys):
+        row = ",".join(["%.17g"] * len(keys)) + "\n"
+        return row * n % tuple(itertools.chain.from_iterable(zip(*columns)))
+    text = {key: ("%.17g\n" * n % tuple(col)).split() for key, col in distinct.items()}
+    return "\n".join([*map(",".join, zip(*map(text.__getitem__, keys))), ""])
 
 
 LOG_WIDTH = 14  # floats a tick in SimLog.rows: y, y_meas, y_hat, y_d, F, F_hat, u
@@ -116,13 +131,23 @@ class SimLog:
 
     def to_csv(self, path: str) -> None:
         """Write the log with the fixed header and 17-significant-digit floats."""
-        dt, ticks = self.dt, zip(*[iter(self.rows)] * LOG_WIDTH)
-        # the CSV_HEADER columns of tick k: t = dt*k, the pairs, e_y = y - y_d, e_F = F_hat - F
-        write_csv(path, CSV_HEADER, (
-            (dt * k, y0, y1, m0, m1, h0, h1, d0, d1, y0 - d0, y1 - d1,
-             F0, F1, Fh0, Fh1, Fh0 - F0, Fh1 - F1, u0, u1)
-            for k, (y0, y1, m0, m1, h0, h1, d0, d1, F0, F1, Fh0, Fh1, u0, u1) in enumerate(ticks)
-        ))
+        write_csv(path, CSV_HEADER, self._csv_blocks())
+
+    def _csv_blocks(self) -> Iterator[tuple]:
+        """The CSV_HEADER columns, CSV_BLOCK_ROWS ticks at a time: t = dt*k, the
+        pairs, e_y = y - y_d and e_F = F_hat - F."""
+        rows, dt = self.rows, self.dt
+        for k in range(0, len(self), CSV_BLOCK_ROWS):
+            y0, y1, m0, m1, h0, h1, d0, d1, F0, F1, Fh0, Fh1, u0, u1 = (
+                rows[k * LOG_WIDTH + i:(k + CSV_BLOCK_ROWS) * LOG_WIDTH:LOG_WIDTH]
+                for i in range(LOG_WIDTH))
+            t = array("d", map(dt.__mul__, range(k, k + len(y0))))
+            yield (t, y0, y1, m0, m1, h0, h1, d0, d1, _minus(y0, d0), _minus(y1, d1),
+                   F0, F1, Fh0, Fh1, _minus(Fh0, F0), _minus(Fh1, F1), u0, u1)
+
+
+def _minus(a: array, b: array) -> array:
+    return array("d", map(operator.sub, a, b))
 
 
 def _build_plant(config: SimConfig):
@@ -137,20 +162,23 @@ def _desired_trajectory(config: SimConfig, count: int) -> Iterator[Pair]:
         return itertools.repeat((0.0, 0.0))
     if config.trajectory_source == "generated":
         return desired_samples(config.trajectory_start, config.dt, config.plant_params)
-    # the x_d,theta_d columns of the first count rows generate-trajectory wrote
+    # the x_d,theta_d columns of the first count rows generate-trajectory wrote, parsed
+    # row by row into one table of floats, so the file's rows are never held as strings
+    table, widths_ok = array("d"), True
     try:
         with open(config.trajectory_path, "r") as fh:
             header = fh.readline().rstrip("\n")
-            rows = [row.split(",") for row in itertools.islice(fh, count)]
-        table = array("d", map(float, itertools.chain.from_iterable(rows)))
+            for line in itertools.islice(fh, count):
+                row = line.split(",")
+                widths_ok = widths_ok and len(row) == 3
+                table.extend(map(float, row))
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory file: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"cannot parse trajectory file: {exc}") from exc
     if header != TRAJECTORY_HEADER:
         raise ConfigError(f"trajectory file header {header!r} is not {TRAJECTORY_HEADER!r}")
-    if len(rows) != count or any(len(row) != 3 for row in rows) or not all(
-            map(math.isfinite, table)):
+    if not widths_ok or len(table) != 3 * count or not all(map(math.isfinite, table)):
         raise ConfigError(f"trajectory file needs {count} rows of 3 finite numbers")
     # pair by pair, so the run holds the table of floats and not a list of pairs
     return zip(table[1::3], table[2::3])

@@ -2,6 +2,7 @@
 
 import copy
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -80,3 +81,51 @@ def test_fraction_string_is_one_number():
                                              "metrics.settle_time": "1/5"}))
     assert (cfg.bands, cfg.settle_time) == ((0.5, 0.05), 0.2)
 
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class _PurePythonLoader(yaml.SafeLoader):
+    """The config loader's repeated-key check on PyYAML's pure-Python parser."""
+
+    construct_mapping = config._UniqueKeyLoader.construct_mapping
+
+
+PARITY_DOCUMENTS = {
+    "synthetic_constant": (CONFIGS / "synthetic_constant.yaml").read_text(),
+    "paper_experiment": (CONFIGS / "paper_experiment.yaml").read_text(),
+    "merge-key": "base: &b {scale: 0.35, exponent: 11/9}\n"
+                 "controller:\n  <<: *b\n  scale: 0.5\nobserver: {<<: [*b], order: first}\n",
+    "nested": "plant:\n  spec:\n    G:\n      - [1, 0]\n      - [0, 1.5e+3]\n    nu: 2\n",
+    # sweep --values entries
+    **{repr(text): text for text in ["0.5", "1e-3", "yes", "~", "[0.1, 2]", "11/9", "-.5",
+                                     "0x1A", "1_000", ".inf", "'0.5'", "off", "2024-01-01",
+                                     "[[1, 0], [0, 1]]", "{a: 1, b: [2, 3]}", ""]},
+}
+
+
+@pytest.mark.parametrize("text", PARITY_DOCUMENTS.values(), ids=PARITY_DOCUMENTS.keys())
+def test_loader_gives_the_pure_python_document(text):
+    expected = yaml.load(text, Loader=_PurePythonLoader)
+    document = config.parse_yaml(text, "unused")
+    assert document == expected and repr(document) == repr(expected)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dt: 0.01\nT: 0.5\nT: 0.6\n", "repeated key 'T' at line 3"),
+    ("controller:\n  scale: 0.35\n\n  scale: 0.5\n", "repeated key 'scale' at line 4"),
+    ("{a: 1, b: 2, a: 3}", "repeated key 'a' at line 1"),
+], ids=["top-level", "nested", "flow"])
+def test_repeated_key_names_its_line_on_either_parser(text, message):
+    for load in (lambda: config.parse_yaml(text, "unused"),
+                 lambda: yaml.load(text, Loader=_PurePythonLoader)):
+        with pytest.raises(config.ConfigError, match=f"^{message}$"):
+            load()
+
+
+def test_loader_parses_with_libyaml():
+    # a refactor that dropped the C parser would still pass every other test, slower
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML is built without libyaml")
+    assert issubclass(config._UniqueKeyLoader, yaml.CSafeLoader)

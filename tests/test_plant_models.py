@@ -120,6 +120,13 @@ class TestDesiredTrajectory:
         np.testing.assert_array_equal(traj[0], [0.45, -0.14])
         np.testing.assert_allclose(traj[1], [0.45 - 0.003, -0.14 + 0.0005], atol=1e-15)
 
+    def test_samples_are_one_flat_array(self):
+        # len() is the sample count; the samples take 16 bytes each, in one array('d')
+        traj = generate_desired_trajectory(self.INIT, 1.0, 0.01, P)
+        assert len(traj) == 101 and traj.shape == (101, 2)
+        assert traj.obj.typecode == "d" and traj.obj.buffer_info()[1] == 202
+        assert traj.obj.tobytes() == np.asarray(traj).tobytes()
+
     def test_rows_are_the_generator_prefix(self):
         traj = np.asarray(generate_desired_trajectory(self.INIT, 5.0, 0.01, P))
         samples = desired_samples(self.INIT, 0.01, P)

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from ftsmfc import cli, sim_harness
 from ftsmfc.config import MAX_STEPS, load_doc
 from ftsmfc.plant_models import DivergenceError, SyntheticUlmPlant
 from ftsmfc.sim_harness import (
+    CSV_BLOCK_ROWS,
     CSV_HEADER,
     ConfigError,
     SimConfig,
@@ -416,6 +419,27 @@ class TestRunClosedLoop:
         with pytest.raises(ConfigError, match="needs 101 rows"):
             run_closed_loop(config)
 
+    def test_file_trajectory_is_parsed_row_by_row(self, tmp_path):
+        # the 7002 rows generate-trajectory writes for T = 70.01: the reader keeps
+        # x_d and theta_d (112 KB) and parses into one table of floats (168 KB);
+        # the whole file's split rows, held at once, peaked at 2.7 MB
+        doc = load_doc(str(CONFIGS / "paper_experiment.yaml"))
+        doc["T"] = 70.01
+        config_path, path = tmp_path / "pendulum.yaml", tmp_path / "traj.csv"
+        config_path.write_text(yaml.safe_dump(doc))
+        assert cli.main(["generate-trajectory", "--config", str(config_path),
+                         "--out", str(path)]) == 0
+        doc.update(T=70.0, trajectory={"source": "file", "path": str(path)})
+        config = SimConfig.from_dict(doc)
+        tracemalloc.start()
+        try:
+            samples = sim_harness._desired_trajectory(config, 7001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+        assert sum(1 for _ in samples) == 7001
+
     def test_file_trajectory_header_checked(self, tmp_path):
         # a headerless file would otherwise be read as (t, x_d)
         path = tmp_path / "traj.csv"
@@ -499,6 +523,18 @@ def _oracle_csv(header, table) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _column_blocks(table):
+    """table as write_csv takes it: CSV_BLOCK_ROWS rows a block, an array('d') a column."""
+    for k in range(0, len(table), CSV_BLOCK_ROWS):
+        yield [array("d", col.tobytes()) for col in table[k:k + CSV_BLOCK_ROWS].T]
+
+
+# The columns of a ramp log (filter and noise off, y_d = 0) as indices into 19
+# distinct ones: x_meas, x_hat and ex repeat x; theta_meas, theta_hat and
+# etheta repeat theta; theta_d repeats x_d.
+_RAMP_COLUMNS = [0, 1, 2, 1, 2, 1, 2, 7, 7, 1, 2, 11, 12, 13, 14, 15, 16, 17, 18]
+
+
 class TestWriteCsv:
     # one block is 256 rows: one row, one short of a block, one block, one
     # past it, and two blocks and one row
@@ -508,14 +544,42 @@ class TestWriteCsv:
         values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000)])
         table = np.resize(values, (n_rows, n_cols))
         path = tmp_path / "out.csv"
-        write_csv(str(path), "h", table.tolist())
+        write_csv(str(path), "h", _column_blocks(table))
+        assert path.read_bytes() == _oracle_csv("h", table)
+
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513])
+    def test_repeated_columns_match_per_value_format(self, tmp_path, n_rows):
+        values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000)])
+        table = np.resize(values, (n_rows, 19))[:, _RAMP_COLUMNS]
+        path = tmp_path / "out.csv"
+        write_csv(str(path), CSV_HEADER, _column_blocks(table))
+        assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
+
+    def test_signed_zero_columns_keep_their_sign(self, tmp_path):
+        # 0.0 == -0.0, but the columns differ in their bytes, and print 0 and -0
+        table = np.zeros((300, 4))
+        table[:, 1] = table[:, 3] = -0.0
+        path = tmp_path / "out.csv"
+        write_csv(str(path), "h", _column_blocks(table))
+        assert path.read_bytes() == _oracle_csv("h", table)
+        assert path.read_bytes().splitlines()[1:] == [b"0,-0,0,-0"] * 300
+
+    @pytest.mark.parametrize("row", [0, 255, 256, 300, 512])
+    def test_columns_that_differ_in_one_row(self, tmp_path, row):
+        # the block holding the row has distinct columns; the others repeat one
+        col = _random_magnitudes(513)
+        other = col.copy()
+        other[row] = np.nextafter(other[row], np.inf)
+        table = np.column_stack([col, other, col])
+        path = tmp_path / "out.csv"
+        write_csv(str(path), "h", _column_blocks(table))
         assert path.read_bytes() == _oracle_csv("h", table)
 
     def test_every_random_magnitude_matches(self, tmp_path):
         values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000, seed=9)])
         table = np.resize(values, (-(-len(values) // 19), 19))
         path = tmp_path / "out.csv"
-        write_csv(str(path), CSV_HEADER, table.tolist())
+        write_csv(str(path), CSV_HEADER, _column_blocks(table))
         assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
 
     def test_log_matches_per_value_format(self, tmp_path):
@@ -526,18 +590,27 @@ class TestWriteCsv:
         assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
 
     def test_streams_in_blocks(self, tmp_path):
-        # one block's rows and strings; a writer that took every row at once
+        # one block's columns and strings; a writer that took every row at once
         # would hold about 3 MB of floats, and a single `%` over them 6 MB more
         table = _random_magnitudes(5000 * 19).reshape(5000, 19)
-        path = tmp_path / "out.csv"
-        tracemalloc.start()
-        try:
-            write_csv(str(path), CSV_HEADER, (row.tolist() for row in table))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < table.nbytes + 2**20
-        assert path.read_bytes().count(b"\n") == 5001
+        assert _write_peak(tmp_path / "out.csv", table) < table.nbytes + 2**20
+
+    def test_streams_in_blocks_with_repeated_columns(self, tmp_path):
+        # the same bound where each distinct column's strings are kept for the block
+        table = _random_magnitudes(5000 * 19).reshape(5000, 19)[:, _RAMP_COLUMNS]
+        assert _write_peak(tmp_path / "out.csv", table) < table.nbytes + 2**20
+
+
+def _write_peak(path, table) -> int:
+    """The tracemalloc peak of writing table, whose rows the file must then hold."""
+    tracemalloc.start()
+    try:
+        write_csv(str(path), CSV_HEADER, _column_blocks(table))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes().count(b"\n") == len(table) + 1
+    return peak
 
 
 class TestComputeMetrics:
