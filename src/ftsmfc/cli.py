@@ -110,10 +110,13 @@ def _cmd_generate_trajectory(args) -> int:
         config.trajectory_start, config.T, config.dt, config.plant_params
     )
     flat, dt, n = samples.obj, config.dt, len(samples)  # flat: x_d, theta_d, x_d, ...
-    write_csv(args.out, TRAJECTORY_HEADER, (
-        (array("d", map(dt.__mul__, range(k, min(k + CSV_BLOCK_ROWS, n)))),
-         flat[2 * k:2 * (k + CSV_BLOCK_ROWS):2], flat[2 * k + 1:2 * (k + CSV_BLOCK_ROWS):2])
-        for k in range(0, n, CSV_BLOCK_ROWS)))
+
+    def block(i: int) -> tuple:
+        k = i * CSV_BLOCK_ROWS
+        return (array("d", map(dt.__mul__, range(k, min(k + CSV_BLOCK_ROWS, n)))),
+                flat[2 * k:2 * (k + CSV_BLOCK_ROWS):2], flat[2 * k + 1:2 * (k + CSV_BLOCK_ROWS):2])
+
+    write_csv(args.out, TRAJECTORY_HEADER, -(-n // CSV_BLOCK_ROWS), block)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 

@@ -20,9 +20,13 @@ import functools
 import itertools
 import math
 import operator
+import os
+import shutil
+import signal
 import struct
+import tempfile
 from array import array
-from typing import Dict, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Dict, Iterator, Sequence
 
 from .config import ConfigError, SimConfig
 from .fts_core import Pair
@@ -62,15 +66,54 @@ TRAJECTORY_HEADER = "t,x_d,theta_d"
 CSV_BLOCK_ROWS = 256  # rows a block in write_csv: fast, and memory stays flat
 
 
-def write_csv(path: str, header: str, blocks: Iterable[Sequence[array]]) -> None:
-    """Write header, then each block's rows, every float as `%.17g`.
+def write_csv(path: str, header: str, n_blocks: int,
+              block: Callable[[int], Sequence[array]]) -> None:
+    """Write header, then the rows of block(0) .. block(n_blocks - 1), every float as `%.17g`.
 
     A block is a sequence of equal-length array('d') columns, at most
-    CSV_BLOCK_ROWS rows; only one block's text is held at a time.
+    CSV_BLOCK_ROWS rows.  Where os.fork exists and there are two or more
+    blocks, a forked child formats the second half of the blocks into an
+    anonymous temporary file while this process formats the first half, and
+    the child's text is appended after it; otherwise this process formats
+    both halves.  Either way each process holds one block's text at a time.
+    A child that fails raises OSError here.
     """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(map(_block_text, blocks))
+    half = n_blocks // 2
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode())
+        if half == 0 or not hasattr(os, "fork"):
+            _write_blocks(fh, block, range(n_blocks))
+            return
+        with tempfile.TemporaryFile() as tail:
+            pid = os.fork()
+            if pid == 0:
+                # the child never returns into the caller, so it flushes no
+                # inherited buffer and runs no atexit hook
+                code = 1
+                try:
+                    _write_blocks(tail, block, range(half, n_blocks))
+                    tail.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            try:
+                _write_blocks(fh, block, range(half))
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                _, status = os.waitpid(pid, 0)
+            if status != 0:
+                raise OSError(f"{path}: the process formatting CSV blocks {half}.."
+                              f"{n_blocks - 1} exited with {os.waitstatus_to_exitcode(status)}")
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh)
+
+
+def _write_blocks(fh: BinaryIO, block: Callable[[int], Sequence[array]],
+                  indices: range) -> None:
+    for i in indices:
+        fh.write(_block_text(block(i)).encode())
 
 
 def _block_text(columns: Sequence[array]) -> str:
@@ -131,19 +174,18 @@ class SimLog:
 
     def to_csv(self, path: str) -> None:
         """Write the log with the fixed header and 17-significant-digit floats."""
-        write_csv(path, CSV_HEADER, self._csv_blocks())
+        write_csv(path, CSV_HEADER, -(-len(self) // CSV_BLOCK_ROWS), self._csv_block)
 
-    def _csv_blocks(self) -> Iterator[tuple]:
-        """The CSV_HEADER columns, CSV_BLOCK_ROWS ticks at a time: t = dt*k, the
-        pairs, e_y = y - y_d and e_F = F_hat - F."""
-        rows, dt = self.rows, self.dt
-        for k in range(0, len(self), CSV_BLOCK_ROWS):
-            y0, y1, m0, m1, h0, h1, d0, d1, F0, F1, Fh0, Fh1, u0, u1 = (
-                rows[k * LOG_WIDTH + i:(k + CSV_BLOCK_ROWS) * LOG_WIDTH:LOG_WIDTH]
-                for i in range(LOG_WIDTH))
-            t = array("d", map(dt.__mul__, range(k, k + len(y0))))
-            yield (t, y0, y1, m0, m1, h0, h1, d0, d1, _minus(y0, d0), _minus(y1, d1),
-                   F0, F1, Fh0, Fh1, _minus(Fh0, F0), _minus(Fh1, F1), u0, u1)
+    def _csv_block(self, i: int) -> tuple:
+        """Block i of the CSV_HEADER columns, ticks CSV_BLOCK_ROWS*i onward: t = dt*k,
+        the pairs, e_y = y - y_d and e_F = F_hat - F."""
+        rows, k = self.rows, i * CSV_BLOCK_ROWS
+        y0, y1, m0, m1, h0, h1, d0, d1, F0, F1, Fh0, Fh1, u0, u1 = (
+            rows[k * LOG_WIDTH + j:(k + CSV_BLOCK_ROWS) * LOG_WIDTH:LOG_WIDTH]
+            for j in range(LOG_WIDTH))
+        t = array("d", map(self.dt.__mul__, range(k, k + len(y0))))
+        return (t, y0, y1, m0, m1, h0, h1, d0, d1, _minus(y0, d0), _minus(y1, d1),
+                F0, F1, Fh0, Fh1, _minus(Fh0, F0), _minus(Fh1, F1), u0, u1)
 
 
 def _minus(a: array, b: array) -> array:

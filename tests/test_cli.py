@@ -1,10 +1,12 @@
 """Contract tests for the command line: exit codes 0/1/2/3 and one-line errors."""
 
+import errno
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,11 @@ def _short_constant(**top) -> dict:
     doc["metrics"]["settle_time"] = 0.2
     doc.update(top)
     return doc
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSimulate:
@@ -572,6 +579,92 @@ class TestSweep:
         )
         assert rc == cli.EXIT_NUMERICAL
         _one_line(err, "numerical failure:")
+
+
+class TestCsvChild:
+    """The forked child that formats the second half of the CSV blocks: it is
+    always reaped, and its failure is one line of output error, exit 1."""
+
+    # 1101 rows: five blocks, of which the child formats blocks 2 to 4
+    T = 11.0
+
+    def _config(self, tmp_path) -> str:
+        return _write(tmp_path, _short_constant(T=self.T))
+
+    def test_no_child_left_after_each_command(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        pendulum = _write(tmp_path, _doc("paper_experiment.yaml", T=self.T), "pendulum.yaml")
+        for argv in (
+            ["simulate", "--config", config, "--out", str(tmp_path / "run.csv")],
+            ["generate-trajectory", "--config", pendulum, "--out", str(tmp_path / "traj.csv")],
+            ["sweep", "--config", config, "--param", "controller.scale",
+             "--values", "0.2,0.5", "--out", str(tmp_path / "sweep")],
+        ):
+            rc, _, err = _main(capsys, *argv)
+            assert (rc, err) == (cli.EXIT_OK, "")
+            _no_child_left()
+
+    def test_failing_child_is_output_error(self, tmp_path, capsys, monkeypatch):
+        parent, block_text = os.getpid(), sim_harness._block_text
+
+        def fails_in_child(columns):
+            if os.getpid() != parent:
+                raise RuntimeError("formatting failed")
+            return block_text(columns)
+
+        monkeypatch.setattr(sim_harness, "_block_text", fails_in_child)
+        rc, out, err = _main(capsys, "simulate", "--config", self._config(tmp_path),
+                             "--out", str(tmp_path / "run.csv"))
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        _one_line(err, "output error:")
+        _no_child_left()
+
+    def test_failing_parent_kills_and_reaps_the_child(self, tmp_path, capsys, monkeypatch):
+        config, out_csv = self._config(tmp_path), tmp_path / "run.csv"
+        assert cli.main(["simulate", "--config", config, "--out", str(out_csv)]) == 0
+        whole = out_csv.read_text()
+        capsys.readouterr()
+        parent, block_text, calls = os.getpid(), sim_harness._block_text, []
+
+        def fails_in_parent(columns):
+            if os.getpid() != parent:
+                time.sleep(60)  # only a kill ends the child within the bound below
+            elif calls:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            calls.append(1)
+            return block_text(columns)
+
+        monkeypatch.setattr(sim_harness, "_block_text", fails_in_parent)
+        t0 = time.monotonic()
+        rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
+        assert time.monotonic() - t0 < 30
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        _one_line(err, "output error:")
+        _no_child_left()
+        # the header and the parent's first block, and nothing of the child's
+        rows = whole.splitlines(keepends=True)
+        assert out_csv.read_text() == "".join(rows[:1 + sim_harness.CSV_BLOCK_ROWS])
+
+    def test_each_line_printed_once_when_stdout_is_a_file(self, tmp_path):
+        # a file makes stdout block-buffered (PYTHONUNBUFFERED unset), so a child
+        # that flushed the buffer it inherited would print the lines before it twice
+        values = ("0.2", "0.35", "0.5")
+        src = str(Path(ftsmfc.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        stdout, out_dir = tmp_path / "stdout.txt", tmp_path / "sweep"
+        with open(stdout, "w") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ftsmfc.cli", "sweep", "--config",
+                 self._config(tmp_path), "--param", "controller.scale",
+                 "--values", ",".join(values), "--out", str(out_dir)],
+                stdout=fh, stderr=subprocess.PIPE, text=True,
+                env={**env, "PYTHONPATH": src}, timeout=120,
+            )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert stdout.read_text().splitlines() == [
+            f"controller.scale={v}: wrote {out_dir / f'run_{i:03d}_{v}.csv'}"
+            for i, v in enumerate(values)
+        ]
 
 
 class TestUsage:

@@ -65,11 +65,20 @@ def _report(capsys, what: str, deviation: float) -> None:
         print(f"\n{what}: max relative deviation from perfbench/reference.py {deviation:.3g}")
 
 
+def _constant_with_estimate() -> dict:
+    # the shipped initial_estimate equals the first measurement, so the filter's
+    # innovation is 0 at every tick; this one starts it away from it
+    doc = _doc("synthetic_constant.yaml")
+    doc["initial_estimate"] = [0.05, -0.03]
+    return doc
+
+
 @pytest.mark.parametrize(
     "name, doc",
     [("synthetic_constant", _doc("synthetic_constant.yaml")),
-     ("second-order ramp", _second_order_ramp())],
-    ids=["synthetic_constant", "second_order_ramp"],
+     ("second-order ramp", _second_order_ramp()),
+     ("synthetic_constant, initial_estimate [0.05, -0.03]", _constant_with_estimate())],
+    ids=["synthetic_constant", "second_order_ramp", "synthetic_constant_initial_estimate"],
 )
 def test_closed_loop_csv_matches_reference(tmp_path, capsys, name, doc):
     deviation = _max_rel_dev(_run(tmp_path, "simulate", doc), reference.simulate(doc))

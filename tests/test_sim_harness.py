@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import os
 import re
 import tracemalloc
 from array import array
@@ -523,10 +524,13 @@ def _oracle_csv(header, table) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _column_blocks(table):
-    """table as write_csv takes it: CSV_BLOCK_ROWS rows a block, an array('d') a column."""
-    for k in range(0, len(table), CSV_BLOCK_ROWS):
-        yield [array("d", col.tobytes()) for col in table[k:k + CSV_BLOCK_ROWS].T]
+def _write_table(path, header, table) -> None:
+    """write_csv on table: CSV_BLOCK_ROWS rows a block, an array('d') a column."""
+    def block(i):
+        return [array("d", col.tobytes())
+                for col in table[i * CSV_BLOCK_ROWS:(i + 1) * CSV_BLOCK_ROWS].T]
+
+    write_csv(str(path), header, -(-len(table) // CSV_BLOCK_ROWS), block)
 
 
 # The columns of a ramp log (filter and noise off, y_d = 0) as indices into 19
@@ -537,22 +541,23 @@ _RAMP_COLUMNS = [0, 1, 2, 1, 2, 1, 2, 7, 7, 1, 2, 11, 12, 13, 14, 15, 16, 17, 18
 
 class TestWriteCsv:
     # one block is 256 rows: one row, one short of a block, one block, one
-    # past it, and two blocks and one row
-    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513])
+    # past it, two blocks and one row, and 4 and 28 blocks, which the writer
+    # splits at 2 and at 14 (one block forks no child; 2 and 3 split at 1)
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513, 769, 7001])
     @pytest.mark.parametrize("n_cols", [19, 3])
     def test_bytes_match_per_value_format(self, tmp_path, n_rows, n_cols):
         values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000)])
         table = np.resize(values, (n_rows, n_cols))
         path = tmp_path / "out.csv"
-        write_csv(str(path), "h", _column_blocks(table))
+        _write_table(path, "h", table)
         assert path.read_bytes() == _oracle_csv("h", table)
 
-    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513, 769, 7001])
     def test_repeated_columns_match_per_value_format(self, tmp_path, n_rows):
         values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000)])
         table = np.resize(values, (n_rows, 19))[:, _RAMP_COLUMNS]
         path = tmp_path / "out.csv"
-        write_csv(str(path), CSV_HEADER, _column_blocks(table))
+        _write_table(path, CSV_HEADER, table)
         assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
 
     def test_signed_zero_columns_keep_their_sign(self, tmp_path):
@@ -560,7 +565,7 @@ class TestWriteCsv:
         table = np.zeros((300, 4))
         table[:, 1] = table[:, 3] = -0.0
         path = tmp_path / "out.csv"
-        write_csv(str(path), "h", _column_blocks(table))
+        _write_table(path, "h", table)
         assert path.read_bytes() == _oracle_csv("h", table)
         assert path.read_bytes().splitlines()[1:] == [b"0,-0,0,-0"] * 300
 
@@ -572,14 +577,14 @@ class TestWriteCsv:
         other[row] = np.nextafter(other[row], np.inf)
         table = np.column_stack([col, other, col])
         path = tmp_path / "out.csv"
-        write_csv(str(path), "h", _column_blocks(table))
+        _write_table(path, "h", table)
         assert path.read_bytes() == _oracle_csv("h", table)
 
     def test_every_random_magnitude_matches(self, tmp_path):
         values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000, seed=9)])
         table = np.resize(values, (-(-len(values) // 19), 19))
         path = tmp_path / "out.csv"
-        write_csv(str(path), CSV_HEADER, _column_blocks(table))
+        _write_table(path, CSV_HEADER, table)
         assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
 
     def test_log_matches_per_value_format(self, tmp_path):
@@ -589,15 +594,21 @@ class TestWriteCsv:
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
 
-    def test_streams_in_blocks(self, tmp_path):
+    def test_streams_in_blocks(self, tmp_path, monkeypatch):
         # one block's columns and strings; a writer that took every row at once
-        # would hold about 3 MB of floats, and a single `%` over them 6 MB more
+        # would hold about 3 MB of floats, and a single `%` over them 6 MB more.
+        # tracemalloc sees this process only, so the bound is checked again
+        # with no os.fork, where one process formats every block
         table = _random_magnitudes(5000 * 19).reshape(5000, 19)
         assert _write_peak(tmp_path / "out.csv", table) < table.nbytes + 2**20
+        monkeypatch.delattr(os, "fork")
+        assert _write_peak(tmp_path / "out.csv", table) < table.nbytes + 2**20
 
-    def test_streams_in_blocks_with_repeated_columns(self, tmp_path):
+    def test_streams_in_blocks_with_repeated_columns(self, tmp_path, monkeypatch):
         # the same bound where each distinct column's strings are kept for the block
         table = _random_magnitudes(5000 * 19).reshape(5000, 19)[:, _RAMP_COLUMNS]
+        assert _write_peak(tmp_path / "out.csv", table) < table.nbytes + 2**20
+        monkeypatch.delattr(os, "fork")
         assert _write_peak(tmp_path / "out.csv", table) < table.nbytes + 2**20
 
 
@@ -605,7 +616,7 @@ def _write_peak(path, table) -> int:
     """The tracemalloc peak of writing table, whose rows the file must then hold."""
     tracemalloc.start()
     try:
-        write_csv(str(path), CSV_HEADER, _column_blocks(table))
+        _write_table(path, CSV_HEADER, table)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
