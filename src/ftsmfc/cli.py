@@ -84,10 +84,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "") -> int:
-    """Run the closed loop, write its CSV log and metrics file; return the record count."""
+    """Run the closed loop, write its CSV log and metrics file; return the record count.
+    A run that fails, or whose metrics fail, writes neither file."""
     log = run_closed_loop(config)
-    log.to_csv(out_csv)
     metrics = compute_metrics(log, config.settle_time, config.bands)
+    log.to_csv(out_csv)
     with open(metrics_path, "w") as fh:
         fh.write(preamble + metrics_to_text(metrics))
     return len(log)

@@ -7,14 +7,11 @@ ranges, defaults) and hands the kernel Python floats and tuples.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import yaml
-
-from .fts_core import DomainError, HolderGainParams, Pair
+from .fts_core import DomainError, HolderGainParams, Pair, Record
 from .plant_models import NoiseConfig, PendulumParams
 from .tracking_control import ControlGains
 
@@ -24,11 +21,31 @@ class ConfigError(ValueError):
 
 
 def _as_float(value, what: str) -> float:
-    """Accept a finite number or a fraction string like '9/7'; a YAML true/false is no number."""
+    """Accept a finite number or a fraction string like '9/7'; a YAML true/false is no number.
+
+    A string reads as float(Fraction(value)) would, without the fractions
+    module: 'n/d' as int(n) / int(d), which rounds correctly, and any other
+    string by float(), whose grammar is Fraction's plus the non-finite words.
+    """
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigError(f"{what}: expected a number, got {value!r}")
     try:
-        number = float(Fraction(value) if isinstance(value, str) else value)
+        if not isinstance(value, str):
+            number = float(value)
+        else:
+            # strip() also drops '\x1c'..'\x1f', which Fraction skips and int() and float() do not
+            text = value.strip()
+            num, slash, den = text.partition("/")
+            if slash:
+                if not (num[-1:].isdecimal() and den[:1].isdecimal()):  # '1 / 3', '1/-3'
+                    raise ValueError(value)
+                number = int(num) / int(den)
+            else:
+                number = float(text)
+                # a Fraction has no -0: '-0' is 0.0, while '-1e-400' is -0.0 either way
+                if number == 0.0 and not any(d.isdecimal() and int(d)
+                                             for d in text.lower().partition("e")[0]):
+                    number = 0.0
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{what}: {value!r} is not a finite number") from exc
     if not math.isfinite(number):
@@ -76,7 +93,7 @@ _KEYS = {
     "controller": ("law", "exponent", "scale", "weight", "G", "G_times_dt"),
     "observer": ("order", "exponent", "scale", "weight"),
     "filter": ("enabled", "exponent", "scale", "weight"),
-    "noise": ("enabled",) + tuple(f.name for f in fields(NoiseConfig)),
+    "noise": ("enabled",) + NoiseConfig._fields,
     "trajectory": ("source", "init", "path"),
     "metrics": ("settle_time", "bands"),
 }
@@ -105,28 +122,37 @@ def _section(doc: dict, name: str, prefix: str = "") -> dict:
     return section
 
 
-class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+@functools.cache
+def _unique_key_loader() -> type:
     """The safe loader, on libyaml's parser when PyYAML has it, that rejects a key
-    repeated in one mapping, where the last would win."""
+    repeated in one mapping, where the last would win.  Built on first use, so
+    PyYAML is imported by the first parse and not by `import ftsmfc`."""
+    import yaml
 
-    def construct_mapping(self, node, deep=False):
-        # the keys as written; a key may override one merged in by '<<'
-        written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-        # named, not super(): the check runs the same on either parser
-        mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
-        seen = set()
-        for key_node in written:
-            key = self.construct_object(key_node)
-            if key in seen:
-                raise ConfigError(f"repeated key {key!r} at line {key_node.start_mark.line + 1}")
-            seen.add(key)
-        return mapping
+    class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def construct_mapping(self, node, deep=False):
+            # the keys as written; a key may override one merged in by '<<'
+            written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            # named, not super(): the check runs the same on either parser
+            mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
+            seen = set()
+            for key_node in written:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    line = key_node.start_mark.line + 1
+                    raise ConfigError(f"repeated key {key!r} at line {line}")
+                seen.add(key)
+            return mapping
+
+    return _UniqueKeyLoader
 
 
 def parse_yaml(stream, what: str):
-    """One YAML document read by _UniqueKeyLoader; a YAML error is a ConfigError led by what."""
+    """One YAML document read by _unique_key_loader(); a YAML error is a ConfigError led by what."""
+    import yaml
+
     try:
-        return yaml.load(stream, Loader=_UniqueKeyLoader)
+        return yaml.load(stream, Loader=_unique_key_loader())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
@@ -151,6 +177,13 @@ def _as_2x2(value, what: str) -> Tuple[Pair, Pair]:
     if len(matrix) != 2 or len(matrix[0]) != 2:
         raise ConfigError(f"{what} must be 2 x 2, got {len(matrix)} x {len(matrix[0])}")
     return matrix
+
+
+def _finite_phase(bounds: Sequence[float], what: str, phase: str) -> None:
+    """bounds, per channel, bound a sine's argument over the run; math.sin of an
+    infinite argument raises ValueError mid-run, so it is a ConfigError here."""
+    if not all(map(math.isfinite, bounds)):
+        raise ConfigError(f"{what}: the phase {phase} is not finite")
 
 
 def _choice(section: dict, key: str, choices: Tuple[str, ...], what: str) -> str:
@@ -189,30 +222,33 @@ _FILTER_PARAMS = HolderGainParams(exponent=7.0 / 5.0, scale=2.0, weight=2.1)
 MAX_STEPS = 10_000_000
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Full description of one closed-loop experiment, as from_dict reads it."""
 
-    dt: float
-    T: float
-    plant_kind: str
-    plant_params: PendulumParams
-    plant_spec: dict
-    control_law: str
-    gains: ControlGains  # the tracking law's gain and G, whose rank is checked once
-    observer_order: str
-    observer_params: HolderGainParams
-    filter_enabled: bool
-    filter_params: HolderGainParams
-    noise_enabled: bool
-    noise: NoiseConfig
-    initial_state: Optional[Tuple[float, ...]]  # the pendulum's (x, theta, xdot, thetadot)
-    initial_estimate: Pair
-    trajectory_source: str
-    trajectory_start: Optional[Tuple[float, ...]]  # where a generated trajectory starts
-    trajectory_path: Optional[str]
-    settle_time: float
-    bands: Pair
+    _fields = ("dt", "T", "plant_kind", "plant_params", "plant_spec", "control_law", "gains",
+               "observer_order", "observer_params", "filter_enabled", "filter_params",
+               "noise_enabled", "noise", "initial_state", "initial_estimate",
+               "trajectory_source", "trajectory_start", "trajectory_path", "settle_time",
+               "bands")
+
+    # gains: the tracking law's gain and G, whose rank is checked once;
+    # initial_state: the pendulum's (x, theta, xdot, thetadot), None on other plants;
+    # trajectory_start: where a generated trajectory starts
+    def __init__(self, dt: float, T: float, plant_kind: str, plant_params: PendulumParams,
+                 plant_spec: dict, control_law: str, gains: ControlGains, observer_order: str,
+                 observer_params: HolderGainParams, filter_enabled: bool,
+                 filter_params: HolderGainParams, noise_enabled: bool, noise: NoiseConfig,
+                 initial_state: Optional[Tuple[float, ...]], initial_estimate: Pair,
+                 trajectory_source: str, trajectory_start: Optional[Tuple[float, ...]],
+                 trajectory_path: Optional[str], settle_time: float, bands: Pair) -> None:
+        self._set(dt=dt, T=T, plant_kind=plant_kind, plant_params=plant_params,
+                  plant_spec=plant_spec, control_law=control_law, gains=gains,
+                  observer_order=observer_order, observer_params=observer_params,
+                  filter_enabled=filter_enabled, filter_params=filter_params,
+                  noise_enabled=noise_enabled, noise=noise, initial_state=initial_state,
+                  initial_estimate=initial_estimate, trajectory_source=trajectory_source,
+                  trajectory_start=trajectory_start, trajectory_path=trajectory_path,
+                  settle_time=settle_time, bands=bands)
 
     @property
     def n_steps(self) -> int:
@@ -241,7 +277,7 @@ class SimConfig:
         kind = kwargs["plant_kind"] = _choice(plant, "kind", _PLANT_KINDS, "plant.kind")
         _reject_unknown(plant, ("kind", "params" if kind == "pendulum" else "spec"), "plant.")
         params = _section(plant, "params", prefix="plant.")
-        _reject_unknown(params, [f.name for f in fields(PendulumParams)], "plant.params.")
+        _reject_unknown(params, PendulumParams._fields, "plant.params.")
         params = {k: _as_float(v, f"plant.params.{k}") for k, v in params.items()}
         try:
             kwargs["plant_params"] = PendulumParams(**params)
@@ -272,6 +308,10 @@ class SimConfig:
             if spec.get(key, 0) < 0:  # a negative bound would step against the drawn direction
                 raise ConfigError(f"plant.spec.{key}: expected a non-negative {noun}, "
                                   f"got {spec[key]}")
+        if kind == "sinusoid":
+            horizon = int(math.floor(T / dt)) + nu  # the loop's k < n_steps, nu ticks to spare
+            _finite_phase([abs(f) * horizon for f in spec["freq"]], "plant.spec.freq",
+                          f"|freq| * (n_steps + nu) for n_steps + nu = {horizon}")
         y_init = spec.get("y_init")
         if y_init and (len(y_init), len(y_init[0])) != (nu, 2):
             raise ConfigError(f"plant.spec.y_init: expected shape ({nu}, 2), "
@@ -306,6 +346,12 @@ class SimConfig:
             kwargs["noise"] = NoiseConfig(**noise_fields)
         except ValueError as exc:
             raise ConfigError(f"noise: {exc}") from exc
+        n = kwargs["noise"]  # noise_sample reads t <= T
+        _finite_phase([abs(w) * T + abs(d) + abs(p)
+                       for w, d, p in zip(n.base_freqs, n.fm_depth, n.phases)],
+                      "noise.base_freqs", f"|base_freqs| * T + |fm_depth| + |phases| for T = {T}")
+        _finite_phase([abs(f) * T for f in n.fm_freqs], "noise.fm_freqs",
+                      f"|fm_freqs| * T for T = {T}")
 
         if kind != "pendulum" and "initial_state" in doc:
             raise ConfigError("initial_state: a synthetic plant starts from plant.spec.y_init")
@@ -333,7 +379,10 @@ class SimConfig:
 
         metrics = _section(doc, "metrics")
         kwargs["settle_time"] = _as_float(metrics.get("settle_time", 20.0), "metrics.settle_time")
-        kwargs["bands"] = _as_vector(metrics.get("bands", [0.5, 0.05]), 2, "metrics.bands")
+        bands = kwargs["bands"] = _as_vector(metrics.get("bands", [0.5, 0.05]), 2,
+                                             "metrics.bands")
+        if bands[0] < 0.0 or bands[1] < 0.0:  # no error is ever within a negative band
+            raise ConfigError(f"metrics.bands: expected non-negative numbers, got {bands}")
         return SimConfig(**kwargs)
 
     @staticmethod

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from typing import Sequence, Tuple, Union
 
 
@@ -54,31 +53,63 @@ def float_rows(m, what: str) -> Tuple[Pair, Pair]:
         raise DomainError(f"{what} must be 2 x 2") from exc
 
 
-@dataclass(frozen=True)
-class HolderGainParams:
+class Record:
+    """An immutable record, in place of a frozen dataclass.
+
+    __init__ sets each attribute once through _set, into the instance dict,
+    the quickest attribute to read.  Equality, the hash and the repr read
+    the attributes named in _fields, in order, and two records are equal
+    only if they are of the same class; attributes derived from those are
+    left out of all three.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class HolderGainParams(Record):
     """Parameters of the sigmoid gain: exponent in ]1,2[, scale > 0, SPD weight.
 
     The weight may be None (identity), a positive scalar (scalar times
     identity) or a 2 x 2 SPD matrix.  The derived Holder power 1 - 1/exponent
     lies in ]0, 1/2[; it and the weight entries w00, w01, w11 are computed once
-    here, so the gain reads them without touching the weight.
+    here, so the gain reads them without touching the weight.  Equality and
+    the hash read exponent, scale and weight only.
     """
 
-    exponent: float
-    scale: float
-    weight: WeightLike = None
-    holder_power: float = field(init=False, repr=False, compare=False)
-    w00: float = field(init=False, repr=False, compare=False)
-    w01: float = field(init=False, repr=False, compare=False)
-    w11: float = field(init=False, repr=False, compare=False)
+    _fields = ("exponent", "scale", "weight")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.exponent) and 1.0 < self.exponent < 2.0):
-            raise DomainError(f"exponent must lie strictly in ]1,2[, got {self.exponent}")
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"scale must be positive, got {self.scale}")
+    def __init__(self, exponent: float, scale: float, weight: WeightLike = None) -> None:
+        if not (math.isfinite(exponent) and 1.0 < exponent < 2.0):
+            raise DomainError(f"exponent must lie strictly in ]1,2[, got {exponent}")
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise DomainError(f"scale must be positive, got {scale}")
         w00, w01, w11 = 1.0, 0.0, 1.0
-        w = self.weight
+        w = weight
         if isinstance(w, numbers.Real):
             w00 = w11 = w = float(w)
             if not (math.isfinite(w) and w > 0.0):
@@ -92,10 +123,8 @@ class HolderGainParams:
             s = max(abs(w00), abs(w11))
             if not (w00 > 0.0 and (w00 / s) * (w11 / s) - (w01 / s) * (w10 / s) > 0.0):
                 raise DomainError("weight matrix must be positive definite")
-        object.__setattr__(self, "weight", w)
-        for name, value in (("holder_power", 1.0 - 1.0 / self.exponent),
-                            ("w00", w00), ("w01", w01), ("w11", w11)):
-            object.__setattr__(self, name, value)
+        self._set(exponent=exponent, scale=scale, weight=w, holder_power=1.0 - 1.0 / exponent,
+                  w00=w00, w01=w01, w11=w11)
 
 
 def holder_gain(e: Pair, params: HolderGainParams) -> float:

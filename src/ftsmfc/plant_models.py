@@ -20,10 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
-from .fts_core import Pair, float_rows
+from .fts_core import Pair, Record, float_rows
 
 
 class DivergenceError(RuntimeError):
@@ -37,20 +36,24 @@ class DivergenceError(RuntimeError):
 DIVERGENCE_LIMIT = 1.0e6
 
 
-@dataclass(frozen=True)
-class PendulumParams:
+class PendulumParams(Record):
     """Cart-pendulum physical parameters (defaults reproduce the reference experiment)."""
 
-    M_cart: float = 1.5  # kg
-    m_pend: float = 0.5  # kg
-    l_half: float = 1.4  # m, half the pendulum length
-    I_pend: float = 0.84  # kg m^2
-    g: float = 9.8  # m/s^2
-    c_x: float = 0.028  # N, cart friction saturation
-    c_theta: float = 0.0032  # N m, pendulum friction saturation
+    _fields = ("M_cart", "m_pend", "l_half", "I_pend", "g", "c_x", "c_theta")
 
-    def __post_init__(self) -> None:
-        for name in ("M_cart", "m_pend", "l_half", "I_pend", "g", "c_x", "c_theta"):
+    def __init__(
+        self,
+        M_cart: float = 1.5,  # kg
+        m_pend: float = 0.5,  # kg
+        l_half: float = 1.4,  # m, half the pendulum length
+        I_pend: float = 0.84,  # kg m^2
+        g: float = 9.8,  # m/s^2
+        c_x: float = 0.028,  # N, cart friction saturation
+        c_theta: float = 0.0032,  # N m, pendulum friction saturation
+    ) -> None:
+        self._set(M_cart=M_cart, m_pend=m_pend, l_half=l_half, I_pend=I_pend, g=g, c_x=c_x,
+                  c_theta=c_theta)
+        for name in self._fields:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"PendulumParams.{name} must be positive")
 
@@ -147,24 +150,25 @@ def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParam
     return memoryview(flat).cast("B").cast("d", (count, 2))
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(Record):
     """Deterministic FM-sinusoid measurement noise, per output channel.
 
     eta_i(t) = amplitudes_i * sin(base_freqs_i*t
                                   + fm_depth_i*sin(fm_freqs_i*t) + phases_i).
     """
 
-    amplitudes: Pair = (0.001, 0.001)
-    base_freqs: Pair = (120.0, 150.0)
-    fm_depth: Pair = (5.0, 5.0)
-    fm_freqs: Pair = (0.5, 0.7)
-    phases: Pair = (0.0, 0.0)
+    _fields = ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases")
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v0, v1 = getattr(self, f.name)
-            object.__setattr__(self, f.name, (float(v0), float(v1)))
+    def __init__(
+        self,
+        amplitudes: Pair = (0.001, 0.001),
+        base_freqs: Pair = (120.0, 150.0),
+        fm_depth: Pair = (5.0, 5.0),
+        fm_freqs: Pair = (0.5, 0.7),
+        phases: Pair = (0.0, 0.0),
+    ) -> None:
+        values = zip(self._fields, (amplitudes, base_freqs, fm_depth, fm_freqs, phases))
+        self._set(**{name: (float(v0), float(v1)) for name, (v0, v1) in values})
         if self.amplitudes[0] < 0.0 or self.amplitudes[1] < 0.0:
             raise ValueError("noise amplitudes must be non-negative")
 

@@ -9,9 +9,7 @@ feeds back the most recent tracking error through the shared sigmoid gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .fts_core import DomainError, HolderGainParams, Pair, float_rows, holder_gain
+from .fts_core import DomainError, HolderGainParams, Pair, Record, float_rows, holder_gain
 
 # Rank tolerance on |det G| / |G|_F^2, which for a 2 x 2 G is sigma_min / sigma_max up to
 # O(RANK_RTOL^2): sigma_max * sigma_min = |det G| and sigma_max^2 + sigma_min^2 = |G|_F^2.
@@ -27,22 +25,20 @@ def solve_input(G, rhs: Pair) -> Pair:
     return ((d * r0 - b * r1) / det, (a * r1 - c * r0) / det)
 
 
-@dataclass(frozen=True)
-class ControlGains:
+class ControlGains(Record):
     """Tracking-law gains: sigmoid params (exponent, scale) and influence matrix.
 
     G is checked once for shape and rank and kept as rows of floats.
     """
 
-    params: HolderGainParams
-    G: tuple
+    _fields = ("params", "G")
 
-    def __post_init__(self) -> None:
-        (a, b), (c, d) = rows = float_rows(self.G, "G")
+    def __init__(self, params: HolderGainParams, G) -> None:
+        (a, b), (c, d) = rows = float_rows(G, "G")
         # the determinant solve_input divides by, so one that underflows or overflows fails
         if not abs(a * d - b * c) > RANK_RTOL * (a * a + b * b + c * c + d * d):
             raise DomainError("G must have full rank")
-        object.__setattr__(self, "G", rows)
+        self._set(params=params, G=rows)
 
 
 def control_law_basic(y_d_future: Pair, F_hat: Pair, gains: ControlGains) -> Pair:

@@ -319,8 +319,28 @@ class TestSimulate:
         )
         assert rc == cli.EXIT_CONFIG
         assert "settle_time" in _one_line(err, "config error:")
-        assert len(out_csv.read_text().splitlines()) == 52  # the CSV is still written
+        assert not out_csv.exists()  # the metrics are computed before the CSV is written
         assert not os.path.exists(str(out_csv) + ".metrics")
+
+    @pytest.mark.parametrize("key, value", [("noise.base_freqs", [1e308, 1e308]),
+                                            ("noise.fm_freqs", [1e308, 1.0]),
+                                            ("plant.spec.freq", [1e308, 1.0])])
+    def test_phase_that_overflows_is_config_error(self, tmp_path, capsys, key, value):
+        # each value is finite, but past t = 1.8 s (or tick 2 of the sinusoid
+        # plant) the sine's argument is inf, and math.sin(inf) raises
+        doc = _short_constant(T=3.0)
+        if key == "plant.spec.freq":
+            doc["plant"] = {"kind": "sinusoid", "spec": {
+                "amplitude": [0.3, 0.2], "freq": value, "G": doc["plant"]["spec"]["G"]}}
+        else:
+            doc["noise"][key.split(".")[1]] = value
+        out_csv = tmp_path / "run.csv"
+        rc, _, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, doc), "--out", str(out_csv)
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert _one_line(err, "config error:").startswith(f"config error: {key}: the phase ")
+        assert not out_csv.exists()
 
     def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
         rc, _, err = _main(

@@ -1,7 +1,9 @@
 """The config reader on its own: strings and mappings where lists belong."""
 
 import copy
+import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,13 +85,35 @@ def test_fraction_string_is_one_number():
 
 
 
+# config._as_float reads a string without the fractions module; it must read
+# each the way float(Fraction(s)) does, and reject the same ones
+FRACTION_STRINGS = ["11/9", "-2/4", " 9/7 ", "1/0", "1/-3", "1 / 3", "1_0/3", "1e-3", ".5",
+                    "5.", "nan", "inf", "1e400", "1" * 400 + "/1", "0x10", "", "-0", "-0/5",
+                    "-0.0e7", "-1e-400", "+3/1_000", "1/3/4", "/3", "3/", "1_/3", "\u0661/\u0663",
+                    "1/3\n", "1 /3", "\t-7", "\x1c2/3\x1f", "\x1e.5"]
+
+
+@pytest.mark.parametrize("text", FRACTION_STRINGS)
+def test_string_reads_as_a_fraction(text):
+    try:
+        want = float(Fraction(text))
+        if not math.isfinite(want):
+            raise OverflowError(want)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        message = f"^key: {re.escape(repr(text))} is not a finite number$"
+        with pytest.raises(config.ConfigError, match=message):
+            config._as_float(text, "key")
+    else:
+        assert repr(config._as_float(text, "key")) == repr(want)  # -0.0 is not 0.0 here
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class _PurePythonLoader(yaml.SafeLoader):
     """The config loader's repeated-key check on PyYAML's pure-Python parser."""
 
-    construct_mapping = config._UniqueKeyLoader.construct_mapping
+    construct_mapping = config._unique_key_loader().construct_mapping
 
 
 PARITY_DOCUMENTS = {
@@ -128,4 +152,4 @@ def test_loader_parses_with_libyaml():
     # a refactor that dropped the C parser would still pass every other test, slower
     if not yaml.__with_libyaml__:
         pytest.skip("PyYAML is built without libyaml")
-    assert issubclass(config._UniqueKeyLoader, yaml.CSafeLoader)
+    assert issubclass(config._unique_key_loader(), yaml.CSafeLoader)

@@ -3,6 +3,9 @@
 pytest has imported NumPy already, so the run path is driven in a fresh
 interpreter, which reports after each step whether `numpy` is in
 `sys.modules`.  Only `verify`, the SimLog arrays and the random-walk plant load it.
+The same interpreter reports which of the modules that start-up does not
+need were loaded by `import ftsmfc` and by reading a config: PyYAML only, by
+the first parse.
 """
 
 import json
@@ -22,14 +25,19 @@ SRC = str(Path(ftsmfc.__file__).resolve().parents[1])
 _CHILD = """
 import json, sys
 config, steps, out = sys.argv[1:]
+unloaded = [m for m in ("dataclasses", "fractions", "yaml", "numpy") if m not in sys.modules]
 import ftsmfc
+loaded = [["import ftsmfc", [m for m in unloaded if m in sys.modules]]]
+ftsmfc.SimConfig.from_dict({"dt": 0.01, "T": 1, "controller": {"G": [[1, 0], [0, 1]]}})
+loaded.append(["from_dict", [m for m in unloaded if m in sys.modules]])
 ftsmfc.SimConfig.from_yaml(config)
+loaded.append(["from_yaml", [m for m in unloaded if m in sys.modules]])
 report = [["from_yaml", None, "numpy" in sys.modules]]
 from ftsmfc import cli
 for step, argv in json.loads(steps):
     report.append([step, cli.main(argv), "numpy" in sys.modules])
 with open(out, "w") as fh:
-    json.dump(report, fh)
+    json.dump({"unloaded": unloaded, "loaded": loaded, "report": report}, fh)
 """
 
 
@@ -78,7 +86,11 @@ def test_run_path_imports_no_numpy(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    report = [tuple(step) for step in json.loads(report_path.read_text())]
+    child = json.loads(report_path.read_text())
+    yaml_if_unloaded = [m for m in ["yaml"] if m in child["unloaded"]]
+    assert child["loaded"] == [["import ftsmfc", []], ["from_dict", []],
+                               ["from_yaml", yaml_if_unloaded]]
+    report = [tuple(step) for step in child["report"]]
     assert report == [
         ("from_yaml", None, False),
         ("simulate constant", 0, False),

@@ -1,11 +1,11 @@
 """Unit tests for the output measurement smoother."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ftsmfc.config import load_doc
 from ftsmfc.fts_core import DomainError, HolderGainParams, holder_gain
 from ftsmfc.output_filter import filter_update
 from ftsmfc.plant_models import NoiseConfig, noise_sample
@@ -19,9 +19,9 @@ class TestFilterUpdate:
     def test_loop_keeps_initial_estimate_on_tick_0(self):
         # no innovation exists at tick 0: the loop logs the configured
         # estimate there, and filters from tick 1 on
-        config = SimConfig.from_yaml(str(CONFIGS / "synthetic_constant.yaml"))
-        assert config.filter_enabled
-        config = replace(config, T=0.05, initial_estimate=(0.2, -0.1))
+        doc = load_doc(str(CONFIGS / "synthetic_constant.yaml"))
+        assert SimConfig.from_dict(doc).filter_enabled
+        config = SimConfig.from_dict({**doc, "T": 0.05, "initial_estimate": [0.2, -0.1]})
         log = run_closed_loop(config)
         np.testing.assert_array_equal(log.y_hat[0], [0.2, -0.1])
         assert not np.array_equal(log.y_hat[0], log.y_meas[0])

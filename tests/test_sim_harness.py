@@ -1,7 +1,6 @@
 """Unit tests for configuration, the closed-loop engine, logging, and metrics."""
 
 import copy
-import dataclasses
 import math
 import os
 import re
@@ -15,6 +14,7 @@ import yaml
 
 from ftsmfc import cli, sim_harness
 from ftsmfc.config import MAX_STEPS, load_doc
+from ftsmfc.fts_core import Record
 from ftsmfc.plant_models import DivergenceError, SyntheticUlmPlant
 from ftsmfc.sim_harness import (
     CSV_BLOCK_ROWS,
@@ -161,9 +161,13 @@ class TestSimConfig:
           "plant.spec.seed: expected a non-negative integer, got -1"),
          ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
                                                         "bound": -0.1, "seed": 1}},
-          "plant.spec.bound: expected a non-negative number, got -0.1")],
+          "plant.spec.bound: expected a non-negative number, got -0.1"),
+         # no error is ever within a negative band: every settle_* would be NaN
+         ({"metrics.bands": [-1, -1]},
+          "metrics.bands: expected non-negative numbers, got (-1.0, -1.0)"),
+         ({"metrics.bands": [0.5, -1e-300]}, "metrics.bands: expected non-negative numbers")],
         ids=["nu-zero", "nu-huge", "missing-seed", "y_init-rows", "y_init-columns",
-             "negative-seed", "negative-bound"],
+             "negative-seed", "negative-bound", "negative-bands", "one-negative-band"],
     )
     def test_plant_spec_checked_when_read(self, overrides, message):
         # from_dict builds no plant, so a huge nu allocates nothing here
@@ -218,9 +222,9 @@ class TestSimConfig:
     def test_config_holds_no_array(self, name):
         # the reader hands the kernel floats and tuples; walk every field, nested ones too
         def walk(value):
-            if dataclasses.is_dataclass(value):
-                for f in dataclasses.fields(value):
-                    yield from walk(getattr(value, f.name))
+            if isinstance(value, Record):
+                for v in vars(value).values():
+                    yield from walk(v)
             elif isinstance(value, dict):
                 for v in value.values():
                     yield from walk(v)
@@ -357,14 +361,14 @@ class TestRunClosedLoop:
         np.testing.assert_allclose(log.F[1:], np.tile([0.3, -0.2], (200, 1)), atol=1e-12)
 
     def test_G_rank_checked_once_at_config_time(self, monkeypatch):
-        check = ControlGains.__post_init__
+        check = ControlGains.__init__
         calls = []
 
-        def counted(self):
+        def counted(self, *args, **kwargs):
             calls.append(1)
-            return check(self)
+            return check(self, *args, **kwargs)
 
-        monkeypatch.setattr(ControlGains, "__post_init__", counted)
+        monkeypatch.setattr(ControlGains, "__init__", counted)
         monkeypatch.setattr(np.linalg, "svd", None)  # the 2 x 2 check needs no SVD
         config = make_config()
         assert len(calls) == 1
