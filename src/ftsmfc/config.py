@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .fts_core import DomainError, HolderGainParams, Pair, Record
 from .plant_models import NoiseConfig, PendulumParams
@@ -230,25 +230,9 @@ class SimConfig(Record):
                "noise_enabled", "noise", "initial_state", "initial_estimate",
                "trajectory_source", "trajectory_start", "trajectory_path", "settle_time",
                "bands")
-
     # gains: the tracking law's gain and G, whose rank is checked once;
     # initial_state: the pendulum's (x, theta, xdot, thetadot), None on other plants;
     # trajectory_start: where a generated trajectory starts
-    def __init__(self, dt: float, T: float, plant_kind: str, plant_params: PendulumParams,
-                 plant_spec: dict, control_law: str, gains: ControlGains, observer_order: str,
-                 observer_params: HolderGainParams, filter_enabled: bool,
-                 filter_params: HolderGainParams, noise_enabled: bool, noise: NoiseConfig,
-                 initial_state: Optional[Tuple[float, ...]], initial_estimate: Pair,
-                 trajectory_source: str, trajectory_start: Optional[Tuple[float, ...]],
-                 trajectory_path: Optional[str], settle_time: float, bands: Pair) -> None:
-        self._set(dt=dt, T=T, plant_kind=plant_kind, plant_params=plant_params,
-                  plant_spec=plant_spec, control_law=control_law, gains=gains,
-                  observer_order=observer_order, observer_params=observer_params,
-                  filter_enabled=filter_enabled, filter_params=filter_params,
-                  noise_enabled=noise_enabled, noise=noise, initial_state=initial_state,
-                  initial_estimate=initial_estimate, trajectory_source=trajectory_source,
-                  trajectory_start=trajectory_start, trajectory_path=trajectory_path,
-                  settle_time=settle_time, bands=bands)
 
     @property
     def n_steps(self) -> int:
@@ -301,7 +285,7 @@ class SimConfig(Record):
                 spec[key] = _as_float(value, what)
             elif key in ("nu", "seed") and type(value) is not int:
                 raise ConfigError(f"{what}: expected an integer, got {value!r}")
-        nu = spec.get("nu", 1)
+        nu = spec.setdefault("nu", 1)
         if not 1 <= nu <= MAX_STEPS:
             raise ConfigError(f"plant.spec.nu: expected 1 to {MAX_STEPS}, got {nu}")
         for key, noun in (("seed", "integer"), ("bound", "number")):

@@ -56,14 +56,19 @@ def float_rows(m, what: str) -> Tuple[Pair, Pair]:
 class Record:
     """An immutable record, in place of a frozen dataclass.
 
-    __init__ sets each attribute once through _set, into the instance dict,
-    the quickest attribute to read.  Equality, the hash and the repr read
-    the attributes named in _fields, in order, and two records are equal
-    only if they are of the same class; attributes derived from those are
-    left out of all three.
+    __init__ takes exactly the _fields by keyword (a record with defaults writes
+    its own) and sets each once through _set, into the instance dict, the
+    quickest attribute to read.  Equality, the hash and the repr read the
+    attributes named in _fields, in order, and two records are equal only if
+    they are of the same class; derived attributes are left out of all three.
     """
 
     _fields: Tuple[str, ...] = ()
+
+    def __init__(self, **values) -> None:
+        if values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {', '.join(self._fields)}")
+        self._set(**values)
 
     def _set(self, **values) -> None:
         for name, value in values.items():

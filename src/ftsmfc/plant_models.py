@@ -22,7 +22,7 @@ import math
 from array import array
 from typing import Iterator, Optional
 
-from .fts_core import Pair, Record, float_rows
+from .fts_core import Pair, Record
 
 
 class DivergenceError(RuntimeError):
@@ -60,8 +60,6 @@ class PendulumParams(Record):
 
 def mass_matrix(theta: float, params: PendulumParams):
     """Configuration-dependent mass matrix as rows ((a, b), (b, d)); symmetric positive definite."""
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
     ml = params.m_pend * params.l_half
     b = -ml * math.cos(theta)
     return (params.M_cart + params.m_pend, b), (b, params.I_pend + ml * params.l_half)
@@ -87,8 +85,6 @@ def pendulum_ulm_terms(y_prev: Pair, y_curr: Pair, dt: float, params: PendulumPa
     G = dt^2 M^-1 through the closed-form inverse of the 2 x 2 mass matrix,
     returned as rows ((a, b), (c, d)).
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
     (x0, theta), (x1, theta1) = y_prev, y_curr
     (m00, m01), (_, m11) = mass_matrix(theta, params)
     h = dt * dt / (m00 * m11 - m01 * m01)
@@ -108,8 +104,6 @@ def pendulum_step(y_prev: Pair, y_curr: Pair, u: Pair, dt: float, params: Pendul
 
 def open_loop_input(theta: float, thetadot: float, params: PendulumParams) -> Pair:
     """Model-based (force, torque) pair used only for trajectory generation."""
-    if not (math.isfinite(theta) and math.isfinite(thetadot)):
-        raise ValueError("inputs must be finite")
     M, m = params.M_cart, params.m_pend
     g, l = params.g, params.l_half
     s = math.sin(theta)
@@ -121,11 +115,11 @@ def open_loop_input(theta: float, thetadot: float, params: PendulumParams) -> Pa
 def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
     """Yield the desired outputs y_0, y_1, ... of the pendulum under the open-loop inputs.
 
-    init is (x, theta, xdot, thetadot) and dt > 0; the initial generalized
-    velocity is folded into the lifted state via y_1 = y_0 + dt*qdot_0.  Each
-    sample past y_1 costs one plant step, taken only when it is requested.
-    A bad init raises ValueError at the first request; sample k leaving the
-    admissible region raises DivergenceError with step_index k.
+    init is (x, theta, xdot, thetadot) and dt > 0, as SimConfig.from_dict checked
+    them; the initial generalized velocity is folded into the lifted state via
+    y_1 = y_0 + dt*qdot_0.  Each sample past y_1 costs one plant step, taken
+    only when it is requested.  Sample k leaving the admissible region, or
+    turning non-finite, raises DivergenceError with step_index k.
     """
     plant = PendulumPlant(init, dt, params)
     yield plant.y_prev
@@ -141,9 +135,7 @@ def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
 
 def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams) -> memoryview:
     """The first n = floor(T/dt) + 1 samples of desired_samples, as an (n, 2) view of
-    one flat array('d') (its .obj), 16 bytes a sample."""
-    if not (T >= 0.0 and dt > 0.0):
-        raise ValueError("require T >= 0 and dt > 0")
+    one flat array('d') (its .obj), 16 bytes a sample; T >= 0 and dt > 0."""
     count = int(math.floor(T / dt)) + 1
     flat = array("d", itertools.chain.from_iterable(
         itertools.islice(desired_samples(init, dt, params), count)))
@@ -174,9 +166,7 @@ class NoiseConfig(Record):
 
 
 def noise_sample(t: float, cfg: NoiseConfig) -> Pair:
-    """Noise pair at time t; bounded componentwise by the amplitudes."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
+    """Noise pair at time t >= 0; bounded componentwise by the amplitudes."""
     (a0, a1), (w0, w1), (d0, d1) = cfg.amplitudes, cfg.base_freqs, cfg.fm_depth
     (f0, f1), (p0, p1) = cfg.fm_freqs, cfg.phases
     return (a0 * math.sin(w0 * t + d0 * math.sin(f0 * t) + p0),
@@ -189,17 +179,12 @@ class PendulumPlant:
     nu = 2
 
     def __init__(self, init, dt: float, params: PendulumParams):
-        try:
-            x, theta, xdot, thetadot = state = tuple(map(float, init))
-        except (TypeError, ValueError) as exc:
-            raise ValueError("init must be (x, theta, xdot, thetadot)") from exc
-        if not all(map(math.isfinite, state)):
-            raise ValueError("init must be finite")
+        x, theta, xdot, thetadot = init
         self.params = params
-        self.dt = float(dt)
+        self.dt = dt
         # the output pair (y_k, y_{k+1}); y_1 = y_0 + dt*qdot_0 folds in the velocity
         self.y_prev = (x, theta)
-        self.y_curr = (x + self.dt * xdot, theta + self.dt * thetadot)
+        self.y_curr = (x + dt * xdot, theta + dt * thetadot)
         self.k = 0
 
     @property
@@ -218,17 +203,6 @@ class PendulumPlant:
         return y_next
 
 
-def _required(value, kind: str, name: str):
-    if value is None:
-        raise ValueError(f"{kind} requires {name}")
-    return value
-
-
-def _pair(value, kind: str, name: str) -> Pair:
-    v0, v1 = map(float, _required(value, kind, name))
-    return v0, v1
-
-
 class SyntheticUlmPlant:
     """Two-output test plant emitting y_{k+nu} = F_k + G u_k, G 2 x 2, with a
     scripted unknown term.
@@ -236,6 +210,7 @@ class SyntheticUlmPlant:
     Kinds: "constant" (F = const), "ramp" (F_k = k*slope), "sinusoid"
     (F_k,i = amplitude_i*sin(freq_i*k)), "random-walk" (steps of norm exactly
     `bound`, seeded).  The scripted F_k is exposed through true_F for oracles.
+    The arguments are the plant.spec entries as SimConfig.from_dict checked them.
     """
 
     def __init__(
@@ -243,7 +218,7 @@ class SyntheticUlmPlant:
         kind: str,
         *,
         G,
-        nu: int = 1,
+        nu: int,
         const=None,
         slope=None,
         amplitude=None,
@@ -252,35 +227,21 @@ class SyntheticUlmPlant:
         seed: Optional[int] = None,
         y_init=None,
     ):
-        if nu < 1:
-            raise ValueError("nu must be >= 1")
         self.kind = kind
-        self.nu = int(nu)
-        self.G = float_rows(G, "G")
+        self.nu = nu
+        self.G = G
         self.k = 0
         # pending outputs y_k .. y_{k+nu-1}; y_{k+nu} is produced by step()
-        self._window = [(0.0, 0.0)] * self.nu  # one shared tuple, however long the window
+        self._window = [(0.0, 0.0)] * nu  # one shared tuple, however long the window
         if y_init is not None:
-            self._window = [tuple(map(float, row)) for row in y_init]
-            if len(self._window) != self.nu or any(len(y) != 2 for y in self._window):
-                raise ValueError(f"y_init must have shape ({self.nu}, 2)")
+            self._window = list(y_init)
 
-        if kind == "constant":
-            self._const = _pair(const, kind, "const")
-        elif kind == "ramp":
-            self._slope = _pair(slope, kind, "slope")
-        elif kind == "sinusoid":
-            self._amp = _pair(amplitude, kind, "amplitude")
-            self._freq = _pair(freq, kind, "freq")
-        elif kind == "random-walk":
+        self._const, self._slope, self._amp, self._freq = const, slope, amplitude, freq
+        self._bound, self._seed, self._walk_k = bound, seed, math.inf  # true_F(0) starts the walk
+        if kind == "random-walk":
             import numpy as np  # the walk is NumPy's seeded PCG64 stream; no other plant loads it
 
-            self._bound = float(_required(bound, kind, "bound"))
-            self._seed, self._walk_k = _required(seed, kind, "seed"), math.inf
             self._default_rng = np.random.default_rng
-            self.true_F(0)  # starts the walk, so a bad seed fails here
-        else:
-            raise ValueError(f"unknown synthetic plant kind: {kind!r}")
 
     def true_F(self, k: int) -> Pair:
         """The scripted unknown term at step k."""

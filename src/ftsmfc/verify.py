@@ -400,12 +400,12 @@ def _suite_control(rng: np.random.Generator, n: int = 20) -> List[PropertyResult
     worst_basic = 0.0
     worst_fts = 0.0
     worst_conv = 0.0
-    G = np.array([[0.559, 0.196], [0.196, 0.657]])
+    G = ((0.559, 0.196), (0.196, 0.657))
     gains = tracking_control.ControlGains(params=CTRL_PARAMS, G=G)
     for _ in range(n):
         plant = plant_models.SyntheticUlmPlant(
-            "sinusoid", G=G, amplitude=rng.uniform(0.1, 2.0, 2),
-            freq=rng.uniform(0.01, 0.5, 2), y_init=rng.uniform(-1, 1, (1, 2)),
+            "sinusoid", G=G, nu=1, amplitude=_uniform_pair(rng, 0.1, 2.0),
+            freq=_uniform_pair(rng, 0.01, 0.5), y_init=[_uniform_pair(rng, -1, 1)],
         )
         F_hat = _uniform_pair(rng, -1, 1)  # frozen imperfect estimate
         y_d = _uniform_pair(rng, -1, 1)

@@ -365,7 +365,7 @@ class TestCriterion7:
         worst_basic = worst_fts = 0.0
         for _ in range(50):
             plant = SyntheticUlmPlant(
-                "sinusoid", G=A, amplitude=rng.uniform(0.1, 2.0, 2),
+                "sinusoid", G=A, nu=1, amplitude=rng.uniform(0.1, 2.0, 2),
                 freq=rng.uniform(0.01, 0.5, 2), y_init=rng.uniform(-1, 1, (1, 2)),
             )
             F_hat = rng.uniform(-1, 1, 2)

@@ -1,5 +1,6 @@
 """Contract tests for the command line: exit codes 0/1/2/3 and one-line errors."""
 
+import copy
 import errno
 import hashlib
 import math
@@ -435,6 +436,90 @@ class TestGenerateTrajectory:
         )
         assert rc == cli.EXIT_NUMERICAL
         assert "diverged" in _one_line(err, "numerical failure:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "generate-trajectory"])
+def test_non_finite_open_loop_input_is_numerical_failure(tmp_path, capsys, command):
+    # y_1 = y_0 + dt * thetadot_0 overflows to inf, so the generator's second
+    # input is NaN; the plant's divergence test ends the run, not a traceback
+    doc = _doc("paper_experiment.yaml", dt=10)
+    doc["controller"]["G_times_dt"] = False
+    doc["trajectory"]["init"] = [0, 0, 0, 1e308]
+    doc["metrics"]["settle_time"] = 0
+    out_csv = tmp_path / "out.csv"
+    rc, _, err = _main(capsys, command, "--config", _write(tmp_path, doc), "--out", str(out_csv))
+    assert rc == cli.EXIT_NUMERICAL
+    assert _one_line(err, "numerical failure:").endswith("trajectory generation diverged at step 2")
+    assert not out_csv.exists()
+
+
+# The front door: each numeric leaf of a config set to each of these values
+EDGE_VALUES = (0, -1, 1e-300, 1e300, 1e308)
+# One spec a synthetic kind, with every key its kind reads; the sinusoid has nu = 2
+SWEPT_SPECS = {
+    "constant": {"const": [0.3, -0.2], "nu": 1, "y_init": [0.1, -0.1]},
+    "ramp": {"slope": [0.0013, -0.0007], "nu": 1, "y_init": [0.1, -0.1]},
+    "sinusoid": {"amplitude": [0.3, 0.2], "freq": [0.5, 0.25], "nu": 2,
+                 "y_init": [[0.1, -0.1], [0.2, 0.05]]},
+    "random-walk": {"bound": 0.01, "seed": 3, "nu": 1, "y_init": [0.1, -0.1]},
+}
+
+
+def _numeric_leaves(node, path=()):
+    """The key paths of node's numbers, list entries and fraction strings included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _numeric_leaves(value, path + (key,))
+        elif isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            if not isinstance(value, str) or value.replace("/", "", 1).isdecimal():
+                yield path + (key,)
+
+
+@pytest.mark.parametrize("kind", ["pendulum"] + list(SWEPT_SPECS))
+def test_front_door_sweep(tmp_path, capsys, kind):
+    # each numeric leaf at each edge value: simulate returns 0, 1 or 2 and raises
+    # nothing, a failure prints one stderr line, and a config error writes no CSV.
+    # The leaves are those of the whole config on the pendulum and the constant
+    # plant, and of the spec on the other kinds.  T = 2 reaches past t = 1.8 s,
+    # where a sine's argument at 1e308 overflows; the pendulum config diverges at
+    # t = 1.13 s, so the constant plant's run is the one that gets there.
+    if kind == "pendulum":
+        base = _doc("paper_experiment.yaml", T=2)
+        leaves = list(_numeric_leaves(base))
+    else:
+        base = _doc("synthetic_constant.yaml", T=2)
+        base["plant"] = {"kind": kind, "spec": {"G": base["controller"]["G"], **SWEPT_SPECS[kind]}}
+        leaves = [path for path in _numeric_leaves(base)
+                  if kind == "constant" or path[:2] == ("plant", "spec")]
+    base["metrics"]["settle_time"] = 1
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    config, out_csv = tmp_path / "config.yaml", tmp_path / "run.csv"
+    failures = []
+    for path in leaves:
+        for value in EDGE_VALUES:
+            doc = copy.deepcopy(base)
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            config.write_text(yaml.dump(doc, Dumper=dumper))
+            case = f"{'.'.join(map(str, path))}={value!r}"
+            try:
+                rc, _, err = _main(capsys, "simulate", "--config", str(config),
+                                   "--out", str(out_csv))
+            except Exception as exc:
+                failures.append(f"{case}: raised {exc!r}")
+                continue
+            if rc not in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL):
+                failures.append(f"{case}: exit {rc}")
+            if rc != cli.EXIT_OK and (len(err.splitlines()) != 1 or "Traceback" in err):
+                failures.append(f"{case}: stderr {err!r}")
+            if rc == cli.EXIT_CONFIG and out_csv.exists():
+                failures.append(f"{case}: exit 1 left {out_csv.name}")
+            for left in (out_csv, tmp_path / "run.csv.metrics"):
+                left.unlink(missing_ok=True)
+    assert len(leaves) >= 9 and not failures, "\n".join(failures)
 
 
 def _sha256(path) -> str:

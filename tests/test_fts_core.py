@@ -20,6 +20,7 @@ from ftsmfc.fts_core import (
     DomainError,
     HolderGainParams,
     LyapunovTrace,
+    Record,
     decrease_radius,
     fts_recursion,
     gamma_of_V,
@@ -84,6 +85,17 @@ class TestHolderGainParams:
         b = HolderGainParams(exponent=1.4, scale=2.0, weight=np.array([[2.0, 0.3], [0.3, 1.0]]))
         assert a == b and hash(a) == hash(b)
         assert a != HolderGainParams(exponent=1.4, scale=2.0, weight=[[2.0, 0.3], [0.3, 1.5]])
+
+
+def test_record_takes_exactly_its_fields_by_keyword():
+    class Point(Record):
+        _fields = ("x", "y")
+
+    assert Point(y=2.0, x=1.0) == Point(x=1.0, y=2.0)
+    assert repr(Point(y=2.0, x=1.0)).endswith("Point(x=1.0, y=2.0)")  # in _fields order
+    for args, kwargs in (((), {"x": 1.0}), ((), {"x": 1.0, "y": 2.0, "z": 3.0}), ((1.0, 2.0), {})):
+        with pytest.raises(TypeError):
+            Point(*args, **kwargs)
 
 
 def _accepted(weight) -> bool:

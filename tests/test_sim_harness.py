@@ -152,6 +152,9 @@ class TestSimConfig:
          ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
                                                         "bound": 0.1}},
           "missing required key 'plant.spec.seed'"),
+         ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
+                                                        "seed": 1}},
+          "missing required key 'plant.spec.bound'"),
          ({"plant.spec.nu": 2, "plant.spec.y_init": [[0.1, 0.2]]},
           "plant.spec.y_init: expected shape (2, 2), got (1, 2)"),
          ({"plant.spec.y_init": [[0.1, 0.2, 0.3]]},
@@ -166,8 +169,9 @@ class TestSimConfig:
          ({"metrics.bands": [-1, -1]},
           "metrics.bands: expected non-negative numbers, got (-1.0, -1.0)"),
          ({"metrics.bands": [0.5, -1e-300]}, "metrics.bands: expected non-negative numbers")],
-        ids=["nu-zero", "nu-huge", "missing-seed", "y_init-rows", "y_init-columns",
-             "negative-seed", "negative-bound", "negative-bands", "one-negative-band"],
+        ids=["nu-zero", "nu-huge", "missing-seed", "missing-bound", "y_init-rows",
+             "y_init-columns", "negative-seed", "negative-bound", "negative-bands",
+             "one-negative-band"],
     )
     def test_plant_spec_checked_when_read(self, overrides, message):
         # from_dict builds no plant, so a huge nu allocates nothing here
@@ -182,6 +186,20 @@ class TestSimConfig:
     def test_non_finite_number_rejected(self, value):
         with pytest.raises(ConfigError, match="initial_state: .* is not a finite number"):
             make_config(plant={"kind": "pendulum"}, initial_state=[value, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("key", ["initial_state", "trajectory.init"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [([0.0, 0.0, 0.0], "expected 4 entries, got 3"),
+         ([[0.0, 0.0], [0.0, 0.0]], "expected a number"),
+         (3.0, "expected a list of 4 numbers"),
+         ([0.0, float("nan"), 0.0, 0.0], "is not a finite number")],
+        ids=["three", "matrix", "scalar", "nan"],
+    )
+    def test_pendulum_init_checked_when_read(self, key, value, message):
+        # the pendulum plant and the trajectory generator take the checked 4 floats as they are
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .*{message}"):
+            make_config(plant={"kind": "pendulum"}, **{key: value})
 
     @pytest.mark.parametrize("key", ["filter.enabled", "noise.enabled", "controller.G_times_dt"])
     def test_switch_must_be_boolean(self, key):
@@ -218,9 +236,21 @@ class TestSimConfig:
         doc = load_doc(str(CONFIGS / name))
         assert SimConfig.from_dict(doc) == SimConfig.from_dict(copy.deepcopy(doc))
 
-    @pytest.mark.parametrize("name", ["synthetic_constant.yaml", "paper_experiment.yaml"])
+    # each synthetic kind's spec written with integers where floats will be read
+    INT_SPECS = {
+        "ramp": {"slope": [1, -2]},
+        "sinusoid": {"amplitude": [1, 2], "freq": [1, 0], "nu": 2, "y_init": [[1, 2], [3, 4]]},
+        "random-walk": {"bound": 1, "seed": 3, "y_init": [0, 1]},
+    }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["synthetic_constant.yaml", "paper_experiment.yaml", "ramp", "sinusoid", "random-walk"],
+    )
     def test_config_holds_no_array(self, name):
-        # the reader hands the kernel floats and tuples; walk every field, nested ones too
+        # the reader hands the kernel floats and tuples, and the plants take them as they
+        # are, so from_dict is the one place a value turns into a float; walk every
+        # field, nested ones too
         def walk(value):
             if isinstance(value, Record):
                 for v in vars(value).values():
@@ -234,9 +264,20 @@ class TestSimConfig:
             else:
                 yield value
 
-        leaves = list(walk(SimConfig.from_yaml(str(CONFIGS / name))))
+        if name.endswith(".yaml"):
+            config = SimConfig.from_yaml(str(CONFIGS / name))
+        else:
+            doc = load_doc(str(CONFIGS / "synthetic_constant.yaml"))
+            doc["plant"] = {"kind": name, "spec": {"G": [[1, 0], [0, 2]], **self.INT_SPECS[name]}}
+            config = SimConfig.from_dict(doc)
+            assert config.plant_spec["nu"] == self.INT_SPECS[name].get("nu", 1)
+        leaves = list(walk(config))
         assert not [v for v in leaves if isinstance(v, (np.ndarray, np.generic))]
         assert {type(v) for v in leaves} <= {float, int, str, bool, type(None)}
+        if config.plant_kind != "pendulum":
+            # every number written as an integer above is a float now, but for the counts
+            ints = [v for v in walk(config.plant_spec) if type(v) is int]
+            assert len(ints) == len({"nu", "seed"} & config.plant_spec.keys())
 
     def test_initial_estimate_is_two_numbers(self):
         assert make_config(initial_estimate=[0.2, -0.1]).initial_estimate == (0.2, -0.1)
