@@ -26,7 +26,6 @@ from .config import ConfigError, SimConfig, load_doc, parse_yaml
 from .fts_core import DomainError
 from .plant_models import DivergenceError, generate_desired_trajectory
 from .sim_harness import (
-    CSV_BLOCK_ROWS,
     SUITE_NAMES,
     TRAJECTORY_HEADER,
     compute_metrics,
@@ -110,14 +109,11 @@ def _cmd_generate_trajectory(args) -> int:
     samples = generate_desired_trajectory(
         config.trajectory_start, config.T, config.dt, config.plant_params
     )
-    flat, dt, n = samples.obj, config.dt, len(samples)  # flat: x_d, theta_d, x_d, ...
-
-    def block(i: int) -> tuple:
-        k = i * CSV_BLOCK_ROWS
-        return (array("d", map(dt.__mul__, range(k, min(k + CSV_BLOCK_ROWS, n)))),
-                flat[2 * k:2 * (k + CSV_BLOCK_ROWS):2], flat[2 * k + 1:2 * (k + CSV_BLOCK_ROWS):2])
-
-    write_csv(args.out, TRAJECTORY_HEADER, -(-n // CSV_BLOCK_ROWS), block)
+    table = array("d", bytes(24 * len(samples)))  # rows t, x_d, theta_d
+    table[0::3] = array("d", map(config.dt.__mul__, range(len(samples))))
+    table[1::3] = samples.obj[0::2]  # a column at a time, so one copy is held at once
+    table[2::3] = samples.obj[1::2]
+    write_csv(args.out, TRAJECTORY_HEADER, table, 3)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 

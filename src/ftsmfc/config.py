@@ -218,7 +218,7 @@ OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
 CTRL_PARAMS = HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
 _FILTER_PARAMS = HolderGainParams(exponent=7.0 / 5.0, scale=2.0, weight=2.1)
 
-# The longest horizon accepted, in ticks: at 112 log bytes a tick, 1.1 GB.
+# The longest horizon accepted, in ticks: at 152 log bytes a tick, 1.5 GB.
 MAX_STEPS = 10_000_000
 
 

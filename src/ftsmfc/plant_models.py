@@ -159,9 +159,9 @@ class NoiseConfig(Record):
         fm_freqs: Pair = (0.5, 0.7),
         phases: Pair = (0.0, 0.0),
     ) -> None:
-        values = zip(self._fields, (amplitudes, base_freqs, fm_depth, fm_freqs, phases))
-        self._set(**{name: (float(v0), float(v1)) for name, (v0, v1) in values})
-        if self.amplitudes[0] < 0.0 or self.amplitudes[1] < 0.0:
+        self._set(amplitudes=amplitudes, base_freqs=base_freqs, fm_depth=fm_depth,
+                  fm_freqs=fm_freqs, phases=phases)  # pairs of floats, as from_dict reads them
+        if amplitudes[0] < 0.0 or amplitudes[1] < 0.0:
             raise ValueError("noise amplitudes must be non-negative")
 
 

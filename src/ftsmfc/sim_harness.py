@@ -26,7 +26,7 @@ import signal
 import struct
 import tempfile
 from array import array
-from typing import BinaryIO, Callable, Dict, Iterator, Sequence
+from typing import BinaryIO, Dict, Iterator, Sequence
 
 from .config import ConfigError, SimConfig
 from .fts_core import Pair
@@ -66,23 +66,23 @@ TRAJECTORY_HEADER = "t,x_d,theta_d"
 CSV_BLOCK_ROWS = 256  # rows a block in write_csv: fast, and memory stays flat
 
 
-def write_csv(path: str, header: str, n_blocks: int,
-              block: Callable[[int], Sequence[array]]) -> None:
-    """Write header, then the rows of block(0) .. block(n_blocks - 1), every float as `%.17g`.
+def write_csv(path: str, header: str, table: array, width: int) -> None:
+    """Write header, then table's rows of width floats, every float as `%.17g`.
 
-    A block is a sequence of equal-length array('d') columns, at most
-    CSV_BLOCK_ROWS rows.  Where os.fork exists and there are two or more
-    blocks, a forked child formats the second half of the blocks into an
-    anonymous temporary file while this process formats the first half, and
-    the child's text is appended after it; otherwise this process formats
-    both halves.  Either way each process holds one block's text at a time.
-    A child that fails raises OSError here.
+    table is one flat row-major array('d').  It is written in blocks of
+    CSV_BLOCK_ROWS rows, each cut into width strided array('d') columns.  Where
+    os.fork exists and there are two or more blocks, a forked child formats the
+    second half of the blocks into an anonymous temporary file while this
+    process formats the first half, and the child's text is appended after it;
+    otherwise this process formats both halves.  Either way each process holds
+    one block's text at a time.  A child that fails raises OSError here.
     """
+    n_blocks = -(-len(table) // (width * CSV_BLOCK_ROWS))
     half = n_blocks // 2
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         if half == 0 or not hasattr(os, "fork"):
-            _write_blocks(fh, block, range(n_blocks))
+            _write_blocks(fh, table, width, range(n_blocks))
             return
         with tempfile.TemporaryFile() as tail:
             pid = os.fork()
@@ -91,13 +91,13 @@ def write_csv(path: str, header: str, n_blocks: int,
                 # inherited buffer and runs no atexit hook
                 code = 1
                 try:
-                    _write_blocks(tail, block, range(half, n_blocks))
+                    _write_blocks(tail, table, width, range(half, n_blocks))
                     tail.flush()
                     code = 0
                 finally:
                     os._exit(code)
             try:
-                _write_blocks(fh, block, range(half))
+                _write_blocks(fh, table, width, range(half))
             except BaseException:
                 os.kill(pid, signal.SIGKILL)
                 raise
@@ -110,10 +110,11 @@ def write_csv(path: str, header: str, n_blocks: int,
             shutil.copyfileobj(tail, fh)
 
 
-def _write_blocks(fh: BinaryIO, block: Callable[[int], Sequence[array]],
-                  indices: range) -> None:
-    for i in indices:
-        fh.write(_block_text(block(i)).encode())
+def _write_blocks(fh: BinaryIO, table: array, width: int, indices: range) -> None:
+    step = width * CSV_BLOCK_ROWS
+    for start in map(step.__mul__, indices):
+        columns = [table[start + j:start + step:width] for j in range(width)]
+        fh.write(_block_text(columns).encode())
 
 
 def _block_text(columns: Sequence[array]) -> str:
@@ -130,7 +131,9 @@ def _block_text(columns: Sequence[array]) -> str:
     return "\n".join([*map(",".join, zip(*map(text.__getitem__, keys))), ""])
 
 
-LOG_WIDTH = 14  # floats a tick in SimLog.rows: y, y_meas, y_hat, y_d, F, F_hat, u
+LOG_WIDTH = 19  # floats a tick in SimLog.rows: one CSV_HEADER row
+# the pairs of a log row after its time t, in CSV_HEADER order
+_PAIRS = ("y", "y_meas", "y_hat", "y_d", "e_y", "F", "F_hat", "e_F", "u")
 
 
 def _array(name: str) -> property:
@@ -140,21 +143,21 @@ def _array(name: str) -> property:
 class SimLog:
     """Per-step record stream of a closed-loop run.
 
-    rows is a flat array('d') of LOG_WIDTH floats a tick, pairs in this order:
-    true output y, measured y_meas, filtered y_hat, desired y_d, newest
+    rows is a flat array('d') of LOG_WIDTH floats a tick, each tick one row of
+    CSV_HEADER: the time t = dt*k, then the pairs true output y, measured
+    y_meas, filtered y_hat, desired y_d, tracking error e_y = y - y_d, newest
     reconstructed unknown term F, the estimate F_hat it was compared against,
-    and applied input u.  The time is t = dt*k, the tracking error
-    e_y = y - y_d and the estimation error e_F = F_hat - F.  Rows before the
+    estimation error e_F = F_hat - F, and applied input u.  Rows before the
     first reconstructable F sample carry zeros in F, F_hat, e_F; the final row
     carries u = 0 (no input is applied at the last tick).
 
-    t (n_records,) and y, ..., u (n_records, 2) are NumPy arrays built from
-    rows on first access, for callers that want them; the CSV writer and the
-    metrics never build them, so a run needs no NumPy.
+    t (n_records,) and y, ..., u (n_records, 2) are NumPy views of rows made on
+    first access, for callers that want them; the CSV writer and the metrics
+    never make them, so a run needs no NumPy.
     """
 
-    def __init__(self, rows: array, dt: float) -> None:
-        self.rows, self.dt = rows, dt
+    def __init__(self, rows: array) -> None:
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows) // LOG_WIDTH
@@ -164,32 +167,14 @@ class SimLog:
         import numpy as np  # only callers that read the arrays pay for NumPy
 
         table = np.frombuffer(self.rows).reshape(-1, LOG_WIDTH)
-        y, y_d, F, F_hat = (table[:, i:i + 2] for i in (0, 6, 8, 10))
-        return {"t": self.dt * np.arange(len(table)), "y": y, "y_meas": table[:, 2:4],
-                "y_hat": table[:, 4:6], "y_d": y_d, "e_y": y - y_d, "F": F, "F_hat": F_hat,
-                "e_F": F_hat - F, "u": table[:, 12:14]}
+        return {"t": table[:, 0], **{name: table[:, 1 + 2 * i:3 + 2 * i]
+                                     for i, name in enumerate(_PAIRS)}}
 
-    t, y, y_meas, y_hat, y_d, e_y, F, F_hat, e_F, u = map(_array, (
-        "t", "y", "y_meas", "y_hat", "y_d", "e_y", "F", "F_hat", "e_F", "u"))
+    t, y, y_meas, y_hat, y_d, e_y, F, F_hat, e_F, u = map(_array, ("t",) + _PAIRS)
 
     def to_csv(self, path: str) -> None:
         """Write the log with the fixed header and 17-significant-digit floats."""
-        write_csv(path, CSV_HEADER, -(-len(self) // CSV_BLOCK_ROWS), self._csv_block)
-
-    def _csv_block(self, i: int) -> tuple:
-        """Block i of the CSV_HEADER columns, ticks CSV_BLOCK_ROWS*i onward: t = dt*k,
-        the pairs, e_y = y - y_d and e_F = F_hat - F."""
-        rows, k = self.rows, i * CSV_BLOCK_ROWS
-        y0, y1, m0, m1, h0, h1, d0, d1, F0, F1, Fh0, Fh1, u0, u1 = (
-            rows[k * LOG_WIDTH + j:(k + CSV_BLOCK_ROWS) * LOG_WIDTH:LOG_WIDTH]
-            for j in range(LOG_WIDTH))
-        t = array("d", map(self.dt.__mul__, range(k, k + len(y0))))
-        return (t, y0, y1, m0, m1, h0, h1, d0, d1, _minus(y0, d0), _minus(y1, d1),
-                F0, F1, Fh0, Fh1, _minus(Fh0, F0), _minus(Fh1, F1), u0, u1)
-
-
-def _minus(a: array, b: array) -> array:
-    return array("d", map(operator.sub, a, b))
+        write_csv(path, CSV_HEADER, self.rows, LOG_WIDTH)
 
 
 def _build_plant(config: SimConfig):
@@ -251,12 +236,12 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     F_hat, dF_hat, F_prev = zero, zero, None
     u_sent = [zero] * nu
 
-    # LOG_WIDTH floats a tick: y, y_meas, y_hat, y_d, F, F_hat (before the update), u;
-    # packed bytes append in a third of the time array.extend takes for a tuple
+    # one CSV_HEADER row a tick, F_hat as before the update; packed bytes
+    # append in a third of the time array.extend takes for a tuple
     log, pack = array("d"), struct.Struct(f"{LOG_WIDTH}d").pack
     for k in range(n_records):
-        y = plant.output
-        eta = noise_sample(dt * k, config.noise) if config.noise_enabled else zero
+        t, y = dt * k, plant.output
+        eta = noise_sample(t, config.noise) if config.noise_enabled else zero
         y_meas = (y[0] + eta[0], y[1] + eta[1])
         if not config.filter_enabled:
             y_hat = y_meas
@@ -292,8 +277,12 @@ def run_closed_loop(config: SimConfig) -> SimLog:
                 u = control_law_basic(y_d_future, F_hat, gains)
             plant.step(u)
             u_sent[k % nu] = u
-        log.frombytes(pack(*y, *y_meas, *y_hat, *y_d, *F_rec, *F_seen, *u))
-    return SimLog(log, dt)
+        # the header's columns by name: pack takes them a third faster than *-unpacked pairs
+        (x, th), (x_m, th_m), (x_h, th_h), (x_d, th_d) = y, y_meas, y_hat, y_d
+        (F1, F2), (Fh1, Fh2), (u1, u2) = F_rec, F_seen, u
+        log.frombytes(pack(t, x, th, x_m, th_m, x_h, th_h, x_d, th_d, x - x_d, th - th_d,
+                           F1, F2, Fh1, Fh2, Fh1 - F1, Fh2 - F2, u1, u2))
+    return SimLog(log)
 
 
 def compute_metrics(log: SimLog, settle_time: float, bands: Sequence[float]) -> Dict[str, float]:
@@ -305,18 +294,19 @@ def compute_metrics(log: SimLog, settle_time: float, bands: Sequence[float]) -> 
     in NumPy's order, so each value equals np.sqrt(np.mean(post * post)) bit
     for bit.
     """
-    n, dt, rows = len(log), log.dt, log.rows
+    n, rows = len(log), log.rows
+    t = rows[0::LOG_WIDTH]
     # t = dt*k does not decrease with k, so the ticks after settle_time are a suffix
-    first = bisect.bisect_right(range(n), settle_time, key=dt.__mul__)
+    first = bisect.bisect_right(t, settle_time)
     if first == n:
         raise ConfigError(
-            f"no samples after settle_time={settle_time} (horizon {dt * (n - 1)})"
+            f"no samples after settle_time={settle_time} (horizon {t[-1]})"
         )
     band = dict(zip(("ex", "etheta"), bands))
     out: Dict[str, float] = {}
-    # each channel is the difference of two logged columns: e_y = y - y_d, e_F = F_hat - F
-    for name, a, b in (("ex", 0, 6), ("etheta", 1, 7), ("eF1", 10, 8), ("eF2", 11, 9)):
-        sig = list(map(operator.sub, rows[a::LOG_WIDTH], rows[b::LOG_WIDTH]))
+    columns = CSV_HEADER.split(",")
+    for name in ("ex", "etheta", "eF1", "eF2"):
+        sig = rows[columns.index(name)::LOG_WIDTH].tolist()
         post = sig[first:]
         out[f"max_abs_{name}"] = max(map(abs, post))
         out[f"rms_{name}"] = math.sqrt(_pairwise_sum([v * v for v in post]) / len(post))
@@ -324,7 +314,7 @@ def compute_metrics(log: SimLog, settle_time: float, bands: Sequence[float]) -> 
             # the first tick from which the channel never leaves the band again
             outside = (k for k in range(n - 1, -1, -1) if not abs(sig[k]) <= band[name])
             last_out = next(outside, -1)
-            out[f"settle_{name}"] = math.nan if last_out == n - 1 else dt * (last_out + 1)
+            out[f"settle_{name}"] = math.nan if last_out == n - 1 else t[last_out + 1]
     return out
 
 

@@ -148,10 +148,6 @@ class TestDesiredTrajectory:
         assert np.abs(traj[:, 0]).max() == pytest.approx(121.6, abs=1.0)
         assert np.abs(traj[:, 1]).max() == pytest.approx(44.9, abs=0.5)
 
-    def test_bad_init_shape(self):
-        with pytest.raises(ValueError):
-            generate_desired_trajectory([0.0, 0.0], 1.0, 0.01, P)
-
     def test_divergence_names_the_sample_index(self):
         # x_k = k * dt * xdot_0 = k * 4e5 first exceeds the limit at sample 3
         init = [0.0, 0.0, 4.0e7, 0.0]
@@ -187,15 +183,6 @@ class TestNoise:
             + np.asarray(cfg.phases)
         )
         np.testing.assert_allclose(noise_sample(t, cfg), expected, atol=1e-15)
-
-    @pytest.mark.parametrize("form", [list, tuple, np.array], ids=["list", "tuple", "array"])
-    def test_fields_stored_as_float_pairs(self, form):
-        cfg = NoiseConfig(amplitudes=form([0.002, 0.003]), phases=form([1, 2]))
-        assert (cfg.amplitudes, cfg.phases) == ((0.002, 0.003), (1.0, 2.0))
-        for name in ("amplitudes", "base_freqs", "fm_depth", "fm_freqs", "phases"):
-            pair = getattr(cfg, name)
-            assert type(pair) is tuple and [type(v) for v in pair] == [float, float]
-        assert cfg == NoiseConfig(amplitudes=(0.002, 0.003), phases=(1.0, 2.0))
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):

@@ -13,16 +13,23 @@ import pytest
 import yaml
 
 from ftsmfc import cli, sim_harness
+from ftsmfc import config as config_module
 from ftsmfc.config import MAX_STEPS, load_doc
-from ftsmfc.fts_core import Record
-from ftsmfc.plant_models import DivergenceError, SyntheticUlmPlant
+from ftsmfc.fts_core import DomainError, Record
+from ftsmfc.plant_models import (
+    DivergenceError,
+    NoiseConfig,
+    PendulumParams,
+    SyntheticUlmPlant,
+)
 from ftsmfc.sim_harness import (
-    CSV_BLOCK_ROWS,
     CSV_HEADER,
+    LOG_WIDTH,
     ConfigError,
     SimConfig,
     SimLog,
     compute_metrics,
+    metrics_to_text,
     run_closed_loop,
     verify_suite,
     write_csv,
@@ -242,6 +249,9 @@ class TestSimConfig:
         "sinusoid": {"amplitude": [1, 2], "freq": [1, 0], "nu": 2, "y_init": [[1, 2], [3, 4]]},
         "random-walk": {"bound": 1, "seed": 3, "y_init": [0, 1]},
     }
+    # and the noise pairs, which NoiseConfig stores as from_dict read them
+    INT_NOISE = {"amplitudes": [0, 1], "base_freqs": [120, 150], "fm_depth": [5, 5],
+                 "fm_freqs": [1, 2], "phases": [1, 2]}
 
     @pytest.mark.parametrize(
         "name",
@@ -269,8 +279,13 @@ class TestSimConfig:
         else:
             doc = load_doc(str(CONFIGS / "synthetic_constant.yaml"))
             doc["plant"] = {"kind": name, "spec": {"G": [[1, 0], [0, 2]], **self.INT_SPECS[name]}}
+            doc["noise"].update(self.INT_NOISE)
             config = SimConfig.from_dict(doc)
             assert config.plant_spec["nu"] == self.INT_SPECS[name].get("nu", 1)
+            pairs = [getattr(config.noise, key) for key in self.INT_NOISE]
+            assert pairs == [tuple(map(float, v)) for v in self.INT_NOISE.values()]
+            assert {type(pair) for pair in pairs} == {tuple}
+            assert {type(v) for v in walk(config.noise)} == {float}
         leaves = list(walk(config))
         assert not [v for v in leaves if isinstance(v, (np.ndarray, np.generic))]
         assert {type(v) for v in leaves} <= {float, int, str, bool, type(None)}
@@ -366,6 +381,156 @@ class TestStrictConfig:
         # a 3 x 3 or wide G fails in from_dict, the unknown key n in the plant
         with pytest.raises(ConfigError, match="plant"):
             run_closed_loop(make_config(**{f"plant.spec.{k}": v for k, v in spec.items()}))
+
+
+# The inert-key oracle's bases, one a plant kind, with every key from_dict reads
+# among them.  Each spec comes with bands that cross a settle tick of its run,
+# so that x1.1 + 0.01 on a band moves that channel's settle_* metric.
+INERT_SPECS = {
+    # no y_init here, so that nu + 1 is a run and not a y_init of the wrong shape
+    "constant": ({"const": [0.3, -0.2], "nu": 1}, [0.01, 0.01]),
+    "ramp": ({"slope": [0.0013, -0.0007], "nu": 2, "y_init": [[0.1, -0.1], [0.1, -0.1]]},
+             [0.003, 0.003]),
+    "sinusoid": ({"amplitude": [0.3, 0.2], "freq": [0.5, 0.25], "nu": 2,
+                  "y_init": [[0.1, -0.1], [0.2, 0.05]]}, [0.25, 0.1]),
+    "random-walk": ({"bound": 0.01, "seed": 3, "nu": 1, "y_init": [0.1, -0.1]}, [0.05, 0.05]),
+}
+_GAIN_KEYS = ("exponent", "scale", "weight")
+# The allowlist: key -> (switch, values), the switch in the same config whose
+# values turn the key off.  from_dict still checks such a key; the run ignores it.
+SWITCHED_OFF_BY = {
+    **{f"noise.{key}": ("noise.enabled", (False,)) for key in NoiseConfig._fields},
+    **{f"filter.{key}": ("filter.enabled", (False,)) for key in _GAIN_KEYS},
+    **{f"controller.{key}": ("controller.law", ("basic",)) for key in _GAIN_KEYS},
+    "initial_estimate": ("filter.enabled", (False,)),  # the filter's state y_hat_0
+    "trajectory.init": ("trajectory.source", ("zero", "file")),
+    "trajectory.path": ("trajectory.source", ("zero", "generated")),
+}
+_OTHER_CHOICE = {"fts": "basic", "basic": "fts", "first": "second", "second": "first",
+                 "generated": "zero", "zero": "generated", "pendulum": "constant",
+                 "constant": "ramp", "ramp": "sinusoid", "sinusoid": "random-walk",
+                 "random-walk": "constant"}
+
+
+def _inert_key_base(kind) -> dict:
+    if kind == "pendulum":
+        doc = load_doc(str(CONFIGS / "paper_experiment.yaml"))
+        # the tracking errors are back near zero at t = 0.29, long before the divergence
+        doc["T"] = 0.3
+        doc["observer"]["weight"] = 1.0
+        doc["metrics"] = {"settle_time": 0.1, "bands": [0.3, 0.1]}
+        return doc
+    doc = load_doc(str(CONFIGS / "synthetic_constant.yaml"))
+    spec, bands = INERT_SPECS[kind]
+    doc["T"] = 2.0
+    doc["plant"] = {"kind": kind, "spec": {"G": doc["plant"]["spec"]["G"], **spec}}
+    doc["controller"]["weight"] = [[1.0, 0.0], [0.0, 1.0]]
+    # not the first measurement, or the filter's innovation is 0 from tick 1 on
+    doc["initial_estimate"] = [0.05, -0.03]
+    doc["trajectory"] = {"source": "zero", "init": [0.1, 0.2, 0.0, 0.0], "path": "unread.csv"}
+    doc["metrics"] = {"settle_time": 1.0, "bands": bands}
+    if kind == "ramp":  # the second-order observer and the basic law, filter and noise off
+        doc["controller"]["law"], doc["observer"]["order"] = "basic", "second"
+        doc["filter"]["enabled"] = doc["noise"]["enabled"] = False
+    return doc
+
+
+def _leaves(node, path=()):
+    """The key paths of node's scalars, list entries included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _key(path) -> str:
+    return ".".join(part for part in path if isinstance(part, str))
+
+
+def _switched_off(doc, key) -> bool:
+    """Whether a switch of doc turns key off: the allowlist."""
+    if key not in SWITCHED_OFF_BY:
+        return False
+    switch, values = SWITCHED_OFF_BY[key]
+    section, name = switch.split(".")
+    return doc[section][name] in values
+
+
+def _perturbed(value):
+    """value moved a little: a number x1.1 + 0.01, a count + 1, a switch flipped,
+    a choice swapped for another, a path renamed."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 1.1 + 0.01
+    if value in _OTHER_CHOICE:
+        return _OTHER_CHOICE[value]
+    if "/" in value:  # an exponent written as a fraction
+        num, den = value.split("/")
+        return float(num) / float(den) * 1.1 + 0.01
+    return "other-" + value
+
+
+def _outcome(doc):
+    """The log and metrics text of a run of doc, or the error that ends it; None
+    when from_dict rejects doc."""
+    try:
+        config = SimConfig.from_dict(doc)
+    except ConfigError:
+        return None
+    try:
+        log = run_closed_loop(config)
+        return log.rows.tobytes(), metrics_to_text(
+            compute_metrics(log, config.settle_time, config.bands))
+    except (ConfigError, DivergenceError, DomainError) as exc:
+        return repr(exc)
+
+
+class TestNoInertKey:
+    @pytest.mark.parametrize("kind", ["pendulum", *INERT_SPECS])
+    def test_each_key_changes_the_run(self, kind):
+        # each leaf of the base moved alone: the log (the CSV's rows) or the
+        # metrics change, or from_dict rejects the value, or a switch of the
+        # base turns the key off; and then the key changes nothing
+        base = _inert_key_base(kind)
+        expected = _outcome(base)
+        assert isinstance(expected, tuple), expected  # the base runs to its horizon
+        failures = []
+        for path in _leaves(base):
+            doc = copy.deepcopy(base)
+            node = doc
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = value = _perturbed(node[path[-1]])
+            got = _outcome(doc)
+            case = f"{'.'.join(map(str, path))} = {value!r}"
+            if got is None:
+                continue
+            if _switched_off(base, _key(path)):
+                if got != expected:
+                    failures.append(f"{case} changed the run, though its switch is off")
+            elif got == expected:
+                failures.append(f"{case} changed nothing")
+        assert not failures, "\n".join(failures)
+
+    def test_bases_hold_every_key_and_use_the_whole_allowlist(self):
+        read = {key for key in config_module._ROOT_KEYS
+                if key not in config_module._KEYS and key != "plant"}
+        read |= {f"{section}.{key}" for section, keys in config_module._KEYS.items()
+                 for key in keys}
+        read |= {"plant.kind", *(f"plant.params.{key}" for key in PendulumParams._fields)}
+        read |= {f"plant.spec.{key}" for keys in config_module._SPEC_KEYS.values()
+                 for key in ("G", "nu", "y_init") + keys}
+        bases = [_inert_key_base(kind) for kind in ["pendulum", *INERT_SPECS]]
+        assert {_key(path) for base in bases for path in _leaves(base)} == read
+        # no allowlist entry is there for a key that no base turns off
+        off = {_key(path) for base in bases for path in _leaves(base)
+               if _switched_off(base, _key(path))}
+        assert off == set(SWITCHED_OFF_BY)
 
 
 class TestRunClosedLoop:
@@ -543,6 +708,34 @@ class TestCsvOutput:
         np.testing.assert_array_equal(data[:, 1:3], log.y)
         np.testing.assert_array_equal(data[:, 17:19], log.u)
 
+    @pytest.mark.parametrize("base", ["synthetic_constant.yaml", "second-order ramp",
+                                      "pendulum T=1"])
+    def test_log_row_is_csv_row(self, tmp_path, base):
+        # each tick's log entry is one CSV_HEADER row, t, e_y and e_F included,
+        # so the file parses back to the log's floats bit for bit
+        if base == "pendulum T=1":  # ends before the divergence at t = 1.13
+            doc = load_doc(str(CONFIGS / "paper_experiment.yaml"))
+            doc["T"] = 1.0
+        else:
+            doc = load_doc(str(CONFIGS / "synthetic_constant.yaml"))
+        if base == "second-order ramp":
+            doc["plant"] = {"kind": "ramp", "spec": {
+                "slope": [0.0013, -0.0007], "G": doc["plant"]["spec"]["G"], "nu": 2}}
+            doc["controller"]["law"], doc["observer"]["order"] = "basic", "second"
+            doc["filter"]["enabled"] = doc["noise"]["enabled"] = False
+        config = SimConfig.from_dict(doc)
+        log = run_closed_loop(config)
+        path = tmp_path / "out.csv"
+        log.to_csv(str(path))
+        assert LOG_WIDTH == len(CSV_HEADER.split(","))
+        rows = np.frombuffer(log.rows).reshape(-1, LOG_WIDTH)
+        assert len(rows) == config.n_steps + 1
+        assert np.loadtxt(path, delimiter=",", skiprows=1).tobytes() == rows.tobytes()
+        # and the derived columns are what the header names
+        assert log.t.tobytes() == (config.dt * np.arange(len(log))).tobytes()
+        assert log.e_y.tobytes() == (log.y - log.y_d).tobytes()
+        assert log.e_F.tobytes() == (log.F_hat - log.F).tobytes()
+
     def test_byte_identical_across_runs(self, tmp_path):
         config = make_config(**{"noise.enabled": True, "filter.enabled": True})
         payloads = []
@@ -570,12 +763,8 @@ def _oracle_csv(header, table) -> bytes:
 
 
 def _write_table(path, header, table) -> None:
-    """write_csv on table: CSV_BLOCK_ROWS rows a block, an array('d') a column."""
-    def block(i):
-        return [array("d", col.tobytes())
-                for col in table[i * CSV_BLOCK_ROWS:(i + 1) * CSV_BLOCK_ROWS].T]
-
-    write_csv(str(path), header, -(-len(table) // CSV_BLOCK_ROWS), block)
+    """write_csv on table, passed as one flat array('d') and its width."""
+    write_csv(str(path), header, array("d", table.tobytes()), table.shape[1])
 
 
 # The columns of a ramp log (filter and noise off, y_d = 0) as indices into 19
@@ -659,9 +848,10 @@ class TestWriteCsv:
 
 def _write_peak(path, table) -> int:
     """The tracemalloc peak of writing table, whose rows the file must then hold."""
+    flat = array("d", table.tobytes())  # made before tracing: the writer's input
     tracemalloc.start()
     try:
-        _write_table(path, CSV_HEADER, table)
+        write_csv(str(path), CSV_HEADER, flat, table.shape[1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -676,9 +866,10 @@ class TestComputeMetrics:
         n = len(e_y)
         z = np.zeros((n, 2))
         e_F = z if e_F is None else np.asarray(e_F, dtype=float)
-        # y = y_meas = y_hat = e_y against y_d = 0, and F_hat = e_F against F = 0
-        table = np.hstack([e_y, e_y, e_y, z, z, e_F, z])
-        return SimLog(array("d", table.tobytes()), dt)
+        # t = dt*k; y = y_meas = y_hat = e_y against y_d = 0, and F_hat = e_F against F = 0
+        t = dt * np.arange(n)[:, None]
+        table = np.hstack([t, e_y, e_y, e_y, z, e_y, z, e_F, e_F, z])
+        return SimLog(array("d", table.tobytes()))
 
     def test_all_zero_errors_give_zero_metrics(self):
         log = self._log_from_errors(np.zeros((10, 2)))
@@ -760,8 +951,9 @@ class TestComputeMetricsMatchesNumpy:
         n, dt = post_len + int(rng.integers(0, 50)), 0.01
         # errors that decay over the run, so that the bands are crossed on the way
         scale = 10.0 ** rng.uniform(-3, 3) * np.exp(-np.arange(n) / (0.3 * n))[:, None]
-        table = rng.standard_normal((n, 14)) * scale
-        log = SimLog(array("d", table.tobytes()), dt)
+        table = rng.standard_normal((n, 19)) * scale
+        table[:, 0] = dt * np.arange(n)  # the time column, t = dt*k
+        log = SimLog(array("d", table.tobytes()))
         settle_time = dt * (n - post_len - 0.5)
         bands = tuple(10.0 ** rng.uniform(-3, 3, 2))
         got = compute_metrics(log, settle_time, bands)
