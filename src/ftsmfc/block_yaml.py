@@ -1,0 +1,131 @@
+"""Block YAML as the shipped configs and yaml.safe_dump write it, read without PyYAML:
+block mappings and sequences (compact '- - x' and '- k: v' entries too), one-line flow
+sequences, '#' comments, and plain scalars that PyYAML's YAML 1.1 resolver makes a str,
+null, bool, decimal int or float with a dot.  Any other text is Declined."""
+
+import re
+
+from .config import ConfigError
+
+
+class Declined(Exception):
+    """The text is outside the subset."""
+
+
+# PyYAML's implicit resolvers (yaml/resolver.py) in order, and the first characters each takes
+_RESOLVERS = [(tag, re.compile(pattern).fullmatch, first) for tag, pattern, first in (
+    ("bool", r"yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF",
+     "yYnNtTfFoO"),
+    ("float", r"[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?"
+              r"|[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*|[-+]?\.(?:inf|Inf|INF)"
+              r"|\.(?:nan|NaN|NAN)", "-+0123456789."),
+    ("int", r"[-+]?0b[0-1_]+|[-+]?0[0-7_]+|[-+]?(?:0|[1-9][0-9_]*)|[-+]?0x[0-9a-fA-F_]+"
+            r"|[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+", "-+0123456789"),
+    ("merge", r"<<", "<"),
+    ("null", r"~|null|Null|NULL|", "~nN"),
+    ("timestamp", r"[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]|[0-9][0-9][0-9][0-9]-[0-9][0-9]?"
+                  r"-[0-9][0-9]?(?:[Tt]|[ \t]+)[0-9][0-9]?:[0-9][0-9]:[0-9][0-9](?:\.[0-9]*)?"
+                  r"(?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?", "0123456789"),
+    ("value", r"=", "="),
+)]
+# '[', ']', ',' or a plain scalar: words over [A-Za-z0-9_.~/+<=-] joined by spaces,
+# where '-' starts one only before a word character or '.', and '.' only before a word character
+_TOKEN = re.compile(r" *(?:([\[\],])|((?:[\w~/+<=]|-(?=[\w.])|\.(?=\w))[\w.~/+<=-]*"
+                    r"(?: +[\w.~/+<=-]+)*)) *").match
+_BOOLS = {"yes": True, "no": False, "true": True, "false": False, "on": True, "off": False}
+
+
+def _scalar(text: str):
+    tag = next((tag for tag, match, first in _RESOLVERS if text[0] in first and match(text)), "str")
+    digits = text.lstrip("+-")
+    if tag in ("str", "null", "bool"):
+        return text if tag == "str" else _BOOLS.get(text.lower())  # None for a null
+    if tag == "int" and digits.isdigit() and (digits == "0" or digits[0] != "0"):
+        return int(text)
+    if tag == "float" and text[-1] in "0123456789." and "_" not in text and ":" not in text:
+        return float(text)  # not .inf, .nan, sexagesimal or with '_'
+    raise Declined(text)
+
+
+def _leaf(text: str):
+    """A plain scalar, or a flow sequence of them on one line."""
+    stack, pos, want_item = [[]], 0, True
+    while pos < len(text):
+        token = _TOKEN(text, pos)
+        if token is None:
+            raise Declined(text)
+        pos, (punct, word) = token.end(), token.groups()
+        if word and want_item:
+            stack[-1].append(_scalar(word))
+        elif punct == "[" and want_item:
+            stack[-1].append([])
+            stack.append(stack[-1][-1])
+        elif punct == "]" and len(stack) > 1:  # '[]', '[1]' and '[1,]', as in PyYAML
+            stack.pop()
+        elif punct != "," or want_item:
+            raise Declined(text)
+        want_item = punct in ("[", ",")
+    if len(stack) > 1 or len(stack[0]) != 1:
+        raise Declined(text)
+    return stack[0][0]
+
+
+def _node(lines: list, i: int, depth: int, repeats: list):
+    """The block node whose first line is lines[i], and the index of the line after it."""
+    first, indent, text = lines[i]
+    if text[:2] in ("-", "- "):
+        sequence = []
+        while i < len(lines) and lines[i][1] == indent and lines[i][2][:2] in ("-", "- "):
+            number, _, text = lines[i]
+            rest = text[1:].lstrip(" ")
+            if rest:  # a leaf, or a compact node at the column of rest
+                lines[i] = (number, indent + len(text) - len(rest), rest)
+                value, i = _node(lines, i, depth + 1, repeats)
+            elif i + 1 < len(lines) and lines[i + 1][1] > indent:
+                value, i = _node(lines, i + 1, depth + 1, repeats)
+            else:
+                value, i = None, i + 1
+            sequence.append(value)
+        return sequence, i
+    if ": " not in text + " ":
+        return _leaf(text), i + 1
+    mapping: dict = {}
+    while i < len(lines) and lines[i][1] == indent:
+        number, _, text = lines[i]
+        key, colon, rest = (text + " ").partition(": ")
+        # PyYAML's simple keys end within 1024 characters, and a flow sequence is no key
+        if not colon or len(key) > 1000 or key[:1] == "[":
+            raise Declined(text)
+        key, rest = _leaf(key), rest.strip()
+        if rest:
+            value, i = _leaf(rest), i + 1
+        elif i + 1 < len(lines) and (lines[i + 1][1] > indent or lines[i + 1][1] == indent
+                                     and lines[i + 1][2][:2] in ("-", "- ")):
+            value, i = _node(lines, i + 1, depth + 1, repeats)  # a sequence may start at indent
+        else:
+            value, i = None, i + 1
+        if key in mapping:  # PyYAML checks the mappings depth by depth, each in document order
+            repeats.append((depth, first, number, f"repeated key {key!r} at line {number}"))
+        mapping[key] = value
+    return mapping, i
+
+
+def load(text: str):
+    """The document PyYAML's safe loader reads from text; Declined if outside the subset."""
+    lines = []
+    for number, raw in enumerate(text.split("\n"), 1):
+        if not (raw.isascii() and raw.isprintable()):  # tabs, '\r', control characters
+            raise Declined(raw)
+        body = raw.split(" #", 1)[0].rstrip(" ")
+        content = body.lstrip(" ")
+        if content and content[0] != "#":
+            lines.append((number, len(body) - len(content), content))
+    if not lines:
+        return None
+    repeats: list = []
+    document, end = _node(lines, 0, 0, repeats)
+    if end < len(lines):
+        raise Declined(lines[end][2])
+    if repeats:
+        raise ConfigError(min(repeats)[3])
+    return document

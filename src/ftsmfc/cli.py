@@ -18,7 +18,6 @@ import argparse
 import copy
 import os
 import sys
-from array import array
 from typing import List, Optional
 
 from . import sim_harness
@@ -109,11 +108,7 @@ def _cmd_generate_trajectory(args) -> int:
     samples = generate_desired_trajectory(
         config.trajectory_start, config.T, config.dt, config.plant_params
     )
-    table = array("d", bytes(24 * len(samples)))  # rows t, x_d, theta_d
-    table[0::3] = array("d", map(config.dt.__mul__, range(len(samples))))
-    table[1::3] = samples.obj[0::2]  # a column at a time, so one copy is held at once
-    table[2::3] = samples.obj[1::2]
-    write_csv(args.out, TRAJECTORY_HEADER, table, 3)
+    write_csv(args.out, TRAJECTORY_HEADER, samples.obj, 3)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 
@@ -140,16 +135,30 @@ def _set_dotted(doc: dict, key: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _split_values(text: str) -> List[str]:
+    """The comma-separated entries of --values; a comma inside [] or {} separates none."""
+    entries, depth, start = [], 0, 0
+    for i, char in enumerate(text):
+        depth += (char in "[{") - (char in "]}")
+        if char == "," and depth == 0:
+            entries.append(text[start:i])
+            start = i + 1
+    entries.append(text[start:])
+    return [entry.strip() for entry in entries if entry.strip()]
+
+
 def _cmd_sweep(args) -> int:
     base = load_doc(args.config)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    values = _split_values(args.values)
     if not values:
         raise ConfigError("--values must list at least one value")
-    os.makedirs(args.out, exist_ok=True)
-    for i, text in enumerate(values):
+    configs = []  # every value is read and checked before anything is written
+    for text in values:
         doc = copy.deepcopy(base)
         _set_dotted(doc, args.param, parse_yaml(text, f"--values: cannot parse {text!r}"))
-        config = SimConfig.from_dict(doc)
+        configs.append(SimConfig.from_dict(doc))
+    os.makedirs(args.out, exist_ok=True)
+    for i, (text, config) in enumerate(zip(values, configs)):
         safe = text.replace("/", "_")
         out_csv = os.path.join(args.out, f"run_{i:03d}_{safe}.csv")
         _run(config, out_csv, out_csv + ".metrics", f"# {args.param} = {text}\n")

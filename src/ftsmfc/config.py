@@ -126,7 +126,7 @@ def _section(doc: dict, name: str, prefix: str = "") -> dict:
 def _unique_key_loader() -> type:
     """The safe loader, on libyaml's parser when PyYAML has it, that rejects a key
     repeated in one mapping, where the last would win.  Built on first use, so
-    PyYAML is imported by the first parse and not by `import ftsmfc`."""
+    PyYAML is imported by the first text block_yaml declines, not by `import ftsmfc`."""
     import yaml
 
     class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -147,12 +147,19 @@ def _unique_key_loader() -> type:
     return _UniqueKeyLoader
 
 
-def parse_yaml(stream, what: str):
-    """One YAML document read by _unique_key_loader(); a YAML error is a ConfigError led by what."""
+def parse_yaml(text: str, what: str):
+    """One YAML document: block_yaml.load reads the block subset the configs are written
+    in, and _unique_key_loader() the rest; a YAML error is a ConfigError led by what."""
+    from . import block_yaml
+
+    try:
+        return block_yaml.load(text)
+    except block_yaml.Declined:
+        pass
     import yaml
 
     try:
-        return yaml.load(stream, Loader=_unique_key_loader())
+        return yaml.load(text, Loader=_unique_key_loader())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
@@ -161,9 +168,10 @@ def load_doc(path: str) -> dict:
     """Read a YAML configuration document; an empty file reads as {}."""
     try:
         with open(path, "r") as fh:
-            doc = parse_yaml(fh, f"cannot parse config file {path}")
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    doc = parse_yaml(text, f"cannot parse config file {path}")
     if doc is None:
         return {}
     if not isinstance(doc, dict):

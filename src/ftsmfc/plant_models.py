@@ -134,12 +134,13 @@ def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
 
 
 def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams) -> memoryview:
-    """The first n = floor(T/dt) + 1 samples of desired_samples, as an (n, 2) view of
-    one flat array('d') (its .obj), 16 bytes a sample; T >= 0 and dt > 0."""
+    """The first n = floor(T/dt) + 1 samples of desired_samples as the rows (dt*k, x_d, theta_d)
+    of an (n, 3) view of one flat array('d') (its .obj), 24 bytes a sample; T >= 0, dt > 0."""
     count = int(math.floor(T / dt)) + 1
-    flat = array("d", itertools.chain.from_iterable(
-        itertools.islice(desired_samples(init, dt, params), count)))
-    return memoryview(flat).cast("B").cast("d", (count, 2))
+    # range first: zip stops before it steps the plant past sample count - 1
+    samples = zip(range(count), desired_samples(init, dt, params))
+    flat = array("d", itertools.chain.from_iterable((dt * k, x, th) for k, (x, th) in samples))
+    return memoryview(flat).cast("B").cast("d", (count, 3))
 
 
 class NoiseConfig(Record):

@@ -662,6 +662,33 @@ class TestSweep:
         assert rc == cli.EXIT_CONFIG
         _one_line(err, "config error: --values")
 
+    @pytest.mark.parametrize("values", ["0.2,-1", "0.2,["], ids=["unchecked", "unparsable"])
+    def test_bad_later_value_writes_nothing(self, tmp_path, capsys, values):
+        # every value is read and checked before the first run
+        out_dir = tmp_path / "sweep"
+        rc, out, err = _main(
+            capsys, "sweep", "--config", _write(tmp_path, _short_constant()),
+            "--param", "controller.scale", "--values", values, "--out", str(out_dir),
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        _one_line(err, "config error:")
+        assert not out_dir.exists()
+
+    def test_vector_key(self, tmp_path, capsys):
+        # a comma inside [] separates no values
+        out_dir = tmp_path / "sweep"
+        rc, out, err = _main(
+            capsys, "sweep", "--config", _write(tmp_path, _short_constant()),
+            "--param", "metrics.bands", "--values", "[0.5, 0.05],[0.004, 0.0004]",
+            "--out", str(out_dir),
+        )
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert len(out.splitlines()) == 2
+        wide = (out_dir / "run_000_[0.5, 0.05].csv.metrics").read_text()
+        narrow = (out_dir / "run_001_[0.004, 0.0004].csv.metrics").read_text()
+        assert wide.startswith("# metrics.bands = [0.5, 0.05]\n")
+        assert wide.split("\n", 1)[1] != narrow.split("\n", 1)[1]
+
     def test_values_read_by_the_config_loader(self):
         # one YAML loader: sweep values go through config, and cli binds no yaml
         assert not hasattr(cli, "yaml")

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -116,16 +117,24 @@ class _PurePythonLoader(yaml.SafeLoader):
     construct_mapping = config._unique_key_loader().construct_mapping
 
 
+SHIPPED = {name: (CONFIGS / f"{name}.yaml").read_text()
+           for name in ("synthetic_constant", "paper_experiment")}
+# the configs as yaml.safe_dump writes them: perfbench and tests/test_numpy_free.py write these
+DUMPED = {f"{name}-{form}": yaml.safe_dump(yaml.safe_load(text), sort_keys=sort_keys)
+          for name, text in SHIPPED.items()
+          for form, sort_keys in (("dumped", False), ("dumped-sorted", True))}
+
 PARITY_DOCUMENTS = {
-    "synthetic_constant": (CONFIGS / "synthetic_constant.yaml").read_text(),
-    "paper_experiment": (CONFIGS / "paper_experiment.yaml").read_text(),
+    **SHIPPED,
+    **DUMPED,
     "merge-key": "base: &b {scale: 0.35, exponent: 11/9}\n"
                  "controller:\n  <<: *b\n  scale: 0.5\nobserver: {<<: [*b], order: first}\n",
     "nested": "plant:\n  spec:\n    G:\n      - [1, 0]\n      - [0, 1.5e+3]\n    nu: 2\n",
     # sweep --values entries
     **{repr(text): text for text in ["0.5", "1e-3", "yes", "~", "[0.1, 2]", "11/9", "-.5",
                                      "0x1A", "1_000", ".inf", "'0.5'", "off", "2024-01-01",
-                                     "[[1, 0], [0, 1]]", "{a: 1, b: [2, 3]}", ""]},
+                                     "[[1, 0], [0, 1]]", "{a: 1, b: [2, 3]}", "",
+                                     "+.5", "010", "1:30", "1.0e-05", "-0", "[0.5, 0.05]"]},
 }
 
 
@@ -148,8 +157,116 @@ def test_repeated_key_names_its_line_on_either_parser(text, message):
             load()
 
 
+@pytest.mark.parametrize("text", {**SHIPPED, **DUMPED}.values(), ids={**SHIPPED, **DUMPED}.keys())
+def test_configs_are_in_the_block_subset(text):
+    # so reading them imports no PyYAML; the parity test above checks the document
+    from ftsmfc import block_yaml
+
+    assert block_yaml.load(text) == yaml.safe_load(text)
+
+
+def test_undecodable_file_is_config_error(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"dt: 0.01\nT: \xff\n")
+    with pytest.raises(config.ConfigError, match=f"^cannot read config file {path}: "):
+        config.load_doc(str(path))
+
+
 def test_loader_parses_with_libyaml():
     # a refactor that dropped the C parser would still pass every other test, slower
     if not yaml.__with_libyaml__:
         pytest.skip("PyYAML is built without libyaml")
     assert issubclass(config._unique_key_loader(), yaml.CSafeLoader)
+
+
+# Plain scalars that PyYAML resolves in ways that are easy to get wrong, then some
+# that are not plain scalars of the block reader's subset
+SCALAR_TRAPS = ["0.5", "-0.25", "+7", "0", "-0", "010", "08", "1.", "00.5", "1.0e-05", "1.5E+3",
+                "1e-3", "1e+3", "-.5", "+.5", ".5", "1:30", "1:30.5", "2024-01-01", "11/9",
+                "0x1A", "0b11", "0o7", "1_000", "1_0.5", ".inf", "-.inf", ".nan", "yes", "No",
+                "OFF", "on", "y", "nULL", "null", "~", "true", "=", "<<", "a=b", "-a", "a b",
+                "x.y", "/p", "+", "_", "a -b", "2001-12-14 21:59:43.10 -5"]
+OUTSIDE_SCALARS = ["'q'", '"q"', "&a x", "*a", "!!str x", "|", ">", "{a: 1}", "a,b", "a#b",
+                   "%x", "@x", "?", "-", "é", "\tx", "x\r", "a: b", "[1,]", "[1, [2]", "a:"]
+KEYS = ["a", "b", "T", "1", "yes", "~", "1.0", "-k", "k v", "<<", "010"]
+
+
+def _random_document(rng) -> str:
+    """A small document of the block subset's grammar, sometimes just outside it."""
+    def scalar():
+        return rng.choice(OUTSIDE_SCALARS if rng.random() < 0.03 else SCALAR_TRAPS)
+
+    def leaf():
+        if rng.random() < 0.75:
+            return scalar()
+        items = [leaf() for _ in range(rng.randrange(4))]
+        return "[" + rng.choice([", ", ",", " , "]).join(items) + "]"
+
+    def node(indent, depth, kind=None):
+        kind = kind or rng.choice(["map", "seq", "map", "seq", "leaf"] if depth < 3 else ["leaf"])
+        pad = " " * indent
+        if kind == "leaf":
+            return [pad + leaf()]
+        lines = []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            head = pad + (rng.choice(KEYS) + rng.choice([":", ":", " :"]) if kind == "map" else "-")
+            if r < 0.45:
+                lines.append(head + " " + leaf())
+            elif r < 0.55:
+                lines.append(head)  # a null value
+            elif r < 0.75:
+                lines += [head] + node(indent + rng.randint(1, 3), depth + 1)
+            elif kind == "map":  # a sequence at the key's own indent
+                lines += [head] + node(indent, depth + 1, "seq")
+            else:  # a compact '- - x' or '- k: v' entry
+                inner = node(indent + 2, depth + 1, rng.choice(["map", "seq"]))
+                lines += [head + " " + inner[0].lstrip(" ")] + inner[1:]
+        return lines
+
+    lines = node(rng.randrange(2), 0)
+    for _ in range(rng.randrange(4)):  # comments, blank lines and trailing spaces
+        at = rng.randrange(len(lines) + 1)
+        r = rng.random()
+        if r < 0.3:
+            lines.insert(at, " " * rng.randrange(4) + "# c")
+        elif r < 0.6:
+            lines.insert(at, " " * rng.randrange(3))
+        elif at < len(lines):
+            lines[at] += rng.choice(["  ", " # c #", " "])
+    if rng.random() < 0.2:  # one step outside the subset
+        at = rng.randrange(len(lines))
+        lines[at] = rng.choice([" " + lines[at], lines[at][1:], lines[at] + "\r",
+                                "\t" + lines[at], lines[at] + "\n" + " " * 6 + "more",
+                                "---\n" + lines[at], lines[at] + " &x", lines[at] + ":"])
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _outcome(load, text):
+    """load(text), or the ConfigError parse_yaml(text, "what") would raise for what it raised."""
+    try:
+        document = load(text)
+    except config.ConfigError as exc:
+        return "error", str(exc)
+    except yaml.YAMLError as exc:
+        return "error", f"what: {exc}"
+    return "document", document, repr(document)
+
+
+def test_block_reader_agrees_with_pyyaml_on_random_documents():
+    from ftsmfc import block_yaml
+
+    rng = random.Random(20240101)
+    read = 0
+    for _ in range(2000):
+        text = _random_document(rng)
+        try:
+            got = _outcome(block_yaml.load, text)
+        except block_yaml.Declined:  # parse_yaml hands the text to the PyYAML loader
+            want = _outcome(lambda t: yaml.load(t, Loader=config._unique_key_loader()), text)
+        else:
+            read += 1
+            want = _outcome(lambda t: yaml.load(t, Loader=_PurePythonLoader), text)
+            assert got == want, text
+        assert _outcome(lambda t: config.parse_yaml(t, "what"), text) == want, text
+    assert 600 < read < 1900, read  # both sides of the selection are taken

@@ -1,11 +1,11 @@
-"""`simulate`, `generate-trajectory` and `sweep` run without importing NumPy.
+"""`simulate`, `generate-trajectory` and `sweep` run without importing NumPy or PyYAML.
 
-pytest has imported NumPy already, so the run path is driven in a fresh
-interpreter, which reports after each step whether `numpy` is in
-`sys.modules`.  Only `verify`, the SimLog arrays and the random-walk plant load it.
-The same interpreter reports which of the modules that start-up does not
-need were loaded by `import ftsmfc` and by reading a config: PyYAML only, by
-the first parse.
+pytest has imported both already, so the run path is driven in a fresh
+interpreter, which reports after each step whether `numpy` and `yaml` are in
+`sys.modules`.  Only `verify`, the SimLog arrays and the random-walk plant load
+NumPy, and only a config outside the block subset of `ftsmfc.block_yaml` loads
+PyYAML.  The same interpreter reports which of the modules that start-up does
+not need were loaded by `import ftsmfc` and by reading a config: none.
 """
 
 import json
@@ -32,10 +32,13 @@ ftsmfc.SimConfig.from_dict({"dt": 0.01, "T": 1, "controller": {"G": [[1, 0], [0,
 loaded.append(["from_dict", [m for m in unloaded if m in sys.modules]])
 ftsmfc.SimConfig.from_yaml(config)
 loaded.append(["from_yaml", [m for m in unloaded if m in sys.modules]])
-report = [["from_yaml", None, "numpy" in sys.modules]]
+report = [["from_yaml", None, "numpy" in sys.modules, "yaml" in sys.modules]]
 from ftsmfc import cli
 for step, argv in json.loads(steps):
-    report.append([step, cli.main(argv), "numpy" in sys.modules])
+    report.append([step, cli.main(argv), "numpy" in sys.modules, "yaml" in sys.modules])
+# a flow mapping is outside the block subset: PyYAML reads it
+report.append(["flow mapping", ftsmfc.config.parse_yaml("{a: 1}", "unused"), None,
+               "yaml" in sys.modules])
 with open(out, "w") as fh:
     json.dump({"unloaded": unloaded, "loaded": loaded, "report": report}, fh)
 """
@@ -87,18 +90,17 @@ def test_run_path_imports_no_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     child = json.loads(report_path.read_text())
-    yaml_if_unloaded = [m for m in ["yaml"] if m in child["unloaded"]]
-    assert child["loaded"] == [["import ftsmfc", []], ["from_dict", []],
-                               ["from_yaml", yaml_if_unloaded]]
+    assert child["loaded"] == [["import ftsmfc", []], ["from_dict", []], ["from_yaml", []]]
     report = [tuple(step) for step in child["report"]]
     assert report == [
-        ("from_yaml", None, False),
-        ("simulate constant", 0, False),
-        ("simulate ramp", 0, False),
-        ("simulate sinusoid", 0, False),
-        ("simulate pendulum", 2, False),
-        ("generate-trajectory", 0, False),
-        ("sweep", 0, False),
-        ("simulate random-walk", 0, True),
+        ("from_yaml", None, False, False),
+        ("simulate constant", 0, False, False),
+        ("simulate ramp", 0, False, False),
+        ("simulate sinusoid", 0, False, False),
+        ("simulate pendulum", 2, False, False),
+        ("generate-trajectory", 0, False, False),
+        ("sweep", 0, False, False),
+        ("simulate random-walk", 0, True, False),
+        ("flow mapping", {"a": 1}, None, True),
     ], proc.stderr
     assert "plant diverged at step 113" in proc.stderr

@@ -116,31 +116,33 @@ class TestDesiredTrajectory:
 
     def test_sample_count_and_seed_rows(self):
         traj = np.asarray(generate_desired_trajectory(self.INIT, 1.0, 0.01, P))
-        assert traj.shape == (101, 2)
-        np.testing.assert_array_equal(traj[0], [0.45, -0.14])
-        np.testing.assert_allclose(traj[1], [0.45 - 0.003, -0.14 + 0.0005], atol=1e-15)
+        assert traj.shape == (101, 3)
+        np.testing.assert_array_equal(traj[0, 1:], [0.45, -0.14])
+        np.testing.assert_allclose(traj[1, 1:], [0.45 - 0.003, -0.14 + 0.0005], atol=1e-15)
+        # the time column is dt * k, as the CSV writes it
+        assert traj[:, 0].tolist() == [0.01 * k for k in range(101)]
 
     def test_samples_are_one_flat_array(self):
-        # len() is the sample count; the samples take 16 bytes each, in one array('d')
+        # len() is the sample count; the rows (t, x_d, theta_d) take 24 bytes, in one array('d')
         traj = generate_desired_trajectory(self.INIT, 1.0, 0.01, P)
-        assert len(traj) == 101 and traj.shape == (101, 2)
-        assert traj.obj.typecode == "d" and traj.obj.buffer_info()[1] == 202
+        assert len(traj) == 101 and traj.shape == (101, 3)
+        assert traj.obj.typecode == "d" and traj.obj.buffer_info()[1] == 303
         assert traj.obj.tobytes() == np.asarray(traj).tobytes()
 
     def test_rows_are_the_generator_prefix(self):
         traj = np.asarray(generate_desired_trajectory(self.INIT, 5.0, 0.01, P))
         samples = desired_samples(self.INIT, 0.01, P)
         prefix = np.array(list(itertools.islice(samples, 501)))
-        assert prefix.tobytes() == traj.tobytes()
+        assert prefix.tobytes() == np.ascontiguousarray(traj[:, 1:]).tobytes()
         # and the generator goes on past the horizon
         assert np.all(np.isfinite(next(samples)))
 
     def test_zero_horizon(self):
         traj = np.asarray(generate_desired_trajectory(self.INIT, 0.0, 0.01, P))
-        assert traj.shape == (1, 2)
+        assert traj.shape == (1, 3)
 
     def test_full_horizon_bounded_with_known_envelope(self):
-        traj = np.asarray(generate_desired_trajectory(self.INIT, 70.0, 0.01, P))
+        traj = np.asarray(generate_desired_trajectory(self.INIT, 70.0, 0.01, P))[:, 1:]
         assert traj.shape == (7001, 2)
         assert np.all(np.isfinite(traj))
         assert np.all(np.abs(traj) < DIVERGENCE_LIMIT)
