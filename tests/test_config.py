@@ -179,6 +179,15 @@ def test_loader_parses_with_libyaml():
     assert issubclass(config._unique_key_loader(), yaml.CSafeLoader)
 
 
+def test_libyaml_rejects_what_the_pure_python_parser_reads():
+    # the two parsers are not the same on every document; README says so
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML is built without libyaml")
+    assert yaml.load("a: [?]\n", Loader=_PurePythonLoader) == {"a": [{None: None}]}
+    with pytest.raises(config.ConfigError, match="^config: while parsing a flow sequence"):
+        config.parse_yaml("a: [?]\n", "config")
+
+
 # Plain scalars that PyYAML resolves in ways that are easy to get wrong, then some
 # that are not plain scalars of the block reader's subset
 SCALAR_TRAPS = ["0.5", "-0.25", "+7", "0", "-0", "010", "08", "1.", "00.5", "1.0e-05", "1.5E+3",
