@@ -1,7 +1,8 @@
-"""Block YAML as the shipped configs and yaml.safe_dump write it, read without PyYAML:
-block mappings and sequences (compact '- - x' and '- k: v' entries too), one-line flow
-sequences, '#' comments, and plain scalars that PyYAML's YAML 1.1 resolver makes a str,
-null, bool, decimal int or float with a dot.  Any other text is Declined."""
+"""ftsmfc's one YAML reader, for block YAML as the shipped configs and yaml.safe_dump write
+it: block mappings and sequences (compact '- - x' and '- k: v' entries too), one-line flow
+sequences, '#' comments, and plain scalars that PyYAML's YAML 1.1 resolver makes a str, null,
+bool, decimal int, float with a dot, .inf or .nan, each built as PyYAML's safe loader builds
+it.  Any other text is Declined, which config.parse_yaml reports as a ConfigError."""
 
 import re
 
@@ -9,7 +10,7 @@ from .config import ConfigError
 
 
 class Declined(Exception):
-    """The text is outside the subset."""
+    """The text is outside the subset; args are the declined text and its line number."""
 
 
 # PyYAML's implicit resolvers (yaml/resolver.py) in order, and the first characters each takes
@@ -35,38 +36,38 @@ _TOKEN = re.compile(r" *(?:([\[\],])|((?:[\w~/+<=]|-(?=[\w.])|\.(?=\w))[\w.~/+<=
 _BOOLS = {"yes": True, "no": False, "true": True, "false": False, "on": True, "off": False}
 
 
-def _scalar(text: str):
+def _scalar(text: str, number: int):
     tag = next((tag for tag, match, first in _RESOLVERS if text[0] in first and match(text)), "str")
     digits = text.lstrip("+-")
     if tag in ("str", "null", "bool"):
         return text if tag == "str" else _BOOLS.get(text.lower())  # None for a null
     if tag == "int" and digits.isdigit() and (digits == "0" or digits[0] != "0"):
         return int(text)
-    if tag == "float" and text[-1] in "0123456789." and "_" not in text and ":" not in text:
-        return float(text)  # not .inf, .nan, sexagesimal or with '_'
-    raise Declined(text)
+    if tag == "float" and "_" not in text and ":" not in text:  # not sexagesimal or with '_'
+        return float(text.replace(".", "") if text[-1].isalpha() else text)  # '-.Inf' as '-Inf'
+    raise Declined(text, number)
 
 
-def _leaf(text: str):
-    """A plain scalar, or a flow sequence of them on one line."""
+def _leaf(text: str, number: int):
+    """A plain scalar, or a flow sequence of them on one line, the line numbered number."""
     stack, pos, want_item = [[]], 0, True
     while pos < len(text):
         token = _TOKEN(text, pos)
         if token is None:
-            raise Declined(text)
+            raise Declined(text, number)
         pos, (punct, word) = token.end(), token.groups()
         if word and want_item:
-            stack[-1].append(_scalar(word))
+            stack[-1].append(_scalar(word, number))
         elif punct == "[" and want_item:
             stack[-1].append([])
             stack.append(stack[-1][-1])
         elif punct == "]" and len(stack) > 1:  # '[]', '[1]' and '[1,]', as in PyYAML
             stack.pop()
         elif punct != "," or want_item:
-            raise Declined(text)
+            raise Declined(text, number)
         want_item = punct in ("[", ",")
     if len(stack) > 1 or len(stack[0]) != 1:
-        raise Declined(text)
+        raise Declined(text, number)
     return stack[0][0]
 
 
@@ -88,17 +89,17 @@ def _node(lines: list, i: int, depth: int, repeats: list):
             sequence.append(value)
         return sequence, i
     if ": " not in text + " ":
-        return _leaf(text), i + 1
+        return _leaf(text, first), i + 1
     mapping: dict = {}
     while i < len(lines) and lines[i][1] == indent:
         number, _, text = lines[i]
         key, colon, rest = (text + " ").partition(": ")
-        # PyYAML's simple keys end within 1024 characters, and a flow sequence is no key
-        if not colon or len(key) > 1000 or key[:1] == "[":
-            raise Declined(text)
-        key, rest = _leaf(key), rest.strip()
+        # PyYAML's simple keys end within 1024 characters, and a flow collection is no key
+        if not colon or len(key) > 1000 or key[:1] in ("[", "{"):
+            raise Declined(text, number)
+        key, rest = _leaf(key, number), rest.strip()
         if rest:
-            value, i = _leaf(rest), i + 1
+            value, i = _leaf(rest, number), i + 1
         elif i + 1 < len(lines) and (lines[i + 1][1] > indent or lines[i + 1][1] == indent
                                      and lines[i + 1][2][:2] in ("-", "- ")):
             value, i = _node(lines, i + 1, depth + 1, repeats)  # a sequence may start at indent
@@ -115,7 +116,7 @@ def load(text: str):
     lines = []
     for number, raw in enumerate(text.split("\n"), 1):
         if not (raw.isascii() and raw.isprintable()):  # tabs, '\r', control characters
-            raise Declined(raw)
+            raise Declined(raw, number)
         body = raw.split(" #", 1)[0].rstrip(" ")
         content = body.lstrip(" ")
         if content and content[0] != "#":
@@ -125,7 +126,7 @@ def load(text: str):
     repeats: list = []
     document, end = _node(lines, 0, 0, repeats)
     if end < len(lines):
-        raise Declined(lines[end][2])
+        raise Declined(lines[end][2], lines[end][0])
     if repeats:
         raise ConfigError(min(repeats)[3])
     return document

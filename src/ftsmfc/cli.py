@@ -167,8 +167,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _fail(label: str, exc: Exception, code: int) -> int:
-    # one line on stderr, also for the multi-line messages of YAML errors
-    print(f"{label}: {' '.join(str(exc).split())}", file=sys.stderr)
+    # one line on stderr: a line break (a path may hold one) becomes a space, other spaces stay
+    print(f"{label}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
     return code
 
 

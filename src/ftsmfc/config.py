@@ -7,7 +7,6 @@ ranges, defaults) and hands the kernel Python floats and tuples.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Sequence, Tuple
 
@@ -122,46 +121,17 @@ def _section(doc: dict, name: str, prefix: str = "") -> dict:
     return section
 
 
-@functools.cache
-def _unique_key_loader() -> type:
-    """The safe loader, on libyaml's parser when PyYAML has it, that rejects a key
-    repeated in one mapping, where the last would win.  Built on first use, so
-    PyYAML is imported by the first text block_yaml declines, not by `import ftsmfc`."""
-    import yaml
-
-    class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-        def construct_mapping(self, node, deep=False):
-            # the keys as written; a key may override one merged in by '<<'
-            written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-            # named, not super(): the check runs the same on either parser
-            mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
-            seen = set()
-            for key_node in written:
-                key = self.construct_object(key_node)
-                if key in seen:
-                    line = key_node.start_mark.line + 1
-                    raise ConfigError(f"repeated key {key!r} at line {line}")
-                seen.add(key)
-            return mapping
-
-    return _UniqueKeyLoader
-
-
 def parse_yaml(text: str, what: str):
-    """One YAML document: block_yaml.load reads the block subset the configs are written
-    in, and _unique_key_loader() the rest; a YAML error is a ConfigError led by what."""
+    """One YAML document, read by block_yaml.load; a text outside its subset is a
+    ConfigError led by what that names the declined text and its line."""
     from . import block_yaml
 
     try:
         return block_yaml.load(text)
-    except block_yaml.Declined:
-        pass
-    import yaml
-
-    try:
-        return yaml.load(text, Loader=_unique_key_loader())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+    except block_yaml.Declined as exc:
+        declined, line = exc.args
+        raise ConfigError(f"{what}: line {line}: {declined!r} is outside the YAML subset "
+                          "ftsmfc reads") from exc
 
 
 def load_doc(path: str) -> dict:

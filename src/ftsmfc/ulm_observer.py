@@ -4,15 +4,15 @@ The local model reads y_{k+nu} = F_k + G_k u_k, so F_k can be reconstructed
 one relative-degree later from observed outputs and applied inputs.  The
 first-order observer tracks F_k with the shared sigmoid gain; the second-order
 observer additionally tracks the first difference of F_k, which lets it reject
-ramp (affine-in-step) disturbance terms.
+ramp (affine-in-step) disturbance terms.  A non-finite sample makes the
+gain's argument non-finite, so holder_gain raises DomainError in that call.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
-from .fts_core import DomainError, HolderGainParams, Pair, holder_gain
+from .fts_core import HolderGainParams, Pair, holder_gain
 
 
 def compute_F(y_k_plus_nu: Pair, G_k, u_k: Pair) -> Pair:
@@ -30,8 +30,6 @@ def first_order_update(F_hat: Pair, F_k: Pair, params: HolderGainParams) -> Pair
     then evolves as e' = gain(e)*e - (F_{k+1} - F_k).
     """
     f0, f1 = F_k
-    if not (math.isfinite(f0) and math.isfinite(f1)):
-        raise DomainError("first_order_update: sample has non-finite components")
     e = (F_hat[0] - f0, F_hat[1] - f1)
     g = holder_gain(e, params)
     return (g * e[0] + f0, g * e[1] + f1)
@@ -53,8 +51,6 @@ def second_order_update(
     e' = gain(e)*e + gain(e_delta)*e_delta - (second difference of F).
     """
     f0, f1 = F_k
-    if not (math.isfinite(f0) and math.isfinite(f1)):
-        raise DomainError("second_order_update: sample has non-finite components")
     e = (F_hat[0] - f0, F_hat[1] - f1)
     if F_prev is not None:
         d0, d1 = f0 - F_prev[0], f1 - F_prev[1]

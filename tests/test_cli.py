@@ -132,6 +132,28 @@ class TestSimulate:
         assert rc == cli.EXIT_CONFIG
         _one_line(err, "config error: cannot parse")
 
+    @pytest.mark.parametrize("line, declined", [
+        ("  law: 'fts'", "'fts'"),
+        ("  law: 'f  ts'", "'f  ts'"),  # stderr keeps both spaces
+        ("  law: {name: fts}", "{name: fts}"),
+        ("  law: &law fts", "&law fts"),
+    ], ids=["quoted-scalar", "quoted-spaces", "flow-mapping", "anchor"])
+    def test_text_outside_the_block_subset_is_one_line(self, tmp_path, capsys, line, declined):
+        # block_yaml is the one reader: what it declines is exit 1, naming the text and its line
+        path = tmp_path / "config.yaml"
+        text = (CONFIGS / "synthetic_constant.yaml").read_text()
+        lines = text.splitlines()
+        number = lines.index("  law: fts") + 1
+        lines[number - 1] = line
+        path.write_text("\n".join(lines))
+        rc, _, err = _main(capsys, "simulate", "--config", str(path),
+                           "--out", str(tmp_path / "run.csv"))
+        assert rc == cli.EXIT_CONFIG
+        assert _one_line(err, "config error:") == (
+            f"config error: cannot parse config file {path}: line {number}: {declined!r} "
+            "is outside the YAML subset ftsmfc reads")
+        assert not (tmp_path / "run.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc, _, err = _main(
             capsys, "simulate", "--config", str(tmp_path / "absent.yaml"), "--out", "unused.csv"
@@ -688,6 +710,17 @@ class TestSweep:
         narrow = (out_dir / "run_001_[0.004, 0.0004].csv.metrics").read_text()
         assert wide.startswith("# metrics.bands = [0.5, 0.05]\n")
         assert wide.split("\n", 1)[1] != narrow.split("\n", 1)[1]
+
+    def test_flow_mapping_value_is_config_error(self, tmp_path, capsys):
+        rc, out, err = _main(
+            capsys, "sweep", "--config", _write(tmp_path, _short_constant()),
+            "--param", "controller.scale", "--values", "{a: 1}", "--out", str(tmp_path / "sweep"),
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert _one_line(err, "config error:") == (
+            "config error: --values: cannot parse '{a: 1}': line 1: '{a: 1}' "
+            "is outside the YAML subset ftsmfc reads")
+        assert not (tmp_path / "sweep").exists()
 
     def test_values_read_by_the_config_loader(self):
         # one YAML loader: sweep values go through config, and cli binds no yaml

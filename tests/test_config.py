@@ -17,7 +17,7 @@ BASE_DOC = {
     "dt": 0.01,
     "T": 0.5,
     "plant": {"kind": "constant", "spec": {"const": [0.3, -0.2], "G": G, "nu": 1}},
-    "controller": {"law": "fts", "G": G},
+    "controller": {"law": "fts", "G": copy.deepcopy(G)},  # no YAML alias of plant.spec.G
     "noise": {"enabled": False},
     "trajectory": {"source": "zero"},
     "metrics": {"settle_time": 0.2},
@@ -66,7 +66,9 @@ def test_string_or_mapping_for_a_list_exits_1(tmp_path, capsys, key, value):
     rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "run.csv")])
     _, err = capsys.readouterr()
     assert rc == cli.EXIT_CONFIG
-    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err
+    # YAML writes such a string quoted and bytes tagged, both outside the block subset
+    prefix = f"{key}: " if isinstance(value, dict) else f"cannot parse config file {path}: line "
+    assert err.startswith(f"config error: {prefix}") and err.count("\n") == 1, err
     assert not (tmp_path / "run.csv").exists()
 
 
@@ -112,9 +114,18 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class _PurePythonLoader(yaml.SafeLoader):
-    """The config loader's repeated-key check on PyYAML's pure-Python parser."""
+    """The oracle: PyYAML's pure-Python safe loader, with the block reader's repeated-key error."""
 
-    construct_mapping = config._unique_key_loader().construct_mapping
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node)
+            if key in seen:
+                line = key_node.start_mark.line + 1
+                raise config.ConfigError(f"repeated key {key!r} at line {line}")
+            seen.add(key)
+        return mapping
 
 
 SHIPPED = {name: (CONFIGS / f"{name}.yaml").read_text()
@@ -127,34 +138,54 @@ DUMPED = {f"{name}-{form}": yaml.safe_dump(yaml.safe_load(text), sort_keys=sort_
 PARITY_DOCUMENTS = {
     **SHIPPED,
     **DUMPED,
-    "merge-key": "base: &b {scale: 0.35, exponent: 11/9}\n"
-                 "controller:\n  <<: *b\n  scale: 0.5\nobserver: {<<: [*b], order: first}\n",
     "nested": "plant:\n  spec:\n    G:\n      - [1, 0]\n      - [0, 1.5e+3]\n    nu: 2\n",
     # sweep --values entries
     **{repr(text): text for text in ["0.5", "1e-3", "yes", "~", "[0.1, 2]", "11/9", "-.5",
-                                     "0x1A", "1_000", ".inf", "'0.5'", "off", "2024-01-01",
-                                     "[[1, 0], [0, 1]]", "{a: 1, b: [2, 3]}", "",
-                                     "+.5", "010", "1:30", "1.0e-05", "-0", "[0.5, 0.05]"]},
+                                     ".inf", "off", "[[1, 0], [0, 1]]", "", "+.5", "1.0e-05",
+                                     "-0", "[0.5, 0.05]"]},
 }
+# YAML that PyYAML reads and the block reader declines, with the part it declines on line 1
+DECLINED_DOCUMENTS = {
+    "merge-key": ("base: &b {scale: 0.35, exponent: 11/9}\n"
+                  "controller:\n  <<: *b\n  scale: 0.5\nobserver: {<<: [*b], order: first}\n",
+                  "&b {scale: 0.35, exponent: 11/9}"),
+    # sweep --values entries
+    **{repr(text): (text, text) for text in ["0x1A", "1_000", "'0.5'", "2024-01-01",
+                                             "{a: 1, b: [2, 3]}", "010", "1:30"]},
+}
+_CASES = {**{key: (text, None) for key, text in PARITY_DOCUMENTS.items()}, **DECLINED_DOCUMENTS}
 
 
-@pytest.mark.parametrize("text", PARITY_DOCUMENTS.values(), ids=PARITY_DOCUMENTS.keys())
-def test_loader_gives_the_pure_python_document(text):
+def _declined(what: str, line: int, text: str) -> str:
+    return f"{what}: line {line}: {text!r} is outside the YAML subset ftsmfc reads"
+
+
+@pytest.mark.parametrize("text, declined", _CASES.values(), ids=_CASES.keys())
+def test_loader_gives_the_pure_python_document(text, declined):
+    """parse_yaml gives the oracle's document, or declines a text outside the subset."""
+    if declined is not None:
+        message = re.escape(_declined("what", 1, declined))
+        with pytest.raises(config.ConfigError, match=f"^{message}$"):
+            config.parse_yaml(text, "what")
+        return
     expected = yaml.load(text, Loader=_PurePythonLoader)
     document = config.parse_yaml(text, "unused")
     assert document == expected and repr(document) == repr(expected)
 
 
-@pytest.mark.parametrize("text, message", [
-    ("dt: 0.01\nT: 0.5\nT: 0.6\n", "repeated key 'T' at line 3"),
-    ("controller:\n  scale: 0.35\n\n  scale: 0.5\n", "repeated key 'scale' at line 4"),
-    ("{a: 1, b: 2, a: 3}", "repeated key 'a' at line 1"),
+@pytest.mark.parametrize("text, message, declined", [
+    ("dt: 0.01\nT: 0.5\nT: 0.6\n", "repeated key 'T' at line 3", None),
+    ("controller:\n  scale: 0.35\n\n  scale: 0.5\n", "repeated key 'scale' at line 4", None),
+    # a flow mapping is outside the subset: the reader declines it before reading a key
+    ("{a: 1, b: 2, a: 3}", "repeated key 'a' at line 1", "{a: 1, b: 2, a: 3}"),
 ], ids=["top-level", "nested", "flow"])
-def test_repeated_key_names_its_line_on_either_parser(text, message):
-    for load in (lambda: config.parse_yaml(text, "unused"),
-                 lambda: yaml.load(text, Loader=_PurePythonLoader)):
-        with pytest.raises(config.ConfigError, match=f"^{message}$"):
-            load()
+def test_repeated_key_names_its_line_on_either_parser(text, message, declined):
+    with pytest.raises(config.ConfigError, match=f"^{message}$"):
+        yaml.load(text, Loader=_PurePythonLoader)
+    if declined is not None:
+        message = re.escape(_declined("unused", 1, declined))
+    with pytest.raises(config.ConfigError, match=f"^{message}$"):
+        config.parse_yaml(text, "unused")
 
 
 @pytest.mark.parametrize("text", {**SHIPPED, **DUMPED}.values(), ids={**SHIPPED, **DUMPED}.keys())
@@ -170,22 +201,6 @@ def test_undecodable_file_is_config_error(tmp_path):
     path.write_bytes(b"dt: 0.01\nT: \xff\n")
     with pytest.raises(config.ConfigError, match=f"^cannot read config file {path}: "):
         config.load_doc(str(path))
-
-
-def test_loader_parses_with_libyaml():
-    # a refactor that dropped the C parser would still pass every other test, slower
-    if not yaml.__with_libyaml__:
-        pytest.skip("PyYAML is built without libyaml")
-    assert issubclass(config._unique_key_loader(), yaml.CSafeLoader)
-
-
-def test_libyaml_rejects_what_the_pure_python_parser_reads():
-    # the two parsers are not the same on every document; README says so
-    if not yaml.__with_libyaml__:
-        pytest.skip("PyYAML is built without libyaml")
-    assert yaml.load("a: [?]\n", Loader=_PurePythonLoader) == {"a": [{None: None}]}
-    with pytest.raises(config.ConfigError, match="^config: while parsing a flow sequence"):
-        config.parse_yaml("a: [?]\n", "config")
 
 
 # Plain scalars that PyYAML resolves in ways that are easy to get wrong, then some
@@ -252,14 +267,14 @@ def _random_document(rng) -> str:
 
 
 def _outcome(load, text):
-    """load(text), or the ConfigError parse_yaml(text, "what") would raise for what it raised."""
+    """load(text) with its repr, only its repr if it holds a NaN, or the error it raised."""
     try:
         document = load(text)
     except config.ConfigError as exc:
         return "error", str(exc)
     except yaml.YAMLError as exc:
         return "error", f"what: {exc}"
-    return "document", document, repr(document)
+    return "document", repr(document) if "nan" in repr(document) else document, repr(document)
 
 
 def test_block_reader_agrees_with_pyyaml_on_random_documents():
@@ -271,11 +286,10 @@ def test_block_reader_agrees_with_pyyaml_on_random_documents():
         text = _random_document(rng)
         try:
             got = _outcome(block_yaml.load, text)
-        except block_yaml.Declined:  # parse_yaml hands the text to the PyYAML loader
-            want = _outcome(lambda t: yaml.load(t, Loader=config._unique_key_loader()), text)
+        except block_yaml.Declined as exc:  # parse_yaml reports the declined text and its line
+            got = "error", _declined("what", exc.args[1], exc.args[0])
         else:
             read += 1
-            want = _outcome(lambda t: yaml.load(t, Loader=_PurePythonLoader), text)
-            assert got == want, text
-        assert _outcome(lambda t: config.parse_yaml(t, "what"), text) == want, text
+            assert got == _outcome(lambda t: yaml.load(t, Loader=_PurePythonLoader), text), text
+        assert _outcome(lambda t: config.parse_yaml(t, "what"), text) == got, text
     assert 600 < read < 1900, read  # both sides of the selection are taken

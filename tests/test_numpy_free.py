@@ -3,11 +3,13 @@
 pytest has imported both already, so the run path is driven in a fresh
 interpreter, which reports after each step whether `numpy` and `yaml` are in
 `sys.modules`.  Only `verify`, the SimLog arrays and the random-walk plant load
-NumPy, and only a config outside the block subset of `ftsmfc.block_yaml` loads
-PyYAML.  The same interpreter reports which of the modules that start-up does
-not need were loaded by `import ftsmfc` and by reading a config: none.
+NumPy.  Nothing loads PyYAML: `ftsmfc.block_yaml` is the one YAML reader, a text
+outside its subset is a ConfigError, and no module of the package imports `yaml`.
+The same interpreter reports which of the modules that start-up does not need
+were loaded by `import ftsmfc` and by reading a config: none.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -36,9 +38,13 @@ report = [["from_yaml", None, "numpy" in sys.modules, "yaml" in sys.modules]]
 from ftsmfc import cli
 for step, argv in json.loads(steps):
     report.append([step, cli.main(argv), "numpy" in sys.modules, "yaml" in sys.modules])
-# a flow mapping is outside the block subset: PyYAML reads it
-report.append(["flow mapping", ftsmfc.config.parse_yaml("{a: 1}", "unused"), None,
-               "yaml" in sys.modules])
+    assert "yaml" not in sys.modules, step
+# a flow mapping is outside the block subset: a ConfigError, and PyYAML stays unloaded
+try:
+    ftsmfc.config.parse_yaml("{a: 1}", "--values")
+except ftsmfc.config.ConfigError as exc:
+    report.append(["flow mapping", str(exc), None, "yaml" in sys.modules])
+assert "yaml" not in sys.modules
 with open(out, "w") as fh:
     json.dump({"unloaded": unloaded, "loaded": loaded, "report": report}, fh)
 """
@@ -101,6 +107,20 @@ def test_run_path_imports_no_numpy(tmp_path):
         ("generate-trajectory", 0, False, False),
         ("sweep", 0, False, False),
         ("simulate random-walk", 0, True, False),
-        ("flow mapping", {"a": 1}, None, True),
+        ("flow mapping", "--values: line 1: '{a: 1}' is outside the YAML subset ftsmfc reads",
+         None, False),
     ], proc.stderr
     assert "plant diverged at step 113" in proc.stderr
+
+
+def test_no_module_imports_yaml():
+    # PyYAML is a test dependency only: block_yaml reads every config
+    for path in sorted(Path(SRC, "ftsmfc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.level == 0 else []  # not 'from . import x'
+            else:
+                continue
+            assert not any(name.split(".")[0] == "yaml" for name in names), (path.name, names)

@@ -225,11 +225,13 @@ class TestSimConfig:
             config.gains.G, 0.01 * np.array([[0.559, 0.196], [0.196, 0.657]])
         )
 
-    def test_merge_key_may_be_overridden(self, tmp_path):
-        # only a key written twice is repeated; one merged in by '<<' may be overridden
+    def test_merge_key_is_config_error(self, tmp_path):
+        # anchors, aliases and '<<' are outside the block subset that ftsmfc reads
         path = tmp_path / "doc.yaml"
         path.write_text("base: &b {x: 1, y: 2}\nother:\n  <<: *b\n  x: 3\n")
-        assert load_doc(str(path))["other"] == {"x": 3, "y": 2}
+        message = f"cannot parse config file {path}: line 1: '&b {{x: 1, y: 2}}' is outside"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            load_doc(str(path))
 
     def test_from_yaml_missing_file(self):
         with pytest.raises(ConfigError):

@@ -90,9 +90,25 @@ class TestFirstOrderObserver:
             assert norm < prev
             prev = norm
 
-    def test_nonfinite_sample_rejected(self):
-        with pytest.raises(DomainError):
-            first_order_update(np.zeros(2), [np.nan, 0.0], OBS)
+
+# A non-finite sample in either component, through each update; the second-order one
+# reads it in e alone on the first sample and in e_delta once F_prev is set
+NON_FINITE = [(channel, value) for value in (np.nan, np.inf, -np.inf) for channel in (0, 1)]
+UPDATES = {
+    "first": lambda F_k: first_order_update((0.1, -0.2), F_k, OBS),
+    "second-first-sample": lambda F_k: second_order_update((0.1, -0.2), (0.0, 0.0), None, F_k, OBS),
+    "second": lambda F_k: second_order_update((0.1, -0.2), (0.01, 0.0), (0.3, 0.4), F_k, OBS),
+}
+
+
+@pytest.mark.parametrize("update", UPDATES.values(), ids=UPDATES.keys())
+@pytest.mark.parametrize("channel, value", NON_FINITE,
+                         ids=[f"{value}-F{channel}" for channel, value in NON_FINITE])
+def test_nonfinite_sample_rejected(update, channel, value):
+    F_k = [0.5, -0.5]
+    F_k[channel] = value
+    with pytest.raises(DomainError, match="^holder_gain: non-finite quadratic form"):
+        update(tuple(F_k))
 
 
 class TestSecondOrderObserver:
