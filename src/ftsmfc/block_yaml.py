@@ -2,16 +2,16 @@
 it: block mappings and sequences (compact '- - x' and '- k: v' entries too), one-line flow
 sequences, '#' comments, and plain scalars that PyYAML's YAML 1.1 resolver makes a str, null,
 bool, decimal int, float with a dot, .inf or .nan, each built as PyYAML's safe loader builds
-it.  Any other text is Declined, which config.parse_yaml reports as a ConfigError."""
+it.  Other text, and a repeated key, is Declined with a message that names it and its line."""
 
 import re
 
-from .config import ConfigError
+
+class Declined(ValueError):
+    """A text outside the subset, or a repeated key; the message names it and its line."""
 
 
-class Declined(Exception):
-    """The text is outside the subset; args are the declined text and its line number."""
-
+_OUTSIDE = "line {1}: {0!r} is outside the YAML subset ftsmfc reads"  # .format(text, line)
 
 # PyYAML's implicit resolvers (yaml/resolver.py) in order, and the first characters each takes
 _RESOLVERS = [(tag, re.compile(pattern).fullmatch, first) for tag, pattern, first in (
@@ -45,7 +45,7 @@ def _scalar(text: str, number: int):
         return int(text)
     if tag == "float" and "_" not in text and ":" not in text:  # not sexagesimal or with '_'
         return float(text.replace(".", "") if text[-1].isalpha() else text)  # '-.Inf' as '-Inf'
-    raise Declined(text, number)
+    raise Declined(_OUTSIDE.format(text, number))
 
 
 def _leaf(text: str, number: int):
@@ -54,7 +54,7 @@ def _leaf(text: str, number: int):
     while pos < len(text):
         token = _TOKEN(text, pos)
         if token is None:
-            raise Declined(text, number)
+            raise Declined(_OUTSIDE.format(text, number))
         pos, (punct, word) = token.end(), token.groups()
         if word and want_item:
             stack[-1].append(_scalar(word, number))
@@ -64,10 +64,10 @@ def _leaf(text: str, number: int):
         elif punct == "]" and len(stack) > 1:  # '[]', '[1]' and '[1,]', as in PyYAML
             stack.pop()
         elif punct != "," or want_item:
-            raise Declined(text, number)
+            raise Declined(_OUTSIDE.format(text, number))
         want_item = punct in ("[", ",")
     if len(stack) > 1 or len(stack[0]) != 1:
-        raise Declined(text, number)
+        raise Declined(_OUTSIDE.format(text, number))
     return stack[0][0]
 
 
@@ -96,7 +96,7 @@ def _node(lines: list, i: int, depth: int, repeats: list):
         key, colon, rest = (text + " ").partition(": ")
         # PyYAML's simple keys end within 1024 characters, and a flow collection is no key
         if not colon or len(key) > 1000 or key[:1] in ("[", "{"):
-            raise Declined(text, number)
+            raise Declined(_OUTSIDE.format(text, number))
         key, rest = _leaf(key, number), rest.strip()
         if rest:
             value, i = _leaf(rest, number), i + 1
@@ -112,11 +112,11 @@ def _node(lines: list, i: int, depth: int, repeats: list):
 
 
 def load(text: str):
-    """The document PyYAML's safe loader reads from text; Declined if outside the subset."""
+    """The document PyYAML's safe loader reads from text; Declined as the module docstring says."""
     lines = []
     for number, raw in enumerate(text.split("\n"), 1):
         if not (raw.isascii() and raw.isprintable()):  # tabs, '\r', control characters
-            raise Declined(raw, number)
+            raise Declined(_OUTSIDE.format(raw, number))
         body = raw.split(" #", 1)[0].rstrip(" ")
         content = body.lstrip(" ")
         if content and content[0] != "#":
@@ -126,7 +126,7 @@ def load(text: str):
     repeats: list = []
     document, end = _node(lines, 0, 0, repeats)
     if end < len(lines):
-        raise Declined(lines[end][2], lines[end][0])
+        raise Declined(_OUTSIDE.format(lines[end][2], lines[end][0]))
     if repeats:
-        raise ConfigError(min(repeats)[3])
+        raise Declined(min(repeats)[3])
     return document

@@ -122,16 +122,14 @@ def _section(doc: dict, name: str, prefix: str = "") -> dict:
 
 
 def parse_yaml(text: str, what: str):
-    """One YAML document, read by block_yaml.load; a text outside its subset is a
-    ConfigError led by what that names the declined text and its line."""
+    """One YAML document, read by block_yaml.load; a text outside its subset or a
+    repeated key is a ConfigError led by what that names the text and its line."""
     from . import block_yaml
 
     try:
         return block_yaml.load(text)
     except block_yaml.Declined as exc:
-        declined, line = exc.args
-        raise ConfigError(f"{what}: line {line}: {declined!r} is outside the YAML subset "
-                          "ftsmfc reads") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def load_doc(path: str) -> dict:

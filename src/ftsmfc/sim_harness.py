@@ -132,12 +132,6 @@ def _block_text(columns: Sequence[array]) -> str:
 
 
 LOG_WIDTH = 19  # floats a tick in SimLog.rows: one CSV_HEADER row
-# the pairs of a log row after its time t, in CSV_HEADER order
-_PAIRS = ("y", "y_meas", "y_hat", "y_d", "e_y", "F", "F_hat", "e_F", "u")
-
-
-def _array(name: str) -> property:
-    return property(lambda log: log._arrays[name], doc=f"{name} as a NumPy array")
 
 
 class SimLog:
@@ -150,10 +144,6 @@ class SimLog:
     estimation error e_F = F_hat - F, and applied input u.  Rows before the
     first reconstructable F sample carry zeros in F, F_hat, e_F; the final row
     carries u = 0 (no input is applied at the last tick).
-
-    t (n_records,) and y, ..., u (n_records, 2) are NumPy views of rows made on
-    first access, for callers that want them; the CSV writer and the metrics
-    never make them, so a run needs no NumPy.
     """
 
     def __init__(self, rows: array) -> None:
@@ -161,16 +151,6 @@ class SimLog:
 
     def __len__(self) -> int:
         return len(self.rows) // LOG_WIDTH
-
-    @functools.cached_property
-    def _arrays(self) -> dict:
-        import numpy as np  # only callers that read the arrays pay for NumPy
-
-        table = np.frombuffer(self.rows).reshape(-1, LOG_WIDTH)
-        return {"t": table[:, 0], **{name: table[:, 1 + 2 * i:3 + 2 * i]
-                                     for i, name in enumerate(_PAIRS)}}
-
-    t, y, y_meas, y_hat, y_d, e_y, F, F_hat, e_F, u = map(_array, ("t",) + _PAIRS)
 
     def to_csv(self, path: str) -> None:
         """Write the log with the fixed header and 17-significant-digit floats."""

@@ -102,18 +102,11 @@ def fts_recursion(
 
 
 def _eval_gamma(gamma_fn: Callable, V: np.ndarray) -> np.ndarray:
-    """Evaluate gamma_fn on an array, falling back to per-element calls.
-
-    A scalar result (a constant gamma) is returned as is and broadcasts
-    against V wherever it is used.
-    """
-    try:
-        g = np.asarray(gamma_fn(V), dtype=float)
-        if g.ndim == 0 or g.shape == V.shape:
-            return g
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([gamma_fn(float(v)) for v in V], dtype=float)
+    """gamma_fn(V): a scalar, which broadcasts against V, or an array of V's shape."""
+    g = np.asarray(gamma_fn(V), dtype=float)
+    if g.ndim and g.shape != V.shape:  # never broadcast silently
+        raise DomainError(f"gamma_fn returned shape {g.shape} for V of shape {V.shape}")
+    return g
 
 
 # Relative floating-point headroom used by the verifiers.  The recursion,
@@ -134,18 +127,18 @@ def verify_fts_condition(
       1. decrement: V_{k+1} <= max(0, V_k - gamma_fn(V_k) * V_k^alpha) for
          every consecutive pair (the clamped form admits traces that hit 0);
       2. gain: gamma_fn(V) >= epsilon^(1-alpha) whenever V >= epsilon.
+    gamma_fn maps each condition's array of V to a scalar or an array of its shape.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     V = trace.values
     a = trace.alpha
-    if len(V) >= 2:
-        prev = V[:-1]
-        g = _eval_gamma(gamma_fn, prev)
-        bound = np.maximum(0.0, prev - g * np.power(prev, a))
-        tol = _VERIFY_RTOL * np.maximum(1.0, prev)
-        if not np.all(V[1:] <= bound + tol):
-            return False
+    prev = V[:-1]  # empty for a one-value trace, which has no pair to check
+    g = _eval_gamma(gamma_fn, prev)
+    bound = np.maximum(0.0, prev - g * np.power(prev, a))
+    tol = _VERIFY_RTOL * np.maximum(1.0, prev)
+    if not np.all(V[1:] <= bound + tol):
+        return False
     mask = V >= epsilon
     if np.any(mask):
         g = _eval_gamma(gamma_fn, V[mask])

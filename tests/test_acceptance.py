@@ -23,7 +23,13 @@ from ftsmfc.fts_core import (
     verify_holder_continuity,
 )
 from ftsmfc.plant_models import DivergenceError, SyntheticUlmPlant
-from ftsmfc.sim_harness import SimConfig, compute_metrics, run_closed_loop
+from ftsmfc.sim_harness import (
+    CSV_HEADER,
+    LOG_WIDTH,
+    SimConfig,
+    compute_metrics,
+    run_closed_loop,
+)
 from ftsmfc.tracking_control import ControlGains, control_law_basic, control_law_fts
 from ftsmfc.ulm_observer import first_order_update, second_order_update
 
@@ -120,10 +126,11 @@ class TestCriterion2:
                 "trajectory": {"source": "zero"},
             }
         )
-        log = run_closed_loop(config)
+        rows = np.frombuffer(run_closed_loop(config).rows).reshape(-1, LOG_WIDTH)
         assert np.linalg.norm([6.0, -8.0]) == pytest.approx(10.0)
-        eF = np.linalg.norm(log.e_F, axis=1)
-        ey = np.linalg.norm(log.e_y, axis=1)
+        cols = CSV_HEADER.split(",")
+        eF = np.linalg.norm(rows[:, cols.index("eF1"):cols.index("eF2") + 1], axis=1)
+        ey = np.linalg.norm(rows[:, cols.index("ex"):cols.index("etheta") + 1], axis=1)
         both = np.flatnonzero((eF < 1e-9) & (ey < 1e-9) & (np.arange(len(eF)) >= 1))
         step = int(both[0]) if both.size else None
         detail = f"first step with both errors < 1e-9: {step}" if step else (

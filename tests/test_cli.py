@@ -282,7 +282,8 @@ class TestSimulate:
         )
         assert rc == cli.EXIT_CONFIG
         line = text.splitlines().index(new.strip("\n").splitlines()[1]) + 1
-        assert _one_line(err, "config error:") == f"config error: {message} at line {line}"
+        assert _one_line(err, "config error:") == (
+            f"config error: cannot parse config file {config}: {message} at line {line}")
 
     def test_non_finite_initial_state_is_config_error(self, tmp_path, capsys):
         doc = _doc("paper_experiment.yaml", T=1.0, initial_state=[math.nan, 0.0, 0.0, 0.0])
@@ -720,6 +721,18 @@ class TestSweep:
         assert _one_line(err, "config error:") == (
             "config error: --values: cannot parse '{a: 1}': line 1: '{a: 1}' "
             "is outside the YAML subset ftsmfc reads")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_repeated_key_value_is_config_error(self, tmp_path, capsys):
+        rc, out, err = _main(
+            capsys, "sweep", "--config", _write(tmp_path, _short_constant()),
+            "--param", "plant.spec", "--values", "const: [0.1, 0.2]\nconst: [0.3, 0.4]",
+            "--out", str(tmp_path / "sweep"),
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert _one_line(err, "config error:") == (
+            "config error: --values: cannot parse 'const: [0.1, 0.2]\\nconst: [0.3, 0.4]': "
+            "repeated key 'const' at line 2")
         assert not (tmp_path / "sweep").exists()
 
     def test_values_read_by_the_config_loader(self):

@@ -182,9 +182,8 @@ def test_loader_gives_the_pure_python_document(text, declined):
 def test_repeated_key_names_its_line_on_either_parser(text, message, declined):
     with pytest.raises(config.ConfigError, match=f"^{message}$"):
         yaml.load(text, Loader=_PurePythonLoader)
-    if declined is not None:
-        message = re.escape(_declined("unused", 1, declined))
-    with pytest.raises(config.ConfigError, match=f"^{message}$"):
+    message = _declined("unused", 1, declined) if declined else f"unused: {message}"
+    with pytest.raises(config.ConfigError, match=f"^{re.escape(message)}$"):
         config.parse_yaml(text, "unused")
 
 
@@ -286,10 +285,13 @@ def test_block_reader_agrees_with_pyyaml_on_random_documents():
         text = _random_document(rng)
         try:
             got = _outcome(block_yaml.load, text)
-        except block_yaml.Declined as exc:  # parse_yaml reports the declined text and its line
-            got = "error", _declined("what", exc.args[1], exc.args[0])
-        else:
-            read += 1
-            assert got == _outcome(lambda t: yaml.load(t, Loader=_PurePythonLoader), text), text
+        except block_yaml.Declined as exc:  # parse_yaml leads its message with what
+            got = "error", f"what: {exc}"
         assert _outcome(lambda t: config.parse_yaml(t, "what"), text) == got, text
+        if got[0] == "document" or "repeated key" in got[1]:  # as the oracle reads it
+            read += 1
+            expected = _outcome(lambda t: yaml.load(t, Loader=_PurePythonLoader), text)
+            if expected[0] == "error":  # the oracle's repeated-key error, not led by what
+                expected = "error", f"what: {expected[1]}"
+            assert got == expected, text
     assert 600 < read < 1900, read  # both sides of the selection are taken

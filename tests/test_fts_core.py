@@ -348,6 +348,18 @@ class TestVerifyFtsCondition:
         trace = LyapunovTrace(values=np.zeros(5), alpha=0.5, eta=1.0)
         assert verify_fts_condition(trace, lambda V: 1.0, 1.0)
 
+    def test_one_value_trace(self):
+        # no consecutive pair to check: gamma_fn sees an empty array, then V >= epsilon
+        calls = []
+
+        def gamma(V):
+            calls.append(np.shape(V))
+            return 2.0
+
+        trace = LyapunovTrace(values=np.array([3.0]), alpha=0.5, eta=1.0)
+        assert verify_fts_condition(trace, gamma, 1.0)
+        assert calls == [(0,), (1,)]
+
     @pytest.mark.parametrize("eta,alpha", [(1.0, 0.5), (0.5, 0.5), (0.03, 0.8)])
     def test_recursion_traces_verify_with_equality(self, eta, alpha):
         trace, _ = fts_recursion(7.0, eta, alpha)
@@ -392,17 +404,18 @@ class TestVerifyFtsCondition:
         assert verify_fts_condition(trace, gamma, eps)
         assert calls == [(len(trace) - 1,), (int(np.count_nonzero(trace.values >= eps)),)]
 
-    def test_scalar_only_gamma_falls_back_per_element(self):
+    @pytest.mark.parametrize("extra", [None, 1], ids=["shape-(1,)", "shape-(n+1,)"])
+    def test_wrong_shape_gamma_is_domain_error(self, extra):
+        # a result neither scalar nor of V's shape is never broadcast
         trace, _ = fts_recursion(7.0, 0.5, 0.5)
-        calls = []
+        n = len(trace) - 1
 
         def gamma(V):
-            calls.append(V)
-            return 0.5 + 0.0 * math.sqrt(V)  # TypeError on arrays
+            return np.full(1 if extra is None else len(V) + extra, 0.5)
 
-        assert verify_fts_condition(trace, gamma, 0.25)
-        n_above = int(np.count_nonzero(trace.values >= 0.25))
-        assert len(calls) == 1 + (len(trace) - 1) + 1 + n_above
+        with pytest.raises(DomainError, match=rf"shape \({1 if extra is None else n + 1},\) "
+                                              rf"for V of shape \({n},\)"):
+            verify_fts_condition(trace, gamma, 0.25)
 
 
 class TestVerifyHolderContinuity:

@@ -2,11 +2,12 @@
 
 pytest has imported both already, so the run path is driven in a fresh
 interpreter, which reports after each step whether `numpy` and `yaml` are in
-`sys.modules`.  Only `verify`, the SimLog arrays and the random-walk plant load
-NumPy.  Nothing loads PyYAML: `ftsmfc.block_yaml` is the one YAML reader, a text
-outside its subset is a ConfigError, and no module of the package imports `yaml`.
-The same interpreter reports which of the modules that start-up does not need
-were loaded by `import ftsmfc` and by reading a config: none.
+`sys.modules`.  Only `verify` and the random-walk plant load NumPy, and the
+source of the package imports it nowhere else.  Nothing loads PyYAML:
+`ftsmfc.block_yaml` is the one YAML reader, a text outside its subset is a
+ConfigError, no module of the package imports `yaml`, and `block_yaml` imports
+no module of the package.  The same interpreter reports which of the modules that
+start-up does not need were loaded by `import ftsmfc` and by reading a config: none.
 """
 
 import ast
@@ -113,14 +114,44 @@ def test_run_path_imports_no_numpy(tmp_path):
     assert "plant diverged at step 113" in proc.stderr
 
 
+def _imports(path: Path):
+    """The import statements of a module with the names each imports: absolute names as
+    written, a relative import as its dots and module ('.', '.config')."""
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield tree, node, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield tree, node, ["." * node.level + (node.module or "")]
+
+
+MODULES = sorted(Path(SRC, "ftsmfc").glob("*.py"))
+
+
 def test_no_module_imports_yaml():
     # PyYAML is a test dependency only: block_yaml reads every config
-    for path in sorted(Path(SRC, "ftsmfc").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module] if node.level == 0 else []  # not 'from . import x'
-            else:
-                continue
+    for path in MODULES:
+        for _, _, names in _imports(path):
             assert not any(name.split(".")[0] == "yaml" for name in names), (path.name, names)
+
+
+def test_numpy_imported_by_verify_and_the_random_walk_only():
+    found = {}
+    for path in MODULES:
+        for tree, node, names in _imports(path):
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.setdefault(path.stem, (tree, []))[1].append(node)
+    assert sorted(found) == ["plant_models", "verify"]
+    tree, nodes = found["verify"]
+    assert all(node in tree.body for node in nodes)  # at module level
+    tree, nodes = found["plant_models"]
+    walk = [branch.body for branch in ast.walk(tree) if isinstance(branch, ast.If)
+            and ast.unparse(branch.test) == "kind == 'random-walk'"]
+    assert len(walk) == 1 and all(node in walk[0] for node in nodes)
+
+
+def test_block_yaml_is_a_leaf_module():
+    # the reader raises Declined; config.parse_yaml alone turns it into a ConfigError
+    names = [name for _, _, names in _imports(Path(SRC, "ftsmfc", "block_yaml.py"))
+             for name in names]
+    assert not [name for name in names if name[0] == "." or name.split(".")[0] == "ftsmfc"]

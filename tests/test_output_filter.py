@@ -9,7 +9,7 @@ from ftsmfc.config import load_doc
 from ftsmfc.fts_core import DomainError, HolderGainParams, holder_gain
 from ftsmfc.output_filter import filter_update
 from ftsmfc.plant_models import NoiseConfig, noise_sample
-from ftsmfc.sim_harness import SimConfig, run_closed_loop
+from ftsmfc.sim_harness import CSV_HEADER, LOG_WIDTH, SimConfig, run_closed_loop
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FILT = HolderGainParams(exponent=7 / 5, scale=2.0, weight=2.1)
@@ -22,12 +22,13 @@ class TestFilterUpdate:
         doc = load_doc(str(CONFIGS / "synthetic_constant.yaml"))
         assert SimConfig.from_dict(doc).filter_enabled
         config = SimConfig.from_dict({**doc, "T": 0.05, "initial_estimate": [0.2, -0.1]})
-        log = run_closed_loop(config)
-        np.testing.assert_array_equal(log.y_hat[0], [0.2, -0.1])
-        assert not np.array_equal(log.y_hat[0], log.y_meas[0])
+        rows = np.frombuffer(run_closed_loop(config).rows).reshape(-1, LOG_WIDTH)
+        cols = CSV_HEADER.split(",")
+        y_meas, y_hat = (rows[:, cols.index(x):cols.index(x) + 2] for x in ("x_meas", "x_hat"))
+        np.testing.assert_array_equal(y_hat[0], [0.2, -0.1])
+        assert not np.array_equal(y_hat[0], y_meas[0])
         np.testing.assert_array_equal(
-            log.y_hat[1],
-            filter_update(log.y_hat[0], log.y_meas[0], log.y_meas[1], config.filter_params),
+            y_hat[1], filter_update(y_hat[0], y_meas[0], y_meas[1], config.filter_params),
         )
 
     def test_update_formula(self):

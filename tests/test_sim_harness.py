@@ -370,7 +370,7 @@ class TestStrictConfig:
         # nu = 1 takes y_init as one flat row; the reader checks its numbers
         config = make_config(**{"plant.spec.y_init": [0.1, 0.2]})
         np.testing.assert_array_equal(config.plant_spec["y_init"], [[0.1, 0.2]])
-        np.testing.assert_array_equal(run_closed_loop(config).y[0], [0.1, 0.2])
+        np.testing.assert_array_equal(run_closed_loop(config).rows[1:3], [0.1, 0.2])  # x,theta
 
     def test_singular_controller_G_is_config_error(self):
         with pytest.raises(ConfigError, match="controller.G"):
@@ -539,34 +539,36 @@ class TestRunClosedLoop:
     def test_zero_horizon_single_record_no_control(self):
         log = run_closed_loop(make_config(T=0.0))
         assert len(log) == 1
-        np.testing.assert_array_equal(log.u, [[0.0, 0.0]])
+        np.testing.assert_array_equal(log.rows[17:19], [0.0, 0.0])  # u1,u2
 
     def test_record_internal_consistency(self):
-        log = run_closed_loop(make_config())
-        np.testing.assert_allclose(log.e_F, log.F_hat - log.F, atol=1e-12)
-        np.testing.assert_allclose(log.e_y, log.y - log.y_d, atol=1e-12)
-        dt = np.diff(log.t)
+        rows = np.frombuffer(run_closed_loop(make_config()).rows).reshape(-1, LOG_WIDTH)
+        # CSV_HEADER columns: eF = Fhat - F, and ex,etheta = x,theta - x_d,theta_d
+        np.testing.assert_allclose(rows[:, 15:17], rows[:, 13:15] - rows[:, 11:13], atol=1e-12)
+        np.testing.assert_allclose(rows[:, 9:11], rows[:, 1:3] - rows[:, 7:9], atol=1e-12)
+        dt = np.diff(rows[:, 0])
         np.testing.assert_allclose(dt, 0.01, atol=1e-12)
 
     def test_rows_before_first_sample_are_zero(self):
         log = run_closed_loop(make_config())
-        # nu = 1: row 0 has no reconstructable sample yet
-        np.testing.assert_array_equal(log.F[0], [0.0, 0.0])
-        np.testing.assert_array_equal(log.F_hat[0], [0.0, 0.0])
+        # nu = 1: row 0 has no reconstructable sample yet, so F1,F2,Fhat1,Fhat2 are 0
+        np.testing.assert_array_equal(log.rows[11:15], [0.0] * 4)
 
     def test_last_record_has_zero_input(self):
         log = run_closed_loop(make_config())
-        np.testing.assert_array_equal(log.u[-1], [0.0, 0.0])
+        np.testing.assert_array_equal(log.rows[-2:], [0.0, 0.0])  # u1,u2 of the last row
 
     def test_noise_off_filter_off_errors_decay(self):
-        log = run_closed_loop(make_config(T=50.0, dt=1.0))
-        assert np.linalg.norm(log.e_F[-1]) < np.linalg.norm(log.e_F[1]) * 1e-2
-        assert np.abs(log.e_y[-1]).max() < 1e-2
+        rows = np.frombuffer(run_closed_loop(make_config(T=50.0, dt=1.0)).rows)
+        rows = rows.reshape(-1, LOG_WIDTH)
+        # CSV_HEADER columns 15:17 are eF1,eF2 and 9:11 are ex,etheta
+        assert np.linalg.norm(rows[-1, 15:17]) < np.linalg.norm(rows[1, 15:17]) * 1e-2
+        assert np.abs(rows[-1, 9:11]).max() < 1e-2
 
     def test_reconstructed_F_matches_truth_without_noise(self):
-        log = run_closed_loop(make_config())
-        # noise and filter off: reconstruction recovers the scripted constant
-        np.testing.assert_allclose(log.F[1:], np.tile([0.3, -0.2], (200, 1)), atol=1e-12)
+        rows = np.frombuffer(run_closed_loop(make_config()).rows).reshape(-1, LOG_WIDTH)
+        # noise and filter off: reconstruction recovers the scripted constant in F1,F2
+        np.testing.assert_allclose(rows[1:, 11:13], np.tile([0.3, -0.2], (200, 1)), atol=1e-12)
 
     def test_G_rank_checked_once_at_config_time(self, monkeypatch):
         check = ControlGains.__init__
@@ -587,8 +589,7 @@ class TestRunClosedLoop:
         config = make_config(**{"noise.enabled": True, "filter.enabled": True})
         a = run_closed_loop(config)
         b = run_closed_loop(config)
-        for name in ("t", "y", "y_meas", "y_hat", "y_d", "e_y", "F", "F_hat", "e_F", "u"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.rows.tobytes() == b.rows.tobytes()
 
     def test_causality_future_trajectory_cannot_affect_past(self, tmp_path):
         # perturb the desired trajectory from sample j on; all records that
@@ -603,23 +604,24 @@ class TestRunClosedLoop:
             _save_trajectory(path, traj)
             paths.append(str(path))
         logs = [
-            run_closed_loop(
+            np.frombuffer(run_closed_loop(
                 make_config(
                     T=1.0,
                     **{"trajectory.source": "file", "trajectory.path": p},
                 )
-            )
+            ).rows).reshape(-1, LOG_WIDTH)
             for p in paths
         ]
         nu = 1
         first_affected = j - nu  # u_k depends on y_d[k + nu]
+        # CSV_HEADER columns 1:3 are x,theta and 17:19 are u1,u2
         np.testing.assert_array_equal(
-            logs[0].y[:first_affected + 1], logs[1].y[:first_affected + 1]
+            logs[0][:first_affected + 1, 1:3], logs[1][:first_affected + 1, 1:3]
         )
         np.testing.assert_array_equal(
-            logs[0].u[:first_affected], logs[1].u[:first_affected]
+            logs[0][:first_affected, 17:19], logs[1][:first_affected, 17:19]
         )
-        assert not np.array_equal(logs[0].u[first_affected], logs[1].u[first_affected])
+        assert not np.array_equal(logs[0][first_affected, 17:19], logs[1][first_affected, 17:19])
 
     def test_file_trajectory_needs_exactly_the_rows_read(self, tmp_path):
         # T = 1.0, nu = 1: the loop reads y_d[0 .. 100], T/dt + 1 rows
@@ -627,7 +629,8 @@ class TestRunClosedLoop:
         path = tmp_path / "traj.csv"
         _save_trajectory(path, traj)
         config = make_config(T=1.0, trajectory={"source": "file", "path": str(path)})
-        np.testing.assert_array_equal(run_closed_loop(config).y_d, traj)
+        rows = np.frombuffer(run_closed_loop(config).rows).reshape(-1, LOG_WIDTH)
+        np.testing.assert_array_equal(rows[:, 7:9], traj)  # x_d,theta_d
         _save_trajectory(path, traj[:100])
         with pytest.raises(ConfigError, match="needs 101 rows"):
             run_closed_loop(config)
@@ -707,8 +710,9 @@ class TestCsvOutput:
         path = tmp_path / "out.csv"
         log.to_csv(str(path))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(data[:, 1:3], log.y)
-        np.testing.assert_array_equal(data[:, 17:19], log.u)
+        rows = np.frombuffer(log.rows).reshape(-1, LOG_WIDTH)
+        np.testing.assert_array_equal(data[:, 1:3], rows[:, 1:3])  # x,theta
+        np.testing.assert_array_equal(data[:, 17:19], rows[:, 17:19])  # u1,u2
 
     @pytest.mark.parametrize("base", ["synthetic_constant.yaml", "second-order ramp",
                                       "pendulum T=1"])
@@ -733,10 +737,11 @@ class TestCsvOutput:
         rows = np.frombuffer(log.rows).reshape(-1, LOG_WIDTH)
         assert len(rows) == config.n_steps + 1
         assert np.loadtxt(path, delimiter=",", skiprows=1).tobytes() == rows.tobytes()
-        # and the derived columns are what the header names
-        assert log.t.tobytes() == (config.dt * np.arange(len(log))).tobytes()
-        assert log.e_y.tobytes() == (log.y - log.y_d).tobytes()
-        assert log.e_F.tobytes() == (log.F_hat - log.F).tobytes()
+        # and the derived columns are what the header names: t = dt*k,
+        # ex,etheta = x,theta - x_d,theta_d and eF1,eF2 = Fhat1,Fhat2 - F1,F2
+        assert rows[:, 0].tobytes() == (config.dt * np.arange(len(log))).tobytes()
+        assert rows[:, 9:11].tobytes() == (rows[:, 1:3] - rows[:, 7:9]).tobytes()
+        assert rows[:, 15:17].tobytes() == (rows[:, 13:15] - rows[:, 11:13]).tobytes()
 
     def test_byte_identical_across_runs(self, tmp_path):
         config = make_config(**{"noise.enabled": True, "filter.enabled": True})
@@ -918,9 +923,10 @@ class TestComputeMetrics:
 def _numpy_metrics(log, settle_time, bands):
     """compute_metrics as NumPy formulas: the results the plain-float version
     must reproduce bit for bit."""
-    mask = log.t > settle_time
-    channels = {"ex": log.e_y[:, 0], "etheta": log.e_y[:, 1],
-                "eF1": log.e_F[:, 0], "eF2": log.e_F[:, 1]}
+    rows = np.frombuffer(log.rows).reshape(-1, LOG_WIDTH)
+    t, columns = rows[:, 0], CSV_HEADER.split(",")
+    mask = t > settle_time
+    channels = {name: rows[:, columns.index(name)] for name in ("ex", "etheta", "eF1", "eF2")}
     out = {}
     for name, sig in channels.items():
         post = sig[mask]
@@ -930,11 +936,11 @@ def _numpy_metrics(log, settle_time, bands):
         inside = np.abs(channels[name]) <= band
         stay = np.flatnonzero(~inside[::-1])
         if stay.size == 0:
-            out[f"settle_{name}"] = float(log.t[0])
+            out[f"settle_{name}"] = float(t[0])
         elif stay[0] == 0:
             out[f"settle_{name}"] = float("nan")
         else:
-            out[f"settle_{name}"] = float(log.t[len(inside) - stay[0]])
+            out[f"settle_{name}"] = float(t[len(inside) - stay[0]])
     return out
 
 
