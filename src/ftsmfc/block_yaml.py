@@ -13,8 +13,9 @@ class Declined(ValueError):
 
 _OUTSIDE = "line {1}: {0!r} is outside the YAML subset ftsmfc reads"  # .format(text, line)
 
-# PyYAML's implicit resolvers (yaml/resolver.py) in order, and the first characters each takes
-_RESOLVERS = [(tag, re.compile(pattern).fullmatch, first) for tag, pattern, first in (
+# PyYAML's implicit resolvers (yaml/resolver.py) in order, and the first characters each takes;
+# re compiles (and caches) a pattern the first time a text reaches it
+_RESOLVERS = (
     ("bool", r"yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF",
      "yYnNtTfFoO"),
     ("float", r"[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?"
@@ -28,16 +29,17 @@ _RESOLVERS = [(tag, re.compile(pattern).fullmatch, first) for tag, pattern, firs
                   r"-[0-9][0-9]?(?:[Tt]|[ \t]+)[0-9][0-9]?:[0-9][0-9]:[0-9][0-9](?:\.[0-9]*)?"
                   r"(?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?", "0123456789"),
     ("value", r"=", "="),
-)]
+)
 # '[', ']', ',' or a plain scalar: words over [A-Za-z0-9_.~/+<=-] joined by spaces,
 # where '-' starts one only before a word character or '.', and '.' only before a word character
-_TOKEN = re.compile(r" *(?:([\[\],])|((?:[\w~/+<=]|-(?=[\w.])|\.(?=\w))[\w.~/+<=-]*"
-                    r"(?: +[\w.~/+<=-]+)*)) *").match
+_TOKEN = (r" *(?:([\[\],])|((?:[\w~/+<=]|-(?=[\w.])|\.(?=\w))[\w.~/+<=-]*"
+          r"(?: +[\w.~/+<=-]+)*)) *")
 _BOOLS = {"yes": True, "no": False, "true": True, "false": False, "on": True, "off": False}
 
 
 def _scalar(text: str, number: int):
-    tag = next((tag for tag, match, first in _RESOLVERS if text[0] in first and match(text)), "str")
+    tag = next((tag for tag, pattern, first in _RESOLVERS
+                if text[0] in first and re.fullmatch(pattern, text)), "str")
     digits = text.lstrip("+-")
     if tag in ("str", "null", "bool"):
         return text if tag == "str" else _BOOLS.get(text.lower())  # None for a null
@@ -50,9 +52,9 @@ def _scalar(text: str, number: int):
 
 def _leaf(text: str, number: int):
     """A plain scalar, or a flow sequence of them on one line, the line numbered number."""
-    stack, pos, want_item = [[]], 0, True
+    stack, pos, want_item, token_at = [[]], 0, True, re.compile(_TOKEN).match
     while pos < len(text):
-        token = _TOKEN(text, pos)
+        token = token_at(text, pos)
         if token is None:
             raise Declined(_OUTSIDE.format(text, number))
         pos, (punct, word) = token.end(), token.groups()

@@ -8,7 +8,9 @@ on a module attribute sees every call.
 
 from __future__ import annotations
 
+import copy
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -18,6 +20,8 @@ from . import fts_core, plant_models, tracking_control, ulm_observer
 from .config import CTRL_PARAMS, OBS_PARAMS, ConfigError
 from .fts_core import (DomainError, HolderGainParams, Pair, decrease_radius,
                        gamma_zero_crossing, robustness_radius)
+
+_CHUNK = 1 << 16  # elements of any derived array this module's functions hold at once
 
 
 def gamma_of_V(V, params: HolderGainParams):
@@ -53,10 +57,10 @@ class LyapunovTrace:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise DomainError("trace values must be a non-empty 1-d sequence")
-        if np.any(v < 0.0) or not np.all(np.isfinite(v)):
+        if not (v.min() >= 0.0 and math.isfinite(v.max())):  # a NaN fails the first
             raise DomainError("trace values must be finite and non-negative")
-        zero_idx = np.flatnonzero(v == 0.0)
-        if zero_idx.size and np.any(v[zero_idx[0]:] != 0.0):
+        first_min = int(np.argmin(v))  # the first 0, if there is one
+        if v[first_min] == 0.0 and v[first_min:].max() != 0.0:
             raise DomainError("trace must stay at 0 after first reaching 0")
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in ]0,1[, got {self.alpha}")
@@ -78,7 +82,9 @@ def fts_recursion(
 
     Negative intermediate values are clamped to 0 (the decrement bound going
     negative forces the Lyapunov value to 0).  Returns the trace and the first
-    index N with V_N = 0, or None if 0 was not reached within max_steps.
+    index N with V_N = 0, or None if 0 was not reached within max_steps.  The
+    steps are gathered in a list a _CHUNK at a time and moved into one array of
+    8-byte floats, whose buffer the trace's values view.
     """
     if not (math.isfinite(V0) and V0 >= 0.0):
         raise DomainError(f"V0 must be finite and non-negative, got {V0}")
@@ -89,15 +95,20 @@ def fts_recursion(
     if max_steps < 0:
         raise DomainError("max_steps must be non-negative")
     V, eta, alpha = float(V0), float(eta), float(alpha)
-    vals = [V]
-    append = vals.append
-    for _ in range(max_steps if V > 0.0 else 0):
-        V = V - eta * V ** alpha
-        if not V > 0.0:  # max(0.0, V) for negatives, -0.0 and nan alike
-            append(0.0)
-            break
-        append(V)
-    trace = LyapunovTrace(values=np.asarray(vals, dtype=float), alpha=alpha, eta=eta)
+    vals, block, left = array("d"), [V], max_steps
+    append = block.append
+    while left > 0 and V > 0.0:
+        vals.fromlist(block)
+        block.clear()
+        for _ in range(min(left, _CHUNK)):
+            V = V - eta * V ** alpha
+            if not V > 0.0:  # max(0.0, V) for negatives, -0.0 and nan alike
+                append(0.0)
+                break
+            append(V)
+        left -= _CHUNK
+    vals.fromlist(block)
+    trace = LyapunovTrace(values=np.frombuffer(vals), alpha=alpha, eta=eta)
     return trace, (len(vals) - 1 if vals[-1] == 0.0 else None)
 
 
@@ -127,23 +138,27 @@ def verify_fts_condition(
       1. decrement: V_{k+1} <= max(0, V_k - gamma_fn(V_k) * V_k^alpha) for
          every consecutive pair (the clamped form admits traces that hit 0);
       2. gain: gamma_fn(V) >= epsilon^(1-alpha) whenever V >= epsilon.
-    gamma_fn maps each condition's array of V to a scalar or an array of its shape.
+    Each condition is checked a _CHUNK of the trace at a time, all of the first
+    before the second: gamma_fn maps each slice's array of V (for the decrement,
+    one empty array when the trace has no pair) to a scalar or an array of its shape.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
     V = trace.values
     a = trace.alpha
-    prev = V[:-1]  # empty for a one-value trace, which has no pair to check
-    g = _eval_gamma(gamma_fn, prev)
-    bound = np.maximum(0.0, prev - g * np.power(prev, a))
-    tol = _VERIFY_RTOL * np.maximum(1.0, prev)
-    if not np.all(V[1:] <= bound + tol):
-        return False
-    mask = V >= epsilon
-    if np.any(mask):
-        g = _eval_gamma(gamma_fn, V[mask])
-        eta = epsilon ** (1.0 - a)
-        if not np.all(g >= eta - _VERIFY_RTOL * max(1.0, eta)):
+    for i in range(0, max(len(V) - 1, 1), _CHUNK):
+        prev = V[i:min(i + _CHUNK, len(V) - 1)]
+        g = _eval_gamma(gamma_fn, prev)
+        bound = np.maximum(0.0, prev - g * np.power(prev, a))
+        bound += _VERIFY_RTOL * np.maximum(1.0, prev)
+        if not np.all(V[i + 1:i + 1 + len(prev)] <= bound):
+            return False
+    eta = epsilon ** (1.0 - a)
+    floor = eta - _VERIFY_RTOL * max(1.0, eta)
+    for i in range(0, len(V), _CHUNK):
+        v = V[i:i + _CHUNK]
+        above = v[v >= epsilon]
+        if len(above) and not np.all(_eval_gamma(gamma_fn, above) >= floor):
             return False
     return True
 
@@ -161,7 +176,8 @@ def verify_holder_continuity(trace: LyapunovTrace, epsilon: float) -> bool:
     are controlled by the per-step decrement rate; a trace whose jumps exceed
     that rate fails.  Lags whose worst possible change (d times the largest
     observed one-step change) already meets the bound are skipped, so the
-    check is O(n) on traces produced by fts_recursion.
+    check is O(n) on traces produced by fts_recursion.  The one-step changes,
+    the bounds and each checked lag's changes are formed a _CHUNK at a time.
     """
     if epsilon <= 0.0:
         raise DomainError("epsilon must be positive")
@@ -173,16 +189,18 @@ def verify_holder_continuity(trace: LyapunovTrace, epsilon: float) -> bool:
     h = 1.0 / (1.0 - a)
     vmax = float(np.max(V))
     slack_rate = trace.eta * vmax ** a
-    adj = np.abs(np.diff(V))
-    max_step = float(adj.max())
-    d = np.arange(1, n, dtype=float)
-    bound = epsilon * np.power(d, h) + slack_rate * d + _VERIFY_RTOL * max(1.0, vmax)
-    risky = np.flatnonzero(d * max_step > bound)
-    for idx in risky:
-        lag = int(d[idx])
-        worst = float(np.max(np.abs(V[lag:] - V[:-lag])))
-        if worst > bound[idx]:
-            return False
+    max_step = max(float(np.max(np.abs(np.diff(V[i:i + _CHUNK + 1]))))
+                   for i in range(0, n - 1, _CHUNK))
+    tol = _VERIFY_RTOL * max(1.0, vmax)
+    for i in range(1, n, _CHUNK):  # the lags i, i+1, ...
+        d = np.arange(i, min(i + _CHUNK, n), dtype=float)
+        bound = epsilon * np.power(d, h) + slack_rate * d + tol
+        risky = d * max_step > bound
+        for lag, limit in zip(d[risky].astype(int).tolist(), bound[risky].tolist()):
+            for j in range(0, n - lag, _CHUNK):
+                step = min(_CHUNK, n - lag - j)
+                if np.max(np.abs(V[j + lag:j + lag + step] - V[j:j + step])) > limit:
+                    return False
     return True
 
 
@@ -220,9 +238,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-_CHUNK = 1 << 16  # elements of each derived array the million-draw suites hold at once
-
-
 def _gamma_oracle(r, lam, V):
     """The decrement rate gamma, the gain D and x = V^a for a = 1 - 1/r, elementwise."""
     a = 1.0 - 1.0 / r
@@ -232,24 +247,33 @@ def _gamma_oracle(r, lam, V):
     return gamma, D, x
 
 
+def _slices(rng: np.random.Generator, skip: int, n: int, low: float, high: float):
+    """uniform(low, high, n) from a copy of rng advanced by skip draws, a _CHUNK at a time."""
+    copied = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(skip))
+    return (copied.uniform(low, high, min(_CHUNK, n - i)) for i in range(0, n, _CHUNK))
+
+
 def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
-    n = 1_000_000
-    r = rng.uniform(1.01, 1.99, n)
-    lam = rng.uniform(-3, 3, n)
-    np.power(10.0, lam, out=lam)
-    V = rng.uniform(-6, 6, n)
-    np.power(10.0, V, out=V)
-    worst = 0.0
-    for i in range(0, n, _CHUNK):
-        gamma, D, x = _gamma_oracle(*(a[i:i + _CHUNK] for a in (r, lam, V)))
+    n, every = 1_000_000, 10_000
+    # r, lam and V are draws 0..n-1, n..2n-1 and 2n..3n-1 of rng's stream (one
+    # 64-bit output a double); rng then moves on as if it had drawn all three
+    draws = [_slices(rng, k * n, n, low, high)
+             for k, (low, high) in enumerate(((1.01, 1.99), (-3, 3), (-6, 6)))]
+    rng.bit_generator.advance(3 * n)
+    worst, spots = 0.0, ([], [], [])
+    for i, r, lam, V in zip(range(0, n, _CHUNK), *draws):
+        np.power(10.0, lam, out=lam)
+        np.power(10.0, V, out=V)
+        gamma, D, x = _gamma_oracle(r, lam, V)
         diff = np.abs(gamma - (1.0 - D * D) * x) / np.maximum(1.0, gamma)
         worst = float(np.maximum(worst, diff.max()))  # a NaN stays, and fails
+        for spot, a in zip(spots, (r, lam, V)):  # the draws at indices 0, every, 2*every, ...
+            spot.extend(a[-i % every::every].tolist())
     results = [PropertyResult("gamma identity vs (1-D^2)V^a", n, worst, worst <= 1e-12)]
     # spot-check the vectorized oracle against the public functions
-    spots = [a[np.arange(0, n, n // 100)] for a in (r, lam, V)]
-    gamma, D, _ = _gamma_oracle(*spots)
+    gamma, D, _ = _gamma_oracle(*map(np.array, spots))
     worst = 0.0
-    for ri, li, Vi, gi, Di in zip(*(a.tolist() for a in (*spots, gamma, D))):
+    for ri, li, Vi, gi, Di in zip(*spots, gamma.tolist(), D.tolist()):
         p = HolderGainParams(exponent=ri, scale=li)
         g = fts_core.gamma_of_V(Vi, p)
         d = fts_core.holder_gain((math.sqrt(Vi), 0.0), p)
@@ -273,11 +297,9 @@ def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
 
 def _suite_rho(rng: np.random.Generator) -> List[PropertyResult]:
     n = 1_000_000
-    zeta = rng.uniform(-6, 0, n)
-    np.power(10.0, zeta, out=zeta)
     worst, in_range = 0.0, True
-    for i in range(0, n, _CHUNK):
-        z = zeta[i:i + _CHUNK]
+    for i in range(0, n, _CHUNK):  # the same stream as one draw of n
+        z = np.power(10.0, rng.uniform(-6, 0, min(_CHUNK, n - i)))
         stable = 1.0 + np.sqrt(1.0 - z)
         # the quotient form loses ~6 digits to cancellation near zeta = 1e-6 in
         # double precision; evaluate it in extended precision for the comparison

@@ -3,7 +3,8 @@
 Each test prints a single summary line directly to the terminal.  Criteria
 that the implemented equations cannot meet (README.md, section "Acceptance
 status", has the analysis) assert the stated requirement verbatim and are
-marked strict-xfail, so a run that unexpectedly meets them is flagged.
+marked strict-xfail on an AssertionError, so a run that unexpectedly meets them,
+or that fails them with any other exception, is flagged.
 """
 
 import math
@@ -67,6 +68,7 @@ def _vector_observer_step(F_hat, F, params):
 class TestCriterion1:
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the reference closed loop is linearly unstable for all "
         "admissible gain values and diverges; see README, Acceptance status",
     )
@@ -82,7 +84,7 @@ class TestCriterion1:
                 f"|e_theta|<0.05 rad after 20 s): FAIL — plant diverged at "
                 f"step {exc.step_index} of {config.n_steps}",
             )
-            pytest.fail(f"reference run diverged at step {exc.step_index}")
+            raise AssertionError(f"reference run diverged at step {exc.step_index}")
         elapsed = time.perf_counter() - start
         metrics = compute_metrics(log, config.settle_time, config.bands)
         ok = (
@@ -104,6 +106,7 @@ class TestCriterion1:
 class TestCriterion2:
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the sigmoid gain approaches -1 at the origin, so the error "
         "tail is sub-exponential and needs far more than 500 steps to reach "
         "1e-9; see README, Acceptance status",
@@ -149,6 +152,7 @@ class TestCriterion2:
 class TestCriterion3:
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the difference error's slow tail drives the level error; "
         "1e-9 needs ~1e6 steps, not 1000; see README, Acceptance status",
     )
@@ -203,6 +207,7 @@ class TestBatchedGain:
 class TestCriterion4:
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the stated neighborhood uses the expansion-side quadratic "
         "root; the steady error sits well outside it; see README, Acceptance status",
     )
@@ -257,6 +262,7 @@ class TestCriterion4:
 class TestCriterion5:
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="same expansion-side root in the tracking neighborhood; "
         "entry occurs but membership is not invariant under persistent "
         "estimation error; see README, Acceptance status",

@@ -338,9 +338,25 @@ class TestLyapunovTrace:
         with pytest.raises(DomainError):
             LyapunovTrace(values=np.array([1.0, -0.1]), alpha=0.5, eta=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_rejects_non_finite_values(self, bad, at):
+        values = np.array([1.0, 0.5])
+        values[at] = bad
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            LyapunovTrace(values=values, alpha=0.5, eta=1.0)
+
     def test_rejects_resurrection_after_zero(self):
         with pytest.raises(DomainError):
             LyapunovTrace(values=np.array([1.0, 0.0, 0.5]), alpha=0.5, eta=1.0)
+
+    @pytest.mark.parametrize("values", [[0.0, 1e-300], [2.0, 0.0, 0.0, 5.0]])
+    def test_rejects_any_later_nonzero(self, values):
+        with pytest.raises(DomainError, match="stay at 0"):
+            LyapunovTrace(values=np.array(values), alpha=0.5, eta=1.0)
+
+    def test_accepts_a_zero_tail(self):
+        assert len(LyapunovTrace(values=np.array([1.0, 0.0, 0.0]), alpha=0.5, eta=1.0)) == 3
 
 
 class TestVerifyFtsCondition:

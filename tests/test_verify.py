@@ -1,4 +1,5 @@
-"""The million-draw gamma and rho suites of ftsmfc.verify: slices, memory, pinned margins."""
+"""ftsmfc.verify in slices: the streamed draws, the block-wise recursion and verifiers,
+the suites' memory and the pinned margins."""
 
 import dataclasses
 import json
@@ -62,18 +63,104 @@ def test_results_hold_builtins(suite):
         json.dumps(fields)
 
 
-@pytest.mark.parametrize("suite, bound_mib", [("gamma", 32), ("rho", 16)])
-def test_peak_memory(suite, bound_mib):
-    # the draws (three 7.6 MiB arrays for gamma, one for rho) and a few slices;
-    # computing every derived array whole peaked at 68.7 and 61.0 MiB
+@pytest.mark.parametrize("suite, seed, bound_mib",
+                         [("gamma", 1, 10), ("rho", 1, 7), ("lemma1", 20240811, 6),
+                          ("holder", 20240811, 6)], ids=["gamma", "rho", "lemma1", "holder"])
+def test_peak_memory(suite, seed, bound_mib):
+    # a few slices of each array at a time: peaks of 7.3, 5.0, 4.2 and 4.5 MiB; holding
+    # the gamma and rho draws whole peaked at 28.1 and 12.1 MiB, and the longest
+    # trace (302 790 steps) as a list of floats with whole-length temporaries at 12.0
     tracemalloc.start()
     try:
-        report = verify.verify_suite(suite, 1)
+        report = verify.verify_suite(suite, seed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.passed
     assert peak < bound_mib * 2**20
+
+
+def test_sliced_draws_match_one_draw():
+    n = 2 * verify._CHUNK + 3
+    rng, one = np.random.default_rng(7), np.random.default_rng(7)
+    bounds = ((1.01, 1.99), (-3, 3), (-6, 6))
+    slices = [verify._slices(rng, k * n, n, low, high) for k, (low, high) in enumerate(bounds)]
+    for (low, high), parts in zip(bounds, slices):
+        parts = list(parts)
+        assert [len(p) for p in parts] == [verify._CHUNK, verify._CHUNK, 3]
+        assert np.concatenate(parts).tobytes() == one.uniform(low, high, n).tobytes()
+    rng.bit_generator.advance(3 * n)
+    assert rng.bit_generator.state == one.bit_generator.state
+    assert rng.uniform(-2, 2, 1000).tobytes() == one.uniform(-2, 2, 1000).tobytes()
+
+
+def _list_recursion(V0, eta, alpha, max_steps):
+    """fts_recursion as one list of floats: the reference for the block-wise trace."""
+    V, vals = V0, [V0]
+    for _ in range(max_steps if V > 0.0 else 0):
+        V = V - eta * V ** alpha
+        if not V > 0.0:
+            vals.append(0.0)
+            break
+        vals.append(V)
+    return vals, (len(vals) - 1 if vals[-1] == 0.0 else None)
+
+
+C = verify._CHUNK
+
+
+@pytest.mark.parametrize("V0, eta, max_steps, N", [
+    (1.0, 1e-5, 10**6, 199_994),  # more than three slices
+    (1.0, 1.5258090972900391e-05, 10**6, 2 * C),  # 0 on the last step of the second slice
+    (1.0, 3.051487736701966e-05, 10**6, C),  # 0 on the last step of the first slice
+    (1.0, 3.05144005775451e-05, 10**6, C + 1),  # 0 on the first step of the second slice
+    (1.0, 1e-6, C, None),
+    (1.0, 1e-6, 2 * C, None),
+    (1.0, 1e-6, 0, None),
+    (0.0, 1e-6, 10, 0),
+    (0.0, 1e-6, 0, 0),
+], ids=["3-slices", "0-at-2C", "0-at-C", "0-at-C+1", "max-C", "max-2C", "max-0", "V0-0",
+        "V0-0-max-0"])
+def test_recursion_matches_list_reference(V0, eta, max_steps, N):
+    trace, got_N = verify.fts_recursion(V0, eta, 0.5, max_steps=max_steps)
+    vals, ref_N = _list_recursion(V0, eta, 0.5, max_steps)
+    assert got_N == ref_N == N
+    assert trace.values.tobytes() == np.array(vals).tobytes()
+
+
+def _line(n):
+    """A trace falling evenly from 10 to 1 in n values: about 4.6e-5 a step for n = 3C."""
+    return np.linspace(10.0, 1.0, n)
+
+
+def test_gamma_fn_sees_one_slice_at_a_time():
+    calls = []
+
+    def gamma(V):
+        calls.append(V.shape)
+        return 1e-6
+
+    trace = verify.LyapunovTrace(values=_line(2 * C + 3), alpha=0.5, eta=1.0)
+    assert verify.verify_fts_condition(trace, gamma, 1e-12)
+    assert calls == [(C,), (C,), (2,), (C,), (C,), (3,)]
+
+
+@pytest.mark.parametrize("at", [1, C, C + 1, 2 * C + 5, 3 * C - 1])
+def test_verifiers_see_every_slice(at):
+    values = _line(3 * C)
+    assert verify.verify_fts_condition(verify.LyapunovTrace(values, 0.5, 1.0),
+                                       lambda V: 1e-6, 1e-12)
+    assert verify.verify_holder_continuity(verify.LyapunovTrace(values, 0.5, 1e-3), 1e-6)
+    # a stall at `at` breaks the decrement; a drop of 0.5 from `at` on, the lag-1 Holder bound
+    stalled, dropped = values.copy(), values.copy()
+    stalled[at] = stalled[at - 1]
+    dropped[at:] -= 0.5
+    assert not verify.verify_fts_condition(verify.LyapunovTrace(stalled, 0.5, 1.0),
+                                           lambda V: 1e-6, 1e-12)
+    assert not verify.verify_holder_continuity(verify.LyapunovTrace(dropped, 0.5, 1e-3), 1e-6)
+    # gamma below epsilon^(1-alpha) at the value at `at` alone breaks the gain condition
+    assert not verify.verify_fts_condition(verify.LyapunovTrace(values, 0.5, 1.0),
+                                           lambda V: np.where(V == values[at], 0.0, 1e-6), 1e-12)
 
 
 def test_gamma_oracle_same_in_slices_and_gathered():
