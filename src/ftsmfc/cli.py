@@ -84,11 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "") -> int:
     """Run the closed loop, write its CSV log and metrics file; return the record count.
     A run that fails, or whose metrics fail, writes neither file."""
+    if os.path.realpath(metrics_path) == os.path.realpath(out_csv):
+        raise ConfigError(f"--metrics-out {metrics_path} names the --out file")
     log = run_closed_loop(config)
     metrics = compute_metrics(log, config.settle_time, config.bands)
     log.to_csv(out_csv)
-    with open(metrics_path, "w") as fh:
-        fh.write(preamble + metrics_to_text(metrics))
+    try:
+        with open(metrics_path, "w") as fh:
+            fh.write(preamble + metrics_to_text(metrics))
+    except OSError:
+        os.remove(out_csv)
+        raise
     return len(log)
 
 

@@ -56,43 +56,27 @@ class PendulumParams(Record):
         for name in self._fields:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"PendulumParams.{name} must be positive")
-
-
-def mass_matrix(theta: float, params: PendulumParams):
-    """Configuration-dependent mass matrix as rows ((a, b), (b, d)); symmetric positive definite."""
-    ml = params.m_pend * params.l_half
-    b = -ml * math.cos(theta)
-    return (params.M_cart + params.m_pend, b), (b, params.I_pend + ml * params.l_half)
-
-
-def bias_vector(theta: float, xdot: float, thetadot: float, params: PendulumParams) -> Pair:
-    """Velocity/gravity bias term, including tanh-saturated friction.
-
-    Component 1: m*l*thetadot^2*sin(theta) + c_x*tanh(xdot);
-    component 2: c_theta*tanh(thetadot) - m*g*l*sin(theta).
-    """
-    ml = params.m_pend * params.l_half
-    s = math.sin(theta)
-    return (
-        ml * thetadot * thetadot * s + params.c_x * math.tanh(xdot),
-        params.c_theta * math.tanh(thetadot) - params.m_pend * params.g * params.l_half * s,
-    )
+        ml = m_pend * l_half  # what the physics reads, derived once; ==, hash and repr skip them
+        self._set(ml=ml, m_total=M_cart + m_pend, I_total=I_pend + ml * l_half,
+                  mgl=m_pend * g * l_half, m_total_g=(M_cart + m_pend) * g)
 
 
 def pendulum_ulm_terms(y_prev: Pair, y_curr: Pair, dt: float, params: PendulumParams):
     """True plant pair (F, G) at the outputs (y_k, y_{k+1}): y_{k+2} = F + G u.
 
-    G = dt^2 M^-1 through the closed-form inverse of the 2 x 2 mass matrix,
-    returned as rows ((a, b), (c, d)).
+    G = dt^2 M^-1, M = ((M + m, -ml cos), (-ml cos, I + ml*l)) inverted in closed form, as
+    rows ((a, b), (b, d)); F = 2 y_{k+1} - y_k - G D with the friction and gravity bias
+    D = (ml*thetadot^2*sin + c_x*tanh(xdot), c_theta*tanh(thetadot) - mgl*sin).
     """
     (x0, theta), (x1, theta1) = y_prev, y_curr
-    (m00, m01), (_, m11) = mass_matrix(theta, params)
-    h = dt * dt / (m00 * m11 - m01 * m01)
-    G = (h * m11, -h * m01), (-h * m01, h * m00)
-    D0, D1 = bias_vector(theta, (x1 - x0) / dt, (theta1 - theta) / dt, params)
-    F = (2.0 * x1 - x0 - (G[0][0] * D0 + G[0][1] * D1),
-         2.0 * theta1 - theta - (G[1][0] * D0 + G[1][1] * D1))
-    return F, G
+    ml_cos, s = params.ml * math.cos(theta), math.sin(theta)
+    h = dt * dt / (params.m_total * params.I_total - ml_cos * ml_cos)
+    a, b, d = h * params.I_total, h * ml_cos, h * params.m_total
+    thetadot = (theta1 - theta) / dt
+    D0 = params.ml * thetadot * thetadot * s + params.c_x * math.tanh((x1 - x0) / dt)
+    D1 = params.c_theta * math.tanh(thetadot) - params.mgl * s
+    return ((2.0 * x1 - x0 - (a * D0 + b * D1), 2.0 * theta1 - theta - (b * D0 + d * D1)),
+            ((a, b), (b, d)))
 
 
 def pendulum_step(y_prev: Pair, y_curr: Pair, u: Pair, dt: float, params: PendulumParams) -> Pair:
@@ -104,12 +88,9 @@ def pendulum_step(y_prev: Pair, y_curr: Pair, u: Pair, dt: float, params: Pendul
 
 def open_loop_input(theta: float, thetadot: float, params: PendulumParams) -> Pair:
     """Model-based (force, torque) pair used only for trajectory generation."""
-    M, m = params.M_cart, params.m_pend
-    g, l = params.g, params.l_half
-    s = math.sin(theta)
-    force = m * l * thetadot * thetadot * s - 2.0 * (M + m * s * s) * g * s - (M + m) * g * s
-    torque = -m * g * l * s
-    return (force, torque)
+    M, m, g, s = params.M_cart, params.m_pend, params.g, math.sin(theta)
+    force = params.ml * thetadot * thetadot * s - 2.0 * (M + m * s * s) * g * s
+    return (force - params.m_total_g * s, -params.mgl * s)
 
 
 def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:

@@ -318,20 +318,25 @@ def _suite_rho(rng: np.random.Generator) -> List[PropertyResult]:
     ]
 
 
-def _suite_lemma1(rng: np.random.Generator, n: int = 300) -> List[PropertyResult]:
-    worst_N = 0
-    all_finite = True
-    all_verified = True
+def _recursions(rng: np.random.Generator, n: int):
+    """n seeded runs of V+ = max(0, V - eta*V^alpha): (trace, N, eta, eps = eta^(1/(1-alpha)))."""
     for _ in range(n):
         V0 = 10.0 ** rng.uniform(-6, 6)
         eta = rng.uniform(1e-3, 10.0)
         alpha = rng.uniform(0.05, 0.95)
         trace, N = fts_core.fts_recursion(V0, eta, alpha, max_steps=20_000_000)
+        yield trace, N, eta, eta ** (1.0 / (1.0 - alpha))
+
+
+def _suite_lemma1(rng: np.random.Generator, n: int = 300) -> List[PropertyResult]:
+    worst_N = 0
+    all_finite = True
+    all_verified = True
+    for trace, N, eta, eps in _recursions(rng, n):
         if N is None:
             all_finite = False
             continue
         worst_N = max(worst_N, N)
-        eps = eta ** (1.0 / (1.0 - alpha))
         if not fts_core.verify_fts_condition(trace, lambda V: eta, eps):
             all_verified = False
     return [
@@ -342,15 +347,8 @@ def _suite_lemma1(rng: np.random.Generator, n: int = 300) -> List[PropertyResult
 
 
 def _suite_holder(rng: np.random.Generator, n: int = 200) -> List[PropertyResult]:
-    ok = True
-    for _ in range(n):
-        V0 = 10.0 ** rng.uniform(-6, 6)
-        eta = rng.uniform(1e-3, 10.0)
-        alpha = rng.uniform(0.05, 0.95)
-        trace, _ = fts_core.fts_recursion(V0, eta, alpha, max_steps=20_000_000)
-        eps = eta ** (1.0 / (1.0 - alpha))
-        if not fts_core.verify_holder_continuity(trace, eps):
-            ok = False
+    ok = all(fts_core.verify_holder_continuity(trace, eps)
+             for trace, _, _, eps in _recursions(rng, n))
     return [PropertyResult("recursion traces are Holder-continuous", n, 0.0, ok)]
 
 

@@ -69,6 +69,30 @@ class TestSimulate:
         assert out.strip() == f"wrote 51 records to {out_csv}"
         assert os.path.getsize(out_csv + ".metrics") > 0
 
+    @pytest.mark.parametrize("metrics_out", ["r.txt", "./r.txt"])
+    def test_metrics_out_naming_the_csv_is_config_error(
+        self, tmp_path, capsys, monkeypatch, metrics_out
+    ):
+        # the metrics would overwrite the CSV: refused before the run, no file written
+        config_path = _write(tmp_path, _short_constant())
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = _main(capsys, "simulate", "--config", config_path, "--out", "r.txt",
+                             "--metrics-out", metrics_out)
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert _one_line(err, "config error:") == (
+            f"config error: --metrics-out {metrics_out} names the --out file")
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml"]
+
+    def test_unwritable_metrics_out_leaves_no_csv(self, tmp_path, capsys):
+        out_csv = tmp_path / "run.csv"
+        rc, out, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, _short_constant()),
+            "--out", str(out_csv), "--metrics-out", str(tmp_path / "no" / "such" / "m.txt"),
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert "No such file or directory" in _one_line(err, "output error:")
+        assert not out_csv.exists()
+
     def test_misspelt_section_is_config_error(self, tmp_path, capsys):
         doc = _short_constant()
         doc["controler"] = doc.pop("controller")

@@ -14,10 +14,8 @@ from ftsmfc.plant_models import (
     PendulumParams,
     PendulumPlant,
     SyntheticUlmPlant,
-    bias_vector,
     desired_samples,
     generate_desired_trajectory,
-    mass_matrix,
     noise_sample,
     open_loop_input,
     pendulum_step,
@@ -27,40 +25,67 @@ from ftsmfc.plant_models import (
 P = PendulumParams()
 
 
+def mass_matrix(theta):
+    """M(theta), written out from the parameters."""
+    ml = P.m_pend * P.l_half
+    return np.array([[P.M_cart + P.m_pend, -ml * math.cos(theta)],
+                     [-ml * math.cos(theta), P.I_pend + ml * P.l_half]])
+
+
+def bias(theta, xdot, thetadot):
+    """The friction, Coriolis and gravity bias D(theta, qdot), written out."""
+    return np.array([
+        P.m_pend * P.l_half * thetadot**2 * math.sin(theta) + P.c_x * math.tanh(xdot),
+        P.c_theta * math.tanh(thetadot) - P.m_pend * P.g * P.l_half * math.sin(theta),
+    ])
+
+
 class TestPendulumPhysics:
+    # pendulum_ulm_terms holds M(theta)^-1 and the bias; these read them back
+    # through G = dt^2 M^-1 and F = 2 y_1 - y_0 - G D
     def test_mass_matrix_values(self):
-        M = mass_matrix(0.0, P)
-        np.testing.assert_allclose(
-            M, [[2.0, -0.7], [-0.7, 0.84 + 0.5 * 1.4 * 1.4]], atol=1e-15
-        )
+        _, G = pendulum_ulm_terms((0.3, 0.0), (0.3, 0.0), 0.01, P)
+        M = 1e-4 * np.linalg.inv(G)
+        np.testing.assert_allclose(M, [[2.0, -0.7], [-0.7, 0.84 + 0.5 * 1.4 * 1.4]], rtol=1e-14)
+        np.testing.assert_allclose(M, mass_matrix(0.0), rtol=1e-14)
 
     def test_mass_matrix_spd_everywhere(self):
         for theta in np.linspace(-math.pi, math.pi, 50):
-            M = np.array(mass_matrix(float(theta), P))
-            np.testing.assert_allclose(M, M.T)
+            M = mass_matrix(float(theta))
             assert np.linalg.eigvalsh(M).min() > 0.0
+            _, G = pendulum_ulm_terms((0.0, float(theta)), (0.0, float(theta)), 0.01, P)
+            G = np.array(G)
+            np.testing.assert_array_equal(G, G.T)
+            np.testing.assert_allclose(G, 1e-4 * np.linalg.inv(M), rtol=1e-13)
 
     def test_bias_vector_at_rest_upright(self):
-        np.testing.assert_allclose(bias_vector(0.0, 0.0, 0.0, P), [0.0, 0.0])
+        # at rest upright D = 0, so F = 2 y_1 - y_0 = y_1 exactly
+        assert bias(0.0, 0.0, 0.0).tolist() == [0.0, 0.0]
+        F, _ = pendulum_ulm_terms((0.3, 0.0), (0.3, 0.0), 0.01, P)
+        assert F == (0.3, 0.0)
 
     def test_bias_vector_components(self):
-        theta, xdot, thetadot = 0.3, -0.2, 0.7
-        b = bias_vector(theta, xdot, thetadot, P)
-        ml = P.m_pend * P.l_half
-        assert b[0] == pytest.approx(
-            ml * thetadot**2 * math.sin(theta) + P.c_x * math.tanh(xdot), abs=1e-15
-        )
-        assert b[1] == pytest.approx(
-            P.c_theta * math.tanh(thetadot)
-            - P.m_pend * P.g * P.l_half * math.sin(theta),
-            abs=1e-15,
-        )
+        y_prev, y_curr, dt = (0.1, 0.3), (0.098, 0.307), 0.01
+        F, G = pendulum_ulm_terms(y_prev, y_curr, dt, P)
+        D = bias(0.3, (0.098 - 0.1) / dt, (0.307 - 0.3) / dt)
+        np.testing.assert_allclose(2 * np.array(y_curr) - y_prev - F, np.array(G) @ D, rtol=1e-10)
 
     def test_params_positive(self):
         with pytest.raises(ValueError):
             PendulumParams(M_cart=-1.0)
         with pytest.raises(ValueError):
             PendulumParams(g=0.0)
+
+    def test_derived_constants_are_not_fields(self):
+        # derived once, as HolderGainParams derives its holder_power; ==, hash and repr skip them
+        p = PendulumParams(m_pend=0.25)
+        assert (p.ml, p.m_total, p.I_total, p.mgl, p.m_total_g) == (
+            0.25 * 1.4, 1.5 + 0.25, 0.84 + 0.25 * 1.4 * 1.4, 0.25 * 9.8 * 1.4, (1.5 + 0.25) * 9.8)
+        assert repr(p) == ("PendulumParams(M_cart=1.5, m_pend=0.25, l_half=1.4, I_pend=0.84, "
+                           "g=9.8, c_x=0.028, c_theta=0.0032)")
+        assert p == PendulumParams(m_pend=0.25) and hash(p) == hash(PendulumParams(m_pend=0.25))
+        with pytest.raises(AttributeError):
+            p.ml = 1.0
 
 
 class TestPendulumUlmTerms:
@@ -76,9 +101,7 @@ class TestPendulumUlmTerms:
 
     def test_G_is_dt_squared_times_inverse_mass(self):
         _, G = pendulum_ulm_terms(np.array([0.0, 0.2]), np.array([0.01, 0.21]), 0.01, P)
-        np.testing.assert_allclose(
-            G, 1e-4 * np.linalg.inv(mass_matrix(0.2, P)), atol=1e-16
-        )
+        np.testing.assert_allclose(G, 1e-4 * np.linalg.inv(mass_matrix(0.2)), atol=1e-16)
 
     def test_zero_input_free_dynamics(self):
         # equilibrium at rest, theta = 0: output stays put

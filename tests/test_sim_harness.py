@@ -683,6 +683,21 @@ class TestRunClosedLoop:
             run_closed_loop(config)
         assert info.value.step_index == 113
 
+    @pytest.mark.parametrize("order, law, with_filter, tick", [
+        ("first", "fts", True, 113), ("first", "fts", False, 141),
+        ("first", "basic", True, 93), ("first", "basic", False, 129),
+        ("second", "fts", True, 85), ("second", "fts", False, 122),
+        ("second", "basic", True, 78), ("second", "basic", False, 100),
+    ])
+    def test_pendulum_variants_diverge_at_their_ticks(self, order, law, with_filter, tick):
+        # every observer x law x filter variant of the shipped pendulum run, stepped in the loop
+        doc = load_doc(str(CONFIGS / "paper_experiment.yaml"))
+        doc["observer"]["order"], doc["controller"]["law"] = order, law
+        doc["filter"]["enabled"] = with_filter
+        with pytest.raises(DivergenceError, match=f"^plant diverged at step {tick}$") as info:
+            run_closed_loop(SimConfig.from_dict(doc))
+        assert info.value.step_index == tick
+
     def test_trajectory_divergence_reports_the_tick(self):
         # sample 3 leaves the admissible region; tick 3 - nu = 1 is the first to read it
         config = SimConfig.from_dict({
