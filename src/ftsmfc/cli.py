@@ -29,6 +29,7 @@ from .sim_harness import (
     TRAJECTORY_HEADER,
     compute_metrics,
     metrics_to_text,
+    output_file,
     run_closed_loop,
     write_csv,
 )
@@ -82,19 +83,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "") -> int:
-    """Run the closed loop, write its CSV log and metrics file; return the record count.
-    A run that fails, or whose metrics fail, writes neither file."""
+    """Run the closed loop, write its metrics file and CSV log; return the record count.
+    A run that fails, or whose metrics or CSV fail, leaves neither file.  The
+    metrics are written first, so a metrics file that cannot be written fails
+    before --out is touched."""
     if os.path.realpath(metrics_path) == os.path.realpath(out_csv):
         raise ConfigError(f"--metrics-out {metrics_path} names the --out file")
     log = run_closed_loop(config)
     metrics = compute_metrics(log, config.settle_time, config.bands)
-    log.to_csv(out_csv)
-    try:
-        with open(metrics_path, "w") as fh:
-            fh.write(preamble + metrics_to_text(metrics))
-    except OSError:
-        os.remove(out_csv)
-        raise
+    with output_file(metrics_path, "w") as fh:
+        fh.write(preamble + metrics_to_text(metrics))
+        fh.flush()  # a full disk fails here, before --out is touched
+        log.to_csv(out_csv)
     return len(log)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import contextlib
 import functools
 import itertools
 import math
@@ -66,6 +67,21 @@ TRAJECTORY_HEADER = "t,x_d,theta_d"
 CSV_BLOCK_ROWS = 256  # rows a block in write_csv: fast, and memory stays flat
 
 
+@contextlib.contextmanager
+def output_file(path: str, mode: str) -> Iterator:
+    """open(path, mode) for writing.  If the block raises or the close fails, the
+    partly written file is removed: only a regular file, never a device such as
+    /dev/null, a pipe or a symbolic link."""
+    fh = open(path, mode)  # a path that cannot be opened is left as it was
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
+
+
 def write_csv(path: str, header: str, table: array, width: int) -> None:
     """Write header, then table's rows of width floats, every float as `%.17g`.
 
@@ -75,11 +91,12 @@ def write_csv(path: str, header: str, table: array, width: int) -> None:
     second half of the blocks into an anonymous temporary file while this
     process formats the first half, and the child's text is appended after it;
     otherwise this process formats both halves.  Either way each process holds
-    one block's text at a time.  A child that fails raises OSError here.
+    one block's text at a time.  A child that fails raises OSError here.  A
+    write that fails removes the partial file, as output_file does.
     """
     n_blocks = -(-len(table) // (width * CSV_BLOCK_ROWS))
     half = n_blocks // 2
-    with open(path, "wb") as fh:
+    with output_file(path, "wb") as fh:
         fh.write(f"{header}\n".encode())
         if half == 0 or not hasattr(os, "fork"):
             _write_blocks(fh, table, width, range(n_blocks))

@@ -21,7 +21,8 @@ from .config import CTRL_PARAMS, OBS_PARAMS, ConfigError
 from .fts_core import (DomainError, HolderGainParams, Pair, decrease_radius,
                        gamma_zero_crossing, robustness_radius)
 
-_CHUNK = 1 << 16  # elements of any derived array this module's functions hold at once
+# 64 KiB of float64 stays in L2; below this the longest trace, not a slice, sets the peak
+_CHUNK = 1 << 13  # elements of any derived array this module's functions hold at once
 
 
 def gamma_of_V(V, params: HolderGainParams):

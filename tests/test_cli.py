@@ -824,7 +824,6 @@ class TestCsvChild:
     def test_failing_parent_kills_and_reaps_the_child(self, tmp_path, capsys, monkeypatch):
         config, out_csv = self._config(tmp_path), tmp_path / "run.csv"
         assert cli.main(["simulate", "--config", config, "--out", str(out_csv)]) == 0
-        whole = out_csv.read_text()
         capsys.readouterr()
         parent, block_text, calls = os.getpid(), sim_harness._block_text, []
 
@@ -843,9 +842,8 @@ class TestCsvChild:
         assert (rc, out) == (cli.EXIT_CONFIG, "")
         _one_line(err, "output error:")
         _no_child_left()
-        # the header and the parent's first block, and nothing of the child's
-        rows = whole.splitlines(keepends=True)
-        assert out_csv.read_text() == "".join(rows[:1 + sim_harness.CSV_BLOCK_ROWS])
+        # the file the run before wrote is overwritten, and the partial file removed
+        assert not out_csv.exists()
 
     def test_each_line_printed_once_when_stdout_is_a_file(self, tmp_path):
         # a file makes stdout block-buffered (PYTHONUNBUFFERED unset), so a child
@@ -867,6 +865,74 @@ class TestCsvChild:
             f"controller.scale={v}: wrote {out_dir / f'run_{i:03d}_{v}.csv'}"
             for i, v in enumerate(values)
         ]
+
+
+class TestFailedWrite:
+    """A CSV write that fails removes the partial --out file and the metrics file,
+    and nothing but a regular file is ever removed."""
+
+    # 1601 rows: seven blocks, of which this process formats blocks 0 to 2
+    T = 16.0
+
+    @pytest.fixture
+    def enospc_on_third_block(self, monkeypatch):
+        block_text, calls = sim_harness._block_text, []
+
+        def fails(columns):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return block_text(columns)
+
+        monkeypatch.setattr(sim_harness, "_block_text", fails)
+
+    @pytest.fixture
+    def removed(self, monkeypatch):
+        # records what would be removed, and removes nothing
+        paths = []
+        monkeypatch.setattr(os, "remove", paths.append)
+        monkeypatch.setattr(os, "unlink", paths.append)
+        return paths
+
+    def _failed(self, capsys, *argv):
+        rc, out, err = _main(capsys, *argv)
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert "No space left on device" in _one_line(err, "output error:")
+        _no_child_left()
+
+    def test_simulate(self, tmp_path, capsys, enospc_on_third_block):
+        out_csv = tmp_path / "run.csv"
+        self._failed(capsys, "simulate", "--config", _write(tmp_path, _short_constant(T=self.T)),
+                     "--out", str(out_csv))
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml"]
+
+    def test_sweep(self, tmp_path, capsys, enospc_on_third_block):
+        out_dir = tmp_path / "sweep"
+        self._failed(capsys, "sweep", "--config", _write(tmp_path, _short_constant(T=self.T)),
+                     "--param", "controller.scale", "--values", "0.2,0.5", "--out", str(out_dir))
+        assert os.listdir(out_dir) == []
+
+    def test_generate_trajectory(self, tmp_path, capsys, enospc_on_third_block):
+        doc = _doc("paper_experiment.yaml", T=self.T)
+        self._failed(capsys, "generate-trajectory", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path / "traj.csv"))
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml"]
+
+    def test_device_out_is_never_removed(self, tmp_path, capsys, enospc_on_third_block,
+                                         removed):
+        metrics = tmp_path / "m.txt"
+        self._failed(capsys, "simulate", "--config", _write(tmp_path, _short_constant(T=self.T)),
+                     "--out", os.devnull, "--metrics-out", str(metrics))
+        assert removed == [str(metrics)]
+
+    def test_unwritable_metrics_out_never_touches_out(self, tmp_path, capsys, removed):
+        rc, out, err = _main(
+            capsys, "simulate", "--config", _write(tmp_path, _short_constant()),
+            "--out", os.devnull, "--metrics-out", str(tmp_path / "no" / "such" / "m.txt"),
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert "No such file or directory" in _one_line(err, "output error:")
+        assert removed == []
 
 
 class TestUsage:

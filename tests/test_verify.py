@@ -64,12 +64,15 @@ def test_results_hold_builtins(suite):
 
 
 @pytest.mark.parametrize("suite, seed, bound_mib",
-                         [("gamma", 1, 10), ("rho", 1, 7), ("lemma1", 20240811, 6),
-                          ("holder", 20240811, 6)], ids=["gamma", "rho", "lemma1", "holder"])
+                         [("gamma", 1, 2), ("rho", 1, 2), ("lemma1", 20240811, 4),
+                          ("holder", 20240811, 4)], ids=["gamma", "rho", "lemma1", "holder"])
 def test_peak_memory(suite, seed, bound_mib):
-    # a few slices of each array at a time: peaks of 7.3, 5.0, 4.2 and 4.5 MiB; holding
-    # the gamma and rho draws whole peaked at 28.1 and 12.1 MiB, and the longest
-    # trace (302 790 steps) as a list of floats with whole-length temporaries at 12.0
+    # a few 8192-element slices of each array at a time: peaks of 0.9, 0.6, 2.6 and
+    # 2.7 MiB (gamma 1.6 when it is a process's first suite, which imports modules);
+    # the trace of 302 790 steps (2.3 MiB) that lemma1 and holder build sets their
+    # peaks.  Slices of 65 536 peaked at 7.3, 5.0, 4.2 and 4.5 MiB; holding the gamma
+    # and rho draws whole at 28.1 and 12.1, and that trace as a list of floats with
+    # whole-length temporaries at 12.0
     tracemalloc.start()
     try:
         report = verify.verify_suite(suite, seed)
@@ -111,9 +114,10 @@ C = verify._CHUNK
 
 @pytest.mark.parametrize("V0, eta, max_steps, N", [
     (1.0, 1e-5, 10**6, 199_994),  # more than three slices
-    (1.0, 1.5258090972900391e-05, 10**6, 2 * C),  # 0 on the last step of the second slice
-    (1.0, 3.051487736701966e-05, 10**6, C),  # 0 on the last step of the first slice
-    (1.0, 3.05144005775451e-05, 10**6, C + 1),  # 0 on the first step of the second slice
+    # each eta is the middle of the interval of etas, found by bisection, that end on that step
+    (1.0, 0.00012203308110049993, 10**6, 2 * C),  # 0 on the last step of the second slice
+    (1.0, 0.0002440020578951743, 10**6, C),  # 0 on the last step of the first slice
+    (1.0, 0.0002439722912088291, 10**6, C + 1),  # 0 on the first step of the second slice
     (1.0, 1e-6, C, None),
     (1.0, 1e-6, 2 * C, None),
     (1.0, 1e-6, 0, None),
@@ -129,7 +133,7 @@ def test_recursion_matches_list_reference(V0, eta, max_steps, N):
 
 
 def _line(n):
-    """A trace falling evenly from 10 to 1 in n values: about 4.6e-5 a step for n = 3C."""
+    """A trace falling evenly from 10 to 1 in n values: about 3.7e-4 a step for n = 3C."""
     return np.linspace(10.0, 1.0, n)
 
 
@@ -145,7 +149,8 @@ def test_gamma_fn_sees_one_slice_at_a_time():
     assert calls == [(C,), (C,), (2,), (C,), (C,), (3,)]
 
 
-@pytest.mark.parametrize("at", [1, C, C + 1, 2 * C + 5, 3 * C - 1])
+@pytest.mark.parametrize("at", [1, C, C + 1, 2 * C + 5, 3 * C - 1],
+                         ids=["1", "C", "C+1", "2C+5", "3C-1"])
 def test_verifiers_see_every_slice(at):
     values = _line(3 * C)
     assert verify.verify_fts_condition(verify.LyapunovTrace(values, 0.5, 1.0),
