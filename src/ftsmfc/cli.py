@@ -55,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a closed-loop experiment")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--config", required=True, help="YAML experiment configuration")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument(
@@ -65,16 +66,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "generate-trajectory", help="generate the open-loop desired trajectory"
     )
+    p.set_defaults(run=_cmd_generate_trajectory)
     p.add_argument("--config", required=True, help="YAML experiment configuration")
     p.add_argument("--out", required=True, help=f"output CSV path ({TRAJECTORY_HEADER})")
 
     p = sub.add_parser("verify", help="run a property-verification suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument(
         "--suite", required=True, choices=list(SUITE_NAMES) + ["all"],
         help="which suite to run",
     )
 
     p = sub.add_parser("sweep", help="run an experiment over several parameter values")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--config", required=True, help="YAML experiment configuration")
     p.add_argument("--param", required=True, help="dotted config key, e.g. controller.scale")
     p.add_argument("--values", required=True, help="comma-separated values")
@@ -84,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "") -> int:
     """Run the closed loop, write its metrics file and CSV log; return the record count.
-    A run that fails, or whose metrics or CSV fail, leaves neither file.  The
-    metrics are written first, so a metrics file that cannot be written fails
-    before --out is touched."""
+    The metrics go first, so an unwritable metrics file fails before --out is touched, and a
+    write failing partway removes its file.  But a run failing before writing leaves an
+    existing --out as it was, now stale, and a symbolic-link --out's target keeps partial text."""
     if os.path.realpath(metrics_path) == os.path.realpath(out_csv):
         raise ConfigError(f"--metrics-out {metrics_path} names the --out file")
     log = run_closed_loop(config)
@@ -179,15 +183,9 @@ def _fail(label: str, exc: Exception, code: int) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    handlers = {
-        "simulate": _cmd_simulate,
-        "generate-trajectory": _cmd_generate_trajectory,
-        "verify": _cmd_verify,
-        "sweep": _cmd_sweep,
-    }
     try:
         args = _build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         return _fail("config error", exc, EXIT_CONFIG)
     except OSError as exc:

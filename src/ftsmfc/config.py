@@ -11,7 +11,7 @@ import math
 from typing import Sequence, Tuple
 
 from .fts_core import DomainError, HolderGainParams, Pair, Record
-from .plant_models import NoiseConfig, PendulumParams
+from .plant_models import SPEC_KEYS, NoiseConfig, PendulumParams
 from .tracking_control import ControlGains
 
 
@@ -97,10 +97,7 @@ _KEYS = {
     "metrics": ("settle_time", "bands"),
 }
 _ROOT_KEYS = ("dt", "T", "plant", "initial_state", "initial_estimate") + tuple(_KEYS)
-# The plant.spec keys of each synthetic plant kind, besides G, nu and y_init.
-_SPEC_KEYS = {"constant": ("const",), "ramp": ("slope",), "sinusoid": ("amplitude", "freq"),
-              "random-walk": ("bound", "seed")}
-_PLANT_KINDS = ("pendulum",) + tuple(_SPEC_KEYS)
+_PLANT_KINDS = ("pendulum",) + tuple(SPEC_KEYS)
 
 
 def _reject_unknown(section: dict, keys: Sequence[str], prefix: str = "") -> None:
@@ -194,7 +191,8 @@ OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
 CTRL_PARAMS = HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
 _FILTER_PARAMS = HolderGainParams(exponent=7.0 / 5.0, scale=2.0, weight=2.1)
 
-# The longest horizon accepted, in ticks: at 152 log bytes a tick, 1.5 GB.
+# The longest horizon accepted, in ticks.  simulate holds about 250 bytes a tick, the log
+# row and compute_metrics' lists of floats, so a run at the limit needs about 2.5 GB.
 MAX_STEPS = 10_000_000
 
 
@@ -244,8 +242,8 @@ class SimConfig(Record):
         except ValueError as exc:
             raise ConfigError(f"plant.params: {exc}") from exc
         section = _section(plant, "spec", prefix="plant.")
-        _reject_unknown(section, ("G", "nu", "y_init") + _SPEC_KEYS.get(kind, ()), "plant.spec.")
-        for key in (("G",) + _SPEC_KEYS[kind]) if kind != "pendulum" else ():
+        _reject_unknown(section, ("G", "nu", "y_init") + SPEC_KEYS.get(kind, ()), "plant.spec.")
+        for key in (("G",) + SPEC_KEYS[kind]) if kind != "pendulum" else ():
             if key not in section:
                 raise ConfigError(f"missing required key 'plant.spec.{key}'")
         spec = kwargs["plant_spec"] = dict(section)

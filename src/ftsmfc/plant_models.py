@@ -185,6 +185,11 @@ class PendulumPlant:
         return y_next
 
 
+# The script keys of each synthetic plant kind: its plant.spec entries besides G, nu and y_init.
+SPEC_KEYS = {"constant": ("const",), "ramp": ("slope",), "sinusoid": ("amplitude", "freq"),
+             "random-walk": ("bound", "seed")}
+
+
 class SyntheticUlmPlant:
     """Two-output test plant emitting y_{k+nu} = F_k + G u_k, G 2 x 2, with a
     scripted unknown term.
@@ -192,34 +197,19 @@ class SyntheticUlmPlant:
     Kinds: "constant" (F = const), "ramp" (F_k = k*slope), "sinusoid"
     (F_k,i = amplitude_i*sin(freq_i*k)), "random-walk" (steps of norm exactly
     `bound`, seeded).  The scripted F_k is exposed through true_F for oracles.
-    The arguments are the plant.spec entries as SimConfig.from_dict checked them.
+    The arguments are the plant.spec entries as SimConfig.from_dict checked them;
+    script holds exactly the kind's SPEC_KEYS, or TypeError is raised.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        *,
-        G,
-        nu: int,
-        const=None,
-        slope=None,
-        amplitude=None,
-        freq=None,
-        bound: Optional[float] = None,
-        seed: Optional[int] = None,
-        y_init=None,
-    ):
-        self.kind = kind
-        self.nu = nu
-        self.G = G
-        self.k = 0
+    def __init__(self, kind: str, *, G, nu: int, y_init=None, **script):
+        if script.keys() != set(SPEC_KEYS[kind]):
+            raise TypeError(f"a {kind} plant's script is {', '.join(SPEC_KEYS[kind])}")
+        self.kind, self.nu, self.G, self.k = kind, nu, G, 0
         # pending outputs y_k .. y_{k+nu-1}; y_{k+nu} is produced by step()
         self._window = [(0.0, 0.0)] * nu  # one shared tuple, however long the window
         if y_init is not None:
             self._window = list(y_init)
-
-        self._const, self._slope, self._amp, self._freq = const, slope, amplitude, freq
-        self._bound, self._seed, self._walk_k = bound, seed, math.inf  # true_F(0) starts the walk
+        self._script, self._walk_k = script, math.inf  # true_F(0) starts the walk
         if kind == "random-walk":
             import numpy as np  # the walk is NumPy's seeded PCG64 stream; no other plant loads it
 
@@ -227,19 +217,20 @@ class SyntheticUlmPlant:
 
     def true_F(self, k: int) -> Pair:
         """The scripted unknown term at step k."""
+        script = self._script
         if self.kind == "constant":
-            return self._const
+            return script["const"]
         if self.kind == "ramp":
-            return (k * self._slope[0], k * self._slope[1])
+            return (k * script["slope"][0], k * script["slope"][1])
         if self.kind == "sinusoid":
-            (a0, a1), (f0, f1) = self._amp, self._freq
+            (a0, a1), (f0, f1) = script["amplitude"], script["freq"]
             return (a0 * math.sin(f0 * k), a1 * math.sin(f1 * k))
         if k < self._walk_k:  # only the current position is kept: replay from the seed
-            self._rng = self._default_rng(self._seed)
+            self._rng = self._default_rng(script["seed"])
             self._walk_k, self._walk_F = 0, tuple(self._rng.standard_normal(2).tolist())
         while self._walk_k < k:
             s0, s1 = self._rng.standard_normal(2).tolist()
-            r = self._bound / math.hypot(s0, s1)
+            r = script["bound"] / math.hypot(s0, s1)
             w0, w1 = self._walk_F
             self._walk_k, self._walk_F = self._walk_k + 1, (w0 + s0 * r, w1 + s1 * r)
         return self._walk_F

@@ -30,7 +30,7 @@ from array import array
 from typing import BinaryIO, Dict, Iterator, Sequence
 
 from .config import ConfigError, SimConfig
-from .fts_core import Pair
+from .fts_core import Pair, from_verify
 from .output_filter import filter_update
 from .plant_models import (
     DivergenceError,
@@ -42,20 +42,10 @@ from .plant_models import (
 from .tracking_control import control_law_basic, control_law_fts
 from .ulm_observer import compute_F, first_order_update, second_order_update
 
-# The `verify` choices of the CLI; ftsmfc.verify holds the suites under these names.
+# The `verify` choices of the CLI; ftsmfc.verify's suite `x` is its function _suite_x.
 SUITE_NAMES = ("control", "gamma", "holder", "lemma1", "observer1", "observer2", "rho",
                "robustness")
-# Defined in ftsmfc.verify, the module that imports NumPy; bound here on first use.
-_IN_VERIFY = ("PropertyResult", "SuiteReport", "verify_suite", "_SUITES")
-
-
-def __getattr__(name: str):
-    """PEP 562: load ftsmfc.verify when one of the suites' names is first looked up here."""
-    if name not in _IN_VERIFY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verify
-    value = globals()[name] = getattr(verify, name)
-    return value
+__getattr__ = from_verify(globals(), ("PropertyResult", "SuiteReport", "verify_suite", "_SUITES"))
 
 
 CSV_HEADER = (
@@ -148,7 +138,7 @@ def _block_text(columns: Sequence[array]) -> str:
     return "\n".join([*map(",".join, zip(*map(text.__getitem__, keys))), ""])
 
 
-LOG_WIDTH = 19  # floats a tick in SimLog.rows: one CSV_HEADER row
+LOG_WIDTH = len(CSV_HEADER.split(","))  # floats a tick in SimLog.rows: one CSV_HEADER row
 
 
 class SimLog:

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import fts_core, plant_models, tracking_control, ulm_observer
+from . import fts_core, plant_models, sim_harness, tracking_control, ulm_observer
 from .config import CTRL_PARAMS, OBS_PARAMS, ConfigError
 from .fts_core import (DomainError, HolderGainParams, Pair, decrease_radius,
                        gamma_zero_crossing, robustness_radius)
@@ -510,15 +510,7 @@ def _suite_robustness(rng: np.random.Generator) -> List[PropertyResult]:
 
 
 _SUITES: Dict[str, Callable[[np.random.Generator], List[PropertyResult]]] = {
-    "gamma": _suite_gamma,
-    "rho": _suite_rho,
-    "lemma1": _suite_lemma1,
-    "holder": _suite_holder,
-    "observer1": _suite_observer1,
-    "observer2": _suite_observer2,
-    "control": _suite_control,
-    "robustness": _suite_robustness,
-}
+    name: globals()[f"_suite_{name}"] for name in sim_harness.SUITE_NAMES}
 
 
 def verify_suite(selector: str, seed: int = 20240811) -> SuiteReport:

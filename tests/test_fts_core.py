@@ -1,5 +1,6 @@
 """Unit tests for the sigmoid-gain primitives and Lyapunov verifiers."""
 
+import itertools
 import math
 import types
 
@@ -199,6 +200,18 @@ class TestHolderGain:
         for dim in (1, 5):
             with pytest.raises(ValueError):
                 holder_gain(np.zeros(dim), OBS)
+
+    # The floating-point floor: the gain is exactly -1.0 up to a radius where x is lost
+    # against scale, and above -1.0 just past it, on either axis and either sign.
+    @pytest.mark.parametrize("params, last_minus_one, first_above", [
+        (config.OBS_PARAMS, 1.26e-36, 1.27e-36),
+        (config.CTRL_PARAMS, 2.94e-46, 2.95e-46),
+        (config._FILTER_PARAMS, 8.28e-29, 8.29e-29),
+    ], ids=["observer", "law", "filter"])
+    def test_exactly_minus_one_below_the_floor(self, params, last_minus_one, first_above):
+        for r, s in itertools.product((last_minus_one, first_above), (1.0, -1.0)):
+            for e in ((s * r, 0.0), (0.0, s * r)):
+                assert (holder_gain(e, params) == -1.0) == (r == last_minus_one), (e, r)
 
     def test_unit_vector_oracle(self):
         # x = 1 so gain = (1 - 1.5)/(1 + 1.5)

@@ -286,6 +286,19 @@ class TestSyntheticPlants:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("kind, script", [
+        ("constant", {}),
+        ("constant", {"const": (1.0, 0.0), "slope": (1.0, 0.0)}),
+        ("ramp", {"const": (1.0, 0.0)}),
+        ("sinusoid", {"amplitude": (1.0, 1.0)}),
+        ("random-walk", {"bound": 0.1}),
+        ("random-walk", {"bound": 0.1, "seed": 1, "freq": (1.0, 1.0)}),
+    ], ids=["constant-missing", "constant-extra", "const-on-ramp", "sinusoid-no-freq",
+            "walk-no-seed", "walk-extra"])
+    def test_script_must_be_exactly_the_kinds_keys(self, kind, script):
+        with pytest.raises(TypeError, match=f"a {kind} plant's script is "):
+            SyntheticUlmPlant(kind, G=np.eye(2), nu=1, **script)
+
     def test_step_semantics(self):
         G = np.array([[2.0, 0.0], [0.0, 3.0]])
         plant = SyntheticUlmPlant("constant", G=G, const=[1.0, 1.0], nu=2)

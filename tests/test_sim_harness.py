@@ -17,6 +17,7 @@ from ftsmfc import config as config_module
 from ftsmfc.config import MAX_STEPS, load_doc
 from ftsmfc.fts_core import DomainError, Record
 from ftsmfc.plant_models import (
+    SPEC_KEYS,
     DivergenceError,
     NoiseConfig,
     PendulumParams,
@@ -525,7 +526,7 @@ class TestNoInertKey:
         read |= {f"{section}.{key}" for section, keys in config_module._KEYS.items()
                  for key in keys}
         read |= {"plant.kind", *(f"plant.params.{key}" for key in PendulumParams._fields)}
-        read |= {f"plant.spec.{key}" for keys in config_module._SPEC_KEYS.values()
+        read |= {f"plant.spec.{key}" for keys in SPEC_KEYS.values()
                  for key in ("G", "nu", "y_init") + keys}
         bases = [_inert_key_base(kind) for kind in ["pendulum", *INERT_SPECS]]
         assert {_key(path) for base in bases for path in _leaves(base)} == read
