@@ -90,7 +90,7 @@ def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "")
     """Run the closed loop, write its metrics file and CSV log; return the record count.
     The metrics go first, so an unwritable metrics file fails before --out is touched, and a
     write failing partway removes its file.  But a run failing before writing leaves an
-    existing --out as it was, now stale, and a symbolic-link --out's target keeps partial text."""
+    existing --out as it was, now stale."""
     if os.path.realpath(metrics_path) == os.path.realpath(out_csv):
         raise ConfigError(f"--metrics-out {metrics_path} names the --out file")
     log = run_closed_loop(config)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-from .fts_core import DomainError, HolderGainParams, Pair, Record
+from .fts_core import HolderGainParams, Pair, Record
 from .plant_models import SPEC_KEYS, NoiseConfig, PendulumParams
 from .tracking_control import ControlGains
 
@@ -89,9 +89,9 @@ def _as_bool(value, what: str) -> bool:
 
 # The keys from_dict reads, per section; any other key is a ConfigError.
 _KEYS = {
-    "controller": ("law", "exponent", "scale", "weight", "G", "G_times_dt"),
-    "observer": ("order", "exponent", "scale", "weight"),
-    "filter": ("enabled", "exponent", "scale", "weight"),
+    "controller": ("law", "G", "G_times_dt") + HolderGainParams._fields,
+    "observer": ("order",) + HolderGainParams._fields,
+    "filter": ("enabled",) + HolderGainParams._fields,
     "noise": ("enabled",) + NoiseConfig._fields,
     "trajectory": ("source", "init", "path"),
     "metrics": ("settle_time", "bands"),
@@ -167,24 +167,30 @@ def _choice(section: dict, key: str, choices: Tuple[str, ...], what: str) -> str
     return value
 
 
-def _gain_params(section: dict, what: str, default: HolderGainParams) -> HolderGainParams:
-    """The gain group (exponent, scale, optional weight), given whole or not at all."""
-    if not any(key in section for key in ("exponent", "scale", "weight")):
-        return default
+def _checked(record, what: str, **fields):
+    """record(**fields); a ValueError of the record's own check is a ConfigError led by what."""
     try:
-        exponent = _as_float(section["exponent"], f"{what}.exponent")
-        scale = _as_float(section["scale"], f"{what}.scale")
-    except KeyError as exc:
-        raise ConfigError(f"{what}: missing key {exc}") from exc
-    weight = section.get("weight")
-    if isinstance(weight, (str, int, float)):
-        weight = _as_float(weight, f"{what}.weight")
-    elif weight is not None:
-        weight = _as_2x2(weight, f"{what}.weight")
-    try:
-        return HolderGainParams(exponent=exponent, scale=scale, weight=weight)
+        return record(**fields)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _gain_params(section: dict, what: str, default: HolderGainParams) -> HolderGainParams:
+    """The gain group (exponent, scale, optional weight), given whole or not at all."""
+    if not any(key in section for key in HolderGainParams._fields):
+        return default
+    *required, optional = HolderGainParams._fields
+    try:
+        fields = {key: _as_float(section[key], f"{what}.{key}") for key in required}
+    except KeyError as exc:
+        raise ConfigError(f"{what}: missing key {exc}") from exc
+    weight = section.get(optional)  # None: the identity
+    if isinstance(weight, (str, int, float)):
+        weight = _as_float(weight, f"{what}.{optional}")
+    elif weight is not None:
+        weight = _as_2x2(weight, f"{what}.{optional}")
+    fields[optional] = weight
+    return _checked(HolderGainParams, what, **fields)
 
 
 OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
@@ -200,11 +206,11 @@ class SimConfig(Record):
     """Full description of one closed-loop experiment, as from_dict reads it."""
 
     _fields = ("dt", "T", "plant_kind", "plant_params", "plant_spec", "control_law", "gains",
-               "observer_order", "observer_params", "filter_enabled", "filter_params",
-               "noise_enabled", "noise", "initial_state", "initial_estimate",
-               "trajectory_source", "trajectory_start", "trajectory_path", "settle_time",
-               "bands")
+               "observer_order", "observer_params", "filter_params", "noise", "initial_state",
+               "initial_estimate", "trajectory_source", "trajectory_start", "trajectory_path",
+               "settle_time", "bands")
     # gains: the tracking law's gain and G, whose rank is checked once;
+    # filter_params, noise: None when the filter or the noise is switched off;
     # initial_state: the pendulum's (x, theta, xdot, thetadot), None on other plants;
     # trajectory_start: where a generated trajectory starts
 
@@ -237,10 +243,7 @@ class SimConfig(Record):
         params = _section(plant, "params", prefix="plant.")
         _reject_unknown(params, PendulumParams._fields, "plant.params.")
         params = {k: _as_float(v, f"plant.params.{k}") for k, v in params.items()}
-        try:
-            kwargs["plant_params"] = PendulumParams(**params)
-        except ValueError as exc:
-            raise ConfigError(f"plant.params: {exc}") from exc
+        kwargs["plant_params"] = _checked(PendulumParams, "plant.params", **params)
         section = _section(plant, "spec", prefix="plant.")
         _reject_unknown(section, ("G", "nu", "y_init") + SPEC_KEYS.get(kind, ()), "plant.spec.")
         for key in (("G",) + SPEC_KEYS[kind]) if kind != "pendulum" else ():
@@ -283,28 +286,23 @@ class SimConfig(Record):
         if _as_bool(ctrl.get("G_times_dt", False), "controller.G_times_dt"):
             G = tuple(tuple(dt * g for g in row) for row in G)
         control_params = _gain_params(ctrl, "controller", CTRL_PARAMS)
-        try:
-            kwargs["gains"] = ControlGains(params=control_params, G=G)
-        except DomainError as exc:
-            raise ConfigError(f"controller.G: {exc}") from exc
+        kwargs["gains"] = _checked(ControlGains, "controller.G", params=control_params, G=G)
 
         obs = _section(doc, "observer")
         kwargs["observer_order"] = _choice(obs, "order", ("first", "second"), "observer.order")
         kwargs["observer_params"] = _gain_params(obs, "observer", OBS_PARAMS)
 
         filt = _section(doc, "filter")
-        kwargs["filter_enabled"] = _as_bool(filt.get("enabled", True), "filter.enabled")
-        kwargs["filter_params"] = _gain_params(filt, "filter", _FILTER_PARAMS)
+        filter_on = _as_bool(filt.get("enabled", True), "filter.enabled")
+        filter_params = _gain_params(filt, "filter", _FILTER_PARAMS)  # checked even when off
+        kwargs["filter_params"] = filter_params if filter_on else None
 
         noise = _section(doc, "noise")
-        kwargs["noise_enabled"] = _as_bool(noise.get("enabled", True), "noise.enabled")
+        noise_on = _as_bool(noise.get("enabled", True), "noise.enabled")
         noise_fields = {key: _as_vector(value, 2, f"noise.{key}")
                         for key, value in noise.items() if key != "enabled"}
-        try:
-            kwargs["noise"] = NoiseConfig(**noise_fields)
-        except ValueError as exc:
-            raise ConfigError(f"noise: {exc}") from exc
-        n = kwargs["noise"]  # noise_sample reads t <= T
+        n = _checked(NoiseConfig, "noise", **noise_fields)  # noise_sample reads t <= T
+        kwargs["noise"] = n if noise_on else None
         _finite_phase([abs(w) * T + abs(d) + abs(p)
                        for w, d, p in zip(n.base_freqs, n.fm_depth, n.phases)],
                       "noise.base_freqs", f"|base_freqs| * T + |fm_depth| + |phases| for T = {T}")

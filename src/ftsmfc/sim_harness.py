@@ -60,15 +60,15 @@ CSV_BLOCK_ROWS = 256  # rows a block in write_csv: fast, and memory stays flat
 @contextlib.contextmanager
 def output_file(path: str, mode: str) -> Iterator:
     """open(path, mode) for writing.  If the block raises or the close fails, the
-    partly written file is removed: only a regular file, never a device such as
-    /dev/null, a pipe or a symbolic link."""
+    partly written file is removed: only a regular file, the one a symbolic link
+    names in place of the link, and never a device such as /dev/null or a pipe."""
     fh = open(path, mode)  # a path that cannot be opened is left as it was
     try:
         with fh:
             yield fh
     except BaseException:
-        if os.path.isfile(path) and not os.path.islink(path):
-            os.remove(path)
+        if os.path.isfile(path):  # isfile follows a link
+            os.remove(os.path.realpath(path) if os.path.islink(path) else path)
         raise
 
 
@@ -228,9 +228,9 @@ def run_closed_loop(config: SimConfig) -> SimLog:
     log, pack = array("d"), struct.Struct(f"{LOG_WIDTH}d").pack
     for k in range(n_records):
         t, y = dt * k, plant.output
-        eta = noise_sample(t, config.noise) if config.noise_enabled else zero
+        eta = noise_sample(t, config.noise) if config.noise is not None else zero
         y_meas = (y[0] + eta[0], y[1] + eta[1])
-        if not config.filter_enabled:
+        if config.filter_params is None:
             y_hat = y_meas
         elif k > 0:
             # tick 0 keeps the initial estimate: there is no innovation yet

@@ -701,6 +701,20 @@ class TestSweep:
         assert rc == cli.EXIT_CONFIG
         assert "'controller.scal'" in _one_line(err, "config error:")
 
+    @pytest.mark.parametrize("param, values, message", [
+        ("dt.x", "0.2", "config key 'dt.x': 'dt' is not a mapping"),
+        ("controller.scale", ",", "--values must list at least one value"),
+    ], ids=["scalar-parent", "no-values"])
+    def test_bad_param_or_values_is_config_error(self, tmp_path, capsys, param, values, message):
+        out_dir = tmp_path / "sweep"
+        rc, out, err = _main(
+            capsys, "sweep", "--config", _write(tmp_path, _short_constant()),
+            "--param", param, "--values", values, "--out", str(out_dir),
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert _one_line(err, "config error:") == f"config error: {message}"
+        assert not out_dir.exists()
+
     def test_unparsable_value_is_config_error(self, tmp_path, capsys):
         rc, _, err = _main(
             capsys, "sweep", "--config", _write(tmp_path, _short_constant()),
@@ -917,6 +931,15 @@ class TestFailedWrite:
         self._failed(capsys, "generate-trajectory", "--config", _write(tmp_path, doc),
                      "--out", str(tmp_path / "traj.csv"))
         assert sorted(os.listdir(tmp_path)) == ["config.yaml"]
+
+    def test_symbolic_link_out_removes_its_target(self, tmp_path, capsys, enospc_on_third_block):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        doc = _doc("paper_experiment.yaml", T=self.T)
+        self._failed(capsys, "generate-trajectory", "--config", _write(tmp_path, doc),
+                     "--out", str(link))
+        assert not target.exists() and link.is_symlink()  # no partial text, the link left
 
     def test_device_out_is_never_removed(self, tmp_path, capsys, enospc_on_third_block,
                                          removed):

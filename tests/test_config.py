@@ -202,6 +202,40 @@ def test_undecodable_file_is_config_error(tmp_path):
         config.load_doc(str(path))
 
 
+def test_empty_file_reads_as_empty_mapping(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("# only a comment\n")
+    assert config.load_doc(str(path)) == {}
+
+
+def test_document_that_is_no_mapping_is_config_error(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("- dt: 0.01\n- T: 1.0\n")
+    message = "^configuration document must be a mapping$"
+    with pytest.raises(config.ConfigError, match=message):
+        config.load_doc(str(path))
+    with pytest.raises(config.ConfigError, match=message):
+        config.SimConfig.from_dict([{"dt": 0.01}, {"T": 1.0}])
+
+
+# A value of a switched-off part: still checked, then dropped, so it is no field
+SWITCHED_OFF = [
+    ("filter", {"exponent": "7/5", "scale": 2.0, "weight": 2.1},
+     {"exponent": 1.9, "scale": 0.5, "weight": [[2.0, 0.5], [0.5, 1.0]]}),
+    ("noise", {"amplitudes": [0.5, 0.5]}, {"phases": [1.0, -1.0], "fm_freqs": [0.1, 0.2]}),
+]
+
+
+@pytest.mark.parametrize("part, one, other", SWITCHED_OFF, ids=[p for p, *_ in SWITCHED_OFF])
+def test_switched_off_value_is_no_field(part, one, other):
+    cfgs = [config.SimConfig.from_dict(_doc(**{part: {"enabled": False, **values}}))
+            for values in (one, other, {})]
+    assert cfgs[0] == cfgs[1] == cfgs[2]
+    assert getattr(cfgs[0], {"filter": "filter_params", "noise": "noise"}[part]) is None
+    assert len(config.SimConfig._fields) == 18
+    assert not {"filter_enabled", "noise_enabled"} & set(config.SimConfig._fields)
+
+
 # Plain scalars that PyYAML resolves in ways that are easy to get wrong, then some
 # that are not plain scalars of the block reader's subset
 SCALAR_TRAPS = ["0.5", "-0.25", "+7", "0", "-0", "010", "08", "1.", "00.5", "1.0e-05", "1.5E+3",

@@ -345,6 +345,10 @@ class TestFtsRecursion:
         with pytest.raises(DomainError):
             fts_recursion(**kwargs)
 
+    def test_negative_max_steps(self):
+        with pytest.raises(DomainError, match="^max_steps must be non-negative$"):
+            fts_recursion(1.0, 1.0, 0.5, max_steps=-1)
+
 
 class TestLyapunovTrace:
     def test_rejects_negative_values(self):
@@ -370,6 +374,18 @@ class TestLyapunovTrace:
 
     def test_accepts_a_zero_tail(self):
         assert len(LyapunovTrace(values=np.array([1.0, 0.0, 0.0]), alpha=0.5, eta=1.0)) == 3
+
+    @pytest.mark.parametrize("values, alpha, eta, message", [
+        ([], 0.5, 1.0, "trace values must be a non-empty 1-d sequence"),
+        ([[1.0, 0.5]], 0.5, 1.0, "trace values must be a non-empty 1-d sequence"),
+        ([1.0, 0.5], 0.0, 1.0, r"alpha must lie in \]0,1\[, got 0.0"),
+        ([1.0, 0.5], 1.0, 1.0, r"alpha must lie in \]0,1\[, got 1.0"),
+        ([1.0, 0.5], 0.5, 0.0, "eta must be positive, got 0.0"),
+        ([1.0, 0.5], 0.5, math.inf, "eta must be positive, got inf"),
+    ], ids=["empty", "2-d", "alpha-0", "alpha-1", "eta-0", "eta-inf"])
+    def test_rejects_bad_shape_alpha_or_eta(self, values, alpha, eta, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            LyapunovTrace(values=np.array(values), alpha=alpha, eta=eta)
 
 
 class TestVerifyFtsCondition:
@@ -455,6 +471,11 @@ class TestVerifyHolderContinuity:
     def test_single_step_trace(self):
         trace, _ = fts_recursion(1.0, 1.0, 0.5)
         assert verify_holder_continuity(trace, 1.0)
+
+    def test_one_value_trace(self):
+        # no index pair to check, whatever epsilon
+        trace = LyapunovTrace(values=np.array([3.0]), alpha=0.5, eta=1.0)
+        assert verify_holder_continuity(trace, 1e-300)
 
     def test_recursion_trace_passes(self):
         trace, _ = fts_recursion(50.0, 0.3, 0.7)

@@ -91,11 +91,15 @@ def test_run_path_imports_no_numpy(tmp_path):
         ["simulate random-walk", simulate(walk)],
     ]
     report_path = tmp_path / "report.json"
+    # development mode, with every warning an error: no step may warn, for instance
+    # of an unclosed file, nor leave an exception to an unraisable hook
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, constant, json.dumps(steps), str(report_path)],
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _CHILD, constant, json.dumps(steps),
+         str(report_path)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
     child = json.loads(report_path.read_text())
     assert child["loaded"] == [["import ftsmfc", []], ["from_dict", []], ["from_yaml", []]]
     report = [tuple(step) for step in child["report"]]

@@ -20,7 +20,7 @@ class TestFilterUpdate:
         # no innovation exists at tick 0: the loop logs the configured
         # estimate there, and filters from tick 1 on
         doc = load_doc(str(CONFIGS / "synthetic_constant.yaml"))
-        assert SimConfig.from_dict(doc).filter_enabled
+        assert SimConfig.from_dict(doc).filter_params is not None
         config = SimConfig.from_dict({**doc, "T": 0.05, "initial_estimate": [0.2, -0.1]})
         rows = np.frombuffer(run_closed_loop(config).rows).reshape(-1, LOG_WIDTH)
         cols = CSV_HEADER.split(",")

@@ -636,6 +636,11 @@ class TestRunClosedLoop:
         with pytest.raises(ConfigError, match="needs 101 rows"):
             run_closed_loop(config)
 
+    def test_unreadable_trajectory_file_is_config_error(self, tmp_path):
+        config = make_config(trajectory={"source": "file", "path": str(tmp_path)})  # a directory
+        with pytest.raises(ConfigError, match="^cannot read trajectory file: .*Is a directory"):
+            run_closed_loop(config)
+
     def test_file_trajectory_is_parsed_row_by_row(self, tmp_path):
         # the 7002 rows generate-trajectory writes for T = 70.01: the reader keeps
         # x_d and theta_d (112 KB) and parses into one table of floats (168 KB);

@@ -41,6 +41,16 @@ PINNED = {
         "  [pass] rho at gain 0 equals 1: samples=1 worst_margin=0",
         ["0x1.660005dd9015cp-44", "0x0.0p+0", "0x0.0p+0"],
     ),
+    ("robustness", 20240811): (
+        "suite robustness: PASS\n"
+        "  [pass] decrease outside neighborhood (drift 0.01): samples=60000 worst_margin=0\n"
+        "  [pass] ultimate-bound membership (drift 0.01): samples=30000 worst_margin=0.604032 "
+        "(margin is worst (1-|gain|)*||e||/B after settling)\n"
+        "  [pass] decrease outside neighborhood (drift 0.1): samples=60000 worst_margin=0\n"
+        "  [pass] ultimate-bound membership (drift 0.1): samples=30000 worst_margin=0.397905 "
+        "(margin is worst (1-|gain|)*||e||/B after settling)",
+        ["0x0.0p+0", "0x1.3543a4c9025a0p-1", "0x0.0p+0", "0x1.977461ceb81e1p-2"],
+    ),
 }
 
 
@@ -50,6 +60,21 @@ def test_report_pinned(suite, seed):
     report = verify.verify_suite(suite, seed)
     assert report.format() == text
     assert [r.worst_margin.hex() for r in report.results] == margins
+
+
+# The observer suites on a few draws of the default seed: the full suites take
+# about 1.5 s each, these 0.1 and 0.2 s
+OBSERVER_PINNED = {
+    ("observer1", 5): ["0x1.12e06d09274a0p-30", "0x1.4ba806eec0000p-46"],
+    ("observer2", 3): ["0x1.b796620823b47p-34", "0x1.ad7dfeb6c15eep-24"],
+}
+
+
+@pytest.mark.parametrize("suite, n", OBSERVER_PINNED, ids=[s for s, _ in OBSERVER_PINNED])
+def test_observer_suite_pinned(suite, n):
+    results = getattr(verify, f"_suite_{suite}")(np.random.default_rng(20240811), n=n)
+    assert all(r.passed and r.samples == n for r in results)
+    assert [r.worst_margin.hex() for r in results] == OBSERVER_PINNED[suite, n]
 
 
 @pytest.mark.parametrize("suite", ["control", "gamma", "holder", "lemma1", "rho"])
