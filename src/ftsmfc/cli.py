@@ -25,13 +25,15 @@ from .config import ConfigError, SimConfig, load_doc, parse_yaml
 from .fts_core import DomainError
 from .plant_models import DivergenceError, generate_desired_trajectory
 from .sim_harness import (
+    CSV_HEADER,
+    LOG_WIDTH,
     SUITE_NAMES,
     TRAJECTORY_HEADER,
-    compute_metrics,
+    CsvOutput,
+    SteadyState,
     metrics_to_text,
     output_file,
     run_closed_loop,
-    write_csv,
 )
 
 EXIT_OK = 0
@@ -87,19 +89,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "") -> int:
-    """Run the closed loop, write its metrics file and CSV log; return the record count.
-    The metrics go first, so an unwritable metrics file fails before --out is touched, and a
-    write failing partway removes its file.  But a run failing before writing leaves an
-    existing --out as it was, now stale."""
+    """Run the closed loop, streaming its CSV log, then write its metrics file and put the
+    CSV in place of out_csv; return the record count.  A run or write that fails leaves an
+    existing out_csv as it was, and removes any metrics file it began."""
     if os.path.realpath(metrics_path) == os.path.realpath(out_csv):
         raise ConfigError(f"--metrics-out {metrics_path} names the --out file")
-    log = run_closed_loop(config)
-    metrics = compute_metrics(log, config.settle_time, config.bands)
-    with output_file(metrics_path, "w") as fh:
-        fh.write(preamble + metrics_to_text(metrics))
-        fh.flush()  # a full disk fails here, before --out is touched
-        log.to_csv(out_csv)
-    return len(log)
+    metrics = SteadyState(config.n_steps + 1, config.settle_time, config.bands)
+    with CsvOutput(out_csv, CSV_HEADER, LOG_WIDTH) as csv:
+        run_closed_loop(config, metrics, csv)
+        text = preamble + metrics_to_text(metrics.result())
+        csv.finish()  # a formatting failure is raised here, before the metrics file is opened
+        with output_file(metrics_path, "w") as fh:
+            fh.write(text)
+            fh.flush()  # a full disk fails here, before --out is replaced
+            csv.commit()
+    return len(csv)
 
 
 def _cmd_simulate(args) -> int:
@@ -115,11 +119,12 @@ def _cmd_generate_trajectory(args) -> int:
         raise ConfigError(
             f"plant.kind: generate-trajectory needs the pendulum, got {config.plant_kind!r}"
         )
-    samples = generate_desired_trajectory(
-        config.trajectory_start, config.T, config.dt, config.plant_params
-    )
-    write_csv(args.out, TRAJECTORY_HEADER, samples.obj, 3)
-    print(f"wrote {len(samples)} samples to {args.out}")
+    with CsvOutput(args.out, TRAJECTORY_HEADER, 3) as csv:
+        generate_desired_trajectory(
+            config.trajectory_start, config.T, config.dt, config.plant_params, csv
+        )
+        csv.commit()
+    print(f"wrote {len(csv)} samples to {args.out}")
     return EXIT_OK
 
 

@@ -197,8 +197,8 @@ OBS_PARAMS = HolderGainParams(exponent=9.0 / 7.0, scale=1.5)
 CTRL_PARAMS = HolderGainParams(exponent=11.0 / 9.0, scale=0.35)
 _FILTER_PARAMS = HolderGainParams(exponent=7.0 / 5.0, scale=2.0, weight=2.1)
 
-# The longest horizon accepted, in ticks.  simulate holds about 250 bytes a tick, the log
-# row and compute_metrics' lists of floats, so a run at the limit needs about 2.5 GB.
+# The longest horizon accepted, in ticks.  simulate streams its rows and metrics, so its
+# memory does not grow with the horizon; the limit bounds its time, about 10 us a tick.
 MAX_STEPS = 10_000_000
 
 

@@ -22,18 +22,18 @@ import itertools
 import math
 import operator
 import os
-import shutil
 import signal
 import struct
 import tempfile
 from array import array
-from typing import BinaryIO, Dict, Iterator, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .config import ConfigError, SimConfig
 from .fts_core import Pair, from_verify
 from .output_filter import filter_update
 from .plant_models import (
     DivergenceError,
+    SINK_ROWS,
     PendulumPlant,
     SyntheticUlmPlant,
     desired_samples,
@@ -54,7 +54,7 @@ CSV_HEADER = (
 )
 # What generate-trajectory writes and trajectory source 'file' reads.
 TRAJECTORY_HEADER = "t,x_d,theta_d"
-CSV_BLOCK_ROWS = 256  # rows a block in write_csv: fast, and memory stays flat
+CSV_BLOCK_ROWS = SINK_ROWS  # rows a block of the CSV writer and of run_closed_loop's sinks
 
 
 @contextlib.contextmanager
@@ -72,56 +72,172 @@ def output_file(path: str, mode: str) -> Iterator:
         raise
 
 
-def write_csv(path: str, header: str, table: array, width: int) -> None:
-    """Write header, then table's rows of width floats, every float as `%.17g`.
+# The head of each payload on the pipe to the formatting child: whether the payload is
+# text to write as it is (else rows of floats to format), and its length in bytes
+_FRAME = struct.Struct("=?Q")
 
-    table is one flat row-major array('d').  It is written in blocks of
-    CSV_BLOCK_ROWS rows, each cut into width strided array('d') columns.  Where
-    os.fork exists and there are two or more blocks, a forked child formats the
-    second half of the blocks into an anonymous temporary file while this
-    process formats the first half, and the child's text is appended after it;
-    otherwise this process formats both halves.  Either way each process holds
-    one block's text at a time.  A child that fails raises OSError here.  A
-    write that fails removes the partial file, as output_file does.
+
+class CsvOutput:
+    """A CSV file written a block of rows at a time, that replaces path only on commit().
+
+    Each write() takes a flat row-major array('d') of whole rows of width floats,
+    every float written as `%.17g` under the header line.  The text goes to a
+    temporary file beside the file path resolves to, which commit() renames onto
+    it; leaving the `with` block without commit() kills and reaps the child,
+    removes the temporary file and leaves path as it was.  A path that exists and
+    is not a regular file (/dev/null, a pipe) is written in place.
+
+    Where os.fork exists, the first write that holds a full block of
+    CSV_BLOCK_ROWS rows forks one child, which formats the floats it reads from
+    a pipe while this process goes on.  Whenever the child still has two blocks
+    to format, this process formats the next block itself and sends its text,
+    which the child writes in its place, so the two share the work.  Without
+    os.fork, or for a shorter table, this process formats each block as it
+    arrives.  A child that fails is an OSError with the child's message.  len()
+    is the rows written so far.
     """
-    n_blocks = -(-len(table) // (width * CSV_BLOCK_ROWS))
-    half = n_blocks // 2
-    with output_file(path, "wb") as fh:
-        fh.write(f"{header}\n".encode())
-        if half == 0 or not hasattr(os, "fork"):
-            _write_blocks(fh, table, width, range(n_blocks))
+
+    def __init__(self, path: str, header: str, width: int) -> None:
+        self.path, self.width, self.rows = path, width, 0
+        target = os.path.realpath(path)
+        self._pid = self._blocks = self._replies = None
+        self._unformatted, self._message = 0, b""  # the child's unformatted blocks; its message
+        if os.path.exists(target) and not os.path.isfile(target):
+            self._target = self._tmp = None
+            self._fh = open(target, "wb")
+        else:
+            fd, self._tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                             prefix=f".{os.path.basename(target)}.")
+            self._target, self._fh = target, open(fd, "wb")
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(self._tmp, 0o666 & ~umask)  # what open(path, "w") gives, not 0600
+        self._fh.write(f"{header}\n".encode())
+
+    def __enter__(self) -> "CsvOutput":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            self._wait()
+        self._fh.close()
+        if self._tmp is not None:
+            os.remove(self._tmp)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def write(self, block: array) -> None:
+        self.rows += len(block) // self.width
+        full = len(block) >= self.width * CSV_BLOCK_ROWS
+        if self._pid is None and full and hasattr(os, "fork"):
+            self._fork()
+        if self._pid is None:
+            self._fh.writelines(_block_texts(block, self.width))
             return
-        with tempfile.TemporaryFile() as tail:
-            pid = os.fork()
-            if pid == 0:
-                # the child never returns into the caller, so it flushes no
-                # inherited buffer and runs no atexit hook
-                code = 1
-                try:
-                    _write_blocks(tail, table, width, range(half, n_blocks))
-                    tail.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            try:
-                _write_blocks(fh, table, width, range(half))
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                _, status = os.waitpid(pid, 0)
+        self._unformatted -= self._read_replies().count(0)
+        is_text = self._unformatted >= 2
+        if is_text:
+            data = b"".join(_block_texts(block, self.width))
+        else:
+            data, self._unformatted = block.tobytes(), self._unformatted + 1
+        try:
+            self._blocks.write(_FRAME.pack(is_text, len(data)))
+            self._blocks.write(data)
+        except BrokenPipeError:
+            self.finish()  # the child has gone: its own failure is the one raised
+            raise
+
+    def finish(self) -> None:
+        """Wait until every row written is in the file; raise if its formatting failed."""
+        if self._pid is not None:
+            status = self._wait()
             if status != 0:
-                raise OSError(f"{path}: the process formatting CSV blocks {half}.."
-                              f"{n_blocks - 1} exited with {os.waitstatus_to_exitcode(status)}")
-            tail.seek(0)
-            shutil.copyfileobj(tail, fh)
+                message = self._message.decode(errors="replace")
+                raise OSError(f"{self.path}: "
+                              f"{message or f'the process formatting it exited with {status}'}")
+        self._fh.close()
+
+    def commit(self) -> None:
+        """finish(), then put the file in place of path."""
+        self.finish()
+        if self._tmp is not None:
+            os.replace(self._tmp, self._target)
+            self._tmp = None
+
+    def _fork(self) -> None:
+        self._fh.flush()  # the header, so that neither process writes it again
+        blocks_r, blocks_w = os.pipe()
+        replies_r, replies_w = os.pipe()
+        with contextlib.suppress(ImportError, AttributeError, OSError):
+            import fcntl  # Linux: room for several blocks, so that this process seldom waits
+
+            fcntl.fcntl(blocks_w, fcntl.F_SETPIPE_SZ, 1 << 20)
+        pid = os.fork()
+        if pid == 0:
+            # the child never returns into the caller, so it flushes no
+            # inherited buffer and runs no atexit hook; it replies a NUL for each
+            # block it has formatted, and on failure its message
+            code = 1
+            try:
+                os.close(blocks_w)
+                os.close(replies_r)
+                with open(blocks_r, "rb") as blocks:
+                    while frame := blocks.read(_FRAME.size):
+                        is_text, size = _FRAME.unpack(frame)
+                        data = blocks.read(size)
+                        if is_text:
+                            self._fh.write(data)
+                        else:
+                            self._fh.writelines(_block_texts(array("d", data), self.width))
+                            os.write(replies_w, b"\0")
+                self._fh.flush()
+                code = 0
+            except BaseException as exc:
+                os.write(replies_w, str(exc).encode()[:4096])
+            finally:
+                os._exit(code)
+        os.close(blocks_r)
+        os.close(replies_w)
+        os.set_blocking(replies_r, False)
+        self._pid, self._replies, self._blocks = pid, replies_r, open(blocks_w, "wb")
+
+    def _read_replies(self) -> bytes:
+        """What the child has replied since the last call; its message is kept aside."""
+        data = b""
+        with contextlib.suppress(BlockingIOError):
+            while chunk := os.read(self._replies, 1 << 16):
+                data += chunk
+        self._message += data.replace(b"\0", b"")
+        return data
+
+    def _wait(self) -> int:
+        """Close the pipe, which ends the child's input, and reap the child: its exit
+        code; its message, if any, is then in self._message."""
+        with contextlib.suppress(BrokenPipeError):  # the child has gone
+            self._blocks.close()
+        _, status = os.waitpid(self._pid, 0)
+        self._read_replies()
+        os.close(self._replies)
+        self._pid = self._blocks = self._replies = None
+        return os.waitstatus_to_exitcode(status)
 
 
-def _write_blocks(fh: BinaryIO, table: array, width: int, indices: range) -> None:
+def write_csv(path: str, header: str, table: array, width: int) -> None:
+    """Write header, then table's rows of width floats, every float as `%.17g`,
+    through CsvOutput: path is replaced only once every row is written."""
+    with CsvOutput(path, header, width) as out:
+        out.write(table)
+        out.commit()
+
+
+def _block_texts(table: array, width: int) -> Iterator[bytes]:
+    """The text of table's rows, CSV_BLOCK_ROWS at a time, each block cut into width
+    strided columns."""
     step = width * CSV_BLOCK_ROWS
-    for start in map(step.__mul__, indices):
-        columns = [table[start + j:start + step:width] for j in range(width)]
-        fh.write(_block_text(columns).encode())
+    for start in range(0, len(table), step):
+        yield _block_text([table[start + j:start + step:width] for j in range(width)]).encode()
 
 
 def _block_text(columns: Sequence[array]) -> str:
@@ -158,6 +274,10 @@ class SimLog:
 
     def __len__(self) -> int:
         return len(self.rows) // LOG_WIDTH
+
+    def write(self, block: array) -> None:
+        """Append a block of rows: the log is run_closed_loop's sink when it is given none."""
+        self.rows += block
 
     def to_csv(self, path: str) -> None:
         """Write the log with the fixed header and 17-significant-digit floats."""
@@ -198,14 +318,18 @@ def _desired_trajectory(config: SimConfig, count: int) -> Iterator[Pair]:
     return zip(table[1::3], table[2::3])
 
 
-def run_closed_loop(config: SimConfig) -> SimLog:
-    """Run one deterministic closed-loop experiment and return its log.
+def run_closed_loop(config: SimConfig, *sinks):
+    """Run one deterministic closed-loop experiment; return its last sink, by default a SimLog.
 
-    Every signal in the loop is a pair of floats.  Raises DivergenceError
-    when the plant or a generated desired trajectory diverges, with the
-    failing tick as its step_index, DomainError when a signal turns
-    non-finite, and ConfigError on inconsistent configuration.
+    The rows of the log (see SimLog) are handed to each sink's write(), in
+    turn, as flat array('d') blocks of CSV_BLOCK_ROWS rows, the last one
+    shorter, each as soon as it is full, and are then dropped.  Every signal in
+    the loop is a pair of floats.  Raises DivergenceError when the plant or a
+    generated desired trajectory diverges, with the failing tick as its
+    step_index, DomainError when a signal turns non-finite, and ConfigError on
+    inconsistent configuration.
     """
+    sinks = sinks or (SimLog(array("d")),)
     plant = _build_plant(config)
     nu = plant.nu
     n_steps = config.n_steps
@@ -225,7 +349,8 @@ def run_closed_loop(config: SimConfig) -> SimLog:
 
     # one CSV_HEADER row a tick, F_hat as before the update; packed bytes
     # append in a third of the time array.extend takes for a tuple
-    log, pack = array("d"), struct.Struct(f"{LOG_WIDTH}d").pack
+    block, pack, block_len = array("d"), struct.Struct(f"{LOG_WIDTH}d").pack, \
+        LOG_WIDTH * CSV_BLOCK_ROWS
     for k in range(n_records):
         t, y = dt * k, plant.output
         eta = noise_sample(t, config.noise) if config.noise is not None else zero
@@ -267,57 +392,137 @@ def run_closed_loop(config: SimConfig) -> SimLog:
         # the header's columns by name: pack takes them a third faster than *-unpacked pairs
         (x, th), (x_m, th_m), (x_h, th_h), (x_d, th_d) = y, y_meas, y_hat, y_d
         (F1, F2), (Fh1, Fh2), (u1, u2) = F_rec, F_seen, u
-        log.frombytes(pack(t, x, th, x_m, th_m, x_h, th_h, x_d, th_d, x - x_d, th - th_d,
-                           F1, F2, Fh1, Fh2, Fh1 - F1, Fh2 - F2, u1, u2))
-    return SimLog(log)
+        block.frombytes(pack(t, x, th, x_m, th_m, x_h, th_h, x_d, th_d, x - x_d, th - th_d,
+                             F1, F2, Fh1, Fh2, Fh1 - F1, Fh2 - F2, u1, u2))
+        if len(block) == block_len or k == n_steps:
+            for sink in sinks:
+                sink.write(block)
+            block = array("d")
+    return sinks[-1]
 
 
 def compute_metrics(log: SimLog, settle_time: float, bands: Sequence[float]) -> Dict[str, float]:
-    """Steady-state metrics of a run.
+    """SteadyState's metrics of a whole log."""
+    metrics = SteadyState(len(log), settle_time, bands)
+    metrics.write(log.rows)
+    return metrics.result()
 
-    Returns max |.| and RMS of each tracking-error and estimation-error
+
+class SteadyState:
+    """Steady-state metrics of a run of n rows, fed its log a block at a time.
+
+    result() gives max |.| and RMS of each tracking-error and estimation-error
     channel over t > settle_time, plus the first time each tracking channel
     enters its band and stays there (NaN if it never settles).  The RMS sums
     in NumPy's order, so each value equals np.sqrt(np.mean(post * post)) bit
-    for bit.
+    for bit.  Each write() takes whole CSV_HEADER rows, and what is kept
+    between writes does not grow with n.
     """
-    n, rows = len(log), log.rows
-    t = rows[0::LOG_WIDTH]
-    # t = dt*k does not decrease with k, so the ticks after settle_time are a suffix
-    first = bisect.bisect_right(t, settle_time)
-    if first == n:
-        raise ConfigError(
-            f"no samples after settle_time={settle_time} (horizon {t[-1]})"
-        )
-    band = dict(zip(("ex", "etheta"), bands))
-    out: Dict[str, float] = {}
-    columns = CSV_HEADER.split(",")
-    for name in ("ex", "etheta", "eF1", "eF2"):
-        sig = rows[columns.index(name)::LOG_WIDTH].tolist()
-        post = sig[first:]
-        out[f"max_abs_{name}"] = max(map(abs, post))
-        out[f"rms_{name}"] = math.sqrt(_pairwise_sum([v * v for v in post]) / len(post))
-        if name in band:
-            # the first tick from which the channel never leaves the band again
-            outside = (k for k in range(n - 1, -1, -1) if not abs(sig[k]) <= band[name])
-            last_out = next(outside, -1)
-            out[f"settle_{name}"] = math.nan if last_out == n - 1 else t[last_out + 1]
-    return out
+
+    _CHANNELS = ("ex", "etheta", "eF1", "eF2")
+
+    def __init__(self, n: int, settle_time: float, bands: Sequence[float]) -> None:
+        self.n, self.settle_time, self.seen, self.t_last = n, settle_time, 0, None
+        columns = CSV_HEADER.split(",")
+        self._columns = [columns.index(name) for name in self._CHANNELS]
+        self._bands = tuple(bands)  # of ex and etheta, the first two channels
+        self._max = [0.0] * len(self._CHANNELS)
+        self._sums = None  # a _PairwiseSum a channel, from the first row past settle_time
+        # a tracking channel's settle time: the t of the row after its last row
+        # outside the band, None while that row is still to come
+        self._settle = [None] * len(self._bands)
+
+    def write(self, block: array) -> None:
+        t, first = block[0::LOG_WIDTH], 0
+        if self._sums is None:
+            # t = dt*k does not decrease with k, so the rows after settle_time are a
+            # suffix, whose length is known from its first row on
+            first = bisect.bisect_right(t, self.settle_time)
+            if first < len(t):
+                self._sums = [_PairwiseSum(self.n - self.seen - first) for _ in self._CHANNELS]
+        for c, column in enumerate(self._columns):
+            sig = block[column::LOG_WIDTH]
+            if self._sums is not None:
+                post = sig[first:]
+                self._max[c] = max(self._max[c], max(map(abs, post)))
+                self._sums[c].add([v * v for v in post])
+            if c < len(self._bands):
+                band = self._bands[c]
+                if self._settle[c] is None:
+                    self._settle[c] = t[0]
+                if not all(map(band.__ge__, map(abs, sig))):
+                    # the channel's last row outside the band
+                    last = next(k for k in range(len(t) - 1, -1, -1) if not abs(sig[k]) <= band)
+                    self._settle[c] = t[last + 1] if last + 1 < len(t) else None
+        self.seen += len(t)
+        self.t_last = t[-1]
+
+    def result(self) -> Dict[str, float]:
+        if self._sums is None:
+            raise ConfigError(
+                f"no samples after settle_time={self.settle_time} (horizon {self.t_last})"
+            )
+        out: Dict[str, float] = {}
+        for c, name in enumerate(self._CHANNELS):
+            out[f"max_abs_{name}"] = self._max[c]
+            total = self._sums[c]
+            out[f"rms_{name}"] = math.sqrt(total.sum() / total.n)
+            if c < len(self._bands):
+                out[f"settle_{name}"] = math.nan if self._settle[c] is None else self._settle[c]
+        return out
 
 
-def _pairwise_sum(x: Sequence[float]) -> float:
-    """x summed in the order of NumPy's float64 add.reduce: up to 128 values in
-    eight strided partial sums, longer runs split in two at a multiple of 8."""
+class _PairwiseSum:
+    """The sum of n values given in order, in the order of NumPy's float64
+    add.reduce, held as one leaf of at most 128 values and a stack of partial sums.
+
+    NumPy sums up to 128 values in eight strided partial sums, and splits a
+    longer run in two at a multiple of 8.  That tree depends on n alone, so its
+    leaves are summed as they fill and joined as each subtree completes.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._leaves = _leaves(n)
+        self._size, self._joins = next(self._leaves)
+        self._leaf, self._stack = [], []
+
+    def add(self, values: List[float]) -> None:
+        leaf, stack = self._leaf, self._stack
+        leaf += values
+        while len(leaf) >= self._size:
+            stack.append(_leaf_sum(leaf[:self._size]))
+            del leaf[:self._size]
+            for _ in range(self._joins):
+                right = stack.pop()
+                stack[-1] += right
+            self._size, self._joins = next(self._leaves, (math.inf, 0))
+
+    def sum(self) -> float:
+        return self._stack[0]
+
+
+def _leaves(n: int, joins: int = 0) -> Iterator[Tuple[int, int]]:
+    """The leaves of NumPy's summation tree over n values, in order: each leaf's
+    length, and how many subtrees it completes as their right-hand part."""
+    if n <= 128:
+        yield n, joins
+        return
+    half = n // 2 - n // 2 % 8
+    yield from _leaves(half)
+    yield from _leaves(n - half, joins + 1)
+
+
+def _leaf_sum(x: Sequence[float]) -> float:
+    """x summed as NumPy sums a leaf of at most 128 values: in eight strided
+    partial sums, or from 0.0 in order when x is shorter than 8."""
     n = len(x)
     if n < 8:
         return functools.reduce(operator.add, x, 0.0)
-    if n <= 128:
-        m = n - n % 8
-        r = [functools.reduce(operator.add, x[j:m:8]) for j in range(8)]
-        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return functools.reduce(operator.add, x[m:], head)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+    m = n - n % 8
+    r = [functools.reduce(operator.add, x[j:m:8]) for j in range(8)]
+    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(operator.add, x[m:], head)
 
 
 def metrics_to_text(metrics: Dict[str, float]) -> str:

@@ -2,9 +2,11 @@
 
 import copy
 import errno
+import functools
 import hashlib
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -798,10 +800,10 @@ class TestSweep:
 
 
 class TestCsvChild:
-    """The forked child that formats the second half of the CSV blocks: it is
+    """The forked child that formats the CSV blocks it reads from a pipe: it is
     always reaped, and its failure is one line of output error, exit 1."""
 
-    # 1101 rows: five blocks, of which the child formats blocks 2 to 4
+    # 1101 rows: five blocks, which the child formats while the loop runs
     T = 11.0
 
     def _config(self, tmp_path) -> str:
@@ -839,25 +841,32 @@ class TestCsvChild:
         config, out_csv = self._config(tmp_path), tmp_path / "run.csv"
         assert cli.main(["simulate", "--config", config, "--out", str(out_csv)]) == 0
         capsys.readouterr()
-        parent, block_text, calls = os.getpid(), sim_harness._block_text, []
+        previous = out_csv.read_bytes()
+        parent, block_text, write, calls = (
+            os.getpid(), sim_harness._block_text, sim_harness.CsvOutput.write, [])
 
-        def fails_in_parent(columns):
+        def sleeps_in_child(columns):
             if os.getpid() != parent:
                 time.sleep(60)  # only a kill ends the child within the bound below
-            elif calls:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            calls.append(1)
             return block_text(columns)
 
-        monkeypatch.setattr(sim_harness, "_block_text", fails_in_parent)
+        def fails_on_the_second_block(self, block):
+            calls.append(1)
+            if len(calls) == 2:  # the child holds the first block
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(self, block)
+
+        monkeypatch.setattr(sim_harness, "_block_text", sleeps_in_child)
+        monkeypatch.setattr(sim_harness.CsvOutput, "write", fails_on_the_second_block)
         t0 = time.monotonic()
         rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
         assert time.monotonic() - t0 < 30
         assert (rc, out) == (cli.EXIT_CONFIG, "")
-        _one_line(err, "output error:")
+        assert "No space left on device" in _one_line(err, "output error:")
         _no_child_left()
-        # the file the run before wrote is overwritten, and the partial file removed
-        assert not out_csv.exists()
+        # the file the run before wrote is left as it was, and the temporary file removed
+        assert out_csv.read_bytes() == previous
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv", "run.csv.metrics"]
 
     def test_each_line_printed_once_when_stdout_is_a_file(self, tmp_path):
         # a file makes stdout block-buffered (PYTHONUNBUFFERED unset), so a child
@@ -882,10 +891,10 @@ class TestCsvChild:
 
 
 class TestFailedWrite:
-    """A CSV write that fails removes the partial --out file and the metrics file,
-    and nothing but a regular file is ever removed."""
+    """A CSV write that fails leaves --out as it was, opens no metrics file and
+    removes its temporary file; a device is never removed."""
 
-    # 1601 rows: seven blocks, of which this process formats blocks 0 to 2
+    # 1601 rows: seven blocks; the third that a process formats fails
     T = 16.0
 
     @pytest.fixture
@@ -932,21 +941,24 @@ class TestFailedWrite:
                      "--out", str(tmp_path / "traj.csv"))
         assert sorted(os.listdir(tmp_path)) == ["config.yaml"]
 
-    def test_symbolic_link_out_removes_its_target(self, tmp_path, capsys, enospc_on_third_block):
+    def test_symbolic_link_out_keeps_its_target(self, tmp_path, capsys, enospc_on_third_block):
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
         target.write_text("old\n")
         link.symlink_to(target)
         doc = _doc("paper_experiment.yaml", T=self.T)
         self._failed(capsys, "generate-trajectory", "--config", _write(tmp_path, doc),
                      "--out", str(link))
-        assert not target.exists() and link.is_symlink()  # no partial text, the link left
+        # no partial text, the link left
+        assert target.read_text() == "old\n" and link.is_symlink()
 
     def test_device_out_is_never_removed(self, tmp_path, capsys, enospc_on_third_block,
                                          removed):
+        # /dev/null is written in place, and the metrics file is opened only after the CSV
         metrics = tmp_path / "m.txt"
         self._failed(capsys, "simulate", "--config", _write(tmp_path, _short_constant(T=self.T)),
                      "--out", os.devnull, "--metrics-out", str(metrics))
-        assert removed == [str(metrics)]
+        assert removed == [] and not metrics.exists()
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_unwritable_metrics_out_never_touches_out(self, tmp_path, capsys, removed):
         rc, out, err = _main(
@@ -956,6 +968,165 @@ class TestFailedWrite:
         assert (rc, out) == (cli.EXIT_CONFIG, "")
         assert "No such file or directory" in _one_line(err, "output error:")
         assert removed == []
+
+
+class TestReplaceNeverTruncate:
+    """--out is replaced only once the run, its CSV and its metrics file have all been
+    written: any failure leaves a previous --out byte-identical, and no temporary file
+    is left beside it.  A symbolic link's target is what is replaced; /dev/null is
+    written in place, never replaced or removed."""
+
+    T = 16.0  # 1601 rows: seven blocks
+
+    def _config(self, tmp_path) -> str:
+        return _write(tmp_path, _short_constant(T=self.T))
+
+    @staticmethod
+    def _old(path: Path) -> bytes:
+        path.write_text("old\n")
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("error", ["divergence", "domain"])
+    def test_numerical_failure_after_streamed_blocks(self, tmp_path, capsys, monkeypatch,
+                                                     error):
+        config, out_csv = self._config(tmp_path), tmp_path / "run.csv"
+        old, write, blocks = self._old(out_csv), sim_harness.CsvOutput.write, []
+        step, true_F = plant_models.SyntheticUlmPlant.step, plant_models.SyntheticUlmPlant.true_F
+
+        def counted(self, block):
+            blocks.append(len(block))
+            return write(self, block)
+
+        def diverges(self, u):
+            if self.k == 600:
+                raise plant_models.DivergenceError("plant diverged at step 600", step_index=600)
+            return step(self, u)
+
+        monkeypatch.setattr(sim_harness.CsvOutput, "write", counted)
+        if error == "divergence":
+            monkeypatch.setattr(plant_models.SyntheticUlmPlant, "step", diverges)
+        else:
+            monkeypatch.setattr(plant_models.SyntheticUlmPlant, "true_F",
+                                lambda self, k: (math.nan, 0.0) if k >= 600 else true_F(self, k))
+        rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
+        assert (rc, out) == (cli.EXIT_NUMERICAL, "")
+        _one_line(err, "numerical failure:")
+        assert len(blocks) == 2  # ticks 0 to 511 were streamed before the failure
+        _no_child_left()
+        assert out_csv.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
+
+    def test_failing_child(self, tmp_path, capsys, monkeypatch):
+        config, out_csv = self._config(tmp_path), tmp_path / "run.csv"
+        old, parent, block_text = self._old(out_csv), os.getpid(), sim_harness._block_text
+
+        def fails_in_child(columns):
+            if os.getpid() != parent:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return block_text(columns)
+
+        monkeypatch.setattr(sim_harness, "_block_text", fails_in_child)
+        rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert _one_line(err, "output error:").endswith(f"{out_csv}: [Errno 5] Input/output error")
+        _no_child_left()
+        assert out_csv.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
+
+    def test_unwritable_metrics_out(self, tmp_path, capsys):
+        config, out_csv = self._config(tmp_path), tmp_path / "run.csv"
+        old = self._old(out_csv)
+        rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv),
+                             "--metrics-out", str(tmp_path / "no" / "such" / "m.txt"))
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert "No such file or directory" in _one_line(err, "output error:")
+        _no_child_left()
+        assert out_csv.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
+
+    def test_success_replaces_out_and_leaves_no_temporary_file(self, tmp_path, capsys):
+        config, out_csv = self._config(tmp_path), tmp_path / "run.csv"
+        self._old(out_csv)
+        rc, _, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert out_csv.read_text().count("\n") == 1602  # the header and 1601 rows
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv", "run.csv.metrics"]
+
+    def test_symbolic_link_target_replaced_on_success(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        target, link, plain = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "a.csv"
+        self._old(target)
+        link.symlink_to(target)
+        for out_csv in (plain, link):
+            rc, _, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv),
+                               "--metrics-out", str(tmp_path / "m.txt"))
+            assert (rc, err) == (cli.EXIT_OK, "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == [
+            "a.csv", "config.yaml", "link.csv", "m.txt", "target.csv"]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "failing-child"])
+    def test_device_is_never_replaced_or_removed(self, tmp_path, capsys, monkeypatch, fails):
+        touched = []
+        for name in ("replace", "rename", "remove", "unlink"):
+            monkeypatch.setattr(os, name, functools.partial(
+                lambda fn, *args, **kw: (touched.extend(args), fn(*args, **kw))[1],
+                getattr(os, name)))
+        parent, block_text = os.getpid(), sim_harness._block_text
+        if fails:
+            monkeypatch.setattr(sim_harness, "_block_text", lambda columns: (
+                block_text(columns) if os.getpid() == parent else 1 / 0))
+        rc, _, _ = _main(capsys, "simulate", "--config", self._config(tmp_path),
+                         "--out", os.devnull, "--metrics-out", str(tmp_path / "m.txt"))
+        assert rc == (cli.EXIT_CONFIG if fails else cli.EXIT_OK)
+        _no_child_left()
+        assert os.devnull not in touched and os.path.realpath(os.devnull) not in touched
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, capsys, umask):
+        # the mode open(path, "w") gives a new file, not mkstemp's 0600
+        config, out_csv, fresh = self._config(tmp_path), tmp_path / "run.csv", tmp_path / "fresh"
+        previous = os.umask(umask)
+        try:
+            rc, _, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
+            open(fresh, "w").close()
+        finally:
+            os.umask(previous)
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert stat.S_IMODE(out_csv.stat().st_mode) == stat.S_IMODE(fresh.stat().st_mode)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+
+
+# Prints the ru_maxrss of this process and of its largest child, in KiB, after cli.main
+_PEAKS = """
+import resource, sys
+from ftsmfc import cli
+assert cli.main(sys.argv[1:]) == 0
+print(*(resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+"""
+
+
+def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):
+    # simulate streams its rows, so ten times the ticks (7001 against 70 001) peak
+    # within 3 MB of each other, in this process and in the formatting child
+    src = str(Path(ftsmfc.__file__).resolve().parents[1])
+    peaks = []
+    for T in (70.0, 700.0):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAKS, "simulate",
+             "--config", _write(tmp_path, _doc("synthetic_constant.yaml", T=T)),
+             "--out", str(tmp_path / "run.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append([int(kib) / 1024 for kib in proc.stdout.splitlines()[-1].split()])
+    (self_70, child_70), (self_700, child_700) = peaks
+    assert child_70 > 0  # the formatting child ran
+    assert abs(self_700 - self_70) <= 3.0, peaks
+    assert abs(child_700 - child_70) <= 3.0, peaks
 
 
 class TestUsage:

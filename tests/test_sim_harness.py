@@ -29,6 +29,7 @@ from ftsmfc.sim_harness import (
     ConfigError,
     SimConfig,
     SimLog,
+    SteadyState,
     compute_metrics,
     metrics_to_text,
     run_closed_loop,
@@ -973,11 +974,20 @@ class TestComputeMetricsMatchesNumpy:
     """The RMS is a pairwise sum in np.mean's order (blocks of 128 with eight
     accumulators), so the lengths around 8, 128 and 256 change its shape."""
 
-    @pytest.mark.parametrize("post_len", [*range(1, 10), 127, 128, 129, 255, 256, 257,
-                                          1000, 7001, 12_345, 20_000])
-    def test_random_log_bit_identical(self, post_len):
+    # feed "log": compute_metrics on the whole log, after a random number of
+    # pre-settle rows.  The other feeds put the same kind of log through SteadyState
+    # in 256-row blocks, with settle_time just before a block's first row, inside a
+    # block, or just before a block's last row.
+    @pytest.mark.parametrize("post_len, feed", [
+        pytest.param(post_len, feed, id=str(post_len) if feed == "log" else f"{post_len}-{feed}")
+        for feed in ("log", "block-start", "block-inside", "block-end")
+        for post_len in [*range(1, 10), 127, 128, 129, 255, 256, 257, 1000, 7001, 12_345, 20_000]
+    ])
+    def test_random_log_bit_identical(self, post_len, feed):
         rng = np.random.default_rng(post_len)
-        n, dt = post_len + int(rng.integers(0, 50)), 0.01
+        pre = {"log": int(rng.integers(0, 50)), "block-start": 256, "block-inside": 300,
+               "block-end": 511}[feed]
+        n, dt = post_len + pre, 0.01
         # errors that decay over the run, so that the bands are crossed on the way
         scale = 10.0 ** rng.uniform(-3, 3) * np.exp(-np.arange(n) / (0.3 * n))[:, None]
         table = rng.standard_normal((n, 19)) * scale
@@ -985,7 +995,13 @@ class TestComputeMetricsMatchesNumpy:
         log = SimLog(array("d", table.tobytes()))
         settle_time = dt * (n - post_len - 0.5)
         bands = tuple(10.0 ** rng.uniform(-3, 3, 2))
-        got = compute_metrics(log, settle_time, bands)
+        if feed == "log":
+            got = compute_metrics(log, settle_time, bands)
+        else:
+            metrics, step = SteadyState(n, settle_time, bands), 256 * LOG_WIDTH
+            for start in range(0, len(log.rows), step):
+                metrics.write(log.rows[start:start + step])
+            got = metrics.result()
         assert _hex(got) == _hex(_numpy_metrics(log, settle_time, bands))
 
     @pytest.mark.parametrize("ex, settle", [
