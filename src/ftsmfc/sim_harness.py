@@ -84,8 +84,9 @@ class CsvOutput:
     every float written as `%.17g` under the header line.  The text goes to a
     temporary file beside the file path resolves to, which commit() renames onto
     it; leaving the `with` block without commit() kills and reaps the child,
-    removes the temporary file and leaves path as it was.  A path that exists and
-    is not a regular file (/dev/null, a pipe) is written in place.
+    removes the temporary file and leaves path as it was.  The new file takes an
+    existing file's mode.  A path that exists and is not a regular file
+    (/dev/null, a pipe) is written in place.
 
     Where os.fork exists, the first write that holds a full block of
     CSV_BLOCK_ROWS rows forks one child, which formats the floats it reads from
@@ -109,9 +110,13 @@ class CsvOutput:
             fd, self._tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                              prefix=f".{os.path.basename(target)}.")
             self._target, self._fh = target, open(fd, "wb")
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(self._tmp, 0o666 & ~umask)  # what open(path, "w") gives, not 0600
+            try:
+                mode = os.stat(target).st_mode & 0o7777  # an existing file keeps its mode
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask  # what open(path, "w") gives, not 0600
+            os.chmod(self._tmp, mode)
         self._fh.write(f"{header}\n".encode())
 
     def __enter__(self) -> "CsvOutput":

@@ -3,13 +3,19 @@ NumPy arrays: the one module that imports NumPy when it is imported.  fts_core
 and sim_harness bind its public names on first use (PEP 562), so `simulate`,
 `generate-trajectory` and `sweep` never load it.  The suites call package
 functions through their modules (`fts_core.holder_gain`, ...), so a wrapper put
-on a module attribute sees every call.
+on a module attribute sees every call made in this process.  The suites whose
+runs are independent hand half of them to a forked child (`_in_two`), whose
+calls such a wrapper does not see.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
+import os
+import pickle
+import signal
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -254,15 +260,74 @@ def _slices(rng: np.random.Generator, skip: int, n: int, low: float, high: float
     return (copied.uniform(low, high, min(_CHUNK, n - i)) for i in range(0, n, _CHUNK))
 
 
-def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
-    n, every = 1_000_000, 10_000
+def _in_two(fn: Callable, inputs: list) -> list:
+    """[fn(x) for x in inputs], the second half computed by a forked child.
+
+    The child runs only where os.fork exists, there are two inputs or more and
+    this process may use two CPUs.  It sends its pickled list through a pipe and
+    ends with os._exit, so it flushes no inherited buffer and runs no atexit
+    hook.  An exception raised in the child is raised here with its type and
+    message; a child that ends without a result is a ChildProcessError.  If this
+    process raises meanwhile, KeyboardInterrupt included, it kills and reaps the
+    child first.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if len(inputs) < 2 or cpus < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in inputs]
+    half = len(inputs) // 2
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                data = pickle.dumps((True, [fn(x) for x in inputs[half:]]))
+            except Exception as exc:
+                data = pickle.dumps((False, exc))
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    with open(r, "rb") as pipe:
+        try:
+            head = [fn(x) for x in inputs[:half]]
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:  # 0 only once the whole result is written
+        how = (f"was killed by signal {-status} ({signal.strsignal(-status)})" if status < 0
+               else f"exited with status {status}")
+        raise ChildProcessError(f"the process computing the second half of the runs {how}")
+    ok, tail = pickle.loads(data)
+    if not ok:
+        raise tail
+    return head + tail
+
+
+def _halves(n: int) -> List[Tuple[int, int]]:
+    """Indices 0..n-1 as two ranges split at a multiple of _CHUNK, so that each
+    range's slices are the slices of the whole."""
+    mid = n // 2 // _CHUNK * _CHUNK
+    return [(0, mid), (mid, n)]
+
+
+def _gamma_range(rng: np.random.Generator, n: int, every: int, span: Tuple[int, int]):
+    """The worst gap of the gamma identity over the draws in span of each of r, lam
+    and V, and those draws at the indices in span that are multiples of every."""
+    start, stop = span
     # r, lam and V are draws 0..n-1, n..2n-1 and 2n..3n-1 of rng's stream (one
-    # 64-bit output a double); rng then moves on as if it had drawn all three
-    draws = [_slices(rng, k * n, n, low, high)
+    # 64-bit output a double)
+    draws = [_slices(rng, k * n + start, stop - start, low, high)
              for k, (low, high) in enumerate(((1.01, 1.99), (-3, 3), (-6, 6)))]
-    rng.bit_generator.advance(3 * n)
     worst, spots = 0.0, ([], [], [])
-    for i, r, lam, V in zip(range(0, n, _CHUNK), *draws):
+    for i, r, lam, V in zip(range(start, stop, _CHUNK), *draws):
         np.power(10.0, lam, out=lam)
         np.power(10.0, V, out=V)
         gamma, D, x = _gamma_oracle(r, lam, V)
@@ -270,6 +335,14 @@ def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
         worst = float(np.maximum(worst, diff.max()))  # a NaN stays, and fails
         for spot, a in zip(spots, (r, lam, V)):  # the draws at indices 0, every, 2*every, ...
             spot.extend(a[-i % every::every].tolist())
+    return worst, spots
+
+
+def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
+    n, every = 1_000_000, 10_000
+    (w0, s0), (w1, s1) = _in_two(functools.partial(_gamma_range, rng, n, every), _halves(n))
+    rng.bit_generator.advance(3 * n)  # rng moves on as if it had drawn r, lam and V
+    worst, spots = float(np.maximum(w0, w1)), [a + b for a, b in zip(s0, s1)]
     results = [PropertyResult("gamma identity vs (1-D^2)V^a", n, worst, worst <= 1e-12)]
     # spot-check the vectorized oracle against the public functions
     gamma, D, _ = _gamma_oracle(*map(np.array, spots))
@@ -296,11 +369,13 @@ def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
     return results
 
 
-def _suite_rho(rng: np.random.Generator) -> List[PropertyResult]:
-    n = 1_000_000
+def _rho_range(rng: np.random.Generator, span: Tuple[int, int]):
+    """The worst gap of the two forms of rho over draws start..stop-1, and whether
+    all of them lie in [1, 2]."""
+    start, stop = span
     worst, in_range = 0.0, True
-    for i in range(0, n, _CHUNK):  # the same stream as one draw of n
-        z = np.power(10.0, rng.uniform(-6, 0, min(_CHUNK, n - i)))
+    for u in _slices(rng, start, stop - start, -6, 0):
+        z = np.power(10.0, u)
         stable = 1.0 + np.sqrt(1.0 - z)
         # the quotient form loses ~6 digits to cancellation near zeta = 1e-6 in
         # double precision; evaluate it in extended precision for the comparison
@@ -309,6 +384,14 @@ def _suite_rho(rng: np.random.Generator) -> List[PropertyResult]:
         diff = np.abs(stable - quotient) / stable
         worst = float(np.maximum(worst, diff.max()))
         in_range &= bool(np.all((stable >= 1.0) & (stable <= 2.0)))
+    return worst, in_range
+
+
+def _suite_rho(rng: np.random.Generator) -> List[PropertyResult]:
+    n = 1_000_000
+    (w0, in0), (w1, in1) = _in_two(functools.partial(_rho_range, rng), _halves(n))
+    rng.bit_generator.advance(n)  # the same stream as one draw of n
+    worst, in_range = float(np.maximum(w0, w1)), in0 and in1
     return [
         PropertyResult("stable vs quotient form", n, worst, worst <= 1e-12),
         PropertyResult("range [1,2]", n, 0.0, in_range),
@@ -363,24 +446,31 @@ def _uniform_pair(rng: np.random.Generator, low: float, high: float) -> Pair:
     return v0, v1
 
 
-def _suite_observer1(rng: np.random.Generator, n: int = 50) -> List[PropertyResult]:
-    worst_err = 0.0
+def _observer1_run(run: Tuple[Pair, Pair]) -> Tuple[float, float]:
+    """One constant disturbance and an estimate off by d: the error left and the
+    worst gap between the observer and the error recursion."""
+    F_const, (d0, d1) = run
+    c0, c1 = F_const
+    F_hat = (c0 + d0, c1 + d1)
+    e_pred = (F_hat[0] - c0, F_hat[1] - c1)
     worst_ident = 0.0
-    for _ in range(n):
-        c0, c1 = F_const = _uniform_pair(rng, -5, 5)
-        d0, d1 = _uniform_pair(rng, -10, 10)
-        F_hat = (c0 + d0, c1 + d1)
-        e_pred = (F_hat[0] - c0, F_hat[1] - c1)
-        for _ in range(_CONVERGENCE_BUDGET):
-            # error recursion evaluated independently of the state update
-            g = fts_core.holder_gain(e_pred, OBS_PARAMS)
-            e_pred = (g * e_pred[0], g * e_pred[1])
-            F_hat = ulm_observer.first_order_update(F_hat, F_const, OBS_PARAMS)
-            e0, e1 = F_hat[0] - c0, F_hat[1] - c1
-            worst_ident = max(worst_ident, abs(e0 - e_pred[0]), abs(e1 - e_pred[1]))
-            if math.hypot(e0, e1) < _CONVERGENCE_TOL:
-                break
-        worst_err = max(worst_err, math.hypot(e0, e1))
+    for _ in range(_CONVERGENCE_BUDGET):
+        # error recursion evaluated independently of the state update
+        g = fts_core.holder_gain(e_pred, OBS_PARAMS)
+        e_pred = (g * e_pred[0], g * e_pred[1])
+        F_hat = ulm_observer.first_order_update(F_hat, F_const, OBS_PARAMS)
+        e0, e1 = F_hat[0] - c0, F_hat[1] - c1
+        worst_ident = max(worst_ident, abs(e0 - e_pred[0]), abs(e1 - e_pred[1]))
+        if math.hypot(e0, e1) < _CONVERGENCE_TOL:
+            break
+    return math.hypot(e0, e1), worst_ident
+
+
+def _suite_observer1(rng: np.random.Generator, n: int = 50) -> List[PropertyResult]:
+    runs = [(_uniform_pair(rng, -5, 5), _uniform_pair(rng, -10, 10)) for _ in range(n)]
+    done = _in_two(_observer1_run, runs)
+    worst_err = max(0.0, *(err for err, _ in done))
+    worst_ident = max(0.0, *(ident for _, ident in done))
     return [
         PropertyResult(
             "constant-disturbance rejection below 1e-9", n, worst_err,
@@ -392,36 +482,42 @@ def _suite_observer1(rng: np.random.Generator, n: int = 50) -> List[PropertyResu
     ]
 
 
+# the level error is driven by the difference error's slow tail
+# (quasi-static balance ||e_F|| ~ (scale*||e_delta||/2)^(9/13) for these
+# gains), so it gets a larger budget and a looser threshold
+_LEVEL_TOL = 1e-7
+
+
+def _observer2_run(run: Tuple[Pair, Pair]) -> Tuple[float, float]:
+    """One ramp of slope d and an initial estimate F_hat: the level and difference
+    errors left."""
+    (d0, d1), F_hat = run
+    dF_hat, F_prev = (0.0, 0.0), None
+    eF = eD = math.inf
+    for k in range(4 * _CONVERGENCE_BUDGET):
+        F_k = (k * d0, k * d1)
+        F_hat, dF_hat = ulm_observer.second_order_update(
+            F_hat, dF_hat, F_prev, F_k, OBS_PARAMS
+        )
+        F_prev = F_k
+        # after absorbing sample k the estimate predicts sample k+1
+        eF = math.hypot(F_hat[0] - (k + 1) * d0, F_hat[1] - (k + 1) * d1)
+        eD = math.hypot(dF_hat[0] - d0, dF_hat[1] - d1)
+        if eF < _LEVEL_TOL and eD < _CONVERGENCE_TOL:
+            break
+    return eF, eD
+
+
 def _suite_observer2(rng: np.random.Generator, n: int = 20) -> List[PropertyResult]:
-    worst_eF = 0.0
-    worst_eD = 0.0
-    # the level error is driven by the difference error's slow tail
-    # (quasi-static balance ||e_F|| ~ (scale*||e_delta||/2)^(9/13) for these
-    # gains), so it gets a larger budget and a looser threshold
-    budget = 4 * _CONVERGENCE_BUDGET
-    level_tol = 1e-7
-    for _ in range(n):
-        d0, d1 = _uniform_pair(rng, -0.05, 0.05)
-        F_hat, dF_hat, F_prev = _uniform_pair(rng, -5, 5), (0.0, 0.0), None
-        eF = eD = math.inf
-        for k in range(budget):
-            F_k = (k * d0, k * d1)
-            F_hat, dF_hat = ulm_observer.second_order_update(
-                F_hat, dF_hat, F_prev, F_k, OBS_PARAMS
-            )
-            F_prev = F_k
-            # after absorbing sample k the estimate predicts sample k+1
-            eF = math.hypot(F_hat[0] - (k + 1) * d0, F_hat[1] - (k + 1) * d1)
-            eD = math.hypot(dF_hat[0] - d0, dF_hat[1] - d1)
-            if eF < level_tol and eD < _CONVERGENCE_TOL:
-                break
-        worst_eF = max(worst_eF, eF)
-        worst_eD = max(worst_eD, eD)
+    runs = [(_uniform_pair(rng, -0.05, 0.05), _uniform_pair(rng, -5, 5)) for _ in range(n)]
+    done = _in_two(_observer2_run, runs)
+    worst_eF = max(0.0, *(eF for eF, _ in done))
+    worst_eD = max(0.0, *(eD for _, eD in done))
     return [
         PropertyResult("ramp rejection: difference error", n, worst_eD,
                        worst_eD < _CONVERGENCE_TOL),
         PropertyResult("ramp rejection: estimation error", n, worst_eF,
-                       worst_eF < level_tol),
+                       worst_eF < _LEVEL_TOL),
     ]
 
 
@@ -465,34 +561,47 @@ def _suite_control(rng: np.random.Generator, n: int = 20) -> List[PropertyResult
     ]
 
 
+_DRIFT_SETTLE = 1500  # the steps before the ultimate bound is checked
+
+
+def _robustness_run(run: tuple) -> Tuple[int, float, int]:
+    """One disturbance F drifting by B a step along the (n, 2) array steps, from an
+    estimate off by d: the steps whose error grows outside the neighbourhood, and
+    after settling the worst margin and the steps outside the bound."""
+    B, F, (d0, d1), steps = run
+    F_hat = (F[0] + d0, F[1] + d1)
+    norm, worst = math.inf, 0.0
+    decrease_bad = violations = 0
+    for k, (s0, s1) in enumerate(steps.tolist()):
+        prev_norm = norm
+        r = B / math.hypot(s0, s1)
+        F = (F[0] + s0 * r, F[1] + s1 * r)
+        F_hat = ulm_observer.first_order_update(F_hat, F, OBS_PARAMS)
+        e = (F_hat[0] - F[0], F_hat[1] - F[1])
+        norm = math.hypot(*e)
+        gain = fts_core.holder_gain(e, OBS_PARAMS)
+        margin = decrease_radius(gain) * norm
+        if margin > B and norm > prev_norm + 1e-12:
+            decrease_bad += 1
+        if k >= _DRIFT_SETTLE:
+            worst = max(worst, margin)
+            if margin > B:
+                violations += 1
+    return decrease_bad, worst, violations
+
+
 def _suite_robustness(rng: np.random.Generator) -> List[PropertyResult]:
+    drifts, n_runs, n_steps = (0.01, 0.1), 20, 3000
+    # F, d and the steps (the same stream as one (2,) draw a step) of every run, in turn
+    runs = [(B, tuple(rng.standard_normal(2).tolist()), _uniform_pair(rng, -3, 3),
+             rng.standard_normal((n_steps, 2))) for B in drifts for _ in range(n_runs)]
+    done = _in_two(_robustness_run, runs)
     results = []
-    for B in (0.01, 0.1):
-        n_runs, n_steps, n_settle = 20, 3000, 1500
-        violations = 0
-        decrease_bad = 0
-        worst = 0.0
-        for _ in range(n_runs):
-            F = tuple(rng.standard_normal(2).tolist())
-            d0, d1 = _uniform_pair(rng, -3, 3)
-            F_hat = (F[0] + d0, F[1] + d1)
-            norm = math.inf
-            # the same stream as one (2,) draw a step
-            for k, (s0, s1) in enumerate(rng.standard_normal((n_steps, 2)).tolist()):
-                prev_norm = norm
-                r = B / math.hypot(s0, s1)
-                F = (F[0] + s0 * r, F[1] + s1 * r)
-                F_hat = ulm_observer.first_order_update(F_hat, F, OBS_PARAMS)
-                e = (F_hat[0] - F[0], F_hat[1] - F[1])
-                norm = math.hypot(*e)
-                gain = fts_core.holder_gain(e, OBS_PARAMS)
-                margin = decrease_radius(gain) * norm
-                if margin > B and norm > prev_norm + 1e-12:
-                    decrease_bad += 1
-                if k >= n_settle:
-                    worst = max(worst, margin)
-                    if margin > B:
-                        violations += 1
+    for i, B in enumerate(drifts):
+        part = done[i * n_runs:(i + 1) * n_runs]
+        decrease_bad = sum(bad for bad, _, _ in part)
+        worst = max(0.0, *(run_worst for _, run_worst, _ in part))
+        violations = sum(run_violations for _, _, run_violations in part)
         results.append(
             PropertyResult(
                 f"decrease outside neighborhood (drift {B})", n_runs * n_steps,
@@ -502,7 +611,7 @@ def _suite_robustness(rng: np.random.Generator) -> List[PropertyResult]:
         results.append(
             PropertyResult(
                 f"ultimate-bound membership (drift {B})",
-                n_runs * (n_steps - n_settle), worst / B, violations == 0,
+                n_runs * (n_steps - _DRIFT_SETTLE), worst / B, violations == 0,
                 note="margin is worst (1-|gain|)*||e||/B after settling",
             )
         )

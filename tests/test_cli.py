@@ -1098,6 +1098,22 @@ class TestReplaceNeverTruncate:
         assert stat.S_IMODE(out_csv.stat().st_mode) == stat.S_IMODE(fresh.stat().st_mode)
         assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
 
+    @pytest.mark.parametrize("command", ["simulate", "generate-trajectory"])
+    def test_existing_out_keeps_its_mode(self, tmp_path, capsys, command):
+        config = (self._config(tmp_path) if command == "simulate" else
+                  _write(tmp_path, _doc("paper_experiment.yaml", T=1.0)))
+        out_csv = tmp_path / "run.csv"
+        self._old(out_csv)
+        out_csv.chmod(0o600)
+        previous = os.umask(0o022)
+        try:
+            rc, _, err = _main(capsys, command, "--config", config, "--out", str(out_csv))
+        finally:
+            os.umask(previous)
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert out_csv.read_text() != "old\n"
+        assert stat.S_IMODE(out_csv.stat().st_mode) == 0o600
+
 
 # Prints the ru_maxrss of this process and of its largest child, in KiB, after cli.main
 _PEAKS = """

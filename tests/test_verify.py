@@ -1,8 +1,12 @@
 """ftsmfc.verify in slices: the streamed draws, the block-wise recursion and verifiers,
-the suites' memory and the pinned margins."""
+the suites' memory and the pinned margins; the runs split between two processes."""
 
 import dataclasses
 import json
+import os
+import signal
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -77,9 +81,10 @@ def test_observer_suite_pinned(suite, n):
     assert [r.worst_margin.hex() for r in results] == OBSERVER_PINNED[suite, n]
 
 
-@pytest.mark.parametrize("suite", ["control", "gamma", "holder", "lemma1", "rho"])
+@pytest.mark.parametrize("suite", ["control", "gamma", "holder", "lemma1", "rho", "robustness"])
 def test_results_hold_builtins(suite):
-    # what a JSON report of the suites will write
+    # what a JSON report of the suites will write; the split suites' results come
+    # through pickle, which would keep an np.float64
     for result in verify.verify_suite(suite).results:
         fields = dataclasses.asdict(result)
         assert {k: type(v) for k, v in fields.items()} == {
@@ -209,3 +214,97 @@ def test_gamma_oracle_same_in_slices_and_gathered():
     for k, out in enumerate(whole):
         assert np.concatenate([p[k] for p in parts]).tobytes() == out.tobytes()
         assert gathered[k].tobytes() == out[idx].tobytes()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """_in_two forks whatever the host's CPU count; returns this process's pid."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return os.getpid()
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_in_two_keeps_input_order(two_cpus, n):
+    got = verify._in_two(lambda x: (x * x, os.getpid()), list(range(n)))
+    assert [square for square, _ in got] == [x * x for x in range(n)]
+    # the second half, if there are two inputs or more, comes from a child
+    assert [pid == two_cpus for _, pid in got] == [n < 2 or x < n // 2 for x in range(n)]
+    _no_child_left()
+
+
+def test_in_two_raises_the_childs_exception(two_cpus):
+    def fn(x):
+        if x == 3 and os.getpid() != two_cpus:
+            raise verify.DomainError(f"input {x} lies outside the domain")
+        return x
+
+    with pytest.raises(verify.DomainError, match="^input 3 lies outside the domain$"):
+        verify._in_two(fn, [0, 1, 2, 3])
+    _no_child_left()
+
+
+def test_in_two_names_the_signal_that_killed_the_child(two_cpus):
+    def fn(x):
+        if os.getpid() != two_cpus:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(ChildProcessError, match=f"killed by signal {signal.SIGKILL.value} "):
+        verify._in_two(fn, [0, 1, 2, 3])
+    _no_child_left()
+
+
+def test_in_two_kills_the_child_when_this_process_raises(two_cpus):
+    def fn(x):
+        if os.getpid() != two_cpus:
+            time.sleep(60)
+        elif x == 1:
+            raise KeyboardInterrupt
+        return x
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        verify._in_two(fn, [0, 1, 2, 3])
+    assert time.perf_counter() - t0 < 30
+    _no_child_left()
+
+
+def test_in_two_without_fork(two_cpus, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert verify._in_two(lambda x: (x + 1, os.getpid()), [1, 2, 3]) == [
+        (2, two_cpus), (3, two_cpus), (4, two_cpus)]
+
+
+def test_in_two_flushes_no_inherited_buffer(two_cpus, capfd, monkeypatch):
+    # a block-buffered stdout, as when it is a pipe or a file
+    with open(os.dup(1), "w", buffering=1 << 16) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("written once")  # still in the buffer at the fork
+        assert verify._in_two(abs, [-1, -2, -3]) == [1, 2, 3]
+    assert capfd.readouterr().out == "written once\n"
+
+
+# The split suites: the report of each, with the fork and without it
+SPLIT = [("gamma", 1), ("rho", 1), ("robustness", 20240811), ("observer1", 5), ("observer2", 3)]
+
+
+def _split_report(suite, arg):
+    if suite.startswith("observer"):
+        results = getattr(verify, f"_suite_{suite}")(np.random.default_rng(20240811), n=arg)
+        report = verify.SuiteReport(suite, tuple(results))
+    else:
+        report = verify.verify_suite(suite, arg)
+    return report.format(), [r.worst_margin.hex() for r in report.results]
+
+
+@pytest.mark.parametrize("suite, arg", SPLIT, ids=[s for s, _ in SPLIT])
+def test_split_suite_same_with_and_without_fork(two_cpus, monkeypatch, suite, arg):
+    forked = _split_report(suite, arg)
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert _split_report(suite, arg) == forked
