@@ -3,9 +3,9 @@ NumPy arrays: the one module that imports NumPy when it is imported.  fts_core
 and sim_harness bind its public names on first use (PEP 562), so `simulate`,
 `generate-trajectory` and `sweep` never load it.  The suites call package
 functions through their modules (`fts_core.holder_gain`, ...), so a wrapper put
-on a module attribute sees every call made in this process.  The suites whose
-runs are independent hand half of them to a forked child (`_in_two`), whose
-calls such a wrapper does not see.
+on a module attribute sees every call made in this process.  Every suite but
+`control` splits its independent runs by predicted cost between this process and
+a forked child (`_in_two`), whose calls such a wrapper does not see.
 """
 
 from __future__ import annotations
@@ -260,22 +260,33 @@ def _slices(rng: np.random.Generator, skip: int, n: int, low: float, high: float
     return (copied.uniform(low, high, min(_CHUNK, n - i)) for i in range(0, n, _CHUNK))
 
 
-def _in_two(fn: Callable, inputs: list) -> list:
-    """[fn(x) for x in inputs], the second half computed by a forked child.
+def _in_two(fn: Callable, inputs: list, weight: Callable = lambda x: 1.0) -> list:
+    """[fn(x) for x in inputs], the inputs split by cost with a forked child.
 
-    The child runs only where os.fork exists, there are two inputs or more and
-    this process may use two CPUs.  It sends its pickled list through a pipe and
-    ends with os._exit, so it flushes no inherited buffer and runs no atexit
-    hook.  An exception raised in the child is raised here with its type and
-    message; a child that ends without a result is a ChildProcessError.  If this
-    process raises meanwhile, KeyboardInterrupt included, it kills and reaps the
-    child first.
+    weight(x) estimates one input's cost.  The inputs go out heaviest first, each to
+    the side with less weight so far, ties to this process: with equal weights the
+    sides alternate, and an input heavier than all the others together is this
+    process's alone.  Each side computes its inputs in input order, and the results
+    come back in input order.  The child runs only where os.fork exists, this
+    process may use two CPUs and the split leaves the child an input.  It sends its
+    pickled list through a pipe and ends with os._exit, so it flushes no inherited
+    buffer and runs no atexit hook.  An exception raised in the child is raised here
+    with its type and message; a child that ends without a result is a
+    ChildProcessError.  If this process raises meanwhile, KeyboardInterrupt
+    included, it kills and reaps the child first.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if len(inputs) < 2 or cpus < 2 or not hasattr(os, "fork"):
+    load, sides = [0.0, 0.0], ([], [])  # this process's, the child's
+    if cpus > 1 and hasattr(os, "fork"):
+        weights = [weight(x) for x in inputs]
+        for i in sorted(range(len(inputs)), key=weights.__getitem__, reverse=True):
+            side = int(load[1] < load[0])
+            load[side] += weights[i]
+            sides[side].append(i)
+    mine, theirs = sorted(sides[0]), sorted(sides[1])
+    if not theirs:
         return [fn(x) for x in inputs]
-    half = len(inputs) // 2
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -283,7 +294,7 @@ def _in_two(fn: Callable, inputs: list) -> list:
         try:
             os.close(r)
             try:
-                data = pickle.dumps((True, [fn(x) for x in inputs[half:]]))
+                data = pickle.dumps((True, [fn(inputs[i]) for i in theirs]))
             except Exception as exc:
                 data = pickle.dumps((False, exc))
             with open(w, "wb") as pipe:
@@ -294,7 +305,7 @@ def _in_two(fn: Callable, inputs: list) -> list:
     os.close(w)
     with open(r, "rb") as pipe:
         try:
-            head = [fn(x) for x in inputs[:half]]
+            head = [fn(inputs[i]) for i in mine]
             data = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -304,11 +315,14 @@ def _in_two(fn: Callable, inputs: list) -> list:
     if status:  # 0 only once the whole result is written
         how = (f"was killed by signal {-status} ({signal.strsignal(-status)})" if status < 0
                else f"exited with status {status}")
-        raise ChildProcessError(f"the process computing the second half of the runs {how}")
+        raise ChildProcessError(f"the process computing the child's share of the runs {how}")
     ok, tail = pickle.loads(data)
     if not ok:
         raise tail
-    return head + tail
+    done = [None] * len(inputs)
+    for i, result in zip(mine + theirs, head + tail):
+        done[i] = result
+    return done
 
 
 def _halves(n: int) -> List[Tuple[int, int]]:
@@ -338,10 +352,28 @@ def _gamma_range(rng: np.random.Generator, n: int, every: int, span: Tuple[int, 
     return worst, spots
 
 
+def _gamma_boundary(bounds: List[Pair]) -> float:
+    """The worst relative gap between gamma at gamma_zero_crossing and the scale,
+    over (exponent, scale) pairs."""
+    worst = 0.0
+    for exponent, scale in bounds:
+        p = HolderGainParams(exponent=exponent, scale=scale)
+        Vb = gamma_zero_crossing(p)
+        worst = max(worst, abs(fts_core.gamma_of_V(Vb, p) - p.scale) / p.scale)
+    return worst
+
+
 def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
-    n, every = 1_000_000, 10_000
-    (w0, s0), (w1, s1) = _in_two(functools.partial(_gamma_range, rng, n, every), _halves(n))
+    n, every, m = 1_000_000, 10_000, 1000
+    start = np.random.Generator(copy.deepcopy(rng.bit_generator))
     rng.bit_generator.advance(3 * n)  # rng moves on as if it had drawn r, lam and V
+    # then each boundary check's exponent and scale exponent in turn, one double a draw
+    bounds = [(e, 10.0 ** u) for e, u in rng.uniform((1.01, -2), (1.99, 2), (m, 2)).tolist()]
+    tasks = [functools.partial(_gamma_range, start, n, every, span) for span in _halves(n)]
+    tasks += [functools.partial(_gamma_boundary, bounds[:m // 2]),
+              functools.partial(_gamma_boundary, bounds[m // 2:])]
+    # alternating sides: each process draws one range and makes half the boundary checks
+    (w0, s0), (w1, s1), b0, b1 = _in_two(lambda task: task(), tasks)
     worst, spots = float(np.maximum(w0, w1)), [a + b for a, b in zip(s0, s1)]
     results = [PropertyResult("gamma identity vs (1-D^2)V^a", n, worst, worst <= 1e-12)]
     # spot-check the vectorized oracle against the public functions
@@ -355,14 +387,7 @@ def _suite_gamma(rng: np.random.Generator) -> List[PropertyResult]:
     results.append(
         PropertyResult("public-function cross-check", 100, worst, worst <= 1e-12)
     )
-    m = 1000
-    worst = 0.0
-    for i in range(m):
-        p = HolderGainParams(
-            exponent=float(rng.uniform(1.01, 1.99)), scale=float(10.0 ** rng.uniform(-2, 2))
-        )
-        Vb = gamma_zero_crossing(p)
-        worst = max(worst, abs(fts_core.gamma_of_V(Vb, p) - p.scale) / p.scale)
+    worst = max(b0, b1)  # the largest gap of either half, as one pass over both finds
     results.append(
         PropertyResult("gamma boundary equals scale", m, worst, worst <= 1e-12)
     )
@@ -402,27 +427,49 @@ def _suite_rho(rng: np.random.Generator) -> List[PropertyResult]:
     ]
 
 
-def _recursions(rng: np.random.Generator, n: int):
-    """n seeded runs of V+ = max(0, V - eta*V^alpha): (trace, N, eta, eps = eta^(1/(1-alpha)))."""
-    for _ in range(n):
-        V0 = 10.0 ** rng.uniform(-6, 6)
-        eta = rng.uniform(1e-3, 10.0)
-        alpha = rng.uniform(0.05, 0.95)
-        trace, N = fts_core.fts_recursion(V0, eta, alpha, max_steps=20_000_000)
-        yield trace, N, eta, eta ** (1.0 / (1.0 - alpha))
+_MAX_STEPS = 20_000_000
+
+
+def _recursion_runs(rng: np.random.Generator, n: int) -> List[Tuple[float, float, float]]:
+    """n seeded runs' (V0, eta, alpha) of V+ = max(0, V - eta*V^alpha), each run's
+    draws in turn (one double a draw)."""
+    draws = rng.uniform((-6, 1e-3, 0.05), (6, 10.0, 0.95), (n, 3)).tolist()
+    return [(10.0 ** u, eta, alpha) for u, eta, alpha in draws]
+
+
+def _predicted_steps(run: Tuple[float, float, float]) -> float:
+    """The steps fts_recursion takes from V0 to 0, by the continuous-time bound
+    V0^(1-alpha) / (eta*(1-alpha)), capped at _MAX_STEPS.  Within 0.25 % of N for
+    every lemma1 run with N >= 1000 at seeds 20240811, 1 and 7."""
+    V0, eta, alpha = run
+    return min(V0 ** (1.0 - alpha) / (eta * (1.0 - alpha)), _MAX_STEPS)
+
+
+def _recursion(run: Tuple[float, float, float]):
+    """One run's trace, its N and eps = eta^(1/(1-alpha))."""
+    V0, eta, alpha = run
+    trace, N = fts_core.fts_recursion(V0, eta, alpha, max_steps=_MAX_STEPS)
+    return trace, N, eta ** (1.0 / (1.0 - alpha))
+
+
+def _lemma1_run(run: Tuple[float, float, float]) -> Tuple[Optional[int], bool]:
+    """N, and whether a trace that reaches 0 meets the decrement/gain conditions."""
+    trace, N, eps = _recursion(run)
+    eta = run[1]
+    return N, N is None or fts_core.verify_fts_condition(trace, lambda V: eta, eps)
+
+
+def _holder_run(run: Tuple[float, float, float]) -> bool:
+    """Whether the run's trace meets the Holder-continuity bound."""
+    trace, _, eps = _recursion(run)
+    return fts_core.verify_holder_continuity(trace, eps)
 
 
 def _suite_lemma1(rng: np.random.Generator, n: int = 300) -> List[PropertyResult]:
-    worst_N = 0
-    all_finite = True
-    all_verified = True
-    for trace, N, eta, eps in _recursions(rng, n):
-        if N is None:
-            all_finite = False
-            continue
-        worst_N = max(worst_N, N)
-        if not fts_core.verify_fts_condition(trace, lambda V: eta, eps):
-            all_verified = False
+    done = _in_two(_lemma1_run, _recursion_runs(rng, n), _predicted_steps)
+    steps = [N for N, _ in done if N is not None]
+    worst_N, all_finite = max(steps, default=0), len(steps) == n
+    all_verified = all(verified for _, verified in done)
     return [
         PropertyResult("recursion reaches exactly 0", n, float(worst_N), all_finite,
                        note="margin is the largest step count"),
@@ -431,8 +478,7 @@ def _suite_lemma1(rng: np.random.Generator, n: int = 300) -> List[PropertyResult
 
 
 def _suite_holder(rng: np.random.Generator, n: int = 200) -> List[PropertyResult]:
-    ok = all(fts_core.verify_holder_continuity(trace, eps)
-             for trace, _, _, eps in _recursions(rng, n))
+    ok = all(_in_two(_holder_run, _recursion_runs(rng, n), _predicted_steps))
     return [PropertyResult("recursion traces are Holder-continuous", n, 0.0, ok)]
 
 

@@ -96,13 +96,15 @@ def test_results_hold_builtins(suite):
 @pytest.mark.parametrize("suite, seed, bound_mib",
                          [("gamma", 1, 2), ("rho", 1, 2), ("lemma1", 20240811, 4),
                           ("holder", 20240811, 4)], ids=["gamma", "rho", "lemma1", "holder"])
-def test_peak_memory(suite, seed, bound_mib):
-    # a few 8192-element slices of each array at a time: peaks of 0.9, 0.6, 2.6 and
-    # 2.7 MiB (gamma 1.6 when it is a process's first suite, which imports modules);
-    # the trace of 302 790 steps (2.3 MiB) that lemma1 and holder build sets their
-    # peaks.  Slices of 65 536 peaked at 7.3, 5.0, 4.2 and 4.5 MiB; holding the gamma
-    # and rho draws whole at 28.1 and 12.1, and that trace as a list of floats with
-    # whole-length temporaries at 12.0
+def test_peak_memory(monkeypatch, suite, seed, bound_mib):
+    # the whole suite in this process, where tracemalloc sees it: a few 8192-element
+    # slices of each array at a time, peaks of 1.0, 0.7, 2.6 and 2.7 MiB (gamma 1.6
+    # when it is a process's first suite, which imports modules); the trace of 302 790
+    # steps (2.3 MiB) that lemma1 and holder build sets their peaks.  Slices of 65 536
+    # peaked at 7.3, 5.0, 4.2 and 4.5 MiB; holding the gamma and rho draws whole at
+    # 28.1 and 12.1, and that trace as a list of floats with whole-length temporaries
+    # at 12.0
+    monkeypatch.delattr(os, "fork")
     tracemalloc.start()
     try:
         report = verify.verify_suite(suite, seed)
@@ -125,6 +127,30 @@ def test_sliced_draws_match_one_draw():
     rng.bit_generator.advance(3 * n)
     assert rng.bit_generator.state == one.bit_generator.state
     assert rng.uniform(-2, 2, 1000).tobytes() == one.uniform(-2, 2, 1000).tobytes()
+
+
+def test_recursion_runs_match_one_run_at_a_time():
+    # the reference: each run's V0, eta and alpha drawn in turn, as scalars
+    rng, one = np.random.default_rng(20240811), np.random.default_rng(20240811)
+    runs = [(10.0 ** one.uniform(-6, 6), one.uniform(1e-3, 10.0), one.uniform(0.05, 0.95))
+            for _ in range(300)]
+    got = verify._recursion_runs(rng, 300)
+    assert [tuple(map(float.hex, run)) for run in got] == [
+        tuple(map(float.hex, run)) for run in runs]
+    assert rng.bit_generator.state == one.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [20240811, 1, 7])
+def test_predicted_steps_match_the_recursion(seed):
+    # the split of lemma1 and holder weighs each run by its predicted steps; at the
+    # default seed one run of 302 790 steps outweighs the other 299 together
+    checked = 0
+    for run in verify._recursion_runs(np.random.default_rng(seed), 300):
+        _, N = verify.fts_recursion(*run, max_steps=verify._MAX_STEPS)
+        if N is not None and N >= 1000:
+            assert verify._predicted_steps(run) == pytest.approx(N, rel=0.01), run
+            checked += 1
+    assert checked >= 10
 
 
 def _list_recursion(V0, eta, alpha, max_steps):
@@ -232,8 +258,22 @@ def _no_child_left() -> None:
 def test_in_two_keeps_input_order(two_cpus, n):
     got = verify._in_two(lambda x: (x * x, os.getpid()), list(range(n)))
     assert [square for square, _ in got] == [x * x for x in range(n)]
-    # the second half, if there are two inputs or more, comes from a child
-    assert [pid == two_cpus for _, pid in got] == [n < 2 or x < n // 2 for x in range(n)]
+    # equal weights alternate: the odd inputs, if there are two inputs or more, go to a child
+    assert [pid == two_cpus for _, pid in got] == [x % 2 == 0 for x in range(n)]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("weights, here", [
+    ([1, 1, 1, 1, 1], [0, 2, 4]),  # ties go to this process, so equal weights alternate
+    ([1, 2, 30, 4, 5, 6], [2]),  # an input heavier than the rest together is alone
+    ([5, 4, 3, 3, 1], [0, 3]),  # heaviest first, each to the lighter side: 5+3 against 4+3+1
+    ([0, 0, 0], [0, 1, 2]),  # no weight at all leaves the child nothing, so no child runs
+], ids=["equal", "one-heavy", "greedy", "weightless"])
+def test_in_two_gives_each_input_to_the_lighter_side(two_cpus, weights, here):
+    inputs = [(i, w) for i, w in enumerate(weights)]
+    got = verify._in_two(lambda x: (x, os.getpid()), inputs, weight=lambda x: x[1])
+    assert [x for x, _ in got] == inputs  # in input order, whichever side computed them
+    assert [i for i, (_, pid) in enumerate(got) if pid == two_cpus] == here
     _no_child_left()
 
 
@@ -263,7 +303,7 @@ def test_in_two_kills_the_child_when_this_process_raises(two_cpus):
     def fn(x):
         if os.getpid() != two_cpus:
             time.sleep(60)
-        elif x == 1:
+        elif x == 2:
             raise KeyboardInterrupt
         return x
 
@@ -290,7 +330,8 @@ def test_in_two_flushes_no_inherited_buffer(two_cpus, capfd, monkeypatch):
 
 
 # The split suites: the report of each, with the fork and without it
-SPLIT = [("gamma", 1), ("rho", 1), ("robustness", 20240811), ("observer1", 5), ("observer2", 3)]
+SPLIT = [("gamma", 1), ("rho", 1), ("robustness", 20240811), ("observer1", 5), ("observer2", 3),
+         ("lemma1", 20240811), ("holder", 20240811)]
 
 
 def _split_report(suite, arg):
