@@ -30,9 +30,9 @@ from .sim_harness import (
     SUITE_NAMES,
     TRAJECTORY_HEADER,
     CsvOutput,
+    ReplacedFile,
     SteadyState,
     metrics_to_text,
-    output_file,
     run_closed_loop,
 )
 
@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "") -> int:
     """Run the closed loop, streaming its CSV log, then write its metrics file and put the
-    CSV in place of out_csv; return the record count.  A run or write that fails leaves an
-    existing out_csv as it was, and removes any metrics file it began."""
+    CSV in place of out_csv, then the metrics file in place of metrics_path; return the
+    record count.  A failure before that last rename leaves both files as they were."""
     if os.path.realpath(metrics_path) == os.path.realpath(out_csv):
         raise ConfigError(f"--metrics-out {metrics_path} names the --out file")
     metrics = SteadyState(config.n_steps + 1, config.settle_time, config.bands)
@@ -99,10 +99,11 @@ def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "")
         run_closed_loop(config, metrics, csv)
         text = preamble + metrics_to_text(metrics.result())
         csv.finish()  # a formatting failure is raised here, before the metrics file is opened
-        with output_file(metrics_path, "w") as fh:
-            fh.write(text)
-            fh.flush()  # a full disk fails here, before --out is replaced
+        with ReplacedFile(metrics_path) as out:
+            out.fh.write(text.encode())
+            out.fh.flush()  # a full disk fails here, before --out is replaced
             csv.commit()
+            out.commit()
     return len(csv)
 
 

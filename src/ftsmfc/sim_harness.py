@@ -22,11 +22,12 @@ import itertools
 import math
 import operator
 import os
+import pickle
 import signal
 import struct
 import tempfile
 from array import array
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .config import ConfigError, SimConfig
 from .fts_core import Pair, from_verify
@@ -57,19 +58,105 @@ TRAJECTORY_HEADER = "t,x_d,theta_d"
 CSV_BLOCK_ROWS = SINK_ROWS  # rows a block of the CSV writer and of run_closed_loop's sinks
 
 
-@contextlib.contextmanager
-def output_file(path: str, mode: str) -> Iterator:
-    """open(path, mode) for writing.  If the block raises or the close fails, the
-    partly written file is removed: only a regular file, the one a symbolic link
-    names in place of the link, and never a device such as /dev/null or a pipe."""
-    fh = open(path, mode)  # a path that cannot be opened is left as it was
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        if os.path.isfile(path):  # isfile follows a link
-            os.remove(os.path.realpath(path) if os.path.islink(path) else path)
-        raise
+class Child:
+    """job() run in a forked child process: result() gives back its return value,
+    or raises here the exception it raised, with its type and message.
+
+    The child first closes the descriptors in close, this process's ends of the
+    caller's other pipes, then sends job()'s return value or exception pickled
+    through a pipe of its own.  It leaves only through os._exit, so it flushes no
+    inherited buffer and runs no atexit hook.  A child that ends without a result
+    is a ChildProcessError naming its exit status or the signal that killed it.
+    When this process fails meanwhile, KeyboardInterrupt included, kill() kills
+    (SIGKILL) and reaps the child; it does nothing once result() has reaped it.
+    The child is reaped with os.wait4, and rusage then keeps its resource usage:
+    its CPU seconds and maximum RSS.
+    """
+
+    def __init__(self, job: Callable[[], object], close: Sequence[int] = ()) -> None:
+        self.rusage = None
+        r, w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                for fd in (r, *close):
+                    os.close(fd)
+                try:
+                    data = pickle.dumps((True, job()))
+                except Exception as exc:
+                    data = pickle.dumps((False, exc))
+                with open(w, "wb") as pipe:
+                    pipe.write(data)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        self._results = open(r, "rb")
+
+    def result(self):
+        """Wait for the child to end and reap it: job()'s return value, or its exception."""
+        data = self._results.read()
+        status = self._reap()
+        if status:  # 0 only once the whole result is written
+            how = (f"was killed by signal {-status} ({signal.strsignal(-status)})" if status < 0
+                   else f"exited with status {status}")
+            raise ChildProcessError(f"the forked child {how}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def kill(self) -> None:
+        if self.rusage is None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> int:
+        self._results.close()
+        _, status, self.rusage = os.wait4(self.pid, 0)
+        return os.waitstatus_to_exitcode(status)
+
+
+class ReplacedFile(contextlib.AbstractContextManager):
+    """A binary file, fh, written in place of the file path resolves to: a temporary
+    file beside that one, which commit() renames onto it.  Leaving the `with` block
+    without commit() removes the temporary file and leaves path as it was.  The new
+    file takes an existing file's mode.  A path that exists and is not a regular
+    file (/dev/null, a pipe) is written in place.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path, self._target = path, os.path.realpath(path)
+        if os.path.exists(self._target) and not os.path.isfile(self._target):
+            self._tmp, self.fh = None, open(self._target, "wb")
+        else:
+            fd, self._tmp = tempfile.mkstemp(dir=os.path.dirname(self._target),
+                                             prefix=f".{os.path.basename(self._target)}.")
+            self.fh = open(fd, "wb")
+            try:
+                mode = os.stat(self._target).st_mode & 0o7777  # an existing file keeps its mode
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask  # what open(path, "w") gives, not 0600
+            os.chmod(self._tmp, mode)
+
+    def __exit__(self, *exc_info) -> None:
+        self.fh.close()
+        if self._tmp is not None:
+            os.remove(self._tmp)
+
+    def finish(self) -> None:
+        """Close the file."""
+        self.fh.close()
+
+    def commit(self) -> None:
+        """finish(), then put the file in place of path."""
+        self.finish()
+        if self._tmp is not None:
+            os.replace(self._tmp, self._target)
+            self._tmp = None
 
 
 # The head of each payload on the pipe to the formatting child: whether the payload is
@@ -77,58 +164,35 @@ def output_file(path: str, mode: str) -> Iterator:
 _FRAME = struct.Struct("=?Q")
 
 
-class CsvOutput:
-    """A CSV file written a block of rows at a time, that replaces path only on commit().
+class CsvOutput(ReplacedFile):
+    """A CSV file written a block of rows at a time, a ReplacedFile of path.
 
     Each write() takes a flat row-major array('d') of whole rows of width floats,
-    every float written as `%.17g` under the header line.  The text goes to a
-    temporary file beside the file path resolves to, which commit() renames onto
-    it; leaving the `with` block without commit() kills and reaps the child,
-    removes the temporary file and leaves path as it was.  The new file takes an
-    existing file's mode.  A path that exists and is not a regular file
-    (/dev/null, a pipe) is written in place.
-
-    Where os.fork exists, the first write that holds a full block of
-    CSV_BLOCK_ROWS rows forks one child, which formats the floats it reads from
-    a pipe while this process goes on.  Whenever the child still has two blocks
-    to format, this process formats the next block itself and sends its text,
-    which the child writes in its place, so the two share the work.  Without
-    os.fork, or for a shorter table, this process formats each block as it
-    arrives.  A child that fails is an OSError with the child's message.  len()
-    is the rows written so far.
+    every float written as `%.17g` under the header line.  Where os.fork exists,
+    the first write that holds a full block of CSV_BLOCK_ROWS rows forks one
+    child, which formats the floats it reads from a pipe while this process goes
+    on.  Whenever the child still has two blocks to format, this process formats
+    the next block itself and sends its text, which the child writes in its
+    place, so the two share the work.  Without os.fork, or for a shorter table,
+    this process formats each block as it arrives.  A child that fails is an
+    OSError with the child's message, and leaving the `with` block without
+    commit() also kills and reaps the child.  len() is the rows written so far;
+    child is the Child, None until one is forked.
     """
 
     def __init__(self, path: str, header: str, width: int) -> None:
-        self.path, self.width, self.rows = path, width, 0
-        target = os.path.realpath(path)
-        self._pid = self._blocks = self._replies = None
-        self._unformatted, self._message = 0, b""  # the child's unformatted blocks; its message
-        if os.path.exists(target) and not os.path.isfile(target):
-            self._target = self._tmp = None
-            self._fh = open(target, "wb")
-        else:
-            fd, self._tmp = tempfile.mkstemp(dir=os.path.dirname(target),
-                                             prefix=f".{os.path.basename(target)}.")
-            self._target, self._fh = target, open(fd, "wb")
-            try:
-                mode = os.stat(target).st_mode & 0o7777  # an existing file keeps its mode
-            except FileNotFoundError:
-                umask = os.umask(0)
-                os.umask(umask)
-                mode = 0o666 & ~umask  # what open(path, "w") gives, not 0600
-            os.chmod(self._tmp, mode)
-        self._fh.write(f"{header}\n".encode())
-
-    def __enter__(self) -> "CsvOutput":
-        return self
+        super().__init__(path)
+        self.width, self.rows, self.child = width, 0, None
+        self._unformatted = 0  # the blocks the child has still to format
+        self.fh.write(f"{header}\n".encode())
 
     def __exit__(self, *exc_info) -> None:
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            self._wait()
-        self._fh.close()
-        if self._tmp is not None:
-            os.remove(self._tmp)
+        if self.child is not None:
+            self.child.kill()  # unless finish() has reaped it
+            with contextlib.suppress(BrokenPipeError):  # the child has gone
+                self._blocks.close()
+            self._replies.close()
+        super().__exit__(*exc_info)
 
     def __len__(self) -> int:
         return self.rows
@@ -136,12 +200,12 @@ class CsvOutput:
     def write(self, block: array) -> None:
         self.rows += len(block) // self.width
         full = len(block) >= self.width * CSV_BLOCK_ROWS
-        if self._pid is None and full and hasattr(os, "fork"):
+        if self.child is None and full and hasattr(os, "fork"):
             self._fork()
-        if self._pid is None:
-            self._fh.writelines(_block_texts(block, self.width))
+        if self.child is None:
+            self.fh.writelines(_block_texts(block, self.width))
             return
-        self._unformatted -= self._read_replies().count(0)
+        self._unformatted -= len(self._replies.read() or b"")  # a NUL a block formatted
         is_text = self._unformatted >= 2
         if is_text:
             data = b"".join(_block_texts(block, self.width))
@@ -156,77 +220,45 @@ class CsvOutput:
 
     def finish(self) -> None:
         """Wait until every row written is in the file; raise if its formatting failed."""
-        if self._pid is not None:
-            status = self._wait()
-            if status != 0:
-                message = self._message.decode(errors="replace")
-                raise OSError(f"{self.path}: "
-                              f"{message or f'the process formatting it exited with {status}'}")
-        self._fh.close()
-
-    def commit(self) -> None:
-        """finish(), then put the file in place of path."""
-        self.finish()
-        if self._tmp is not None:
-            os.replace(self._tmp, self._target)
-            self._tmp = None
+        if self.child is not None and self.child.rusage is None:
+            with contextlib.suppress(BrokenPipeError):  # the child has gone
+                self._blocks.close()  # which ends the child's input
+            try:
+                self.child.result()
+            except Exception as exc:
+                raise OSError(f"{self.path}: {exc}") from exc
+            finally:  # not before: the child's last reply would fail with EPIPE
+                self._replies.close()
+        super().finish()
 
     def _fork(self) -> None:
-        self._fh.flush()  # the header, so that neither process writes it again
+        self.fh.flush()  # the header, so that neither process writes it again
         blocks_r, blocks_w = os.pipe()
         replies_r, replies_w = os.pipe()
         with contextlib.suppress(ImportError, AttributeError, OSError):
             import fcntl  # Linux: room for several blocks, so that this process seldom waits
 
             fcntl.fcntl(blocks_w, fcntl.F_SETPIPE_SZ, 1 << 20)
-        pid = os.fork()
-        if pid == 0:
-            # the child never returns into the caller, so it flushes no
-            # inherited buffer and runs no atexit hook; it replies a NUL for each
-            # block it has formatted, and on failure its message
-            code = 1
-            try:
-                os.close(blocks_w)
-                os.close(replies_r)
-                with open(blocks_r, "rb") as blocks:
-                    while frame := blocks.read(_FRAME.size):
-                        is_text, size = _FRAME.unpack(frame)
-                        data = blocks.read(size)
-                        if is_text:
-                            self._fh.write(data)
-                        else:
-                            self._fh.writelines(_block_texts(array("d", data), self.width))
-                            os.write(replies_w, b"\0")
-                self._fh.flush()
-                code = 0
-            except BaseException as exc:
-                os.write(replies_w, str(exc).encode()[:4096])
-            finally:
-                os._exit(code)
+        self.child = Child(functools.partial(self._format, blocks_r, replies_w),
+                           (blocks_w, replies_r))
         os.close(blocks_r)
         os.close(replies_w)
         os.set_blocking(replies_r, False)
-        self._pid, self._replies, self._blocks = pid, replies_r, open(blocks_w, "wb")
+        self._replies, self._blocks = open(replies_r, "rb", buffering=0), open(blocks_w, "wb")
 
-    def _read_replies(self) -> bytes:
-        """What the child has replied since the last call; its message is kept aside."""
-        data = b""
-        with contextlib.suppress(BlockingIOError):
-            while chunk := os.read(self._replies, 1 << 16):
-                data += chunk
-        self._message += data.replace(b"\0", b"")
-        return data
-
-    def _wait(self) -> int:
-        """Close the pipe, which ends the child's input, and reap the child: its exit
-        code; its message, if any, is then in self._message."""
-        with contextlib.suppress(BrokenPipeError):  # the child has gone
-            self._blocks.close()
-        _, status = os.waitpid(self._pid, 0)
-        self._read_replies()
-        os.close(self._replies)
-        self._pid = self._blocks = self._replies = None
-        return os.waitstatus_to_exitcode(status)
+    def _format(self, blocks_r: int, replies_w: int) -> None:
+        """The child's job: write each payload it reads from blocks_r into the file,
+        and reply a NUL to replies_w for each block it has formatted."""
+        with open(blocks_r, "rb") as blocks:
+            while frame := blocks.read(_FRAME.size):
+                is_text, size = _FRAME.unpack(frame)
+                data = blocks.read(size)
+                if is_text:
+                    self.fh.write(data)
+                else:
+                    self.fh.writelines(_block_texts(array("d", data), self.width))
+                    os.write(replies_w, b"\0")
+        self.fh.flush()
 
 
 def write_csv(path: str, header: str, table: array, width: int) -> None:

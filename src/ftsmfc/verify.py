@@ -14,8 +14,6 @@ import copy
 import functools
 import math
 import os
-import pickle
-import signal
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -261,19 +259,14 @@ def _slices(rng: np.random.Generator, skip: int, n: int, low: float, high: float
 
 
 def _in_two(fn: Callable, inputs: list, weight: Callable = lambda x: 1.0) -> list:
-    """[fn(x) for x in inputs], the inputs split by cost with a forked child.
+    """[fn(x) for x in inputs], the inputs split by cost with a sim_harness.Child.
 
     weight(x) estimates one input's cost.  The inputs go out heaviest first, each to
     the side with less weight so far, ties to this process: with equal weights the
     sides alternate, and an input heavier than all the others together is this
     process's alone.  Each side computes its inputs in input order, and the results
     come back in input order.  The child runs only where os.fork exists, this
-    process may use two CPUs and the split leaves the child an input.  It sends its
-    pickled list through a pipe and ends with os._exit, so it flushes no inherited
-    buffer and runs no atexit hook.  An exception raised in the child is raised here
-    with its type and message; a child that ends without a result is a
-    ChildProcessError.  If this process raises meanwhile, KeyboardInterrupt
-    included, it kills and reaps the child first.
+    process may use two CPUs and the split leaves the child an input.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -287,38 +280,11 @@ def _in_two(fn: Callable, inputs: list, weight: Callable = lambda x: 1.0) -> lis
     mine, theirs = sorted(sides[0]), sorted(sides[1])
     if not theirs:
         return [fn(x) for x in inputs]
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            try:
-                data = pickle.dumps((True, [fn(inputs[i]) for i in theirs]))
-            except Exception as exc:
-                data = pickle.dumps((False, exc))
-            with open(w, "wb") as pipe:
-                pipe.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    with open(r, "rb") as pipe:
-        try:
-            head = [fn(inputs[i]) for i in mine]
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status:  # 0 only once the whole result is written
-        how = (f"was killed by signal {-status} ({signal.strsignal(-status)})" if status < 0
-               else f"exited with status {status}")
-        raise ChildProcessError(f"the process computing the child's share of the runs {how}")
-    ok, tail = pickle.loads(data)
-    if not ok:
-        raise tail
+    child = sim_harness.Child(lambda: [fn(inputs[i]) for i in theirs])
+    try:
+        head, tail = [fn(inputs[i]) for i in mine], child.result()
+    finally:
+        child.kill()
     done = [None] * len(inputs)
     for i, result in zip(mine + theirs, head + tail):
         done[i] = result

@@ -1115,6 +1115,62 @@ class TestReplaceNeverTruncate:
         assert stat.S_IMODE(out_csv.stat().st_mode) == 0o600
 
 
+class TestMetricsReplaced:
+    """--metrics-out is replaced like --out: its text goes to a temporary file beside
+    the file it names, which is put in place only after the CSV, so a failure leaves
+    a previous metrics file byte-identical and no temporary file."""
+
+    @pytest.mark.parametrize("T", [0.5, 16.0], ids=["in-process", "forked"])
+    def test_failed_csv_replace_keeps_the_previous_metrics(self, tmp_path, capsys,
+                                                            monkeypatch, T):
+        out_csv, metrics = tmp_path / "run.csv", tmp_path / "run.csv.metrics"
+        out_csv.write_text("old csv\n")
+        metrics.write_text("old metrics\n")
+        config, replace = _write(tmp_path, _short_constant(T=T)), os.replace
+
+        def fails_on_the_csv(src, dst, **kwargs):
+            if os.path.basename(dst) == "run.csv":
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+            return replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", fails_on_the_csv)
+        rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert "Permission denied" in _one_line(err, "output error:")
+        assert out_csv.read_bytes() == b"old csv\n"
+        assert metrics.read_bytes() == b"old metrics\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv", "run.csv.metrics"]
+
+    def test_existing_metrics_keep_their_mode_and_links(self, tmp_path, capsys):
+        target, link = tmp_path / "m.txt", tmp_path / "link.txt"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        link.symlink_to(target)
+        rc, _, err = _main(capsys, "simulate", "--config", _write(tmp_path, _short_constant()),
+                           "--out", str(tmp_path / "run.csv"), "--metrics-out", str(link))
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert link.is_symlink() and target.read_text().startswith("max_abs_eF1 = ")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "link.txt", "m.txt", "run.csv"]
+
+    def test_device_metrics_written_in_place(self, tmp_path, capsys):
+        rc, _, err = _main(capsys, "simulate", "--config", _write(tmp_path, _short_constant()),
+                           "--out", str(tmp_path / "run.csv"), "--metrics-out", os.devnull)
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
+
+
+def test_reaped_formatting_child_reports_its_cost(tmp_path, capsys, children):
+    # 1101 rows: the first full block of 256 forks the formatting child
+    rc, _, err = _main(capsys, "simulate", "--config", _write(tmp_path, _short_constant(T=11.0)),
+                       "--out", str(tmp_path / "run.csv"))
+    assert (rc, err) == (cli.EXIT_OK, "")
+    [child] = children
+    assert child.rusage.ru_utime + child.rusage.ru_stime > 0
+    assert child.rusage.ru_maxrss > 0
+
+
 # Prints the ru_maxrss of this process and of its largest child, in KiB, after cli.main
 _PEAKS = """
 import resource, sys

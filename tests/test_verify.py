@@ -329,6 +329,13 @@ def test_in_two_flushes_no_inherited_buffer(two_cpus, capfd, monkeypatch):
     assert capfd.readouterr().out == "written once\n"
 
 
+def test_reaped_child_reports_its_cost(two_cpus, children):
+    verify.verify_suite("rho", 1)
+    [child] = children  # half of the 10^6 draws
+    assert child.rusage.ru_utime + child.rusage.ru_stime > 0
+    assert child.rusage.ru_maxrss > 0
+
+
 # The split suites: the report of each, with the fork and without it
 SPLIT = [("gamma", 1), ("rho", 1), ("robustness", 20240811), ("observer1", 5), ("observer2", 3),
          ("lemma1", 20240811), ("holder", 20240811)]
