@@ -111,7 +111,7 @@ class HolderGainParams(Record):
     _fields = ("exponent", "scale", "weight")
 
     def __init__(self, exponent: float, scale: float, weight: WeightLike = None) -> None:
-        if not (math.isfinite(exponent) and 1.0 < exponent < 2.0):
+        if not 1.0 < exponent < 2.0:
             raise DomainError(f"exponent must lie strictly in ]1,2[, got {exponent}")
         if not (math.isfinite(scale) and scale > 0.0):
             raise DomainError(f"scale must be positive, got {scale}")
@@ -164,7 +164,7 @@ def robustness_radius(gain_value: float) -> float:
     1 + sqrt(1 - zeta); the quotient form is ill-conditioned as zeta -> 0.
     Result lies in [1, 2].
     """
-    if not (math.isfinite(gain_value) and -1.0 <= gain_value < 1.0):
+    if not -1.0 <= gain_value < 1.0:
         raise DomainError(f"gain_value must lie in [-1, 1), got {gain_value}")
     zeta = 1.0 - gain_value * gain_value
     return 1.0 + math.sqrt(1.0 - zeta)
@@ -178,7 +178,7 @@ def decrease_radius(gain_value: float) -> float:
     guaranteed to decrease whenever decrease_radius(gain)*||e|| > B.  Used by
     the verification suites as the factor that actually certifies decrease.
     """
-    if not (math.isfinite(gain_value) and -1.0 <= gain_value < 1.0):
+    if not -1.0 <= gain_value < 1.0:
         raise DomainError(f"gain_value must lie in [-1, 1), got {gain_value}")
     zeta = 1.0 - gain_value * gain_value
     return 1.0 - math.sqrt(1.0 - zeta)

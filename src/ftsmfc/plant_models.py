@@ -35,7 +35,7 @@ class DivergenceError(RuntimeError):
 
 DIVERGENCE_LIMIT = 1.0e6
 # Rows a block of a streamed table, as handed to a sink's write(): one block of the CSV
-# writer (sim_harness.CSV_BLOCK_ROWS), which is fast and keeps memory flat.
+# writer (sim_harness.CsvOutput), which is fast and keeps memory flat.
 SINK_ROWS = 256
 
 
@@ -117,19 +117,15 @@ def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
         yield y
 
 
-def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams, sink=None):
-    """The first n = floor(T/dt) + 1 samples of desired_samples as the rows (dt*k, x_d, theta_d)
-    of an (n, 3) view of one flat array('d') (its .obj), 24 bytes a sample; T >= 0, dt > 0.
-
-    Given a sink, the rows are handed to sink.write instead, as flat array('d') blocks of
-    SINK_ROWS rows (the last one shorter) as they are generated, and sink is returned.
+def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams, sink):
+    """Hand the first n = floor(T/dt) + 1 samples of desired_samples, as the rows
+    (dt*k, x_d, theta_d), to sink.write in flat array('d') blocks of SINK_ROWS rows (the
+    last one shorter) as they are generated; return sink.  T >= 0, dt > 0.
     """
     count = int(math.floor(T / dt)) + 1
     # range first: zip stops before it steps the plant past sample count - 1
     samples = zip(range(count), desired_samples(init, dt, params))
     rows = itertools.chain.from_iterable((dt * k, x, th) for k, (x, th) in samples)
-    if sink is None:
-        return memoryview(array("d", rows)).cast("B").cast("d", (count, 3))
     for block in iter(lambda: array("d", itertools.islice(rows, 3 * SINK_ROWS)), array("d")):
         sink.write(block)
     return sink

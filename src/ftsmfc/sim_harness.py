@@ -55,7 +55,6 @@ CSV_HEADER = (
 )
 # What generate-trajectory writes and trajectory source 'file' reads.
 TRAJECTORY_HEADER = "t,x_d,theta_d"
-CSV_BLOCK_ROWS = SINK_ROWS  # rows a block of the CSV writer and of run_closed_loop's sinks
 
 
 class Child:
@@ -169,13 +168,13 @@ class CsvOutput(ReplacedFile):
 
     Each write() takes a flat row-major array('d') of whole rows of width floats,
     every float written as `%.17g` under the header line.  Where os.fork exists,
-    the first write that holds a full block of CSV_BLOCK_ROWS rows forks one
-    child, which formats the floats it reads from a pipe while this process goes
-    on.  Whenever the child still has two blocks to format, this process formats
-    the next block itself and sends its text, which the child writes in its
-    place, so the two share the work.  Without os.fork, or for a shorter table,
-    this process formats each block as it arrives.  A child that fails is an
-    OSError with the child's message, and leaving the `with` block without
+    the first write that holds a full block of SINK_ROWS rows forks one child,
+    which formats the floats it reads from a pipe while this process goes on.
+    Whenever a whole block of floats is still unread in that pipe, this process
+    formats the next block itself and sends its text, which the child writes in
+    its place, so the two share the work.  Without os.fork, or for a shorter
+    table, this process formats each block as it arrives.  A child that fails is
+    an OSError with the child's message, and leaving the `with` block without
     commit() also kills and reaps the child.  len() is the rows written so far;
     child is the Child, None until one is forked.
     """
@@ -183,7 +182,6 @@ class CsvOutput(ReplacedFile):
     def __init__(self, path: str, header: str, width: int) -> None:
         super().__init__(path)
         self.width, self.rows, self.child = width, 0, None
-        self._unformatted = 0  # the blocks the child has still to format
         self.fh.write(f"{header}\n".encode())
 
     def __exit__(self, *exc_info) -> None:
@@ -191,7 +189,6 @@ class CsvOutput(ReplacedFile):
             self.child.kill()  # unless finish() has reaped it
             with contextlib.suppress(BrokenPipeError):  # the child has gone
                 self._blocks.close()
-            self._replies.close()
         super().__exit__(*exc_info)
 
     def __len__(self) -> int:
@@ -199,18 +196,14 @@ class CsvOutput(ReplacedFile):
 
     def write(self, block: array) -> None:
         self.rows += len(block) // self.width
-        full = len(block) >= self.width * CSV_BLOCK_ROWS
+        full = len(block) >= self.width * SINK_ROWS
         if self.child is None and full and hasattr(os, "fork"):
             self._fork()
         if self.child is None:
             self.fh.writelines(_block_texts(block, self.width))
             return
-        self._unformatted -= len(self._replies.read() or b"")  # a NUL a block formatted
-        is_text = self._unformatted >= 2
-        if is_text:
-            data = b"".join(_block_texts(block, self.width))
-        else:
-            data, self._unformatted = block.tobytes(), self._unformatted + 1
+        is_text = self._unread() >= 8 * len(block)
+        data = b"".join(_block_texts(block, self.width)) if is_text else block.tobytes()
         try:
             self._blocks.write(_FRAME.pack(is_text, len(data)))
             self._blocks.write(data)
@@ -227,28 +220,25 @@ class CsvOutput(ReplacedFile):
                 self.child.result()
             except Exception as exc:
                 raise OSError(f"{self.path}: {exc}") from exc
-            finally:  # not before: the child's last reply would fail with EPIPE
-                self._replies.close()
         super().finish()
 
     def _fork(self) -> None:
+        import fcntl  # POSIX modules, here where os.fork exists: Windows has neither
+        import termios
+
         self.fh.flush()  # the header, so that neither process writes it again
         blocks_r, blocks_w = os.pipe()
-        replies_r, replies_w = os.pipe()
-        with contextlib.suppress(ImportError, AttributeError, OSError):
-            import fcntl  # Linux: room for several blocks, so that this process seldom waits
-
+        # the bytes the child has still to read: Linux answers FIONREAD on the write end
+        self._unread = lambda: array("i", fcntl.ioctl(blocks_w, termios.FIONREAD, bytes(4)))[0]
+        with contextlib.suppress(AttributeError, OSError):
+            # Linux: room for several blocks, so that this process seldom waits
             fcntl.fcntl(blocks_w, fcntl.F_SETPIPE_SZ, 1 << 20)
-        self.child = Child(functools.partial(self._format, blocks_r, replies_w),
-                           (blocks_w, replies_r))
+        self.child = Child(functools.partial(self._format, blocks_r), (blocks_w,))
         os.close(blocks_r)
-        os.close(replies_w)
-        os.set_blocking(replies_r, False)
-        self._replies, self._blocks = open(replies_r, "rb", buffering=0), open(blocks_w, "wb")
+        self._blocks = open(blocks_w, "wb")
 
-    def _format(self, blocks_r: int, replies_w: int) -> None:
-        """The child's job: write each payload it reads from blocks_r into the file,
-        and reply a NUL to replies_w for each block it has formatted."""
+    def _format(self, blocks_r: int) -> None:
+        """The child's job: write each payload it reads from blocks_r into the file."""
         with open(blocks_r, "rb") as blocks:
             while frame := blocks.read(_FRAME.size):
                 is_text, size = _FRAME.unpack(frame)
@@ -257,22 +247,13 @@ class CsvOutput(ReplacedFile):
                     self.fh.write(data)
                 else:
                     self.fh.writelines(_block_texts(array("d", data), self.width))
-                    os.write(replies_w, b"\0")
         self.fh.flush()
 
 
-def write_csv(path: str, header: str, table: array, width: int) -> None:
-    """Write header, then table's rows of width floats, every float as `%.17g`,
-    through CsvOutput: path is replaced only once every row is written."""
-    with CsvOutput(path, header, width) as out:
-        out.write(table)
-        out.commit()
-
-
 def _block_texts(table: array, width: int) -> Iterator[bytes]:
-    """The text of table's rows, CSV_BLOCK_ROWS at a time, each block cut into width
-    strided columns."""
-    step = width * CSV_BLOCK_ROWS
+    """The text of table's rows, SINK_ROWS at a time, each block cut into width strided
+    columns."""
+    step = width * SINK_ROWS
     for start in range(0, len(table), step):
         yield _block_text([table[start + j:start + step:width] for j in range(width)]).encode()
 
@@ -317,8 +298,11 @@ class SimLog:
         self.rows += block
 
     def to_csv(self, path: str) -> None:
-        """Write the log with the fixed header and 17-significant-digit floats."""
-        write_csv(path, CSV_HEADER, self.rows, LOG_WIDTH)
+        """Write the log with the fixed header and 17-significant-digit floats, through
+        CsvOutput: path is replaced only once every row is written."""
+        with CsvOutput(path, CSV_HEADER, LOG_WIDTH) as out:
+            out.write(self.rows)
+            out.commit()
 
 
 def _build_plant(config: SimConfig):
@@ -359,7 +343,7 @@ def run_closed_loop(config: SimConfig, *sinks):
     """Run one deterministic closed-loop experiment; return its last sink, by default a SimLog.
 
     The rows of the log (see SimLog) are handed to each sink's write(), in
-    turn, as flat array('d') blocks of CSV_BLOCK_ROWS rows, the last one
+    turn, as flat array('d') blocks of SINK_ROWS rows, the last one
     shorter, each as soon as it is full, and are then dropped.  Every signal in
     the loop is a pair of floats.  Raises DivergenceError when the plant or a
     generated desired trajectory diverges, with the failing tick as its
@@ -387,7 +371,7 @@ def run_closed_loop(config: SimConfig, *sinks):
     # one CSV_HEADER row a tick, F_hat as before the update; packed bytes
     # append in a third of the time array.extend takes for a tuple
     block, pack, block_len = array("d"), struct.Struct(f"{LOG_WIDTH}d").pack, \
-        LOG_WIDTH * CSV_BLOCK_ROWS
+        LOG_WIDTH * SINK_ROWS
     for k in range(n_records):
         t, y = dt * k, plant.output
         eta = noise_sample(t, config.noise) if config.noise is not None else zero

@@ -546,15 +546,16 @@ def _suite_control(rng: np.random.Generator, n: int = 20) -> List[PropertyResult
         )
         F_hat = _uniform_pair(rng, -1, 1)  # frozen imperfect estimate
         y_d = _uniform_pair(rng, -1, 1)
-        e_F = np.subtract(F_hat, plant.true_F(plant.k))
+        e_F = [f_hat - f for f_hat, f in zip(F_hat, plant.true_F(plant.k))]
         y_next = plant.step(tracking_control.control_law_basic(y_d, F_hat, gains))
-        worst_basic = max(worst_basic, float(np.max(np.abs(np.subtract(y_next, y_d) + e_F))))
+        worst_basic = max(worst_basic, *(abs(y - r + e) for y, r, e in zip(y_next, y_d, e_F)))
 
         e_y = (plant.output[0] - y_d[0], plant.output[1] - y_d[1])
-        e_F = np.subtract(F_hat, plant.true_F(plant.k))
+        e_F = [f_hat - f for f_hat, f in zip(F_hat, plant.true_F(plant.k))]
         y_next = plant.step(tracking_control.control_law_fts(y_d, F_hat, e_y, gains))
-        predicted = fts_core.holder_gain(e_y, CTRL_PARAMS) * np.array(e_y) - e_F
-        worst_fts = max(worst_fts, float(np.max(np.abs(np.subtract(y_next, y_d) - predicted))))
+        g = fts_core.holder_gain(e_y, CTRL_PARAMS)
+        worst_fts = max(worst_fts, *(abs(y - r - (g * e - f))
+                                     for y, r, e, f in zip(y_next, y_d, e_y, e_F)))
 
         # perfect estimation: tracking error contracts to below tolerance
         e_y = _uniform_pair(rng, -5, 5)

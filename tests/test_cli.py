@@ -890,6 +890,36 @@ class TestCsvChild:
         ]
 
 
+class TestParentShare:
+    """While the formatting child still has a whole block of floats unread, the
+    parent formats the next block itself and sends its text in its place."""
+
+    T = 11.0  # 1101 rows: five blocks
+
+    def test_parent_formats_while_the_child_is_slow(self, tmp_path, capsys, monkeypatch):
+        config = _write(tmp_path, _short_constant(T=self.T))
+        parent, block_text, in_parent = os.getpid(), sim_harness._block_text, []
+
+        def slow_in_child(columns):
+            if os.getpid() == parent:
+                in_parent.append(len(columns[0]))
+            else:
+                time.sleep(0.2)  # the parent sends the next blocks meanwhile
+            return block_text(columns)
+
+        monkeypatch.setattr(sim_harness, "_block_text", slow_in_child)
+        rc, _, err = _main(capsys, "simulate", "--config", config,
+                           "--out", str(tmp_path / "shared.csv"))
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert in_parent  # at least one block formatted here, not in the child
+        _no_child_left()
+        monkeypatch.delattr(os, "fork")
+        rc, _, err = _main(capsys, "simulate", "--config", config,
+                           "--out", str(tmp_path / "alone.csv"))
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
 class TestFailedWrite:
     """A CSV write that fails leaves --out as it was, opens no metrics file and
     removes its temporary file; a device is never removed."""

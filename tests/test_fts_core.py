@@ -41,7 +41,7 @@ class TestHolderGainParams:
         HolderGainParams(exponent=1.01, scale=1e-6, weight=2.1)
         HolderGainParams(exponent=1.99, scale=1e6, weight=np.eye(2))
 
-    @pytest.mark.parametrize("exponent", [1.0, 2.0, 0.5, 3.0, float("nan")])
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 0.5, 3.0, math.nan, math.inf, -math.inf])
     def test_exponent_out_of_range(self, exponent):
         with pytest.raises(DomainError):
             HolderGainParams(exponent=exponent, scale=1.0)
@@ -515,5 +515,6 @@ class TestRadii:
                 fn(1.0)
             with pytest.raises(DomainError):
                 fn(-1.0000001)
-            with pytest.raises(DomainError):
-                fn(float("nan"))
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    fn(bad)

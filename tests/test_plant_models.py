@@ -3,12 +3,14 @@
 import itertools
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
 from ftsmfc.plant_models import (
     DIVERGENCE_LIMIT,
+    SINK_ROWS,
     DivergenceError,
     NoiseConfig,
     PendulumParams,
@@ -134,26 +136,37 @@ class TestOpenLoopInput:
         )
 
 
+def _trajectory(init, T, dt=0.01, blocks=None):
+    """generate_desired_trajectory's rows, collected through a sink, as an (n, 3) array;
+    the row count of each block it hands over is appended to blocks."""
+    rows = array("d")
+
+    class Sink:
+        def write(self, block):
+            if blocks is not None:
+                blocks.append(len(block) // 3)
+            rows.extend(block)
+
+    sink = Sink()
+    assert generate_desired_trajectory(init, T, dt, P, sink) is sink
+    return np.frombuffer(rows).reshape(-1, 3)
+
+
 class TestDesiredTrajectory:
     INIT = np.array([0.45, -0.14, -0.3, 0.05])
 
     def test_sample_count_and_seed_rows(self):
-        traj = np.asarray(generate_desired_trajectory(self.INIT, 1.0, 0.01, P))
+        traj = _trajectory(self.INIT, 1.0)
         assert traj.shape == (101, 3)
         np.testing.assert_array_equal(traj[0, 1:], [0.45, -0.14])
         np.testing.assert_allclose(traj[1, 1:], [0.45 - 0.003, -0.14 + 0.0005], atol=1e-15)
         # the time column is dt * k, as the CSV writes it
         assert traj[:, 0].tolist() == [0.01 * k for k in range(101)]
 
-    def test_samples_are_one_flat_array(self):
-        # len() is the sample count; the rows (t, x_d, theta_d) take 24 bytes, in one array('d')
-        traj = generate_desired_trajectory(self.INIT, 1.0, 0.01, P)
-        assert len(traj) == 101 and traj.shape == (101, 3)
-        assert traj.obj.typecode == "d" and traj.obj.buffer_info()[1] == 303
-        assert traj.obj.tobytes() == np.asarray(traj).tobytes()
-
     def test_rows_are_the_generator_prefix(self):
-        traj = np.asarray(generate_desired_trajectory(self.INIT, 5.0, 0.01, P))
+        blocks = []
+        traj = _trajectory(self.INIT, 5.0, blocks=blocks)
+        assert blocks == [SINK_ROWS, 501 - SINK_ROWS]  # full blocks, the last one shorter
         samples = desired_samples(self.INIT, 0.01, P)
         prefix = np.array(list(itertools.islice(samples, 501)))
         assert prefix.tobytes() == np.ascontiguousarray(traj[:, 1:]).tobytes()
@@ -161,11 +174,11 @@ class TestDesiredTrajectory:
         assert np.all(np.isfinite(next(samples)))
 
     def test_zero_horizon(self):
-        traj = np.asarray(generate_desired_trajectory(self.INIT, 0.0, 0.01, P))
+        traj = _trajectory(self.INIT, 0.0)
         assert traj.shape == (1, 3)
 
     def test_full_horizon_bounded_with_known_envelope(self):
-        traj = np.asarray(generate_desired_trajectory(self.INIT, 70.0, 0.01, P))[:, 1:]
+        traj = _trajectory(self.INIT, 70.0)[:, 1:]
         assert traj.shape == (7001, 2)
         assert np.all(np.isfinite(traj))
         assert np.all(np.abs(traj) < DIVERGENCE_LIMIT)
@@ -177,7 +190,7 @@ class TestDesiredTrajectory:
         # x_k = k * dt * xdot_0 = k * 4e5 first exceeds the limit at sample 3
         init = [0.0, 0.0, 4.0e7, 0.0]
         with pytest.raises(DivergenceError, match=r"generation diverged at step 3$") as info:
-            generate_desired_trajectory(init, 1.0, 0.01, P)
+            _trajectory(init, 1.0)
         assert info.value.step_index == 3
         samples = desired_samples(init, 0.01, P)
         assert len(list(itertools.islice(samples, 3))) == 3

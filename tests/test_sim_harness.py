@@ -27,6 +27,7 @@ from ftsmfc.sim_harness import (
     CSV_HEADER,
     LOG_WIDTH,
     ConfigError,
+    CsvOutput,
     SimConfig,
     SimLog,
     SteadyState,
@@ -34,7 +35,6 @@ from ftsmfc.sim_harness import (
     metrics_to_text,
     run_closed_loop,
     verify_suite,
-    write_csv,
 )
 from ftsmfc.tracking_control import ControlGains
 
@@ -792,8 +792,15 @@ def _oracle_csv(header, table) -> bytes:
 
 
 def _write_table(path, header, table) -> None:
-    """write_csv on table, passed as one flat array('d') and its width."""
-    write_csv(str(path), header, array("d", table.tobytes()), table.shape[1])
+    """table written through CsvOutput, as one flat array('d') and its width."""
+    _write_csv(path, header, array("d", table.tobytes()), table.shape[1])
+
+
+def _write_csv(path, header, flat, width) -> None:
+    """flat's rows of width floats written under header, in one CsvOutput.write."""
+    with CsvOutput(str(path), header, width) as out:
+        out.write(flat)
+        out.commit()
 
 
 # The columns of a ramp log (filter and noise off, y_d = 0) as indices into 19
@@ -880,7 +887,7 @@ def _write_peak(path, table) -> int:
     flat = array("d", table.tobytes())  # made before tracing: the writer's input
     tracemalloc.start()
     try:
-        write_csv(str(path), CSV_HEADER, flat, table.shape[1])
+        _write_csv(path, CSV_HEADER, flat, table.shape[1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
