@@ -259,16 +259,12 @@ def _block_texts(table: array, width: int) -> Iterator[bytes]:
 
 
 def _block_text(columns: Sequence[array]) -> str:
-    """The rows of one block: one `%` if its columns are distinct, else each
-    distinct column formatted once and its text shared."""
-    n = len(columns[0])
+    """The rows of one block: each distinct column formatted once, its text shared by
+    the columns that repeat it."""
     # keyed by bytes, not ==, so a 0.0 column and a -0.0 column keep their own text
     keys = [col.tobytes() for col in columns]
-    distinct = dict(zip(keys, columns))
-    if len(distinct) == len(keys):
-        row = ",".join(["%.17g"] * len(keys)) + "\n"
-        return row * n % tuple(itertools.chain.from_iterable(zip(*columns)))
-    text = {key: ("%.17g\n" * n % tuple(col)).split() for key, col in distinct.items()}
+    text = {key: ("%.17g\n" * len(col) % tuple(col)).split()
+            for key, col in dict(zip(keys, columns)).items()}
     return "\n".join([*map(",".join, zip(*map(text.__getitem__, keys))), ""])
 
 
@@ -287,14 +283,15 @@ class SimLog:
     carries u = 0 (no input is applied at the last tick).
     """
 
-    def __init__(self, rows: array) -> None:
-        self.rows = rows
+    def __init__(self, rows: Sequence[float] = ()) -> None:
+        self.rows = array("d", rows)
 
     def __len__(self) -> int:
         return len(self.rows) // LOG_WIDTH
 
     def write(self, block: array) -> None:
-        """Append a block of rows: the log is run_closed_loop's sink when it is given none."""
+        """Append a block of rows: as run_closed_loop's sink, the log keeps every row the
+        run computed, the rows before a failure included."""
         self.rows += block
 
     def to_csv(self, path: str) -> None:
@@ -339,18 +336,18 @@ def _desired_trajectory(config: SimConfig, count: int) -> Iterator[Pair]:
     return zip(table[1::3], table[2::3])
 
 
-def run_closed_loop(config: SimConfig, *sinks):
-    """Run one deterministic closed-loop experiment; return its last sink, by default a SimLog.
+def run_closed_loop(config: SimConfig, sink, *more):
+    """Run one deterministic closed-loop experiment; return its last sink.
 
-    The rows of the log (see SimLog) are handed to each sink's write(), in
-    turn, as flat array('d') blocks of SINK_ROWS rows, the last one
-    shorter, each as soon as it is full, and are then dropped.  Every signal in
-    the loop is a pair of floats.  Raises DivergenceError when the plant or a
-    generated desired trajectory diverges, with the failing tick as its
-    step_index, DomainError when a signal turns non-finite, and ConfigError on
-    inconsistent configuration.
+    Every row of the log (see SimLog) the run computes is handed once to each
+    sink's write(), in turn, in flat array('d') blocks of SINK_ROWS rows, each as
+    soon as it is full; the last, shorter block when the run ends or the loop
+    raises.  Every signal in the loop is a pair of floats.  Raises DivergenceError
+    when the plant or a generated desired trajectory diverges, with the failing
+    tick as its step_index, DomainError when a signal turns non-finite, and
+    ConfigError on inconsistent configuration.
     """
-    sinks = sinks or (SimLog(array("d")),)
+    sinks = (sink, *more)
     plant = _build_plant(config)
     nu = plant.nu
     n_steps = config.n_steps
@@ -370,55 +367,57 @@ def run_closed_loop(config: SimConfig, *sinks):
 
     # one CSV_HEADER row a tick, F_hat as before the update; packed bytes
     # append in a third of the time array.extend takes for a tuple
-    block, pack, block_len = array("d"), struct.Struct(f"{LOG_WIDTH}d").pack, \
-        LOG_WIDTH * SINK_ROWS
-    for k in range(n_records):
-        t, y = dt * k, plant.output
-        eta = noise_sample(t, config.noise) if config.noise is not None else zero
-        y_meas = (y[0] + eta[0], y[1] + eta[1])
-        if config.filter_params is None:
-            y_hat = y_meas
-        elif k > 0:
-            # tick 0 keeps the initial estimate: there is no innovation yet
-            y_hat = filter_update(y_hat, y_meas_prev, y_meas, config.filter_params)
-        y_meas_prev = y_meas
+    pack = struct.Struct(f"{LOG_WIDTH}d").pack
+    for start in range(0, n_records, SINK_ROWS):
+        block = array("d")
+        try:
+            for k in range(start, min(start + SINK_ROWS, n_records)):
+                t, y = dt * k, plant.output
+                eta = noise_sample(t, config.noise) if config.noise is not None else zero
+                y_meas = (y[0] + eta[0], y[1] + eta[1])
+                if config.filter_params is None:
+                    y_hat = y_meas
+                elif k > 0:
+                    # tick 0 keeps the initial estimate: there is no innovation yet
+                    y_hat = filter_update(y_hat, y_meas_prev, y_meas, config.filter_params)
+                y_meas_prev = y_meas
 
-        F_rec = F_seen = zero
-        if k >= nu:
-            F_rec, F_seen = compute_F(y_hat, gains.G, u_sent[k % nu]), F_hat
-            if config.observer_order == "first":
-                F_hat = first_order_update(F_hat, F_rec, config.observer_params)
-            else:
-                F_hat, dF_hat = second_order_update(
-                    F_hat, dF_hat, F_prev, F_rec, config.observer_params
-                )
-                F_prev = F_rec
+                F_rec = F_seen = zero
+                if k >= nu:
+                    F_rec, F_seen = compute_F(y_hat, gains.G, u_sent[k % nu]), F_hat
+                    if config.observer_order == "first":
+                        F_hat = first_order_update(F_hat, F_rec, config.observer_params)
+                    else:
+                        F_hat, dF_hat = second_order_update(
+                            F_hat, dF_hat, F_prev, F_rec, config.observer_params
+                        )
+                        F_prev = F_rec
 
-        y_d = y_d_ahead.popleft()
-        u = zero
-        if k < n_steps:
-            try:
-                y_d_future = next(desired)
-            except DivergenceError as exc:
-                # the generator counts samples; the loop reports its tick, as the plant does
-                raise DivergenceError(str(exc), step_index=k) from exc
-            y_d_ahead.append(y_d_future)
-            if config.control_law == "fts":
-                e_y_hat = (y_hat[0] - y_d[0], y_hat[1] - y_d[1])
-                u = control_law_fts(y_d_future, F_hat, e_y_hat, gains)
-            else:
-                u = control_law_basic(y_d_future, F_hat, gains)
-            plant.step(u)
-            u_sent[k % nu] = u
-        # the header's columns by name: pack takes them a third faster than *-unpacked pairs
-        (x, th), (x_m, th_m), (x_h, th_h), (x_d, th_d) = y, y_meas, y_hat, y_d
-        (F1, F2), (Fh1, Fh2), (u1, u2) = F_rec, F_seen, u
-        block.frombytes(pack(t, x, th, x_m, th_m, x_h, th_h, x_d, th_d, x - x_d, th - th_d,
-                             F1, F2, Fh1, Fh2, Fh1 - F1, Fh2 - F2, u1, u2))
-        if len(block) == block_len or k == n_steps:
-            for sink in sinks:
-                sink.write(block)
-            block = array("d")
+                y_d = y_d_ahead.popleft()
+                u = zero
+                if k < n_steps:
+                    try:
+                        y_d_future = next(desired)
+                    except DivergenceError as exc:
+                        # the generator counts samples; the loop reports its tick, as the plant does
+                        raise DivergenceError(str(exc), step_index=k) from exc
+                    y_d_ahead.append(y_d_future)
+                    if config.control_law == "fts":
+                        e_y_hat = (y_hat[0] - y_d[0], y_hat[1] - y_d[1])
+                        u = control_law_fts(y_d_future, F_hat, e_y_hat, gains)
+                    else:
+                        u = control_law_basic(y_d_future, F_hat, gains)
+                    plant.step(u)
+                    u_sent[k % nu] = u
+                # the header's columns by name: pack takes them a third faster than *-unpacked pairs
+                (x, th), (x_m, th_m), (x_h, th_h), (x_d, th_d) = y, y_meas, y_hat, y_d
+                (F1, F2), (Fh1, Fh2), (u1, u2) = F_rec, F_seen, u
+                block.frombytes(pack(t, x, th, x_m, th_m, x_h, th_h, x_d, th_d, x - x_d, th - th_d,
+                                     F1, F2, Fh1, Fh2, Fh1 - F1, Fh2 - F2, u1, u2))
+        finally:  # the block, full, the last one or the rows before the loop raised
+            if block:
+                for sink in sinks:
+                    sink.write(block)
     return sinks[-1]
 
 

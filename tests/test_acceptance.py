@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ftsmfc import cli
 from ftsmfc.fts_core import (
     HolderGainParams,
     fts_recursion,
@@ -28,6 +29,7 @@ from ftsmfc.sim_harness import (
     CSV_HEADER,
     LOG_WIDTH,
     SimConfig,
+    SimLog,
     compute_metrics,
     run_closed_loop,
 )
@@ -76,7 +78,7 @@ class TestCriterion1:
         config = SimConfig.from_yaml(str(REPO / "configs" / "paper_experiment.yaml"))
         start = time.perf_counter()
         try:
-            log = run_closed_loop(config)
+            log = run_closed_loop(config, SimLog())
         except DivergenceError as exc:
             _emit(
                 capsys,
@@ -129,7 +131,7 @@ class TestCriterion2:
                 "trajectory": {"source": "zero"},
             }
         )
-        rows = np.frombuffer(run_closed_loop(config).rows).reshape(-1, LOG_WIDTH)
+        rows = np.frombuffer(run_closed_loop(config, SimLog()).rows).reshape(-1, LOG_WIDTH)
         assert np.linalg.norm([6.0, -8.0]) == pytest.approx(10.0)
         cols = CSV_HEADER.split(",")
         eF = np.linalg.norm(rows[:, cols.index("eF1"):cols.index("eF2") + 1], axis=1)
@@ -406,12 +408,13 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_determinism_byte_identical_output(self, capsys, tmp_path):
-        # the committed completing reference config: byte-identical CSV
-        config = SimConfig.from_yaml(str(REPO / "configs" / "synthetic_constant.yaml"))
+        # the committed completing reference config, simulated as users run it:
+        # byte-identical CSV
+        config = str(REPO / "configs" / "synthetic_constant.yaml")
         payloads = []
         for name in ("run_a.csv", "run_b.csv"):
             path = tmp_path / name
-            run_closed_loop(config).to_csv(str(path))
+            assert cli.main(["simulate", "--config", config, "--out", str(path)]) == cli.EXIT_OK
             payloads.append(path.read_bytes())
         identical = payloads[0] == payloads[1]
 
@@ -420,7 +423,7 @@ class TestCriterion8:
         steps = []
         for _ in range(2):
             with pytest.raises(DivergenceError) as info:
-                run_closed_loop(paper)
+                run_closed_loop(paper, SimLog())
             steps.append(info.value.step_index)
         same_failure = steps[0] == steps[1]
 

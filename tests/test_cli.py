@@ -1041,7 +1041,10 @@ class TestReplaceNeverTruncate:
         rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
         assert (rc, out) == (cli.EXIT_NUMERICAL, "")
         _one_line(err, "numerical failure:")
-        assert len(blocks) == 2  # ticks 0 to 511 were streamed before the failure
+        # ticks 0 to 511 were streamed before the failure, then the rows from 512 to the
+        # last complete tick: 599, or 600, whose step makes y_601 the non-finite measurement
+        last = {"divergence": 599, "domain": 600}[error]
+        assert blocks == [256 * 19, 256 * 19, (last - 511) * 19]
         _no_child_left()
         assert out_csv.read_bytes() == old
         assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]

@@ -9,7 +9,7 @@ from ftsmfc.config import load_doc
 from ftsmfc.fts_core import DomainError, HolderGainParams, holder_gain
 from ftsmfc.output_filter import filter_update
 from ftsmfc.plant_models import NoiseConfig, noise_sample
-from ftsmfc.sim_harness import CSV_HEADER, LOG_WIDTH, SimConfig, run_closed_loop
+from ftsmfc.sim_harness import CSV_HEADER, LOG_WIDTH, SimConfig, SimLog, run_closed_loop
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FILT = HolderGainParams(exponent=7 / 5, scale=2.0, weight=2.1)
@@ -22,7 +22,7 @@ class TestFilterUpdate:
         doc = load_doc(str(CONFIGS / "synthetic_constant.yaml"))
         assert SimConfig.from_dict(doc).filter_params is not None
         config = SimConfig.from_dict({**doc, "T": 0.05, "initial_estimate": [0.2, -0.1]})
-        rows = np.frombuffer(run_closed_loop(config).rows).reshape(-1, LOG_WIDTH)
+        rows = np.frombuffer(run_closed_loop(config, SimLog()).rows).reshape(-1, LOG_WIDTH)
         cols = CSV_HEADER.split(",")
         y_meas, y_hat = (rows[:, cols.index(x):cols.index(x) + 2] for x in ("x_meas", "x_hat"))
         np.testing.assert_array_equal(y_hat[0], [0.2, -0.1])

@@ -1,0 +1,63 @@
+"""tools/pairs.py: the verdicts it prints on paired benchmark runs, and the order it runs them."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("pairs", REPO / "tools" / "pairs.py")
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # quartiles 0.9825 and 1.0175
+
+
+def test_claim_needs_nine_of_ten_and_a_gap_past_the_parents_quartiles():
+    change = [p - 0.05 for p in PARENT]
+    s = pairs.summarize(PARENT, change, "lower", 0.25)
+    assert (s["wins"], s["claim"], s["within_bound"]) == (10, True, True)
+    two_lose = [p + 0.1 if i < 2 else p - 0.05 for i, p in enumerate(PARENT)]
+    assert pairs.summarize(PARENT, two_lose, "lower", 0.25)["wins"] == 8
+    assert not pairs.summarize(PARENT, two_lose, "lower", 0.25)["claim"]
+    # ten of ten lower by less than the parent's interquartile range of 0.035
+    assert not pairs.summarize(PARENT, [p - 0.01 for p in PARENT], "lower", 0.25)["claim"]
+    # ties count for neither side
+    assert pairs.summarize(PARENT, PARENT, "lower", 0.25)["wins"] == 0
+
+
+def test_bound_is_relative_to_the_parents_median():
+    assert pairs.summarize(PARENT, [p * 1.2 for p in PARENT], "lower", 0.25)["within_bound"]
+    assert not pairs.summarize(PARENT, [p * 1.3 for p in PARENT], "lower", 0.25)["within_bound"]
+    higher = pairs.summarize(PARENT, [p * 1.3 for p in PARENT], "higher", 0.25)
+    assert (higher["wins"], higher["within_bound"]) == (10, True)
+    assert not pairs.summarize(PARENT, [p * 0.7 for p in PARENT], "higher", 0.25)["within_bound"]
+
+
+def _tree(tmp_path, name):
+    tree = tmp_path / name
+    tree.mkdir()
+    (tree / "perfbench").mkdir()
+    (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "call_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    return str(tree)
+
+
+@pytest.mark.parametrize("failed", [0, 1])
+def test_runs_alternate_and_a_failed_run_is_an_error(tmp_path, monkeypatch, capsys, failed):
+    parent, change = _tree(tmp_path, "parent"), _tree(tmp_path, "change")
+    runs = []
+
+    def run_once(tree, workload, seed, seconds):
+        runs.append((tree, seed))
+        return {"correct": True, "attempted": 5, "failed": failed if tree == change else 0,
+                "metrics": {"call_s": {"value": 1.0 if tree == parent else 0.5, "unit": "s"}}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    rc = pairs.main([parent, change, "--workload", "w", "--pairs", "3", "--first-seed", "7"])
+    assert rc == failed
+    assert runs == [(parent, 7), (change, 7), (change, 8), (parent, 8), (parent, 9), (change, 9)]
+    out = capsys.readouterr().out
+    assert "change better in 3/3 pairs" in out and "within its bound 0.25" in out
+    assert f"{3 * failed} runs incorrect or with failed operations" in out

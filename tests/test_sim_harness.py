@@ -128,7 +128,7 @@ class TestSimConfig:
 
     def test_unknown_plant_kind_rejected(self):
         with pytest.raises(ConfigError, match="plant.kind: unknown value 'chirp'"):
-            run_closed_loop(make_config(**{"plant.kind": "chirp"}))
+            run_closed_loop(make_config(**{"plant.kind": "chirp"}), SimLog())
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -316,7 +316,7 @@ class TestSimConfig:
     def test_zero_random_walk_bound_stands_still(self):
         spec = {"G": BASE_DOC["plant"]["spec"]["G"], "bound": 0, "seed": 1}
         config = make_config(T=0.1, plant={"kind": "random-walk", "spec": spec})
-        assert len(run_closed_loop(config)) == 11
+        assert len(run_closed_loop(config, SimLog())) == 11
         plant = SyntheticUlmPlant(config.plant_kind, **config.plant_spec)
         assert {plant.true_F(k) for k in range(50)} == {plant.true_F(0)}
 
@@ -372,7 +372,8 @@ class TestStrictConfig:
         # nu = 1 takes y_init as one flat row; the reader checks its numbers
         config = make_config(**{"plant.spec.y_init": [0.1, 0.2]})
         np.testing.assert_array_equal(config.plant_spec["y_init"], [[0.1, 0.2]])
-        np.testing.assert_array_equal(run_closed_loop(config).rows[1:3], [0.1, 0.2])  # x,theta
+        log = run_closed_loop(config, SimLog())
+        np.testing.assert_array_equal(log.rows[1:3], [0.1, 0.2])  # x,theta
 
     def test_singular_controller_G_is_config_error(self):
         with pytest.raises(ConfigError, match="controller.G"):
@@ -384,7 +385,8 @@ class TestStrictConfig:
     def test_plant_must_be_2x2(self, spec):
         # a 3 x 3 or wide G fails in from_dict, the unknown key n in the plant
         with pytest.raises(ConfigError, match="plant"):
-            run_closed_loop(make_config(**{f"plant.spec.{k}": v for k, v in spec.items()}))
+            run_closed_loop(make_config(**{f"plant.spec.{k}": v for k, v in spec.items()}),
+                            SimLog())
 
 
 # The inert-key oracle's bases, one a plant kind, with every key from_dict reads
@@ -487,7 +489,7 @@ def _outcome(doc):
     except ConfigError:
         return None
     try:
-        log = run_closed_loop(config)
+        log = run_closed_loop(config, SimLog())
         return log.rows.tobytes(), metrics_to_text(
             compute_metrics(log, config.settle_time, config.bands))
     except (ConfigError, DivergenceError, DomainError) as exc:
@@ -539,12 +541,12 @@ class TestNoInertKey:
 
 class TestRunClosedLoop:
     def test_zero_horizon_single_record_no_control(self):
-        log = run_closed_loop(make_config(T=0.0))
+        log = run_closed_loop(make_config(T=0.0), SimLog())
         assert len(log) == 1
         np.testing.assert_array_equal(log.rows[17:19], [0.0, 0.0])  # u1,u2
 
     def test_record_internal_consistency(self):
-        rows = np.frombuffer(run_closed_loop(make_config()).rows).reshape(-1, LOG_WIDTH)
+        rows = np.frombuffer(run_closed_loop(make_config(), SimLog()).rows).reshape(-1, LOG_WIDTH)
         # CSV_HEADER columns: eF = Fhat - F, and ex,etheta = x,theta - x_d,theta_d
         np.testing.assert_allclose(rows[:, 15:17], rows[:, 13:15] - rows[:, 11:13], atol=1e-12)
         np.testing.assert_allclose(rows[:, 9:11], rows[:, 1:3] - rows[:, 7:9], atol=1e-12)
@@ -552,23 +554,23 @@ class TestRunClosedLoop:
         np.testing.assert_allclose(dt, 0.01, atol=1e-12)
 
     def test_rows_before_first_sample_are_zero(self):
-        log = run_closed_loop(make_config())
+        log = run_closed_loop(make_config(), SimLog())
         # nu = 1: row 0 has no reconstructable sample yet, so F1,F2,Fhat1,Fhat2 are 0
         np.testing.assert_array_equal(log.rows[11:15], [0.0] * 4)
 
     def test_last_record_has_zero_input(self):
-        log = run_closed_loop(make_config())
+        log = run_closed_loop(make_config(), SimLog())
         np.testing.assert_array_equal(log.rows[-2:], [0.0, 0.0])  # u1,u2 of the last row
 
     def test_noise_off_filter_off_errors_decay(self):
-        rows = np.frombuffer(run_closed_loop(make_config(T=50.0, dt=1.0)).rows)
+        rows = np.frombuffer(run_closed_loop(make_config(T=50.0, dt=1.0), SimLog()).rows)
         rows = rows.reshape(-1, LOG_WIDTH)
         # CSV_HEADER columns 15:17 are eF1,eF2 and 9:11 are ex,etheta
         assert np.linalg.norm(rows[-1, 15:17]) < np.linalg.norm(rows[1, 15:17]) * 1e-2
         assert np.abs(rows[-1, 9:11]).max() < 1e-2
 
     def test_reconstructed_F_matches_truth_without_noise(self):
-        rows = np.frombuffer(run_closed_loop(make_config()).rows).reshape(-1, LOG_WIDTH)
+        rows = np.frombuffer(run_closed_loop(make_config(), SimLog()).rows).reshape(-1, LOG_WIDTH)
         # noise and filter off: reconstruction recovers the scripted constant in F1,F2
         np.testing.assert_allclose(rows[1:, 11:13], np.tile([0.3, -0.2], (200, 1)), atol=1e-12)
 
@@ -584,13 +586,13 @@ class TestRunClosedLoop:
         monkeypatch.setattr(np.linalg, "svd", None)  # the 2 x 2 check needs no SVD
         config = make_config()
         assert len(calls) == 1
-        run_closed_loop(config)
+        run_closed_loop(config, SimLog())
         assert len(calls) == 1
 
     def test_determinism_identical_logs(self):
         config = make_config(**{"noise.enabled": True, "filter.enabled": True})
-        a = run_closed_loop(config)
-        b = run_closed_loop(config)
+        a = run_closed_loop(config, SimLog())
+        b = run_closed_loop(config, SimLog())
         assert a.rows.tobytes() == b.rows.tobytes()
 
     def test_causality_future_trajectory_cannot_affect_past(self, tmp_path):
@@ -610,7 +612,8 @@ class TestRunClosedLoop:
                 make_config(
                     T=1.0,
                     **{"trajectory.source": "file", "trajectory.path": p},
-                )
+                ),
+                SimLog(),
             ).rows).reshape(-1, LOG_WIDTH)
             for p in paths
         ]
@@ -631,16 +634,16 @@ class TestRunClosedLoop:
         path = tmp_path / "traj.csv"
         _save_trajectory(path, traj)
         config = make_config(T=1.0, trajectory={"source": "file", "path": str(path)})
-        rows = np.frombuffer(run_closed_loop(config).rows).reshape(-1, LOG_WIDTH)
+        rows = np.frombuffer(run_closed_loop(config, SimLog()).rows).reshape(-1, LOG_WIDTH)
         np.testing.assert_array_equal(rows[:, 7:9], traj)  # x_d,theta_d
         _save_trajectory(path, traj[:100])
         with pytest.raises(ConfigError, match="needs 101 rows"):
-            run_closed_loop(config)
+            run_closed_loop(config, SimLog())
 
     def test_unreadable_trajectory_file_is_config_error(self, tmp_path):
         config = make_config(trajectory={"source": "file", "path": str(tmp_path)})  # a directory
         with pytest.raises(ConfigError, match="^cannot read trajectory file: .*Is a directory"):
-            run_closed_loop(config)
+            run_closed_loop(config, SimLog())
 
     def test_file_trajectory_is_parsed_row_by_row(self, tmp_path):
         # the 7002 rows generate-trajectory writes for T = 70.01: the reader keeps
@@ -669,7 +672,7 @@ class TestRunClosedLoop:
         np.savetxt(path, np.zeros((300, 3)), delimiter=",")
         config = make_config(T=1.0, trajectory={"source": "file", "path": str(path)})
         with pytest.raises(ConfigError, match="header"):
-            run_closed_loop(config)
+            run_closed_loop(config, SimLog())
 
     @pytest.mark.parametrize("row", ["0,1", "0,1,nan", "0,1,x"])
     def test_file_trajectory_rows_checked(self, tmp_path, row):
@@ -677,7 +680,7 @@ class TestRunClosedLoop:
         path.write_text("t,x_d,theta_d\n" + f"{row}\n" * 300)
         config = make_config(T=1.0, trajectory={"source": "file", "path": str(path)})
         with pytest.raises(ConfigError, match="trajectory file"):
-            run_closed_loop(config)
+            run_closed_loop(config, SimLog())
 
     def test_pendulum_diverges_with_step_diagnostic(self):
         from pathlib import Path
@@ -687,7 +690,7 @@ class TestRunClosedLoop:
         config_path = Path(__file__).resolve().parents[1] / "configs" / "paper_experiment.yaml"
         config = SimConfig.from_yaml(str(config_path))
         with pytest.raises(DivergenceError) as info:
-            run_closed_loop(config)
+            run_closed_loop(config, SimLog())
         assert info.value.step_index == 113
 
     @pytest.mark.parametrize("order, law, with_filter, tick", [
@@ -702,7 +705,7 @@ class TestRunClosedLoop:
         doc["observer"]["order"], doc["controller"]["law"] = order, law
         doc["filter"]["enabled"] = with_filter
         with pytest.raises(DivergenceError, match=f"^plant diverged at step {tick}$") as info:
-            run_closed_loop(SimConfig.from_dict(doc))
+            run_closed_loop(SimConfig.from_dict(doc), SimLog())
         assert info.value.step_index == tick
 
     def test_trajectory_divergence_reports_the_tick(self):
@@ -713,13 +716,55 @@ class TestRunClosedLoop:
         })
         with pytest.raises(DivergenceError, match="^trajectory generation diverged at step 3$") \
                 as info:
-            run_closed_loop(config)
+            run_closed_loop(config, SimLog())
         assert info.value.step_index == 1
+
+    def test_rows_before_a_divergence_reach_the_sink(self):
+        # the paper run diverges in tick 113's plant step: ticks 0 to 112 are handed on,
+        # bit-identical to the first rows of the same run with a horizon that ends at tick 113
+        doc = load_doc(str(CONFIGS / "paper_experiment.yaml"))
+        log, blocks = SimLog(), _Blocks()
+        with pytest.raises(DivergenceError) as info:
+            run_closed_loop(SimConfig.from_dict(doc), log, blocks)
+        assert info.value.step_index == 113
+        assert len(log) == 113 and blocks.rows == [113]
+        doc["T"] = 1.14
+        whole = run_closed_loop(SimConfig.from_dict(doc), SimLog())
+        assert len(whole) == 114
+        assert log.rows.tobytes() == whole.rows[:113 * LOG_WIDTH].tobytes()
+
+    def test_each_block_reaches_each_sink_once(self):
+        # 601 rows: two full blocks and the last, shorter one, to every sink in turn
+        sinks = _Blocks(), _Blocks()
+        assert run_closed_loop(make_config(T=6.0), *sinks) is sinks[-1]
+        assert sinks[0].rows == sinks[1].rows == [256, 256, 89]
+        # a sink that raises ends the run with its error, and no sink gets a block again
+        sinks = _Blocks(), _Blocks(fail=1), _Blocks()
+        with pytest.raises(RuntimeError, match="^sink failed$"):
+            run_closed_loop(make_config(T=6.0), *sinks)
+        assert [sink.rows for sink in sinks] == [[256, 256], [256], [256]]
+
+    def test_sink_is_required(self):
+        with pytest.raises(TypeError):
+            run_closed_loop(make_config())
+
+
+class _Blocks:
+    """A sink that records the rows of each block it is handed, and raises in place of
+    taking block number fail."""
+
+    def __init__(self, fail=None):
+        self.rows, self.fail = [], fail
+
+    def write(self, block):
+        if len(self.rows) == self.fail:
+            raise RuntimeError("sink failed")
+        self.rows.append(len(block) // LOG_WIDTH)
 
 
 class TestCsvOutput:
     def test_header_and_shape(self, tmp_path):
-        log = run_closed_loop(make_config())
+        log = run_closed_loop(make_config(), SimLog())
         path = tmp_path / "out.csv"
         log.to_csv(str(path))
         lines = path.read_text().splitlines()
@@ -728,7 +773,7 @@ class TestCsvOutput:
         assert all(len(line.split(",")) == 19 for line in lines[1:])
 
     def test_seventeen_significant_digits_roundtrip(self, tmp_path):
-        log = run_closed_loop(make_config())
+        log = run_closed_loop(make_config(), SimLog())
         path = tmp_path / "out.csv"
         log.to_csv(str(path))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -752,7 +797,7 @@ class TestCsvOutput:
             doc["controller"]["law"], doc["observer"]["order"] = "basic", "second"
             doc["filter"]["enabled"] = doc["noise"]["enabled"] = False
         config = SimConfig.from_dict(doc)
-        log = run_closed_loop(config)
+        log = run_closed_loop(config, SimLog())
         path = tmp_path / "out.csv"
         log.to_csv(str(path))
         assert LOG_WIDTH == len(CSV_HEADER.split(","))
@@ -770,7 +815,7 @@ class TestCsvOutput:
         payloads = []
         for name in ("a.csv", "b.csv"):
             path = tmp_path / name
-            run_closed_loop(config).to_csv(str(path))
+            run_closed_loop(config, SimLog()).to_csv(str(path))
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
 
@@ -858,7 +903,8 @@ class TestWriteCsv:
         assert path.read_bytes() == _oracle_csv(CSV_HEADER, table)
 
     def test_log_matches_per_value_format(self, tmp_path):
-        log = run_closed_loop(make_config(**{"noise.enabled": True, "filter.enabled": True}))
+        config = make_config(**{"noise.enabled": True, "filter.enabled": True})
+        log = run_closed_loop(config, SimLog())
         path = tmp_path / "out.csv"
         log.to_csv(str(path))
         table = np.loadtxt(path, delimiter=",", skiprows=1)
