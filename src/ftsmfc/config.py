@@ -252,23 +252,17 @@ class SimConfig(Record):
         spec = kwargs["plant_spec"] = dict(section)
         for key, value in section.items():
             what = f"plant.spec.{key}"
-            if key in ("const", "slope", "amplitude", "freq"):
-                spec[key] = _as_vector(value, 2, what)
-            elif key == "G":
+            if key == "G":
                 spec[key] = _as_2x2(value, what)
             elif key == "y_init":
                 spec[key] = _as_matrix(value, what)
-            elif key == "bound":
-                spec[key] = _as_float(value, what)
-            elif key in ("nu", "seed") and type(value) is not int:
+            elif key != "nu":  # one of the kind's SPEC_KEYS: a pair
+                spec[key] = _as_vector(value, 2, what)
+            elif type(value) is not int:
                 raise ConfigError(f"{what}: expected an integer, got {value!r}")
         nu = spec.setdefault("nu", 1)
         if not 1 <= nu <= MAX_STEPS:
             raise ConfigError(f"plant.spec.nu: expected 1 to {MAX_STEPS}, got {nu}")
-        for key, noun in (("seed", "integer"), ("bound", "number")):
-            if spec.get(key, 0) < 0:  # a negative bound would step against the drawn direction
-                raise ConfigError(f"plant.spec.{key}: expected a non-negative {noun}, "
-                                  f"got {spec[key]}")
         if kind == "sinusoid":
             horizon = int(math.floor(T / dt)) + nu  # the loop's k < n_steps, nu ticks to spare
             _finite_phase([abs(f) * horizon for f in spec["freq"]], "plant.spec.freq",

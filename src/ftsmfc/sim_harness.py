@@ -46,7 +46,7 @@ from .ulm_observer import compute_F, first_order_update, second_order_update
 # The `verify` choices of the CLI; ftsmfc.verify's suite `x` is its function _suite_x.
 SUITE_NAMES = ("control", "gamma", "holder", "lemma1", "observer1", "observer2", "rho",
                "robustness")
-__getattr__ = from_verify(globals(), ("PropertyResult", "SuiteReport", "verify_suite", "_SUITES"))
+__getattr__ = from_verify(globals(), ("PropertyResult", "SuiteReport", "verify_suite"))
 
 
 CSV_HEADER = (
@@ -117,6 +117,13 @@ class Child:
         return os.waitstatus_to_exitcode(status)
 
 
+def fork_helps() -> bool:
+    """Whether a forked Child can run beside this process: os.fork exists and this
+    process may use two CPUs or more."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
+
+
 class ReplacedFile(contextlib.AbstractContextManager):
     """A binary file, fh, written in place of the file path resolves to: a temporary
     file beside that one, which commit() renames onto it.  Leaving the `with` block
@@ -167,13 +174,13 @@ class CsvOutput(ReplacedFile):
     """A CSV file written a block of rows at a time, a ReplacedFile of path.
 
     Each write() takes a flat row-major array('d') of whole rows of width floats,
-    every float written as `%.17g` under the header line.  Where os.fork exists,
+    every float written as `%.17g` under the header line.  Where fork_helps(),
     the first write that holds a full block of SINK_ROWS rows forks one child,
     which formats the floats it reads from a pipe while this process goes on.
     Whenever a whole block of floats is still unread in that pipe, this process
     formats the next block itself and sends its text, which the child writes in
-    its place, so the two share the work.  Without os.fork, or for a shorter
-    table, this process formats each block as it arrives.  A child that fails is
+    its place, so the two share the work.  Otherwise, or for a shorter table,
+    this process formats each block as it arrives.  A child that fails is
     an OSError with the child's message, and leaving the `with` block without
     commit() also kills and reaps the child.  len() is the rows written so far;
     child is the Child, None until one is forked.
@@ -196,8 +203,7 @@ class CsvOutput(ReplacedFile):
 
     def write(self, block: array) -> None:
         self.rows += len(block) // self.width
-        full = len(block) >= self.width * SINK_ROWS
-        if self.child is None and full and hasattr(os, "fork"):
+        if self.child is None and len(block) >= self.width * SINK_ROWS and fork_helps():
             self._fork()
         if self.child is None:
             self.fh.writelines(_block_texts(block, self.width))

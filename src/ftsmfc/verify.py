@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -265,13 +264,11 @@ def _in_two(fn: Callable, inputs: list, weight: Callable = lambda x: 1.0) -> lis
     the side with less weight so far, ties to this process: with equal weights the
     sides alternate, and an input heavier than all the others together is this
     process's alone.  Each side computes its inputs in input order, and the results
-    come back in input order.  The child runs only where os.fork exists, this
-    process may use two CPUs and the split leaves the child an input.
+    come back in input order.  The child runs only where sim_harness.fork_helps()
+    and the split leaves the child an input.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     load, sides = [0.0, 0.0], ([], [])  # this process's, the child's
-    if cpus > 1 and hasattr(os, "fork"):
+    if sim_harness.fork_helps():
         weights = [weight(x) for x in inputs]
         for i in sorted(range(len(inputs)), key=weights.__getitem__, reverse=True):
             side = int(load[1] < load[0])

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 import yaml
+from conftest import assert_no_child_left
 
 import ftsmfc
-from ftsmfc import cli, config, plant_models, sim_harness
+from ftsmfc import cli, config, plant_models, sim_harness, verify
 from ftsmfc.sim_harness import PropertyResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -54,11 +55,6 @@ def _short_constant(**top) -> dict:
     doc["metrics"]["settle_time"] = 0.2
     doc.update(top)
     return doc
-
-
-def _no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSimulate:
@@ -262,14 +258,12 @@ class TestSimulate:
          ("constant", "const", ["1e400", 0.0], "not a finite number"),
          ("constant", "G", [[math.inf, 0.0], [0.0, 1.0]], "not a finite number"),
          ("constant", "nu", 2.5, "expected an integer"),
-         ("random-walk", "bound", math.inf, "not a finite number"),
-         # a negative bound would step against the drawn direction
-         ("random-walk", "bound", -0.1, "expected a non-negative number"),
+         ("ramp", "slope", [math.inf, 0.0], "not a finite number"),
          ("constant", "y_init", [[math.nan, 0.0]], "not a finite number"),
          # a window this long cannot be allocated: checked before the plant is built
          ("constant", "nu", 10**12, "expected 1 to 10000000")],
-        ids=["const-nan", "const-overflow", "G-inf", "nu-float", "bound-inf", "bound-negative",
-             "y_init-nan", "nu-huge"],
+        ids=["const-nan", "const-overflow", "G-inf", "nu-float", "slope-inf", "y_init-nan",
+             "nu-huge"],
     )
     def test_bad_plant_spec_number_is_config_error(
         self, tmp_path, capsys, kind, key, value, message
@@ -277,10 +271,8 @@ class TestSimulate:
         doc = _short_constant()
         doc["plant"]["kind"] = kind
         spec = doc["plant"]["spec"]
-        if kind == "random-walk":
-            # a random walk reads bound and seed, not const
-            del spec["const"]
-            spec["seed"] = 1
+        if kind == "ramp":
+            del spec["const"]  # a ramp reads slope, not const
         spec[key] = value
         rc, _, err = _main(
             capsys, "simulate", "--config", _write(tmp_path, doc),
@@ -319,6 +311,20 @@ class TestSimulate:
         )
         assert rc == cli.EXIT_CONFIG
         assert "initial_state" in _one_line(err, "config error:")
+
+    def test_removed_random_walk_kind_is_config_error(self, tmp_path, capsys):
+        # every synthetic plant is a closed form of its script's pairs
+        doc = _short_constant()
+        doc["plant"] = {"kind": "random-walk", "spec": {"G": [[1, 0], [0, 1]], "bound": 0.01,
+                                                        "seed": 3}}
+        out_csv = tmp_path / "run.csv"
+        rc, out, err = _main(capsys, "simulate", "--config", _write(tmp_path, doc),
+                             "--out", str(out_csv))
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert _one_line(err, "config error:") == (
+            "config error: plant.kind: unknown value 'random-walk'; "
+            "choose from pendulum, constant, ramp, sinusoid")
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -510,7 +516,6 @@ SWEPT_SPECS = {
     "ramp": {"slope": [0.0013, -0.0007], "nu": 1, "y_init": [0.1, -0.1]},
     "sinusoid": {"amplitude": [0.3, 0.2], "freq": [0.5, 0.25], "nu": 2,
                  "y_init": [[0.1, -0.1], [0.2, 0.05]]},
-    "random-walk": {"bound": 0.01, "seed": 3, "nu": 1, "y_init": [0.1, -0.1]},
 }
 
 
@@ -666,7 +671,7 @@ class TestVerify:
 
     def test_failing_suite(self, capsys, monkeypatch):
         monkeypatch.setitem(
-            sim_harness._SUITES, "rho", lambda rng: [PropertyResult("always fails", 1, 1.0, False)]
+            verify._SUITES, "rho", lambda rng: [PropertyResult("always fails", 1, 1.0, False)]
         )
         rc, out, err = _main(capsys, "verify", "--suite", "rho")
         assert (rc, err) == (cli.EXIT_VERIFY, "")
@@ -799,6 +804,7 @@ class TestSweep:
         _one_line(err, "numerical failure:")
 
 
+@pytest.mark.usefixtures("two_cpus")  # the formatting child forks on any host
 class TestCsvChild:
     """The forked child that formats the CSV blocks it reads from a pipe: it is
     always reaped, and its failure is one line of output error, exit 1."""
@@ -820,7 +826,20 @@ class TestCsvChild:
         ):
             rc, _, err = _main(capsys, *argv)
             assert (rc, err) == (cli.EXIT_OK, "")
-            _no_child_left()
+            assert_no_child_left()
+
+    def test_one_cpu_forks_no_child(self, tmp_path, monkeypatch, children):
+        # on one CPU a child would only take turns with this process, so it formats
+        # every block itself, into the same bytes
+        argv = ["simulate", "--config", self._config(tmp_path), "--out"]
+        assert cli.main(argv + [str(tmp_path / "forked.csv")]) == cli.EXIT_OK
+        assert len(children) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli.main(argv + [str(tmp_path / "alone.csv")]) == cli.EXIT_OK
+        assert len(children) == 1
+        for suffix in ("", ".metrics"):
+            forked, alone = tmp_path / f"forked.csv{suffix}", tmp_path / f"alone.csv{suffix}"
+            assert alone.read_bytes() == forked.read_bytes()
 
     def test_failing_child_is_output_error(self, tmp_path, capsys, monkeypatch):
         parent, block_text = os.getpid(), sim_harness._block_text
@@ -835,7 +854,7 @@ class TestCsvChild:
                              "--out", str(tmp_path / "run.csv"))
         assert (rc, out) == (cli.EXIT_CONFIG, "")
         _one_line(err, "output error:")
-        _no_child_left()
+        assert_no_child_left()
 
     def test_failing_parent_kills_and_reaps_the_child(self, tmp_path, capsys, monkeypatch):
         config, out_csv = self._config(tmp_path), tmp_path / "run.csv"
@@ -863,7 +882,7 @@ class TestCsvChild:
         assert time.monotonic() - t0 < 30
         assert (rc, out) == (cli.EXIT_CONFIG, "")
         assert "No space left on device" in _one_line(err, "output error:")
-        _no_child_left()
+        assert_no_child_left()
         # the file the run before wrote is left as it was, and the temporary file removed
         assert out_csv.read_bytes() == previous
         assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv", "run.csv.metrics"]
@@ -890,6 +909,7 @@ class TestCsvChild:
         ]
 
 
+@pytest.mark.usefixtures("two_cpus")  # the formatting child forks on any host
 class TestParentShare:
     """While the formatting child still has a whole block of floats unread, the
     parent formats the next block itself and sends its text in its place."""
@@ -912,7 +932,7 @@ class TestParentShare:
                            "--out", str(tmp_path / "shared.csv"))
         assert (rc, err) == (cli.EXIT_OK, "")
         assert in_parent  # at least one block formatted here, not in the child
-        _no_child_left()
+        assert_no_child_left()
         monkeypatch.delattr(os, "fork")
         rc, _, err = _main(capsys, "simulate", "--config", config,
                            "--out", str(tmp_path / "alone.csv"))
@@ -951,7 +971,7 @@ class TestFailedWrite:
         rc, out, err = _main(capsys, *argv)
         assert (rc, out) == (cli.EXIT_CONFIG, "")
         assert "No space left on device" in _one_line(err, "output error:")
-        _no_child_left()
+        assert_no_child_left()
 
     def test_simulate(self, tmp_path, capsys, enospc_on_third_block):
         out_csv = tmp_path / "run.csv"
@@ -1000,6 +1020,7 @@ class TestFailedWrite:
         assert removed == []
 
 
+@pytest.mark.usefixtures("two_cpus")  # the formatting child forks on any host
 class TestReplaceNeverTruncate:
     """--out is replaced only once the run, its CSV and its metrics file have all been
     written: any failure leaves a previous --out byte-identical, and no temporary file
@@ -1045,7 +1066,7 @@ class TestReplaceNeverTruncate:
         # last complete tick: 599, or 600, whose step makes y_601 the non-finite measurement
         last = {"divergence": 599, "domain": 600}[error]
         assert blocks == [256 * 19, 256 * 19, (last - 511) * 19]
-        _no_child_left()
+        assert_no_child_left()
         assert out_csv.read_bytes() == old
         assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
 
@@ -1062,7 +1083,7 @@ class TestReplaceNeverTruncate:
         rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
         assert (rc, out) == (cli.EXIT_CONFIG, "")
         assert _one_line(err, "output error:").endswith(f"{out_csv}: [Errno 5] Input/output error")
-        _no_child_left()
+        assert_no_child_left()
         assert out_csv.read_bytes() == old
         assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
 
@@ -1073,7 +1094,7 @@ class TestReplaceNeverTruncate:
                              "--metrics-out", str(tmp_path / "no" / "such" / "m.txt"))
         assert (rc, out) == (cli.EXIT_CONFIG, "")
         assert "No such file or directory" in _one_line(err, "output error:")
-        _no_child_left()
+        assert_no_child_left()
         assert out_csv.read_bytes() == old
         assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
 
@@ -1113,7 +1134,7 @@ class TestReplaceNeverTruncate:
         rc, _, _ = _main(capsys, "simulate", "--config", self._config(tmp_path),
                          "--out", os.devnull, "--metrics-out", str(tmp_path / "m.txt"))
         assert rc == (cli.EXIT_CONFIG if fails else cli.EXIT_OK)
-        _no_child_left()
+        assert_no_child_left()
         assert os.devnull not in touched and os.path.realpath(os.devnull) not in touched
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
@@ -1148,6 +1169,7 @@ class TestReplaceNeverTruncate:
         assert stat.S_IMODE(out_csv.stat().st_mode) == 0o600
 
 
+@pytest.mark.usefixtures("two_cpus")  # the formatting child forks on any host
 class TestMetricsReplaced:
     """--metrics-out is replaced like --out: its text goes to a temporary file beside
     the file it names, which is put in place only after the CSV, so a failure leaves
@@ -1194,7 +1216,7 @@ class TestMetricsReplaced:
         assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
 
 
-def test_reaped_formatting_child_reports_its_cost(tmp_path, capsys, children):
+def test_reaped_formatting_child_reports_its_cost(tmp_path, capsys, two_cpus, children):
     # 1101 rows: the first full block of 256 forks the formatting child
     rc, _, err = _main(capsys, "simulate", "--config", _write(tmp_path, _short_constant(T=11.0)),
                        "--out", str(tmp_path / "run.csv"))
@@ -1204,10 +1226,12 @@ def test_reaped_formatting_child_reports_its_cost(tmp_path, capsys, children):
     assert child.rusage.ru_maxrss > 0
 
 
-# Prints the ru_maxrss of this process and of its largest child, in KiB, after cli.main
+# Prints the ru_maxrss of this process and of its largest child, in KiB, after cli.main,
+# which forks the formatting child whatever the host's CPU count, as under two_cpus
 _PEAKS = """
-import resource, sys
+import os, resource, sys
 from ftsmfc import cli
+os.sched_getaffinity = lambda pid: {0, 1}
 assert cli.main(sys.argv[1:]) == 0
 print(*(resource.getrusage(who).ru_maxrss
         for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))

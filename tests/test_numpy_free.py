@@ -1,9 +1,9 @@
 """`simulate`, `generate-trajectory` and `sweep` run without importing NumPy or PyYAML.
 
-pytest has imported both already, so the run path is driven in a fresh
-interpreter, which reports after each step whether `numpy` and `yaml` are in
-`sys.modules`.  Only `verify` and the random-walk plant load NumPy, and the
-source of the package imports it nowhere else.  Nothing loads PyYAML:
+pytest has imported both already, so the run path, `simulate` on every plant
+kind included, is driven in a fresh interpreter, which reports after each step
+whether `numpy` and `yaml` are in `sys.modules`.  Only `verify` loads NumPy: no
+other module of the package imports it.  Nothing loads PyYAML:
 `ftsmfc.block_yaml` is the one YAML reader, a text outside its subset is a
 ConfigError, no module of the package imports `yaml`, and `block_yaml` imports
 no module of the package.  The same interpreter reports which of the modules that
@@ -69,8 +69,6 @@ def test_run_path_imports_no_numpy(tmp_path):
                    observer={"order": "second"})
     sinusoid = _config(tmp_path / "sinusoid.yaml", "synthetic_constant.yaml", **short, plant={
         "kind": "sinusoid", "spec": {"amplitude": [0.3, 0.2], "freq": [0.1, 0.2], "G": G}})
-    walk = _config(tmp_path / "walk.yaml", "synthetic_constant.yaml", **short, plant={
-        "kind": "random-walk", "spec": {"bound": 0.01, "seed": 3, "G": G}})
     pendulum = str(CONFIGS / "paper_experiment.yaml")  # diverges at tick 113: exit 2
     trajectory = _config(tmp_path / "pendulum.yaml", "paper_experiment.yaml", T=1.0)
     out = str(tmp_path / "out")
@@ -87,8 +85,6 @@ def test_run_path_imports_no_numpy(tmp_path):
                                  "--out", out + "_traj.csv"]],
         ["sweep", ["sweep", "--config", constant, "--param", "controller.scale",
                    "--values", "0.2,0.5", "--out", out + "_sweep"]],
-        # the random walk is NumPy's seeded stream, so this plant loads it
-        ["simulate random-walk", simulate(walk)],
     ]
     report_path = tmp_path / "report.json"
     # development mode, with every warning an error: no step may warn, for instance
@@ -111,7 +107,6 @@ def test_run_path_imports_no_numpy(tmp_path):
         ("simulate pendulum", 2, False, False),
         ("generate-trajectory", 0, False, False),
         ("sweep", 0, False, False),
-        ("simulate random-walk", 0, True, False),
         ("flow mapping", "--values: line 1: '{a: 1}' is outside the YAML subset ftsmfc reads",
          None, False),
     ], proc.stderr
@@ -139,19 +134,15 @@ def test_no_module_imports_yaml():
             assert not any(name.split(".")[0] == "yaml" for name in names), (path.name, names)
 
 
-def test_numpy_imported_by_verify_and_the_random_walk_only():
+def test_numpy_imported_by_verify_only():
     found = {}
     for path in MODULES:
         for tree, node, names in _imports(path):
             if any(name.split(".")[0] == "numpy" for name in names):
                 found.setdefault(path.stem, (tree, []))[1].append(node)
-    assert sorted(found) == ["plant_models", "verify"]
+    assert sorted(found) == ["verify"]
     tree, nodes = found["verify"]
     assert all(node in tree.body for node in nodes)  # at module level
-    tree, nodes = found["plant_models"]
-    walk = [branch.body for branch in ast.walk(tree) if isinstance(branch, ast.If)
-            and ast.unparse(branch.test) == "kind == 'random-walk'"]
-    assert len(walk) == 1 and all(node in walk[0] for node in nodes)
 
 
 def test_block_yaml_is_a_leaf_module():

@@ -1,7 +1,9 @@
-"""tools/pairs.py: the verdicts it prints on paired benchmark runs, and the order it runs them."""
+"""tools/pairs.py: the verdicts it prints on paired benchmark runs, the order it runs
+them in, and the bytecode it keeps out of both trees."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -49,15 +51,56 @@ def test_runs_alternate_and_a_failed_run_is_an_error(tmp_path, monkeypatch, caps
     parent, change = _tree(tmp_path, "parent"), _tree(tmp_path, "change")
     runs = []
 
-    def run_once(tree, workload, seed, seconds):
+    def run_once(tree, workload, seed, seconds, pycache):
         runs.append((tree, seed))
         return {"correct": True, "attempted": 5, "failed": failed if tree == change else 0,
                 "metrics": {"call_s": {"value": 1.0 if tree == parent else 0.5, "unit": "s"}}}
 
     monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "compile_tree", lambda tree, pycache: runs.append((tree, None)))
     rc = pairs.main([parent, change, "--workload", "w", "--pairs", "3", "--first-seed", "7"])
     assert rc == failed
-    assert runs == [(parent, 7), (change, 7), (change, 8), (parent, 8), (parent, 9), (change, 9)]
+    # each tree compiled once, before pair 1
+    assert runs == [(parent, None), (change, None),
+                    (parent, 7), (change, 7), (change, 8), (parent, 8), (parent, 9), (change, 9)]
     out = capsys.readouterr().out
     assert "change better in 3/3 pairs" in out and "within its bound 0.25" in out
     assert f"{3 * failed} runs incorrect or with failed operations" in out
+
+
+def test_run_once_reads_and_writes_bytecode_under_the_prefix(tmp_path, monkeypatch):
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append(kwargs)
+        return subprocess.CompletedProcess(argv, 0, stdout='{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    pycache = str(tmp_path / "pycache")
+    assert pairs.run_once(str(tmp_path), "w", 1, 0.1, pycache) == {"correct": True}
+    [kwargs] = calls
+    assert kwargs["cwd"] == str(tmp_path)
+    assert kwargs["env"]["PYTHONPYCACHEPREFIX"] == pycache
+
+
+# A perfbench/run.py whose run is correct when the module it imports was compiled before
+_RUN = """
+import importlib.util, json, os, sys
+compiled = os.path.exists(importlib.util.cache_from_source(os.path.abspath("src/mod.py")))
+sys.path.insert(0, "src")
+import mod
+print(json.dumps({"correct": compiled and mod.OK, "attempted": 1, "failed": 0,
+                  "metrics": {"call_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+
+def test_trees_compiled_before_the_runs_and_left_without_a_pycache(tmp_path, capsys):
+    trees = [_tree(tmp_path, "parent"), _tree(tmp_path, "change")]
+    for tree in map(Path, trees):
+        (tree / "perfbench" / "run.py").write_text(_RUN)
+        (tree / "src").mkdir()
+        (tree / "src" / "mod.py").write_text("OK = True\n")
+    assert pairs.main([*trees, "--workload", "w", "--pairs", "2"]) == 0
+    assert "0 runs incorrect" in capsys.readouterr().out
+    assert not [p for tree in trees for p in Path(tree).rglob("__pycache__")]
+    assert not [p for tree in trees for p in Path(tree).rglob("*.pyc")]

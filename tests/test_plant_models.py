@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 from array import array
 
 import numpy as np
@@ -267,47 +266,15 @@ class TestSyntheticPlants:
             plant.true_F(2), [math.sin(1.0), 2.0 * math.sin(0.5)], atol=1e-15
         )
 
-    def test_random_walk_step_norm_and_reproducibility(self):
-        a = SyntheticUlmPlant("random-walk", G=np.eye(2), bound=0.1, seed=42, nu=1)
-        b = SyntheticUlmPlant("random-walk", G=np.eye(2), bound=0.1, seed=42, nu=1)
-        for k in range(1, 20):
-            step = np.subtract(a.true_F(k), a.true_F(k - 1))
-            assert np.linalg.norm(step) == pytest.approx(0.1, rel=1e-12)
-            np.testing.assert_array_equal(a.true_F(k), b.true_F(k))
-
-    def test_random_walk_same_values_as_stored_walk(self):
-        # the whole walk kept in a list, as the plant once stored it
-        rng = np.random.default_rng(7)
-        walk = [tuple(rng.standard_normal(2).tolist())]
-        for _ in range(1999):
-            s0, s1 = rng.standard_normal(2).tolist()
-            r = 0.05 / math.hypot(s0, s1)
-            walk.append((walk[-1][0] + s0 * r, walk[-1][1] + s1 * r))
-        plant = SyntheticUlmPlant("random-walk", G=np.eye(2), bound=0.05, seed=7, nu=1)
-        assert [plant.true_F(k) for k in range(2000)] == walk
-        # an earlier step replays the walk from the seed
-        for k in (1999, 3, 1000, 0, 1998):
-            assert plant.true_F(k) == walk[k]
-
-    def test_random_walk_keeps_only_the_current_step(self):
-        plant = SyntheticUlmPlant("random-walk", G=np.eye(2), bound=0.1, seed=42, nu=1)
-        tracemalloc.start()
-        try:
-            plant.true_F(10**5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
     @pytest.mark.parametrize("kind, script", [
         ("constant", {}),
         ("constant", {"const": (1.0, 0.0), "slope": (1.0, 0.0)}),
         ("ramp", {"const": (1.0, 0.0)}),
         ("sinusoid", {"amplitude": (1.0, 1.0)}),
-        ("random-walk", {"bound": 0.1}),
-        ("random-walk", {"bound": 0.1, "seed": 1, "freq": (1.0, 1.0)}),
+        ("sinusoid", {"freq": (1.0, 1.0)}),
+        ("sinusoid", {"amplitude": (1.0, 1.0), "freq": (1.0, 1.0), "slope": (1.0, 0.0)}),
     ], ids=["constant-missing", "constant-extra", "const-on-ramp", "sinusoid-no-freq",
-            "walk-no-seed", "walk-extra"])
+            "sinusoid-no-amplitude", "sinusoid-extra"])
     def test_script_must_be_exactly_the_kinds_keys(self, kind, script):
         with pytest.raises(TypeError, match=f"a {kind} plant's script is "):
             SyntheticUlmPlant(kind, G=np.eye(2), nu=1, **script)

@@ -21,7 +21,6 @@ from ftsmfc.plant_models import (
     DivergenceError,
     NoiseConfig,
     PendulumParams,
-    SyntheticUlmPlant,
 )
 from ftsmfc.sim_harness import (
     CSV_HEADER,
@@ -134,8 +133,9 @@ class TestSimConfig:
         "overrides, key",
         [({"plant.spec.n": 3}, "plant.spec.n"),
          ({"plant.spec.slope": [0.1, 0.0]}, "plant.spec.slope"),
-         ({"plant.kind": "random-walk", "plant.spec.bound": 0.1}, "plant.spec.const")],
-        ids=["n", "constant-with-slope", "random-walk-with-const"],
+         ({"plant.kind": "sinusoid", "plant.spec.amplitude": [0.1, 0.1],
+           "plant.spec.freq": [0.1, 0.1]}, "plant.spec.const")],
+        ids=["n", "constant-with-slope", "sinusoid-with-const"],
     )
     def test_plant_spec_keys_checked_per_kind(self, overrides, key):
         with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{key}'")):
@@ -158,29 +158,22 @@ class TestSimConfig:
         "overrides, message",
         [({"plant.spec.nu": 0}, "plant.spec.nu: expected 1 to 10000000, got 0"),
          ({"plant.spec.nu": 10**12}, "plant.spec.nu: expected 1 to 10000000"),
-         ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
-                                                        "bound": 0.1}},
-          "missing required key 'plant.spec.seed'"),
-         ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
-                                                        "seed": 1}},
-          "missing required key 'plant.spec.bound'"),
+         ({"plant.kind": "sinusoid", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
+                                                     "amplitude": [0.1, 0.1]}},
+          "missing required key 'plant.spec.freq'"),
+         ({"plant.kind": "sinusoid", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
+                                                     "freq": [0.1, 0.1]}},
+          "missing required key 'plant.spec.amplitude'"),
          ({"plant.spec.nu": 2, "plant.spec.y_init": [[0.1, 0.2]]},
           "plant.spec.y_init: expected shape (2, 2), got (1, 2)"),
          ({"plant.spec.y_init": [[0.1, 0.2, 0.3]]},
           "plant.spec.y_init: expected shape (1, 2), got (1, 3)"),
-         ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
-                                                        "bound": 0.1, "seed": -1}},
-          "plant.spec.seed: expected a non-negative integer, got -1"),
-         ({"plant.kind": "random-walk", "plant.spec": {"G": BASE_DOC["plant"]["spec"]["G"],
-                                                        "bound": -0.1, "seed": 1}},
-          "plant.spec.bound: expected a non-negative number, got -0.1"),
          # no error is ever within a negative band: every settle_* would be NaN
          ({"metrics.bands": [-1, -1]},
           "metrics.bands: expected non-negative numbers, got (-1.0, -1.0)"),
          ({"metrics.bands": [0.5, -1e-300]}, "metrics.bands: expected non-negative numbers")],
-        ids=["nu-zero", "nu-huge", "missing-seed", "missing-bound", "y_init-rows",
-             "y_init-columns", "negative-seed", "negative-bound", "negative-bands",
-             "one-negative-band"],
+        ids=["nu-zero", "nu-huge", "missing-freq", "missing-amplitude", "y_init-rows",
+             "y_init-columns", "negative-bands", "one-negative-band"],
     )
     def test_plant_spec_checked_when_read(self, overrides, message):
         # from_dict builds no plant, so a huge nu allocates nothing here
@@ -249,9 +242,8 @@ class TestSimConfig:
 
     # each synthetic kind's spec written with integers where floats will be read
     INT_SPECS = {
-        "ramp": {"slope": [1, -2]},
+        "ramp": {"slope": [1, -2], "y_init": [0, 1]},
         "sinusoid": {"amplitude": [1, 2], "freq": [1, 0], "nu": 2, "y_init": [[1, 2], [3, 4]]},
-        "random-walk": {"bound": 1, "seed": 3, "y_init": [0, 1]},
     }
     # and the noise pairs, which NoiseConfig stores as from_dict read them
     INT_NOISE = {"amplitudes": [0, 1], "base_freqs": [120, 150], "fm_depth": [5, 5],
@@ -259,7 +251,7 @@ class TestSimConfig:
 
     @pytest.mark.parametrize(
         "name",
-        ["synthetic_constant.yaml", "paper_experiment.yaml", "ramp", "sinusoid", "random-walk"],
+        ["synthetic_constant.yaml", "paper_experiment.yaml", "ramp", "sinusoid"],
     )
     def test_config_holds_no_array(self, name):
         # the reader hands the kernel floats and tuples, and the plants take them as they
@@ -294,9 +286,9 @@ class TestSimConfig:
         assert not [v for v in leaves if isinstance(v, (np.ndarray, np.generic))]
         assert {type(v) for v in leaves} <= {float, int, str, bool, type(None)}
         if config.plant_kind != "pendulum":
-            # every number written as an integer above is a float now, but for the counts
+            # every number written as an integer above is a float now, but for the count nu
             ints = [v for v in walk(config.plant_spec) if type(v) is int]
-            assert len(ints) == len({"nu", "seed"} & config.plant_spec.keys())
+            assert ints == [config.plant_spec["nu"]]
 
     def test_initial_estimate_is_two_numbers(self):
         assert make_config(initial_estimate=[0.2, -0.1]).initial_estimate == (0.2, -0.1)
@@ -312,13 +304,6 @@ class TestSimConfig:
             make_config(initial_state=[0.0, 0.0, 0.0, 0.0])
         config = make_config(plant={"kind": "pendulum"}, initial_state=[0.1, 0.2, 0.0, 0.0])
         assert config.initial_state == config.trajectory_start == (0.1, 0.2, 0.0, 0.0)
-
-    def test_zero_random_walk_bound_stands_still(self):
-        spec = {"G": BASE_DOC["plant"]["spec"]["G"], "bound": 0, "seed": 1}
-        config = make_config(T=0.1, plant={"kind": "random-walk", "spec": spec})
-        assert len(run_closed_loop(config, SimLog())) == 11
-        plant = SyntheticUlmPlant(config.plant_kind, **config.plant_spec)
-        assert {plant.true_F(k) for k in range(50)} == {plant.true_F(0)}
 
 
 class TestStrictConfig:
@@ -399,7 +384,6 @@ INERT_SPECS = {
              [0.003, 0.003]),
     "sinusoid": ({"amplitude": [0.3, 0.2], "freq": [0.5, 0.25], "nu": 2,
                   "y_init": [[0.1, -0.1], [0.2, 0.05]]}, [0.25, 0.1]),
-    "random-walk": ({"bound": 0.01, "seed": 3, "nu": 1, "y_init": [0.1, -0.1]}, [0.05, 0.05]),
 }
 _GAIN_KEYS = ("exponent", "scale", "weight")
 # The allowlist: key -> (switch, values), the switch in the same config whose
@@ -414,8 +398,7 @@ SWITCHED_OFF_BY = {
 }
 _OTHER_CHOICE = {"fts": "basic", "basic": "fts", "first": "second", "second": "first",
                  "generated": "zero", "zero": "generated", "pendulum": "constant",
-                 "constant": "ramp", "ramp": "sinusoid", "sinusoid": "random-walk",
-                 "random-walk": "constant"}
+                 "constant": "ramp", "ramp": "sinusoid", "sinusoid": "constant"}
 
 
 def _inert_key_base(kind) -> dict:
@@ -762,6 +745,7 @@ class _Blocks:
         self.rows.append(len(block) // LOG_WIDTH)
 
 
+@pytest.mark.usefixtures("two_cpus")  # the formatting child forks on any host
 class TestCsvOutput:
     def test_header_and_shape(self, tmp_path):
         log = run_closed_loop(make_config(), SimLog())
@@ -854,6 +838,7 @@ def _write_csv(path, header, flat, width) -> None:
 _RAMP_COLUMNS = [0, 1, 2, 1, 2, 1, 2, 7, 7, 1, 2, 11, 12, 13, 14, 15, 16, 17, 18]
 
 
+@pytest.mark.usefixtures("two_cpus")  # the formatting child forks on any host
 class TestWriteCsv:
     # one block is 256 rows: one row, one short of a block, one block, one
     # past it, two blocks and one row, and 4 and 28 blocks, which the writer

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left
 
 from ftsmfc import verify
 
@@ -242,25 +243,13 @@ def test_gamma_oracle_same_in_slices_and_gathered():
         assert gathered[k].tobytes() == out[idx].tobytes()
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """_in_two forks whatever the host's CPU count; returns this process's pid."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return os.getpid()
-
-
-def _no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
 def test_in_two_keeps_input_order(two_cpus, n):
     got = verify._in_two(lambda x: (x * x, os.getpid()), list(range(n)))
     assert [square for square, _ in got] == [x * x for x in range(n)]
     # equal weights alternate: the odd inputs, if there are two inputs or more, go to a child
     assert [pid == two_cpus for _, pid in got] == [x % 2 == 0 for x in range(n)]
-    _no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("weights, here", [
@@ -274,7 +263,7 @@ def test_in_two_gives_each_input_to_the_lighter_side(two_cpus, weights, here):
     got = verify._in_two(lambda x: (x, os.getpid()), inputs, weight=lambda x: x[1])
     assert [x for x, _ in got] == inputs  # in input order, whichever side computed them
     assert [i for i, (_, pid) in enumerate(got) if pid == two_cpus] == here
-    _no_child_left()
+    assert_no_child_left()
 
 
 def test_in_two_raises_the_childs_exception(two_cpus):
@@ -285,7 +274,7 @@ def test_in_two_raises_the_childs_exception(two_cpus):
 
     with pytest.raises(verify.DomainError, match="^input 3 lies outside the domain$"):
         verify._in_two(fn, [0, 1, 2, 3])
-    _no_child_left()
+    assert_no_child_left()
 
 
 def test_in_two_names_the_signal_that_killed_the_child(two_cpus):
@@ -296,7 +285,7 @@ def test_in_two_names_the_signal_that_killed_the_child(two_cpus):
 
     with pytest.raises(ChildProcessError, match=f"killed by signal {signal.SIGKILL.value} "):
         verify._in_two(fn, [0, 1, 2, 3])
-    _no_child_left()
+    assert_no_child_left()
 
 
 def test_in_two_kills_the_child_when_this_process_raises(two_cpus):
@@ -311,13 +300,21 @@ def test_in_two_kills_the_child_when_this_process_raises(two_cpus):
     with pytest.raises(KeyboardInterrupt):
         verify._in_two(fn, [0, 1, 2, 3])
     assert time.perf_counter() - t0 < 30
-    _no_child_left()
+    assert_no_child_left()
 
 
 def test_in_two_without_fork(two_cpus, monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert verify._in_two(lambda x: (x + 1, os.getpid()), [1, 2, 3]) == [
         (2, two_cpus), (3, two_cpus), (4, two_cpus)]
+
+
+def test_in_two_on_one_cpu(monkeypatch, children):
+    # sim_harness.fork_helps, the CSV writer's test too: a child would only take turns
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert verify._in_two(lambda x: (x + 1, os.getpid()), [1, 2, 3]) == [
+        (2, os.getpid()), (3, os.getpid()), (4, os.getpid())]
+    assert children == []
 
 
 def test_in_two_flushes_no_inherited_buffer(two_cpus, capfd, monkeypatch):
@@ -353,6 +350,6 @@ def _split_report(suite, arg):
 @pytest.mark.parametrize("suite, arg", SPLIT, ids=[s for s, _ in SPLIT])
 def test_split_suite_same_with_and_without_fork(two_cpus, monkeypatch, suite, arg):
     forked = _split_report(suite, arg)
-    _no_child_left()
+    assert_no_child_left()
     monkeypatch.delattr(os, "fork")
     assert _split_report(suite, arg) == forked

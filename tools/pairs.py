@@ -7,7 +7,9 @@ Usage, with PARENT and CHANGE the roots of two checkouts:
 
 Pair i runs `perfbench/run.py --workload W --seed S+i --seconds SECONDS --trace 0`
 once in each checkout, the parent first in even pairs and the change first in odd
-ones, with PYTHONDONTWRITEBYTECODE=1 so that neither tree gains a __pycache__.
+ones.  Bytecode goes to a temporary PYTHONPYCACHEPREFIX, so that neither tree gains
+a __pycache__, and each tree is compiled there once before pair 1, so that no run
+compiles a module: a compile's memory would count in its peak_rss_mb.
 For each end-to-end metric of PARENT's BENCHMARK.json it prints every pair, each
 side's median and quartiles, the pairs in which the change reads better, whether
 a gain could be claimed (at least nine tenths of the pairs better, ties counting
@@ -26,15 +28,26 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def _env(pycache: str) -> dict:
+    """This environment, with Python's bytecode read from and written to pycache."""
+    return dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+
+
+def compile_tree(tree: str, pycache: str) -> None:
+    """Compile every module of tree into pycache."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "."], cwd=tree, env=_env(pycache),
+                   stdout=subprocess.DEVNULL)
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float, pycache: str) -> dict:
     """One untraced benchmark run in tree: its last line, the JSON result."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=env, capture_output=True, text=True)
+        cwd=tree, env=_env(pycache), capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: perfbench exited {proc.returncode}: {proc.stderr.strip()}")
@@ -88,21 +101,25 @@ def main(argv=None) -> int:
     values = {side: {m["name"]: [] for m in metrics} for side in trees}
     bad = 0
     try:
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                try:
-                    result = run_once(trees[side], args.workload, seed, args.seconds)
-                except RuntimeError as exc:
-                    print(f"pair {i + 1} {side}: {exc}")
-                    return 1
-                if not result["correct"] or result["failed"]:
-                    bad += 1
-                    print(f"pair {i + 1} {side}: correct {result['correct']}, failed "
-                          f"{result['failed']} of {result['attempted']}")
-                for m in metrics:
-                    values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
-            print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+        with tempfile.TemporaryDirectory(prefix="pairs-pycache.") as pycache:
+            for tree in trees.values():
+                compile_tree(tree, pycache)
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    try:
+                        result = run_once(trees[side], args.workload, seed, args.seconds,
+                                          pycache)
+                    except RuntimeError as exc:
+                        print(f"pair {i + 1} {side}: {exc}")
+                        return 1
+                    if not result["correct"] or result["failed"]:
+                        bad += 1
+                        print(f"pair {i + 1} {side}: correct {result['correct']}, failed "
+                              f"{result['failed']} of {result['attempted']}")
+                    for m in metrics:
+                        values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+                print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
     finally:
         for out in made:
             with contextlib.suppress(OSError):  # left in place if anything is in it
