@@ -274,7 +274,7 @@ class TestSyntheticPlants:
         ("sinusoid", {"freq": (1.0, 1.0)}),
         ("sinusoid", {"amplitude": (1.0, 1.0), "freq": (1.0, 1.0), "slope": (1.0, 0.0)}),
     ], ids=["constant-missing", "constant-extra", "const-on-ramp", "sinusoid-no-freq",
-            "sinusoid-no-amplitude", "sinusoid-extra"])
+            "sin-no-amp", "sinusoid-extra"])
     def test_script_must_be_exactly_the_kinds_keys(self, kind, script):
         with pytest.raises(TypeError, match=f"a {kind} plant's script is "):
             SyntheticUlmPlant(kind, G=np.eye(2), nu=1, **script)
