@@ -20,13 +20,11 @@ import os
 import sys
 from typing import List, Optional
 
-from . import sim_harness
 from .config import ConfigError, SimConfig, load_doc, parse_yaml
 from .fts_core import DomainError
 from .plant_models import DivergenceError, generate_desired_trajectory
 from .sim_harness import (
     CSV_HEADER,
-    LOG_WIDTH,
     SUITE_NAMES,
     TRAJECTORY_HEADER,
     CsvOutput,
@@ -95,7 +93,7 @@ def _run(config: SimConfig, out_csv: str, metrics_path: str, preamble: str = "")
     if os.path.realpath(metrics_path) == os.path.realpath(out_csv):
         raise ConfigError(f"--metrics-out {metrics_path} names the --out file")
     metrics = SteadyState(config.n_steps + 1, config.settle_time, config.bands)
-    with CsvOutput(out_csv, CSV_HEADER, LOG_WIDTH) as csv:
+    with CsvOutput(out_csv, CSV_HEADER) as csv:
         run_closed_loop(config, metrics, csv)
         text = preamble + metrics_to_text(metrics.result())
         csv.finish()  # a formatting failure is raised here, before the metrics file is opened
@@ -120,9 +118,9 @@ def _cmd_generate_trajectory(args) -> int:
         raise ConfigError(
             f"plant.kind: generate-trajectory needs the pendulum, got {config.plant_kind!r}"
         )
-    with CsvOutput(args.out, TRAJECTORY_HEADER, 3) as csv:
+    with CsvOutput(args.out, TRAJECTORY_HEADER) as csv:
         generate_desired_trajectory(
-            config.trajectory_start, config.T, config.dt, config.plant_params, csv
+            config.trajectory_start, config.n_steps + 1, config.dt, config.plant_params, csv
         )
         csv.commit()
     print(f"wrote {len(csv)} samples to {args.out}")
@@ -130,10 +128,12 @@ def _cmd_generate_trajectory(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_suite  # here, as the one command that loads NumPy
+
     suites = SUITE_NAMES if args.suite == "all" else (args.suite,)
     ok = True
     for name in suites:
-        report = sim_harness.verify_suite(name)  # the first use loads ftsmfc.verify and NumPy
+        report = verify_suite(name)
         print(report.format())
         ok = ok and report.passed
     return EXIT_OK if ok else EXIT_VERIFY
@@ -172,7 +172,13 @@ def _cmd_sweep(args) -> int:
     for text in values:
         doc = copy.deepcopy(base)
         _set_dotted(doc, args.param, parse_yaml(text, f"--values: cannot parse {text!r}"))
-        configs.append(SimConfig.from_dict(doc))
+        config = SimConfig.from_dict(doc)
+        horizon = config.dt * config.n_steps  # the last row's t, as SteadyState reads it
+        if not horizon > config.settle_time:
+            raise ConfigError(
+                f"no samples after settle_time={config.settle_time} (horizon {horizon})"
+            )
+        configs.append(config)
     os.makedirs(args.out, exist_ok=True)
     for i, (text, config) in enumerate(zip(values, configs)):
         safe = text.replace("/", "_")

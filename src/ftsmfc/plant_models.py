@@ -117,14 +117,13 @@ def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
         yield y
 
 
-def generate_desired_trajectory(init, T: float, dt: float, params: PendulumParams, sink):
-    """Hand the first n = floor(T/dt) + 1 samples of desired_samples, as the rows
-    (dt*k, x_d, theta_d), to sink.write in flat array('d') blocks of SINK_ROWS rows (the
-    last one shorter) as they are generated; return sink.  T >= 0, dt > 0.
+def generate_desired_trajectory(init, n: int, dt: float, params: PendulumParams, sink):
+    """Hand the first n samples of desired_samples, as the rows (dt*k, x_d, theta_d), to
+    sink.write in flat array('d') blocks of SINK_ROWS rows (the last one shorter) as they
+    are generated; return sink.  dt > 0.
     """
-    count = int(math.floor(T / dt)) + 1
-    # range first: zip stops before it steps the plant past sample count - 1
-    samples = zip(range(count), desired_samples(init, dt, params))
+    # range first: zip stops before it steps the plant past sample n - 1
+    samples = zip(range(n), desired_samples(init, dt, params))
     rows = itertools.chain.from_iterable((dt * k, x, th) for k, (x, th) in samples)
     for block in iter(lambda: array("d", itertools.islice(rows, 3 * SINK_ROWS)), array("d")):
         sink.write(block)

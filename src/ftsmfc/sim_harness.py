@@ -7,9 +7,9 @@ computes u_k from the newest filtered tracking error and observer estimate,
 and finally steps the plant.  No quantity ever depends on a signal that is
 time-stamped later than its computation instant.
 
-The property-verification suites live in ftsmfc.verify, which imports NumPy;
-their names (verify_suite, PropertyResult, SuiteReport) resolve here on first
-use, so `simulate`, `generate-trajectory` and `sweep` run without NumPy.
+The property-verification suites live in ftsmfc.verify, the one module that imports
+NumPy.  Its verify_suite, PropertyResult and SuiteReport resolve here on first use
+only for perfbench, whose traced labels and tests name them here.
 """
 
 from __future__ import annotations
@@ -137,8 +137,11 @@ class ReplacedFile(contextlib.AbstractContextManager):
         if os.path.exists(self._target) and not os.path.isfile(self._target):
             self._tmp, self.fh = None, open(self._target, "wb")
         else:
-            fd, self._tmp = tempfile.mkstemp(dir=os.path.dirname(self._target),
-                                             prefix=f".{os.path.basename(self._target)}.")
+            try:
+                fd, self._tmp = tempfile.mkstemp(dir=os.path.dirname(self._target),
+                                                 prefix=f".{os.path.basename(self._target)}.")
+            except OSError as exc:  # named after path, not the random temporary name
+                raise OSError(exc.errno, exc.strerror, path) from exc
             self.fh = open(fd, "wb")
             try:
                 mode = os.stat(self._target).st_mode & 0o7777  # an existing file keeps its mode
@@ -173,22 +176,22 @@ _FRAME = struct.Struct("=?Q")
 class CsvOutput(ReplacedFile):
     """A CSV file written a block of rows at a time, a ReplacedFile of path.
 
-    Each write() takes a flat row-major array('d') of whole rows of width floats,
-    every float written as `%.17g` under the header line.  Where fork_helps(),
-    the first write that holds a full block of SINK_ROWS rows forks one child,
-    which formats the floats it reads from a pipe while this process goes on.
-    Whenever a whole block of floats is still unread in that pipe, this process
-    formats the next block itself and sends its text, which the child writes in
-    its place, so the two share the work.  Otherwise, or for a shorter table,
-    this process formats each block as it arrives.  A child that fails is
+    Each write() takes a flat row-major array('d') of whole rows, a float for each
+    field of header, every float written as `%.17g` under the header line.  Where
+    fork_helps(), the first write that holds a full block of SINK_ROWS rows forks
+    one child, which formats the floats it reads from a pipe while this process
+    goes on.  Whenever a whole block of floats is still unread in that pipe, this
+    process formats the next block itself and sends its text, which the child
+    writes in its place, so the two share the work.  Otherwise, or for a shorter
+    table, this process formats each block as it arrives.  A child that fails is
     an OSError with the child's message, and leaving the `with` block without
     commit() also kills and reaps the child.  len() is the rows written so far;
     child is the Child, None until one is forked.
     """
 
-    def __init__(self, path: str, header: str, width: int) -> None:
+    def __init__(self, path: str, header: str) -> None:
         super().__init__(path)
-        self.width, self.rows, self.child = width, 0, None
+        self.width, self.rows, self.child = len(header.split(",")), 0, None
         self.fh.write(f"{header}\n".encode())
 
     def __exit__(self, *exc_info) -> None:
@@ -303,7 +306,7 @@ class SimLog:
     def to_csv(self, path: str) -> None:
         """Write the log with the fixed header and 17-significant-digit floats, through
         CsvOutput: path is replaced only once every row is written."""
-        with CsvOutput(path, CSV_HEADER, LOG_WIDTH) as out:
+        with CsvOutput(path, CSV_HEADER) as out:
             out.write(self.rows)
             out.commit()
 

@@ -1,11 +1,11 @@
 """The seeded property-verification suites and the Lyapunov tools they check, on
-NumPy arrays: the one module that imports NumPy when it is imported.  fts_core
-and sim_harness bind its public names on first use (PEP 562), so `simulate`,
-`generate-trajectory` and `sweep` never load it.  The suites call package
-functions through their modules (`fts_core.holder_gain`, ...), so a wrapper put
-on a module attribute sees every call made in this process.  Every suite but
-`control` splits its independent runs by predicted cost between this process and
-a forked child (`_in_two`), whose calls such a wrapper does not see.
+NumPy arrays: the one module that imports NumPy when it is imported.  The CLI's
+`verify` imports it, and fts_core and sim_harness bind a few of its names on first
+use (PEP 562), so `simulate`, `generate-trajectory` and `sweep` never load it.  The
+suites call package functions through their modules (`fts_core.holder_gain`, ...),
+so a wrapper put on a module attribute sees every call made in this process.  Every
+suite but `control` splits its independent runs by predicted cost between this
+process and a forked child (`_in_two`), whose calls such a wrapper does not see.
 """
 
 from __future__ import annotations
@@ -428,7 +428,8 @@ def _holder_run(run: Tuple[float, float, float]) -> bool:
     return fts_core.verify_holder_continuity(trace, eps)
 
 
-def _suite_lemma1(rng: np.random.Generator, n: int = 300) -> List[PropertyResult]:
+def _suite_lemma1(rng: np.random.Generator) -> List[PropertyResult]:
+    n = 300
     done = _in_two(_lemma1_run, _recursion_runs(rng, n), _predicted_steps)
     steps = [N for N, _ in done if N is not None]
     worst_N, all_finite = max(steps, default=0), len(steps) == n
@@ -440,7 +441,8 @@ def _suite_lemma1(rng: np.random.Generator, n: int = 300) -> List[PropertyResult
     ]
 
 
-def _suite_holder(rng: np.random.Generator, n: int = 200) -> List[PropertyResult]:
+def _suite_holder(rng: np.random.Generator) -> List[PropertyResult]:
+    n = 200
     ok = all(_in_two(_holder_run, _recursion_runs(rng, n), _predicted_steps))
     return [PropertyResult("recursion traces are Holder-continuous", n, 0.0, ok)]
 
@@ -530,10 +532,8 @@ def _suite_observer2(rng: np.random.Generator, n: int = 20) -> List[PropertyResu
     ]
 
 
-def _suite_control(rng: np.random.Generator, n: int = 20) -> List[PropertyResult]:
-    worst_basic = 0.0
-    worst_fts = 0.0
-    worst_conv = 0.0
+def _suite_control(rng: np.random.Generator) -> List[PropertyResult]:
+    n, worst_basic, worst_fts, worst_conv = 20, 0.0, 0.0, 0.0
     G = ((0.559, 0.196), (0.196, 0.657))
     gains = tracking_control.ControlGains(params=CTRL_PARAMS, G=G)
     for _ in range(n):

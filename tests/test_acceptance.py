@@ -15,15 +15,7 @@ import numpy as np
 import pytest
 
 from ftsmfc import cli
-from ftsmfc.fts_core import (
-    HolderGainParams,
-    fts_recursion,
-    gamma_of_V,
-    holder_gain,
-    robustness_radius,
-    verify_fts_condition,
-    verify_holder_continuity,
-)
+from ftsmfc.fts_core import HolderGainParams, holder_gain, robustness_radius
 from ftsmfc.plant_models import DivergenceError, SyntheticUlmPlant
 from ftsmfc.sim_harness import (
     CSV_HEADER,
@@ -35,6 +27,12 @@ from ftsmfc.sim_harness import (
 )
 from ftsmfc.tracking_control import ControlGains, control_law_basic, control_law_fts
 from ftsmfc.ulm_observer import first_order_update, second_order_update
+from ftsmfc.verify import (
+    fts_recursion,
+    gamma_of_V,
+    verify_fts_condition,
+    verify_holder_continuity,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 OBS = HolderGainParams(exponent=9 / 7, scale=1.5)

@@ -18,7 +18,7 @@ from conftest import assert_no_child_left
 
 import ftsmfc
 from ftsmfc import cli, config, plant_models, sim_harness, verify
-from ftsmfc.sim_harness import PropertyResult
+from ftsmfc.verify import PropertyResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -399,12 +399,16 @@ class TestSimulate:
         assert not out_csv.exists()
 
     def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
-        rc, _, err = _main(
-            capsys, "simulate", "--config", _write(tmp_path, _short_constant()),
-            "--out", str(tmp_path / "absent" / "run.csv"),
-        )
-        assert rc == cli.EXIT_CONFIG
-        _one_line(err, "output error:")
+        # the same line on every run: it names --out, not a random temporary file
+        out_csv = str(tmp_path / "absent" / "run.csv")
+        config = _write(tmp_path, _short_constant())
+        lines = []
+        for _ in range(2):
+            rc, _, err = _main(capsys, "simulate", "--config", config, "--out", out_csv)
+            assert rc == cli.EXIT_CONFIG
+            lines.append(_one_line(err, "output error:"))
+        assert lines[0] == lines[1] == (
+            f"output error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {out_csv!r}")
 
     def test_entry_point_prints_no_traceback(self, tmp_path):
         doc = _short_constant()
@@ -669,6 +673,14 @@ class TestVerify:
         assert (rc, err) == (cli.EXIT_OK, "")
         assert out.startswith("suite rho: PASS")
 
+    def test_runs_without_the_sim_harness_names(self, capsys, monkeypatch):
+        # the CLI takes verify_suite from ftsmfc.verify, not through sim_harness
+        monkeypatch.delattr(sim_harness, "verify_suite", raising=False)  # bound by a lookup
+        monkeypatch.delattr(sim_harness, "__getattr__")
+        rc, out, err = _main(capsys, "verify", "--suite", "rho")
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert out.startswith("suite rho: PASS")
+
     def test_failing_suite(self, capsys, monkeypatch):
         monkeypatch.setitem(
             verify._SUITES, "rho", lambda rng: [PropertyResult("always fails", 1, 1.0, False)]
@@ -740,6 +752,18 @@ class TestSweep:
         )
         assert (rc, out) == (cli.EXIT_CONFIG, "")
         _one_line(err, "config error:")
+        assert not out_dir.exists()
+
+    def test_value_with_no_settle_window_writes_nothing(self, tmp_path, capsys):
+        # a horizon that ends before settle_time leaves no rows for the metrics
+        out_dir = tmp_path / "sweep"
+        rc, out, err = _main(
+            capsys, "sweep", "--config", str(CONFIGS / "synthetic_constant.yaml"),
+            "--param", "T", "--values", "21,0.5", "--out", str(out_dir),
+        )
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        assert _one_line(err, "config error:") == (
+            "config error: no samples after settle_time=20.0 (horizon 0.5)")
         assert not out_dir.exists()
 
     def test_vector_key(self, tmp_path, capsys):

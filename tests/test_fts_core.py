@@ -20,14 +20,16 @@ from ftsmfc import (
 from ftsmfc.fts_core import (
     DomainError,
     HolderGainParams,
-    LyapunovTrace,
     Record,
     decrease_radius,
-    fts_recursion,
-    gamma_of_V,
     gamma_zero_crossing,
     holder_gain,
     robustness_radius,
+)
+from ftsmfc.verify import (
+    LyapunovTrace,
+    fts_recursion,
+    gamma_of_V,
     verify_fts_condition,
     verify_holder_continuity,
 )
@@ -500,14 +502,16 @@ class TestRadii:
         assert robustness_radius(0.0) == 1.0  # zeta = 1
         assert robustness_radius(0.5) == pytest.approx(1.5, abs=1e-15)  # zeta = 0.75
         assert robustness_radius(-1.0) == pytest.approx(2.0, abs=1e-15)
+        assert robustness_radius(-1e-9) == 1.0 + 1e-9  # 1 + |gain|, exactly
 
     def test_robustness_radius_range(self):
         for g in np.linspace(-1.0, 0.999999, 1000):
             assert 1.0 <= robustness_radius(float(g)) <= 2.0
 
     def test_decrease_radius_is_one_minus_abs_gain(self):
-        for g in np.linspace(-1.0, 0.999, 500):
-            assert decrease_radius(float(g)) == pytest.approx(1.0 - abs(g), abs=1e-12)
+        # exactly, the smallest gains too: 1 - sqrt(1 - zeta) gives 1.0 below about 1e-8
+        for g in [*np.linspace(-1.0, 0.999, 500).tolist(), 1e-9, -1e-9, 1e-300]:
+            assert decrease_radius(g) == 1.0 - abs(g)
 
     def test_domain(self):
         for fn in (robustness_radius, decrease_radius):

@@ -66,6 +66,19 @@ def test_runs_alternate_and_a_failed_run_is_an_error(tmp_path, monkeypatch, caps
     out = capsys.readouterr().out
     assert "change better in 3/3 pairs" in out and "within its bound 0.25" in out
     assert f"{3 * failed} runs incorrect or with failed operations" in out
+    # the last line is the run as JSON, and it reads back to the verdicts printed
+    record = json.loads(out.splitlines()[-1])
+    assert (record["workload"], record["seeds"], record["seconds"]) == ("w", [7, 8, 9], 20.0)
+    assert record["bad_runs"] == 3 * failed
+    call = record["metrics"]["call_s"]
+    assert call["pairs"] == [[1.0, 0.5]] * 3
+    assert (call["parent"], call["change"]) == ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
+    assert (call["unit"], call["better"], call["bound"]) == ("s", "lower", 0.25)
+    verdicts = (f"change better in {call['wins']}/{len(call['pairs'])} pairs; claim rule "
+                f"{'holds' if call['claim'] else 'does not hold'}; "
+                f"{'within' if call['within_bound'] else 'OUTSIDE'} its bound {call['bound']}")
+    assert verdicts in out
+    assert verdicts == "change better in 3/3 pairs; claim rule holds; within its bound 0.25"
 
 
 def test_run_once_reads_and_writes_bytecode_under_the_prefix(tmp_path, monkeypatch):

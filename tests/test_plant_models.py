@@ -135,8 +135,8 @@ class TestOpenLoopInput:
         )
 
 
-def _trajectory(init, T, dt=0.01, blocks=None):
-    """generate_desired_trajectory's rows, collected through a sink, as an (n, 3) array;
+def _trajectory(init, n, dt=0.01, blocks=None):
+    """generate_desired_trajectory's n rows, collected through a sink, as an (n, 3) array;
     the row count of each block it hands over is appended to blocks."""
     rows = array("d")
 
@@ -147,7 +147,7 @@ def _trajectory(init, T, dt=0.01, blocks=None):
             rows.extend(block)
 
     sink = Sink()
-    assert generate_desired_trajectory(init, T, dt, P, sink) is sink
+    assert generate_desired_trajectory(init, n, dt, P, sink) is sink
     return np.frombuffer(rows).reshape(-1, 3)
 
 
@@ -155,7 +155,7 @@ class TestDesiredTrajectory:
     INIT = np.array([0.45, -0.14, -0.3, 0.05])
 
     def test_sample_count_and_seed_rows(self):
-        traj = _trajectory(self.INIT, 1.0)
+        traj = _trajectory(self.INIT, 101)
         assert traj.shape == (101, 3)
         np.testing.assert_array_equal(traj[0, 1:], [0.45, -0.14])
         np.testing.assert_allclose(traj[1, 1:], [0.45 - 0.003, -0.14 + 0.0005], atol=1e-15)
@@ -164,7 +164,7 @@ class TestDesiredTrajectory:
 
     def test_rows_are_the_generator_prefix(self):
         blocks = []
-        traj = _trajectory(self.INIT, 5.0, blocks=blocks)
+        traj = _trajectory(self.INIT, 501, blocks=blocks)
         assert blocks == [SINK_ROWS, 501 - SINK_ROWS]  # full blocks, the last one shorter
         samples = desired_samples(self.INIT, 0.01, P)
         prefix = np.array(list(itertools.islice(samples, 501)))
@@ -173,11 +173,11 @@ class TestDesiredTrajectory:
         assert np.all(np.isfinite(next(samples)))
 
     def test_zero_horizon(self):
-        traj = _trajectory(self.INIT, 0.0)
+        traj = _trajectory(self.INIT, 1)  # T = 0: the one sample y_0
         assert traj.shape == (1, 3)
 
     def test_full_horizon_bounded_with_known_envelope(self):
-        traj = _trajectory(self.INIT, 70.0)[:, 1:]
+        traj = _trajectory(self.INIT, 7001)[:, 1:]
         assert traj.shape == (7001, 2)
         assert np.all(np.isfinite(traj))
         assert np.all(np.abs(traj) < DIVERGENCE_LIMIT)
@@ -189,7 +189,7 @@ class TestDesiredTrajectory:
         # x_k = k * dt * xdot_0 = k * 4e5 first exceeds the limit at sample 3
         init = [0.0, 0.0, 4.0e7, 0.0]
         with pytest.raises(DivergenceError, match=r"generation diverged at step 3$") as info:
-            _trajectory(init, 1.0)
+            _trajectory(init, 101)
         assert info.value.step_index == 3
         samples = desired_samples(init, 0.01, P)
         assert len(list(itertools.islice(samples, 3))) == 3

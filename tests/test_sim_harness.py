@@ -33,9 +33,9 @@ from ftsmfc.sim_harness import (
     compute_metrics,
     metrics_to_text,
     run_closed_loop,
-    verify_suite,
 )
 from ftsmfc.tracking_control import ControlGains
+from ftsmfc.verify import verify_suite
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BASE_DOC = {
@@ -820,14 +820,20 @@ def _oracle_csv(header, table) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _header(n_cols) -> str:
+    """A header of n_cols fields, which sets the writer's row width."""
+    return ",".join(f"c{j}" for j in range(n_cols))
+
+
 def _write_table(path, header, table) -> None:
-    """table written through CsvOutput, as one flat array('d') and its width."""
-    _write_csv(path, header, array("d", table.tobytes()), table.shape[1])
+    """table written through CsvOutput under header, as one flat array('d')."""
+    assert len(header.split(",")) == table.shape[1]
+    _write_csv(path, header, array("d", table.tobytes()))
 
 
-def _write_csv(path, header, flat, width) -> None:
-    """flat's rows of width floats written under header, in one CsvOutput.write."""
-    with CsvOutput(str(path), header, width) as out:
+def _write_csv(path, header, flat) -> None:
+    """flat's rows, a float for each field of header, written in one CsvOutput.write."""
+    with CsvOutput(str(path), header) as out:
         out.write(flat)
         out.commit()
 
@@ -849,8 +855,8 @@ class TestWriteCsv:
         values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000)])
         table = np.resize(values, (n_rows, n_cols))
         path = tmp_path / "out.csv"
-        _write_table(path, "h", table)
-        assert path.read_bytes() == _oracle_csv("h", table)
+        _write_table(path, _header(n_cols), table)
+        assert path.read_bytes() == _oracle_csv(_header(n_cols), table)
 
     @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513, 769, 7001])
     def test_repeated_columns_match_per_value_format(self, tmp_path, n_rows):
@@ -865,8 +871,8 @@ class TestWriteCsv:
         table = np.zeros((300, 4))
         table[:, 1] = table[:, 3] = -0.0
         path = tmp_path / "out.csv"
-        _write_table(path, "h", table)
-        assert path.read_bytes() == _oracle_csv("h", table)
+        _write_table(path, _header(4), table)
+        assert path.read_bytes() == _oracle_csv(_header(4), table)
         assert path.read_bytes().splitlines()[1:] == [b"0,-0,0,-0"] * 300
 
     @pytest.mark.parametrize("row", [0, 255, 256, 300, 512])
@@ -877,8 +883,8 @@ class TestWriteCsv:
         other[row] = np.nextafter(other[row], np.inf)
         table = np.column_stack([col, other, col])
         path = tmp_path / "out.csv"
-        _write_table(path, "h", table)
-        assert path.read_bytes() == _oracle_csv("h", table)
+        _write_table(path, _header(3), table)
+        assert path.read_bytes() == _oracle_csv(_header(3), table)
 
     def test_every_random_magnitude_matches(self, tmp_path):
         values = np.concatenate([_SPECIAL_VALUES, _random_magnitudes(10_000, seed=9)])
@@ -918,7 +924,7 @@ def _write_peak(path, table) -> int:
     flat = array("d", table.tobytes())  # made before tracing: the writer's input
     tracemalloc.start()
     try:
-        _write_csv(path, CSV_HEADER, flat, table.shape[1])
+        _write_csv(path, CSV_HEADER, flat)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

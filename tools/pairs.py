@@ -15,8 +15,9 @@ side's median and quartiles, the pairs in which the change reads better, whether
 a gain could be claimed (at least nine tenths of the pairs better, ties counting
 for neither, and the medians apart by more than the distance between the
 parent's quartiles) and whether the change's median stays within the metric's
-bound.  It exits 1 when a run exits non-zero, fails its correctness gate or
-counts a failed operation.
+bound.  Its last line is the same as one JSON object: the workload, the seeds and
+seconds, and for each metric its pairs, quartiles, wins and verdicts.  It exits 1
+when a run exits non-zero, fails its correctness gate or counts a failed operation.
 """
 
 from __future__ import annotations
@@ -62,18 +63,18 @@ def summarize(parent, change, better: str, bound: float) -> dict:
                                   for side in (parent, change))
     gap = sign * (pm - cm)  # positive when the change's median is better
     return {
-        "parent": (p1, pm, p3), "change": (c1, cm, c3), "wins": wins, "pairs": len(parent),
-        "claim": 10 * wins >= 9 * len(parent) and gap > p3 - p1,
+        "pairs": list(zip(parent, change)), "parent": (p1, pm, p3), "change": (c1, cm, c3),
+        "wins": wins, "claim": 10 * wins >= 9 * len(parent) and gap > p3 - p1,
         "within_bound": -gap <= bound * abs(pm),
     }
 
 
-def _report(name: str, unit: str, better: str, bound: float, parent, change) -> str:
-    s = summarize(parent, change, better, bound)
+def _report(name: str, unit: str, better: str, bound: float, s: dict) -> str:
+    """The lines printed for one metric's summarize() result s."""
     quart = "median {1:.4g} [Q1 {0:.4g}, Q3 {2:.4g}]".format
-    pairs = ", ".join(f"{p:.4g}/{c:.4g}" for p, c in zip(parent, change))
+    pairs = ", ".join(f"{p:.4g}/{c:.4g}" for p, c in s["pairs"])
     return (f"{name} ({unit}, {better} is better): parent {quart(*s['parent'])}; "
-            f"change {quart(*s['change'])}; change better in {s['wins']}/{s['pairs']} "
+            f"change {quart(*s['change'])}; change better in {s['wins']}/{len(s['pairs'])} "
             f"pairs; claim rule {'holds' if s['claim'] else 'does not hold'}; "
             f"{'within' if s['within_bound'] else 'OUTSIDE'} its bound {bound}\n"
             f"  pairs parent/change: {pairs}")
@@ -124,12 +125,17 @@ def main(argv=None) -> int:
         for out in made:
             with contextlib.suppress(OSError):  # left in place if anything is in it
                 os.rmdir(out)
+    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     print(f"workload {args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
-          f"seeds {args.first_seed}-{args.first_seed + args.pairs - 1}; "
-          f"{bad} runs incorrect or with failed operations")
+          f"seeds {seeds[0]}-{seeds[-1]}; {bad} runs incorrect or with failed operations")
+    record = {"workload": args.workload, "seeds": seeds, "seconds": args.seconds,
+              "bad_runs": bad, "metrics": {}}
     for m in metrics:
-        print(_report(m["name"], m["unit"], m["better"], m["bound"],
-                      values["parent"][m["name"]], values["change"][m["name"]]))
+        s = summarize(values["parent"][m["name"]], values["change"][m["name"]], m["better"],
+                      m["bound"])
+        print(_report(m["name"], m["unit"], m["better"], m["bound"], s))
+        record["metrics"][m["name"]] = {**m, **s}
+    print(json.dumps(record))
     return 1 if bad else 0
 
 
