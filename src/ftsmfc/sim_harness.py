@@ -30,7 +30,7 @@ from array import array
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .config import ConfigError, SimConfig
-from .fts_core import Pair, from_verify
+from .fts_core import DomainError, Pair, from_verify
 from .output_filter import filter_update
 from .plant_models import (
     DivergenceError,
@@ -353,8 +353,8 @@ def run_closed_loop(config: SimConfig, sink, *more):
     soon as it is full; the last, shorter block when the run ends or the loop
     raises.  Every signal in the loop is a pair of floats.  Raises DivergenceError
     when the plant or a generated desired trajectory diverges, with the failing
-    tick as its step_index, DomainError when a signal turns non-finite, and
-    ConfigError on inconsistent configuration.
+    tick as its step_index, DomainError naming the tick when a signal turns
+    non-finite, and ConfigError on inconsistent configuration.
     """
     sinks = (sink, *more)
     plant = _build_plant(config)
@@ -423,6 +423,8 @@ def run_closed_loop(config: SimConfig, sink, *more):
                 (F1, F2), (Fh1, Fh2), (u1, u2) = F_rec, F_seen, u
                 block.frombytes(pack(t, x, th, x_m, th_m, x_h, th_h, x_d, th_d, x - x_d, th - th_d,
                                      F1, F2, Fh1, Fh2, Fh1 - F1, Fh2 - F2, u1, u2))
+        except DomainError as exc:
+            raise DomainError(f"non-finite signal at step {k}: {exc}") from exc
         finally:  # the block, full, the last one or the rows before the loop raised
             if block:
                 for sink in sinks:

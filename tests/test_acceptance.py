@@ -5,6 +5,13 @@ that the implemented equations cannot meet (README.md, section "Acceptance
 status", has the analysis) assert the stated requirement verbatim and are
 marked strict-xfail on an AssertionError, so a run that unexpectedly meets them,
 or that fails them with any other exception, is flagged.
+
+Every criterion runs the package's own kernels.  Criteria 4 and 5 drive their 100
+seeded runs one at a time through first_order_update, holder_gain and
+robustness_radius; their counts are computed once per module, and
+test_criteria_4_and_5_measured_margins pins them, since the strict-xfail tests
+assert only that the requirement fails.  The gain formulas written out here are
+oracles that the package is compared against (criterion 7).
 """
 
 import math
@@ -46,23 +53,56 @@ def _emit(capsys, text: str) -> None:
         print(text)
 
 
-def _batched_gain(e, params):
-    """holder_gain of each row of e, for a batch of independent runs.
+@pytest.fixture(scope="module")
+def criterion4_counts():
+    """(violations, checked steps) per drift bound B, over 100 observers under drift.
 
-    The weighted form e^T W e is spelt as in holder_gain; the power is
-    np.power, which may differ from holder_gain in the last bits.
+    Each run is driven through first_order_update, holder_gain and robustness_radius.
     """
-    e0, e1 = e[:, 0], e[:, 1]
-    q = params.w00 * e0 * e0 + 2.0 * params.w01 * e0 * e1 + params.w11 * e1 * e1
-    x = np.power(q, params.holder_power, out=np.zeros_like(q), where=q > 0.0)
-    return (x - params.scale) / (x + params.scale)
+    rng = np.random.default_rng(20240812)
+    burn_in, horizon = 2_000, 10_000
+    counts = []
+    for B, n_runs in ((0.01, 34), (0.1, 33), (1.0, 33)):
+        F = rng.standard_normal((n_runs, 2))
+        F_hat = F + rng.uniform(-3, 3, (n_runs, 2))
+        # one draw of every step is the stream that one draw per step gives
+        steps = rng.standard_normal((burn_in + horizon, n_runs, 2))
+        steps *= B / np.linalg.norm(steps, axis=2, keepdims=True)
+        violations = 0
+        for f, f_hat, drift in zip(F.tolist(), F_hat.tolist(), steps.transpose(1, 0, 2).tolist()):
+            for k, (d0, d1) in enumerate(drift):
+                f_hat = first_order_update(f_hat, f, OBS)
+                f = (f[0] + d0, f[1] + d1)
+                if k >= burn_in:
+                    e = (f_hat[0] - f[0], f_hat[1] - f[1])
+                    violations += robustness_radius(holder_gain(e, OBS)) * math.hypot(*e) > B
+        counts.append((B, violations, n_runs * horizon))
+    return counts
 
 
-def _vector_observer_step(F_hat, F, params):
-    """Row-wise first-order observer update for a batch of independent runs."""
-    e = F_hat - F
-    D = _batched_gain(e, params)
-    return D[:, None] * e + F, D, e
+@pytest.fixture(scope="module")
+def criterion5_counts():
+    """(entries, trials, post-entry violations) of 100 tracking-law runs under injected
+    estimation error, each driven through holder_gain and robustness_radius."""
+    rng = np.random.default_rng(20240813)
+    horizon = 12_000
+    entries = trials = violations = 0
+    for B, n_trials in ((0.01, 34), (0.1, 33), (1.0, 33)):
+        errors = rng.uniform(-3, 3, (n_trials, 2)).tolist()
+        entered = [False] * n_trials
+        for _ in range(horizon):
+            e_F = rng.standard_normal((n_trials, 2))
+            e_F *= rng.uniform(0, B, (n_trials, 1)) / np.linalg.norm(e_F, axis=1, keepdims=True)
+            for i, ((e0, e1), (f0, f1)) in enumerate(zip(errors, e_F.tolist())):
+                C = holder_gain((e0, e1), CTRL)
+                if robustness_radius(C) * math.hypot(e0, e1) <= B:
+                    entered[i] = True
+                elif entered[i]:
+                    violations += 1
+                errors[i] = (C * e0 - f0, C * e1 - f1)
+        entries += sum(entered)
+        trials += n_trials
+    return entries, trials, violations
 
 
 class TestCriterion1:
@@ -185,25 +225,6 @@ class TestCriterion3:
         assert ok
 
 
-class TestBatchedGain:
-    @pytest.mark.parametrize(
-        "params",
-        [OBS, CTRL, FILT,
-         HolderGainParams(exponent=1.5, scale=0.7, weight=[[2.0, 0.3], [0.3, 1.0]])],
-        ids=["OBS", "CTRL", "FILT", "matrix-weight"],
-    )
-    def test_matches_holder_gain(self, params):
-        # criteria 4 and 5 read every gain from _batched_gain, so a change to
-        # holder_gain or its parameters must reach them through this test
-        rng = np.random.default_rng(20240817)
-        e = rng.standard_normal((500, 2)) * 10.0 ** rng.uniform(-8, 3, (500, 1))
-        e[0] = 0.0
-        want = [holder_gain(row, params) for row in map(tuple, e.tolist())]
-        got = _batched_gain(e, params)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-        assert got[0] == want[0] == -1.0
-
-
 class TestCriterion4:
     @pytest.mark.xfail(
         strict=True,
@@ -211,28 +232,9 @@ class TestCriterion4:
         reason="the stated neighborhood uses the expansion-side quadratic "
         "root; the steady error sits well outside it; see README, Acceptance status",
     )
-    def test_random_walk_ultimate_bound_membership(self, capsys):
-        rng = np.random.default_rng(20240812)
-        burn_in, horizon = 2_000, 10_000
-        total_violations = 0
-        per_B = []
-        for B, n_runs in ((0.01, 34), (0.1, 33), (1.0, 33)):
-            F = rng.standard_normal((n_runs, 2))
-            F_hat = F + rng.uniform(-3, 3, (n_runs, 2))
-            violations = 0
-            for k in range(burn_in + horizon):
-                F_hat, D, e = _vector_observer_step(F_hat, F, OBS)
-                step = rng.standard_normal((n_runs, 2))
-                step *= B / np.linalg.norm(step, axis=1, keepdims=True)
-                F = F + step
-                if k >= burn_in:
-                    e = F_hat - F
-                    norms = np.linalg.norm(e, axis=1)
-                    rho = 1.0 + np.abs(_batched_gain(e, OBS))
-                    violations += int(np.count_nonzero(rho * norms > B))
-            per_B.append(f"B={B}: {violations}/{n_runs * horizon}")
-            total_violations += violations
-        ok = total_violations == 0
+    def test_random_walk_ultimate_bound_membership(self, capsys, criterion4_counts):
+        per_B = [f"B={B}: {violations}/{steps}" for B, violations, steps in criterion4_counts]
+        ok = sum(violations for _, violations, _ in criterion4_counts) == 0
         _emit(
             capsys,
             f"criterion 4 (random-walk drift: rho(e)*||e|| <= B at every "
@@ -240,23 +242,6 @@ class TestCriterion4:
             f"violations {'; '.join(per_B)}",
         )
         assert ok
-
-    def test_batched_observer_matches_first_order_update(self):
-        rng = np.random.default_rng(20240816)
-        n_runs = 24
-        F = rng.standard_normal((n_runs, 2))
-        batch = F + rng.uniform(-3, 3, (n_runs, 2))
-        batch[0] = F[0]  # an exact-zero error, kept by a still sample
-        F_hat = [tuple(row) for row in batch.tolist()]
-        for _ in range(20):
-            samples = [tuple(row) for row in F.tolist()]
-            F_hat = [first_order_update(f, s, OBS) for f, s in zip(F_hat, samples)]
-            batch, _, _ = _vector_observer_step(batch, F, OBS)
-            np.testing.assert_allclose(batch, F_hat, rtol=0.0, atol=1e-12)
-            step = 0.1 * rng.standard_normal((n_runs, 2))
-            step[0] = 0.0
-            F = F + step
-        assert batch[0].tolist() == list(F_hat[0]) == F[0].tolist()
 
 
 class TestCriterion5:
@@ -267,31 +252,8 @@ class TestCriterion5:
         "entry occurs but membership is not invariant under persistent "
         "estimation error; see README, Acceptance status",
     )
-    def test_tracking_neighborhood_entry_and_invariance(self, capsys):
-        rng = np.random.default_rng(20240813)
-        horizon = 12_000
-        entries = 0
-        trials = 0
-        total_violations = 0
-        for B, n_trials in ((0.01, 34), (0.1, 33), (1.0, 33)):
-            e = rng.uniform(-3, 3, (n_trials, 2))
-            entered = np.full(n_trials, -1)
-            violations = np.zeros(n_trials, dtype=int)
-            for k in range(horizon):
-                C = _batched_gain(e, CTRL)
-                sigma = 1.0 + np.abs(C)
-                inside = sigma * np.linalg.norm(e, axis=1) <= B
-                newly = inside & (entered < 0)
-                entered[newly] = k
-                violations[(entered >= 0) & ~inside] += 1
-                e_F = rng.standard_normal((n_trials, 2))
-                e_F *= rng.uniform(0, B, (n_trials, 1)) / np.linalg.norm(
-                    e_F, axis=1, keepdims=True
-                )
-                e = C[:, None] * e - e_F
-            entries += int(np.count_nonzero(entered >= 0))
-            trials += n_trials
-            total_violations += int(violations.sum())
+    def test_tracking_neighborhood_entry_and_invariance(self, capsys, criterion5_counts):
+        entries, trials, total_violations = criterion5_counts
         ok = entries == trials and total_violations == 0
         _emit(
             capsys,
@@ -300,6 +262,14 @@ class TestCriterion5:
             f"{entries}/{trials} trials, {total_violations} post-entry violations",
         )
         assert ok
+
+
+def test_criteria_4_and_5_measured_margins(criterion4_counts, criterion5_counts):
+    # the counts behind criteria 4 and 5's FAIL lines, pinned so that they cannot drift
+    assert criterion4_counts == [
+        (0.01, 309423, 340000), (0.1, 278932, 330000), (1.0, 323424, 330000),
+    ]
+    assert criterion5_counts == (100, 100, 280903)
 
 
 class TestCriterion6:
@@ -355,10 +325,11 @@ class TestCriterion7:
             p = HolderGainParams(exponent=float(r[i]), scale=float(lam[i]))
             assert gamma_of_V(float(V[i]), p) == pytest.approx(gamma[i], rel=1e-12)
 
-        # rho(zeta) = 1 + sqrt(1 - zeta) over [1e-6, 1] (extended-precision
-        # quotient: the double-precision quotient form cancels catastrophically)
+        # robustness_radius at gain sqrt(1 - zeta) against the quotient zeta/(1 - sqrt(1 - zeta))
+        # over [1e-6, 1] (extended-precision quotient: the double-precision quotient form
+        # cancels catastrophically)
         zeta = np.concatenate([10.0 ** np.linspace(-6, 0, 500_000), [1.0]])
-        stable = 1.0 + np.sqrt(1.0 - zeta)
+        stable = np.array([robustness_radius(math.sqrt(1.0 - z)) for z in zeta.tolist()])
         zl = zeta.astype(np.longdouble)
         quotient = np.where(
             zl < 1.0, zl / (1.0 - np.sqrt(1.0 - zl)), np.longdouble(1.0)

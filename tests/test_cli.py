@@ -1085,7 +1085,11 @@ class TestReplaceNeverTruncate:
                                 lambda self, k: (math.nan, 0.0) if k >= 600 else true_F(self, k))
         rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
         assert (rc, out) == (cli.EXIT_NUMERICAL, "")
-        _one_line(err, "numerical failure:")
+        assert _one_line(err, "numerical failure:") == "numerical failure: " + {
+            "divergence": "plant diverged at step 600",
+            "domain": "non-finite signal at step 601: filter_update: measurement has non-finite "
+                      "components",
+        }[error]
         # ticks 0 to 511 were streamed before the failure, then the rows from 512 to the
         # last complete tick: 599, or 600, whose step makes y_601 the non-finite measurement
         last = {"divergence": 599, "domain": 600}[error]

@@ -70,6 +70,9 @@ def test_runs_alternate_and_a_failed_run_is_an_error(tmp_path, monkeypatch, caps
     record = json.loads(out.splitlines()[-1])
     assert (record["workload"], record["seeds"], record["seconds"]) == ("w", [7, 8, 9], 20.0)
     assert record["bad_runs"] == 3 * failed
+    assert record["host"].keys() == {"nproc", "load_1min", "python", "numpy"}
+    assert record["host"]["nproc"] >= 1
+    assert record["commits"] == {"parent": None, "change": None}  # neither tree is a checkout
     call = record["metrics"]["call_s"]
     assert call["pairs"] == [[1.0, 0.5]] * 3
     assert (call["parent"], call["change"]) == ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
@@ -79,6 +82,20 @@ def test_runs_alternate_and_a_failed_run_is_an_error(tmp_path, monkeypatch, caps
                 f"{'within' if call['within_bound'] else 'OUTSIDE'} its bound {call['bound']}")
     assert verdicts in out
     assert verdicts == "change better in 3/3 pairs; claim rule holds; within its bound 0.25"
+
+
+def test_head_commit_is_the_checkouts_own(tmp_path):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run([*git, "init", "-q"], cwd=tree, check=True)
+    subprocess.run([*git, "commit", "-q", "--allow-empty", "-m", "m"], cwd=tree, check=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert pairs.head_commit(str(tree)) == head
+    # a directory inside the checkout is not the root of one
+    (tree / "sub").mkdir()
+    assert pairs.head_commit(str(tree / "sub")) is None
 
 
 def test_run_once_reads_and_writes_bytecode_under_the_prefix(tmp_path, monkeypatch):

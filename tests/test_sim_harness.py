@@ -234,6 +234,9 @@ class TestSimConfig:
 
     def test_n_steps(self):
         assert make_config().n_steps == 200
+        # floor(T/dt) of the binary quotient: 19.99/0.01 is 1998.9999999999998
+        assert make_config(dt=0.01, T=19.99).n_steps == 1998
+        assert make_config(dt=0.01, T=19.995).n_steps == 1999
 
     @pytest.mark.parametrize("name", ["synthetic_constant.yaml", "paper_experiment.yaml"])
     def test_two_reads_compare_equal(self, name):

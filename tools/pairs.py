@@ -16,7 +16,9 @@ a gain could be claimed (at least nine tenths of the pairs better, ties counting
 for neither, and the medians apart by more than the distance between the
 parent's quartiles) and whether the change's median stays within the metric's
 bound.  Its last line is the same as one JSON object: the workload, the seeds and
-seconds, and for each metric its pairs, quartiles, wins and verdicts.  It exits 1
+seconds, the host (its CPUs, its 1-minute load before the first run, and the Python
+and NumPy versions), each tree's HEAD commit (null where the tree is not the root of
+a git checkout), and for each metric its pairs, quartiles, wins and verdicts.  It exits 1
 when a run exits non-zero, fails its correctness gate or counts a failed operation.
 """
 
@@ -24,8 +26,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -41,6 +45,27 @@ def compile_tree(tree: str, pycache: str) -> None:
     """Compile every module of tree into pycache."""
     subprocess.run([sys.executable, "-m", "compileall", "-q", "."], cwd=tree, env=_env(pycache),
                    stdout=subprocess.DEVNULL)
+
+
+def host() -> dict:
+    """Where the runs ran: the CPUs this process may use (as nproc counts them), the
+    1-minute load, and the Python and NumPy versions."""
+    return {"nproc": len(os.sched_getaffinity(0)), "load_1min": os.getloadavg()[0],
+            "python": platform.python_version(), "numpy": importlib.metadata.version("numpy")}
+
+
+def head_commit(tree: str):
+    """The HEAD commit of tree's own git checkout, or None where tree is not the root of one.
+
+    It names the committed files only: edits not yet committed in tree are not in it."""
+    if not os.path.exists(os.path.join(tree, ".git")):
+        return None
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
+                              text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, pycache: str) -> dict:
@@ -101,6 +126,7 @@ def main(argv=None) -> int:
             if not os.path.exists(out)]
     values = {side: {m["name"]: [] for m in metrics} for side in trees}
     bad = 0
+    where = host()
     try:
         with tempfile.TemporaryDirectory(prefix="pairs-pycache.") as pycache:
             for tree in trees.values():
@@ -129,6 +155,7 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
           f"seeds {seeds[0]}-{seeds[-1]}; {bad} runs incorrect or with failed operations")
     record = {"workload": args.workload, "seeds": seeds, "seconds": args.seconds,
+              "host": where, "commits": {side: head_commit(tree) for side, tree in trees.items()},
               "bad_runs": bad, "metrics": {}}
     for m in metrics:
         s = summarize(values["parent"][m["name"]], values["change"][m["name"]], m["better"],
