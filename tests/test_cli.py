@@ -1,6 +1,7 @@
 """Contract tests for the command line: exit codes 0/1/2/3 and one-line errors."""
 
 import copy
+import ctypes
 import errno
 import functools
 import hashlib
@@ -1166,6 +1167,22 @@ class TestReplaceNeverTruncate:
         assert os.devnull not in touched and os.path.realpath(os.devnull) not in touched
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
+    def test_failed_chmod_leaves_no_temporary_file(self, tmp_path, capsys, monkeypatch):
+        config, out_csv = self._config(tmp_path), tmp_path / "run.csv"
+        old = self._old(out_csv)
+
+        def chmod(path, mode):
+            raise OSError(errno.EPERM, os.strerror(errno.EPERM), path)
+
+        monkeypatch.setattr(os, "chmod", chmod)
+        rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
+        assert (rc, out) == (cli.EXIT_CONFIG, "")
+        # named after --out, not the random temporary name
+        assert _one_line(err, "output error:") == (
+            f"output error: [Errno 1] Operation not permitted: '{out_csv}'")
+        assert out_csv.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
+
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_new_file_mode_follows_the_umask(self, tmp_path, capsys, umask):
         # the mode open(path, "w") gives a new file, not mkstemp's 0600
@@ -1216,13 +1233,20 @@ class TestMetricsReplaced:
                 raise OSError(errno.EACCES, os.strerror(errno.EACCES))
             return replace(src, dst, **kwargs)
 
+        # the CSV's commit fails on both paths of sim_harness._put_in_place: the exchange
+        # refused and then os.replace refused too, as by a directory that takes no rename;
+        # and os.replace alone, where libc has no renameat2
         monkeypatch.setattr(os, "replace", fails_on_the_csv)
-        rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
-        assert (rc, out) == (cli.EXIT_CONFIG, "")
-        assert "Permission denied" in _one_line(err, "output error:")
-        assert out_csv.read_bytes() == b"old csv\n"
-        assert metrics.read_bytes() == b"old metrics\n"
-        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv", "run.csv.metrics"]
+        for refused in (True, False):
+            libc = _Libc(errno.EACCES) if refused else _Libc()
+            monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+            rc, out, err = _main(capsys, "simulate", "--config", config, "--out", str(out_csv))
+            assert (rc, out) == (cli.EXIT_CONFIG, "")
+            assert "Permission denied" in _one_line(err, "output error:")
+            assert out_csv.read_bytes() == b"old csv\n"
+            assert metrics.read_bytes() == b"old metrics\n"
+            assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv", "run.csv.metrics"]
+            assert [dst for _, dst, _ in libc.calls] == ([str(out_csv)] if refused else [])
 
     def test_existing_metrics_keep_their_mode_and_links(self, tmp_path, capsys):
         target, link = tmp_path / "m.txt", tmp_path / "link.txt"
@@ -1242,6 +1266,126 @@ class TestMetricsReplaced:
         assert (rc, err) == (cli.EXIT_OK, "")
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
         assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv"]
+
+
+def _tree(root: Path) -> dict:
+    """Every file under root, by its path relative to root, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class _Libc:
+    """What ctypes.CDLL(None) gives sim_harness._put_in_place: a renameat2 that fails with
+    errno code and records its source and target paths and its flags, or, with code None,
+    no renameat2 at all, as in a libc older than glibc 2.28."""
+
+    def __init__(self, code=None):
+        self.calls = []
+        if code is not None:
+            def renameat2(olddirfd, old, newdirfd, new, flags):
+                self.calls.append((os.fsdecode(old), os.fsdecode(new), flags))
+                ctypes.set_errno(code)
+                return -1
+
+            self.renameat2 = renameat2
+
+
+def _replaced_onto(monkeypatch) -> list:
+    """The targets of every os.replace from now on."""
+    targets, replace = [], os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (targets.append(dst), replace(src, dst)))
+    return targets
+
+
+@pytest.mark.usefixtures("two_cpus")  # the formatting child forks on any host
+class TestExchange:
+    """Where Linux's renameat2 can exchange two names, a commit swaps the new file with an
+    existing one and removes the old one's name; elsewhere it falls back to os.replace.
+    Both paths give the same files, modes and links."""
+
+    T = 16.0  # 1601 rows: seven blocks, forked
+
+    @pytest.fixture
+    def exchanges(self, tmp_path):
+        """Skips the test where libc or tmp_path's filesystem cannot exchange two names."""
+        renameat2 = getattr(ctypes.CDLL(None), "renameat2", None)
+        if renameat2 is None:
+            pytest.skip("libc has no renameat2 (glibc before 2.28, or not Linux): every "
+                        "commit here is an os.replace")
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_text("a")
+        b.write_text("b")
+        renameat2.argtypes = (ctypes.c_int, ctypes.c_char_p) * 2 + (ctypes.c_uint,)
+        if renameat2(-100, bytes(a), -100, bytes(b), 2) != 0:  # AT_FDCWD, RENAME_EXCHANGE
+            pytest.skip("the filesystem of tmp_path cannot exchange two names "
+                        "(RENAME_EXCHANGE): every commit here is an os.replace")
+        assert (a.read_text(), b.read_text()) == ("b", "a")
+        a.unlink()
+        b.unlink()
+
+    @pytest.mark.parametrize("command", ["simulate", "generate-trajectory", "sweep"])
+    def test_rerun_makes_no_os_replace_onto_an_existing_out(self, tmp_path, capsys,
+                                                           monkeypatch, exchanges, command):
+        doc = (_short_constant(T=self.T) if command != "generate-trajectory" else
+               _doc("paper_experiment.yaml", T=self.T))
+        out = str(tmp_path / "out")
+        argv = [command, "--config", _write(tmp_path, doc), "--out", out]
+        if command == "sweep":
+            argv += ["--param", "controller.scale", "--values", "0.2,0.5"]
+        assert _main(capsys, *argv)[0] == cli.EXIT_OK
+        first = _tree(tmp_path)
+        replaced = _replaced_onto(monkeypatch)
+        rc, _, err = _main(capsys, *argv)
+        assert (rc, err) == (cli.EXIT_OK, "")
+        assert replaced == []  # at the parent, one os.replace for each file written
+        assert _tree(tmp_path) == first  # the same bytes again, and no temporary file left
+
+    @pytest.mark.parametrize("code", [None, errno.ENOSYS, errno.EINVAL],
+                             ids=["no-renameat2", "ENOSYS", "EINVAL"])
+    def test_fallback_gives_the_same_files_modes_and_links(self, tmp_path, capsys,
+                                                          monkeypatch, code):
+        outcomes = []
+        for fallback in (False, True):
+            run = tmp_path / ("fallback" if fallback else "default")
+            run.mkdir()
+            (run / "run.csv").write_text("old csv\n")
+            (run / "run.csv").chmod(0o600)
+            os.link(run / "run.csv", run / "other.csv")
+            (run / "m.txt").write_text("old metrics\n")
+            (run / "m.txt").chmod(0o640)
+            (run / "link.txt").symlink_to(run / "m.txt")
+            with monkeypatch.context() as m:
+                if fallback:
+                    libc = _Libc(code)
+                    m.setattr(ctypes, "CDLL", lambda name: libc)
+                    replaced = _replaced_onto(m)
+                rc, _, err = _main(capsys, "simulate", "--config",
+                                   _write(tmp_path, _short_constant(T=self.T)),
+                                   "--out", str(run / "run.csv"),
+                                   "--metrics-out", str(run / "link.txt"))
+            assert (rc, err) == (cli.EXIT_OK, "")
+            outcomes.append((_tree(run), stat.S_IMODE((run / "run.csv").stat().st_mode),
+                             stat.S_IMODE((run / "m.txt").stat().st_mode),
+                             os.readlink(run / "link.txt") == str(run / "m.txt")))
+        # the fallback's renames, onto each file's resolved path, after each refused exchange
+        assert replaced == [os.path.realpath(run / name) for name in ("run.csv", "m.txt")]
+        assert [dst for _, dst, _ in libc.calls] == ([] if code is None else replaced)
+        assert {flags for _, _, flags in libc.calls} <= {2}  # RENAME_EXCHANGE
+        assert outcomes[0] == outcomes[1]
+        files, csv_mode, metrics_mode, linked = outcomes[1]
+        assert (csv_mode, metrics_mode, linked) == (0o600, 0o640, True)
+        assert files["other.csv"] == b"old csv\n"  # a hard link keeps the old file
+        assert files["run.csv"].startswith(b"t,x,theta,") and files["m.txt"].startswith(b"max_")
+
+    def test_open_descriptor_keeps_the_old_text(self, tmp_path, capsys):
+        out_csv = tmp_path / "run.csv"
+        out_csv.write_text("old csv\n")
+        with open(out_csv, "rb") as old:
+            rc, _, err = _main(capsys, "simulate", "--config",
+                               _write(tmp_path, _short_constant(T=self.T)), "--out", str(out_csv))
+            assert (rc, err) == (cli.EXIT_OK, "")
+            assert old.read() == b"old csv\n"
+        assert out_csv.read_text().count("\n") == 1602  # the header and 1601 rows
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "run.csv", "run.csv.metrics"]
 
 
 def test_reaped_formatting_child_reports_its_cost(tmp_path, capsys, two_cpus, children):

@@ -1,5 +1,5 @@
 """tools/pairs.py: the verdicts it prints on paired benchmark runs, the order it runs
-them in, and the bytecode it keeps out of both trees."""
+them in, the tier-1 runs it records, and the bytecode it keeps out of both trees."""
 
 import importlib.util
 import json
@@ -56,13 +56,21 @@ def test_runs_alternate_and_a_failed_run_is_an_error(tmp_path, monkeypatch, caps
         return {"correct": True, "attempted": 5, "failed": failed if tree == change else 0,
                 "metrics": {"call_s": {"value": 1.0 if tree == parent else 0.5, "unit": "s"}}}
 
+    def run_tier1(tree, pycache):
+        runs.append((tree, "tier1"))
+        return {"wall_s": 30.5 if tree == parent else 20.25, "exit": 0,
+                "summary": "3 passed in 1.00s", "slowest": [[1.5, "call", "tests/t.py::test_a"]]}
+
     monkeypatch.setattr(pairs, "run_once", run_once)
     monkeypatch.setattr(pairs, "compile_tree", lambda tree, pycache: runs.append((tree, None)))
-    rc = pairs.main([parent, change, "--workload", "w", "--pairs", "3", "--first-seed", "7"])
+    monkeypatch.setattr(pairs, "run_tier1", run_tier1)
+    rc = pairs.main([parent, change, "--workload", "w", "--pairs", "3", "--first-seed", "7",
+                     "--tier1"])
     assert rc == failed
-    # each tree compiled once, before pair 1
+    # each tree compiled once, before pair 1, and its tier-1 suite run once, after the pairs
     assert runs == [(parent, None), (change, None),
-                    (parent, 7), (change, 7), (change, 8), (parent, 8), (parent, 9), (change, 9)]
+                    (parent, 7), (change, 7), (change, 8), (parent, 8), (parent, 9), (change, 9),
+                    (parent, "tier1"), (change, "tier1")]
     out = capsys.readouterr().out
     assert "change better in 3/3 pairs" in out and "within its bound 0.25" in out
     assert f"{3 * failed} runs incorrect or with failed operations" in out
@@ -73,6 +81,11 @@ def test_runs_alternate_and_a_failed_run_is_an_error(tmp_path, monkeypatch, caps
     assert record["host"].keys() == {"nproc", "load_1min", "python", "numpy"}
     assert record["host"]["nproc"] >= 1
     assert record["commits"] == {"parent": None, "change": None}  # neither tree is a checkout
+    assert record["tier1"] == {side: run_tier1(tree, None)
+                               for side, tree in (("parent", parent), ("change", change))}
+    assert record["tier1"]["parent"].keys() == {"wall_s", "exit", "summary", "slowest"}
+    assert ("tier-1 change: 20.2 s, 3 passed in 1.00s (exit 0); slowest: 1.50s tests/t.py::test_a"
+            in out)
     call = record["metrics"]["call_s"]
     assert call["pairs"] == [[1.0, 0.5]] * 3
     assert (call["parent"], call["change"]) == ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
@@ -96,6 +109,38 @@ def test_head_commit_is_the_checkouts_own(tmp_path):
     # a directory inside the checkout is not the root of one
     (tree / "sub").mkdir()
     assert pairs.head_commit(str(tree / "sub")) is None
+
+
+_PYTEST_OUT = """\
+........x.                                                               [100%]
+============================= slowest 5 durations ==============================
+2.66s call     tests/test_verify.py::test_peak_memory[lemma1]
+0.92s setup    tests/test_cli.py::test_front_door_sweep[pendulum]
+9 passed, 1 xfailed in 4.20s
+"""
+
+
+def test_tier1_runs_roadmaps_command_and_reads_its_durations(tmp_path, monkeypatch):
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append((argv, kwargs))
+        return subprocess.CompletedProcess(argv, 0, stdout=_PYTEST_OUT, stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    pycache = str(tmp_path / "pycache")
+    result = pairs.run_tier1(str(tmp_path), pycache)
+    [(argv, kwargs)] = calls
+    assert argv[1:5] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert "--durations=5" in argv
+    assert kwargs["cwd"] == str(tmp_path)
+    assert (kwargs["env"]["PYTHONPATH"], kwargs["env"]["PYTHONPYCACHEPREFIX"]) == ("src", pycache)
+    assert result["wall_s"] >= 0
+    del result["wall_s"]
+    assert result == {"exit": 0, "summary": "9 passed, 1 xfailed in 4.20s", "slowest": [
+        [2.66, "call", "tests/test_verify.py::test_peak_memory[lemma1]"],
+        [0.92, "setup", "tests/test_cli.py::test_front_door_sweep[pendulum]"]]}
 
 
 def test_run_once_reads_and_writes_bytecode_under_the_prefix(tmp_path, monkeypatch):
@@ -131,6 +176,8 @@ def test_trees_compiled_before_the_runs_and_left_without_a_pycache(tmp_path, cap
         (tree / "src").mkdir()
         (tree / "src" / "mod.py").write_text("OK = True\n")
     assert pairs.main([*trees, "--workload", "w", "--pairs", "2"]) == 0
-    assert "0 runs incorrect" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "0 runs incorrect" in out
+    assert json.loads(out.splitlines()[-1])["tier1"] is None  # no --tier1
     assert not [p for tree in trees for p in Path(tree).rglob("__pycache__")]
     assert not [p for tree in trees for p in Path(tree).rglob("*.pyc")]

@@ -3,7 +3,7 @@
 Usage, with PARENT and CHANGE the roots of two checkouts:
 
     python3 tools/pairs.py PARENT CHANGE --workload W [--pairs 10] [--seconds 20]
-                           [--first-seed S]
+                           [--first-seed S] [--tier1]
 
 Pair i runs `perfbench/run.py --workload W --seed S+i --seconds SECONDS --trace 0`
 once in each checkout, the parent first in even pairs and the change first in odd
@@ -18,8 +18,11 @@ parent's quartiles) and whether the change's median stays within the metric's
 bound.  Its last line is the same as one JSON object: the workload, the seeds and
 seconds, the host (its CPUs, its 1-minute load before the first run, and the Python
 and NumPy versions), each tree's HEAD commit (null where the tree is not the root of
-a git checkout), and for each metric its pairs, quartiles, wins and verdicts.  It exits 1
-when a run exits non-zero, fails its correctness gate or counts a failed operation.
+a git checkout), and for each metric its pairs, quartiles, wins and verdicts.  With
+--tier1, each tree's tier-1 suite then runs once, the parent's first, and the JSON line's
+"tier1" holds each tree's wall time, pytest's summary line and its five slowest tests
+(null without --tier1).  It exits 1 when a run exits non-zero, fails its correctness gate
+or counts a failed operation.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 
 def _env(pycache: str) -> dict:
@@ -80,6 +85,27 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, pycache: str) 
     return json.loads(lines[-1])
 
 
+# A line of pytest's --durations report: "2.66s call     tests/test_x.py::test_y[a]"
+_DURATION = re.compile(r"(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S.*)")
+
+
+def run_tier1(tree: str, pycache: str) -> dict:
+    """tree's tier-1 suite, as ROADMAP.md gives it, run once: its wall time in seconds,
+    pytest's exit code and summary line, and its five slowest tests, each as [seconds,
+    phase, test id]."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "--durations=5"],
+        cwd=tree, env=dict(_env(pycache), PYTHONPATH=path), capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.splitlines()
+    slowest = [[float(m[1]), m[2], m[3]] for m in map(_DURATION.fullmatch, lines) if m]
+    return {"wall_s": round(wall, 3), "exit": proc.returncode,
+            "summary": lines[-1].strip("= ") if lines else "", "slowest": slowest}
+
+
 def summarize(parent, change, better: str, bound: float) -> dict:
     """The verdict on one metric from its paired values, parent[i] against change[i]."""
     sign = 1.0 if better == "lower" else -1.0
@@ -113,6 +139,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--tier1", action="store_true",
+                        help="also run each tree's tier-1 suite once and record its time")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -147,6 +175,8 @@ def main(argv=None) -> int:
                     for m in metrics:
                         values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
                 print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
+            tier1 = ({side: run_tier1(tree, pycache) for side, tree in trees.items()}
+                     if args.tier1 else None)
     finally:
         for out in made:
             with contextlib.suppress(OSError):  # left in place if anything is in it
@@ -156,7 +186,11 @@ def main(argv=None) -> int:
           f"seeds {seeds[0]}-{seeds[-1]}; {bad} runs incorrect or with failed operations")
     record = {"workload": args.workload, "seeds": seeds, "seconds": args.seconds,
               "host": where, "commits": {side: head_commit(tree) for side, tree in trees.items()},
-              "bad_runs": bad, "metrics": {}}
+              "bad_runs": bad, "tier1": tier1, "metrics": {}}
+    for side, run in (tier1 or {}).items():
+        slowest = "; ".join(f"{secs:.2f}s {test}" for secs, _, test in run["slowest"])
+        print(f"tier-1 {side}: {run['wall_s']:.1f} s, {run['summary']} (exit {run['exit']}); "
+              f"slowest: {slowest}")
     for m in metrics:
         s = summarize(values["parent"][m["name"]], values["change"][m["name"]], m["better"],
                       m["bound"])
