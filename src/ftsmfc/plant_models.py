@@ -64,29 +64,38 @@ class PendulumParams(Record):
                   mgl=m_pend * g * l_half, m_total_g=(M_cart + m_pend) * g)
 
 
-def pendulum_ulm_terms(y_prev: Pair, y_curr: Pair, dt: float, params: PendulumParams):
-    """True plant pair (F, G) at the outputs (y_k, y_{k+1}): y_{k+2} = F + G u.
-
-    G = dt^2 M^-1, M = ((M + m, -ml cos), (-ml cos, I + ml*l)) inverted in closed form, as
-    rows ((a, b), (b, d)); F = 2 y_{k+1} - y_k - G D with the friction and gravity bias
-    D = (ml*thetadot^2*sin + c_x*tanh(xdot), c_theta*tanh(thetadot) - mgl*sin).
+def pendulum_terms(dt: float, params: PendulumParams):
+    """The pendulum's physics, its per-run constants bound once: terms(x0, theta, x1, theta1)
+    gives (F0, F1, a, b, d) at the outputs (y_k, y_{k+1}), where y_{k+2} = F + G u and G's
+    rows are ((a, b), (b, d)): G = dt^2 M^-1, M = ((M + m, -ml cos), (-ml cos, I + ml*l))
+    inverted in closed form, and F = 2 y_{k+1} - y_k - G D with the friction and gravity
+    bias D = (ml*thetadot^2*sin + c_x*tanh(xdot), c_theta*tanh(thetadot) - mgl*sin).
     """
-    (x0, theta), (x1, theta1) = y_prev, y_curr
-    ml_cos, s = params.ml * math.cos(theta), math.sin(theta)
-    h = dt * dt / (params.m_total * params.I_total - ml_cos * ml_cos)
-    a, b, d = h * params.I_total, h * ml_cos, h * params.m_total
-    thetadot = (theta1 - theta) / dt
-    D0 = params.ml * thetadot * thetadot * s + params.c_x * math.tanh((x1 - x0) / dt)
-    D1 = params.c_theta * math.tanh(thetadot) - params.mgl * s
-    return ((2.0 * x1 - x0 - (a * D0 + b * D1), 2.0 * theta1 - theta - (b * D0 + d * D1)),
-            ((a, b), (b, d)))
+    ml, c_x, c_theta, mgl = params.ml, params.c_x, params.c_theta, params.mgl
+    m_total, I_total = params.m_total, params.I_total
+    dt2, mI = dt * dt, m_total * I_total  # each evaluated first where it is used: same bits
+
+    def terms(x0: float, theta: float, x1: float, theta1: float):
+        ml_cos, s = ml * math.cos(theta), math.sin(theta)
+        h = dt2 / (mI - ml_cos * ml_cos)
+        a, b, d = h * I_total, h * ml_cos, h * m_total
+        thetadot = (theta1 - theta) / dt
+        D0 = ml * thetadot * thetadot * s + c_x * math.tanh((x1 - x0) / dt)
+        D1 = c_theta * math.tanh(thetadot) - mgl * s
+        return 2.0 * x1 - x0 - (a * D0 + b * D1), 2.0 * theta1 - theta - (b * D0 + d * D1), a, b, d
+    return terms
+
+
+def pendulum_ulm_terms(y_prev: Pair, y_curr: Pair, dt: float, params: PendulumParams):
+    """True plant pair (F, G) at the outputs (y_k, y_{k+1}): y_{k+2} = F + G u."""
+    F0, F1, a, b, d = pendulum_terms(dt, params)(*y_prev, *y_curr)
+    return (F0, F1), ((a, b), (b, d))
 
 
 def pendulum_step(y_prev: Pair, y_curr: Pair, u: Pair, dt: float, params: PendulumParams) -> Pair:
     """One forward-difference step from (y_k, y_{k+1}): y_{k+2} = F_k + G_k u_k."""
-    (F0, F1), ((a, b), (c, d)) = pendulum_ulm_terms(y_prev, y_curr, dt, params)
-    u0, u1 = u
-    return (F0 + (a * u0 + b * u1), F1 + (c * u0 + d * u1))
+    (F0, F1, a, b, d), (u0, u1) = pendulum_terms(dt, params)(*y_prev, *y_curr), u
+    return (F0 + (a * u0 + b * u1), F1 + (b * u0 + d * u1))
 
 
 def open_loop_input(theta: float, thetadot: float, params: PendulumParams) -> Pair:
@@ -105,16 +114,16 @@ def desired_samples(init, dt: float, params: PendulumParams) -> Iterator[Pair]:
     only when it is requested.  Sample k leaving the admissible region, or
     turning non-finite, raises DivergenceError with step_index k.
     """
-    plant = PendulumPlant(init, dt, params)
-    yield plant.y_prev
-    yield plant.y_curr
+    x0, th0, xdot, thetadot = init
+    x1, th1, terms = x0 + dt * xdot, th0 + dt * thetadot, pendulum_terms(dt, params)
+    yield from ((x0, th0), (x1, th1))
     for k in itertools.count(2):
-        thetadot = (plant.y_curr[1] - plant.y_prev[1]) / dt
-        try:
-            y = plant.step(open_loop_input(plant.y_prev[1], thetadot, params))
-        except DivergenceError:
+        u0, u1 = open_loop_input(th0, (th1 - th0) / dt, params)
+        F0, F1, a, b, d = terms(x0, th0, x1, th1)
+        x0, th0, x1, th1 = x1, th1, F0 + (a * u0 + b * u1), F1 + (b * u0 + d * u1)
+        if not math.hypot(x1, th1) <= DIVERGENCE_LIMIT:  # NaN or inf when a component is
             raise DivergenceError(f"trajectory generation diverged at step {k}", step_index=k)
-        yield y
+        yield (x1, th1)
 
 
 def generate_desired_trajectory(init, n: int, dt: float, params: PendulumParams, sink):
@@ -168,12 +177,9 @@ class PendulumPlant:
 
     def __init__(self, init, dt: float, params: PendulumParams):
         x, theta, xdot, thetadot = init
-        self.params = params
-        self.dt = dt
         # the output pair (y_k, y_{k+1}); y_1 = y_0 + dt*qdot_0 folds in the velocity
-        self.y_prev = (x, theta)
-        self.y_curr = (x + dt * xdot, theta + dt * thetadot)
-        self.k = 0
+        self.y_prev, self.y_curr = (x, theta), (x + dt * xdot, theta + dt * thetadot)
+        self.k, self._terms = 0, pendulum_terms(dt, params)
 
     @property
     def output(self) -> Pair:
@@ -182,9 +188,9 @@ class PendulumPlant:
 
     def step(self, u: Pair) -> Pair:
         """Apply u_k; produces y_{k+2} and advances the output clock to k+1."""
-        y_next = pendulum_step(self.y_prev, self.y_curr, u, self.dt, self.params)
-        # hypot is NaN or inf when a component is
-        if not math.hypot(*y_next) <= DIVERGENCE_LIMIT:
+        (F0, F1, a, b, d), (u0, u1) = self._terms(*self.y_prev, *self.y_curr), u
+        y_next = (F0 + (a * u0 + b * u1), F1 + (b * u0 + d * u1))
+        if not math.hypot(*y_next) <= DIVERGENCE_LIMIT:  # NaN or inf when a component is
             raise DivergenceError(f"plant diverged at step {self.k}", step_index=self.k)
         self.y_prev, self.y_curr = self.y_curr, y_next
         self.k += 1

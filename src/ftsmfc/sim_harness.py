@@ -198,20 +198,20 @@ class CsvOutput(ReplacedFile):
 
     Each write() takes a flat row-major array('d') of whole rows, a float for each
     field of header, every float written as `%.17g` under the header line.  Where
-    fork_helps(), the first write that holds a full block of SINK_ROWS rows forks
-    one child, which formats the floats it reads from a pipe while this process
-    goes on.  Whenever a whole block of floats is still unread in that pipe, this
-    process formats the next block itself and sends its text, which the child
-    writes in its place, so the two share the work.  Otherwise, or for a shorter
-    table, this process formats each block as it arrives.  A child that fails is
-    an OSError with the child's message, and leaving the `with` block without
-    commit() also kills and reaps the child.  len() is the rows written so far;
-    child is the Child, None until one is forked.
+    fork_helps(), the first full block of SINK_ROWS rows forks one child, which
+    formats the floats it reads from a pipe while this process goes on.  Whenever a
+    whole block of floats is still unread in that pipe, this process formats the next
+    block itself and sends the text for the child to write, so the two share the work.
+    Else this process formats each block as it arrives, but holds a shorter one (a
+    table's last, or the rows before a failure), uncopied, until the next write() or
+    finish(): a failed run formats none, unless written in place.  A child that fails
+    is an OSError with its message; leaving the `with` block without commit() also
+    kills and reaps it.  len() counts the rows written; child is the Child, or None.
     """
 
     def __init__(self, path: str, header: str) -> None:
         super().__init__(path)
-        self.width, self.rows, self.child = len(header.split(",")), 0, None
+        self.width, self.rows, self.child, self._held = len(header.split(",")), 0, None, array("d")
         self.fh.write(f"{header}\n".encode())
 
     def __exit__(self, *exc_info) -> None:
@@ -226,6 +226,15 @@ class CsvOutput(ReplacedFile):
 
     def write(self, block: array) -> None:
         self.rows += len(block) // self.width
+        self._put()
+        self._held = block
+        if len(block) >= self.width * SINK_ROWS or self._tmp is None:
+            self._put()
+
+    def _put(self) -> None:
+        block, self._held = self._held, array("d")
+        if not block:
+            return
         if self.child is None and len(block) >= self.width * SINK_ROWS and fork_helps():
             self._fork()
         if self.child is None:
@@ -242,6 +251,7 @@ class CsvOutput(ReplacedFile):
 
     def finish(self) -> None:
         """Wait until every row written is in the file; raise if its formatting failed."""
+        self._put()
         if self.child is not None and self.child.rusage is None:
             with contextlib.suppress(BrokenPipeError):  # the child has gone
                 self._blocks.close()  # which ends the child's input

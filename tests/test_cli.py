@@ -10,6 +10,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -212,6 +213,44 @@ class TestSimulate:
         assert rc == cli.EXIT_NUMERICAL
         assert _one_line(err, "numerical failure:").endswith("plant diverged at step 113")
         assert len(steps) == 113 + plant_models.PendulumPlant.nu - 1
+
+    def test_diverging_run_formats_no_row(self, tmp_path, capsys, monkeypatch):
+        # the 113 rows before the divergence are one short block, which the CSV writer
+        # holds unformatted until finish(), and a failed run never gets there
+        calls, block_texts = [], sim_harness._block_texts
+
+        def counted(*args):
+            calls.append(1)
+            return block_texts(*args)
+
+        monkeypatch.setattr(sim_harness, "_block_texts", counted)
+        rc, out, err = _main(
+            capsys, "simulate", "--config", str(CONFIGS / "paper_experiment.yaml"),
+            "--out", str(tmp_path / "run.csv"),
+        )
+        assert (rc, out, err) == (
+            cli.EXIT_NUMERICAL, "", "numerical failure: plant diverged at step 113\n")
+        assert calls == [] and os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_rows_before_a_divergence_reach_a_fifo(self, tmp_path, capsys):
+        # a target written in place gets every block as it arrives, the short one too:
+        # ticks 0 to 112, as the same run with a horizon that ends at tick 113 writes them
+        doc, whole = _doc("paper_experiment.yaml", T=1.14), tmp_path / "whole.csv"
+        doc["metrics"]["settle_time"] = 0.5
+        assert cli.main(["simulate", "--config", _write(tmp_path, doc),
+                         "--out", str(whole)]) == cli.EXIT_OK
+        fifo, got = tmp_path / "run.fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        rc, _, err = _main(
+            capsys, "simulate", "--config", str(CONFIGS / "paper_experiment.yaml"),
+            "--out", str(fifo), "--metrics-out", str(tmp_path / "run.metrics"),
+        )
+        reader.join(timeout=30)
+        assert (rc, err) == (cli.EXIT_NUMERICAL, "numerical failure: plant diverged at step 113\n")
+        assert got == [b"".join(whole.read_bytes().splitlines(keepends=True)[:114])]
 
     def test_generated_trajectory_divergence_is_numerical_failure(self, tmp_path, capsys):
         # y_d[k] = (k * 4e5, 0) leaves the admissible region at sample 3, which
@@ -562,6 +601,8 @@ def test_front_door_sweep(tmp_path, capsys, kind):
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = value
+            # a new file each time: on ext4 a truncating open waits for the old one's writeback
+            config.unlink(missing_ok=True)
             config.write_text(yaml.dump(doc, Dumper=dumper))
             case = f"{'.'.join(map(str, path))}={value!r}"
             try:
@@ -612,6 +653,17 @@ class TestRegressionAnchors:
         assert (rc, err) == (cli.EXIT_OK, "")
         assert _sha256(out_csv) == (
             "14763c2bb908c3179fc26546755d8412741c9fe54b5f071ac4357402cbcf6555"
+        )
+
+    def test_paper_rows_before_the_divergence(self):
+        # the closed-loop pendulum's log, ticks 0 to 112, as a collecting sink keeps them
+        log = sim_harness.SimLog()
+        with pytest.raises(plant_models.DivergenceError):
+            sim_harness.run_closed_loop(
+                sim_harness.SimConfig.from_yaml(str(CONFIGS / "paper_experiment.yaml")), log)
+        assert len(log) == 113
+        assert hashlib.sha256(log.rows.tobytes()).hexdigest() == (
+            "d83d32035f86e5ca42dc6f18db5928321b76bc912596aba30abf6096705160b8"
         )
 
     def test_second_order_ramp_csv(self, tmp_path, capsys):

@@ -806,6 +806,31 @@ class TestCsvOutput:
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
 
+    def test_short_blocks_come_back_in_order_after_commit(self, tmp_path, children):
+        # a short block waits for the next write() or finish(); the full block between
+        # the short ones forks the formatting child, which gets the last one
+        path, blocks = tmp_path / "out.csv", [[1.0, 2.0], [3.0, 4.0] * 256, [5.0, 6.0] * 2]
+        with CsvOutput(str(path), "a,b") as out:
+            for n, block in enumerate(blocks):
+                out.write(array("d", block))
+                assert len(out) == sum(len(b) // 2 for b in blocks[:n + 1])  # the held rows too
+            out.commit()
+        assert len(children) == 1
+        assert path.read_text() == "a,b\n1,2\n" + "3,4\n" * 256 + "5,6\n" * 2
+
+    def test_uncommitted_short_block_is_never_formatted(self, tmp_path, monkeypatch):
+        calls, block_texts = [], sim_harness._block_texts
+
+        def counted(*args):
+            calls.append(1)
+            return block_texts(*args)
+
+        monkeypatch.setattr(sim_harness, "_block_texts", counted)
+        with CsvOutput(str(tmp_path / "out.csv"), "a,b") as out:
+            out.write(array("d", [1.0, 2.0, 3.0, 4.0]))
+            assert len(out) == 2
+        assert calls == [] and os.listdir(tmp_path) == []
+
 
 # Values whose `%.17g` text is easy to get wrong: the sign of zero, the
 # smallest subnormal, the switch to exponent notation, and extremes.
